@@ -12,11 +12,11 @@ from itertools import product
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import MacChannel, type_i, type_ii
 from .correlations import (
     DEFAULT_ENUMERATION_CAP,
+    NO_SIGNALING_TOL,
     CorrelationBox,
     Encoder,
     EnumerationCapExceeded,
@@ -35,17 +35,35 @@ from .infotheory import ProductDistribution, entropy, sum_rate
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    grid_step: float | None = None  # None -> 0.05 for d=2, 0.1 otherwise
+    """Settings of `maximize_over_pi` and of the vertex prefilter.
+
+    restarts: starts of the ascent, the uniform distribution plus
+        restarts - 1 seeded Dirichlet draws.
+    tolerance: a start stops once its certified block gap (the most any
+        single sender's factor could still add) is at most this, in bits.
+    max_iterations: sweeps over the senders' factors after which a start
+        stops regardless of its gap.
+    grid_step: spacing of the fine simplex grid on which
+        `classical_capacity_exact` ranks its candidate vertices; None means
+        0.05 for d=2 and 0.1 otherwise.
+    seed: seeds the Dirichlet starts.
+    """
+
+    grid_step: float | None = None
     restarts: int = 20
-    tolerance: float = 1e-7
+    tolerance: float = 1e-10
     max_iterations: int = 4000
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.grid_step is not None and not 0.0 < self.grid_step <= 1.0:
+            raise ValueError(f"grid-step must lie in (0, 1], got {self.grid_step}")
 
     def step_for(self, d: int) -> float:
         if self.grid_step is not None:
@@ -78,94 +96,125 @@ def simplex_grid(d: int, step: float) -> list[np.ndarray]:
     return [np.array(p, dtype=float) / k for p in rec(k, [])]
 
 
-def _project_blocks(v: np.ndarray, n: int, d: int) -> list[np.ndarray]:
-    factors = []
-    for k in range(n):
-        block = np.clip(v[k * d : (k + 1) * d], 1e-12, None)
-        factors.append(block / block.sum())
-    return factors
+# An ascent objective maps a batch of factors F, shape (R, n, d), to its
+# values (R,), certified block gaps (R,) and F after one sweep.
+AscentObjective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def maximize_over_pi(
-    objective: Callable[[ProductDistribution], float],
+    objective: AscentObjective,
     n: int,
     d: int,
     cfg: OptimizerConfig | None = None,
 ) -> tuple[float, ProductDistribution, dict]:
-    """Coarse grid plus multi-start Nelder-Mead over the product of simplices.
+    """Batched multi-start block-coordinate ascent over product distributions.
 
-    Deterministic under a fixed cfg.seed and never returns less than the
-    best grid point.  The result is a certified lower bound on the true
-    maximum unless the caller knows the objective is concave.
+    All starts (uniform, then cfg.restarts - 1 seeded Dirichlet draws) run
+    as one batch.  A start stops once its block gap is at most
+    cfg.tolerance or after cfg.max_iterations sweeps.  Returns the best
+    evaluated value, its distribution and diagnostics: `grid_points` (0),
+    `iterations` (sweeps summed over the starts), `restarts`, `winner`
+    (the winning start) and `gap` (its block gap).
+
+    A small gap certifies a block-wise optimum, not the global maximum:
+    the value is a local-search result, a lower bound on the true maximum.
+    Deterministic under a fixed cfg.seed.
     """
     cfg = cfg or OptimizerConfig()
-    per = simplex_grid(d, cfg.step_for(d))
-    best_val = -np.inf
-    best_factors: tuple[np.ndarray, ...] | None = None
-    for combo in product(per, repeat=n):
-        val = objective(ProductDistribution(combo))
-        if val > best_val + 1e-15:
-            best_val = val
-            best_factors = combo
-    grid_best = best_val
-
-    def neg(v):
-        return -objective(ProductDistribution(tuple(_project_blocks(v, n, d))))
-
     rng = np.random.default_rng(cfg.seed)
-    starts = [np.concatenate(best_factors)]
-    for _ in range(cfg.restarts - 1):
-        starts.append(np.concatenate([rng.dirichlet(np.ones(d)) for _ in range(n)]))
+    F = np.empty((cfg.restarts, n, d))
+    F[0] = 1.0 / d
+    F[1:] = rng.dirichlet(np.ones(d), size=(cfg.restarts - 1, n))
+    best = np.full(cfg.restarts, -np.inf)
+    best_F = F.copy()
+    best_gap = np.full(cfg.restarts, np.inf)
+    active = np.arange(cfg.restarts)
     iterations = 0
-    for s in starts:
-        res = minimize(
-            neg,
-            s,
-            method="Nelder-Mead",
-            options={
-                "fatol": cfg.tolerance,
-                "xatol": 1e-9,
-                "maxiter": cfg.max_iterations,
-            },
-        )
-        iterations += res.nit
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_factors = tuple(_project_blocks(res.x, n, d))
+    for _ in range(cfg.max_iterations):
+        values, gaps, swept = objective(F[active])
+        better = values >= best[active]
+        idx = active[better]
+        best[idx] = values[better]
+        best_F[idx] = F[idx]
+        best_gap[idx] = gaps[better]
+        iterations += active.size
+        F[active] = swept
+        active = active[gaps > cfg.tolerance]
+        if not active.size:
+            break
+    winner = int(np.argmax(best))
     diagnostics = {
-        "grid_points": len(per) ** n,
-        "grid_best": grid_best,
+        "grid_points": 0,
         "restarts": cfg.restarts,
         "iterations": iterations,
+        "winner": winner,
+        "gap": float(best_gap[winner]),
     }
-    return best_val, ProductDistribution(best_factors), diagnostics
+    return float(best[winner]), ProductDistribution(tuple(best_F[winner])), diagnostics
 
 
-def _xlog2x(a: np.ndarray) -> np.ndarray:
-    return np.where(a > 0, a * np.log2(np.where(a > 0, a, 1.0)), 0.0)
+def _joint(F: np.ndarray) -> np.ndarray:
+    """Joint message distributions (R, d^n) of factors F (R, n, d)."""
+    out = F[:, 0]
+    for k in range(1, F.shape[1]):
+        out = (out[:, :, None] * F[:, k, None, :]).reshape(F.shape[0], -1)
+    return out
 
 
-def _batch_mi(joints: np.ndarray) -> np.ndarray:
-    """Mutual information of a batch of 2D joints, shape (..., A, B)."""
-    pa = joints.sum(axis=-1)
-    pb = joints.sum(axis=-2)
-    h_a = -_xlog2x(pa).sum(axis=-1)
-    h_b = -_xlog2x(pb).sum(axis=-1)
-    h_ab = -_xlog2x(joints).sum(axis=(-2, -1))
-    return h_a + h_b - h_ab
+def _block_average(x: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
+    """E over m_-k ~ p_-k of x(m), as a function of m_k: shape (R, d).
+
+    x has shape (R, d^n) over the joint message index."""
+    R, n, d = F.shape
+    operands = [x.reshape((R,) + (d,) * n), [n, *range(n)]]
+    for j in range(n):
+        if j != k:
+            operands += [F[:, j], [n, j]]
+    return np.einsum(*operands, [n, k])
 
 
-def _kernel_mi_objective(kernel: np.ndarray) -> Callable[[ProductDistribution], float]:
-    def objective(pi: ProductDistribution) -> float:
-        joint = pi.joint()[:, None] * kernel
-        return float(_batch_mi(joint))
+def _kernel_mi_objective(kernel: np.ndarray) -> AscentObjective:
+    """I(M;Y) for P(y|m) = kernel, with the product-form Blahut-Arimoto sweep.
+
+    With q = pi @ kernel and D_m = D(kernel[m] || q), block k's score is
+    g_k(m_k) = E_{m_-k}[D_m]; the update is p_k <- p_k 2^{g_k} / Z, and
+    max_k (max g_k - I) bounds what any one block can still add.
+    """
+    h_rows = entropy(kernel, axis=-1)  # H(Y | M = m)
+
+    def divergences(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = pm @ kernel
+        log_q = np.log2(np.where(q > 0, q, 1.0))
+        return -h_rows - log_q @ kernel.T, q
+
+    def objective(F: np.ndarray):
+        F = F.copy()
+        n = F.shape[1]
+        pm = _joint(F)
+        div, q = divergences(pm)
+        values = entropy(q, axis=-1) - pm @ h_rows
+        scores = [_block_average(div, F, k) for k in range(n)]
+        gaps = np.max([g.max(axis=-1) for g in scores], axis=0) - values
+        for k in range(n):
+            if k:
+                div, _ = divergences(_joint(F))
+                scores[k] = _block_average(div, F, k)
+            w = F[:, k] * np.exp2(scores[k] - scores[k].max(axis=-1, keepdims=True))
+            F[:, k] = w / w.sum(axis=-1, keepdims=True)
+        return values, gaps, F
 
     return objective
 
 
-def sum_rate_objective(enc: Encoder, ch: MacChannel) -> Callable[[ProductDistribution], float]:
-    """I(M;Y) as a function of pi, with the x axis pre-summed."""
+def sum_rate_objective(enc: Encoder, ch: MacChannel) -> AscentObjective:
+    """I(M;Y) as an ascent objective, with the x axis pre-summed."""
     return _kernel_mi_objective(enc.table @ ch.matrix)
+
+
+def _kernel_rates(kernels: np.ndarray, pms: np.ndarray) -> np.ndarray:
+    """I(M;Y) = H(Y) - H(Y|M) for each kernel (..., Δ, Y) at each message
+    distribution pms (G, Δ): shape (..., G)."""
+    return entropy(pms @ kernels, axis=-1) - entropy(kernels, axis=-1) @ pms.T
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +261,10 @@ def _grid_pms(n: int, d: int, step: float) -> np.ndarray:
 
 
 def _batch_grid_values(kernels: np.ndarray, pms: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Best grid value per vertex: max_g MI(pm_g ⊙ K_v)."""
+    """Best grid value per vertex: max_g I(M;Y) at pm_g under K_v."""
     out = np.empty(kernels.shape[0])
     for lo in range(0, kernels.shape[0], chunk):
-        part = kernels[lo : lo + chunk]  # (C, Δ, Δ)
-        joints = pms[None, :, :, None] * part[:, None, :, :]
-        out[lo : lo + chunk] = _batch_mi(joints).max(axis=1)
+        out[lo : lo + chunk] = _kernel_rates(kernels[lo : lo + chunk], pms).max(axis=1)
     return out
 
 
@@ -275,10 +322,7 @@ def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution, cap: int = D
     count = vertex_count(ch.game)
     if count > cap:
         raise EnumerationCapExceeded(f"{count} vertices over the cap of {cap}")
-    kernels = _vertex_kernels(ch)
-    pm = pi.joint()
-    vals = _batch_mi(pm[None, :, None] * kernels)
-    return float(vals.max())
+    return float(_kernel_rates(_vertex_kernels(ch), pi.joint()[None]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -322,37 +366,51 @@ def bruteforce_classical_game_value(
     return float(best) / d**n, best_strats
 
 
-def _bound_result(
-    ch: MacChannel,
-    max_omega: float | Callable[[np.ndarray], float],
-    cfg: OptimizerConfig | None,
-    resource: str,
-) -> CapacityResult:
-    spread = ch.f_l - ch.f_w
-
-    def objective(pi: ProductDistribution) -> float:
-        pm = pi.joint()
-        omega = max_omega(pm) if callable(max_omega) else max_omega
-        return entropy(pm) + spread * omega - ch.f_l
-
-    val, pi, diag = maximize_over_pi(objective, ch.game.n, ch.game.d, cfg)
-    return CapacityResult(
-        value=val, kind="upper-bound", resource=resource, argmax_pi=pi, diagnostics=diag
-    )
-
-
-def resource_dependent_bound(
-    ch: MacChannel,
-    max_omega: float | Callable[[np.ndarray], float],
-    cfg: OptimizerConfig | None = None,
-) -> float:
+def resource_dependent_bound(ch: MacChannel, max_omega: float) -> float:
     """max_pi { H(M) + (f_l - f_w) * max_omega } - f_l, in bits.
 
-    max_omega is either a constant (the resource's best win probability)
-    or a callable of the joint message distribution; the classical
-    subset-partition bound is this formula with the sorted-subset callable.
+    max_omega is the resource's best win probability; H(M) peaks at the
+    uniform distribution, so the bound is log2 Δ + (f_l - f_w) max_omega - f_l.
     """
-    return _bound_result(ch, max_omega, cfg, resource="R").value
+    return float(np.log2(ch.delta)) + (ch.f_l - ch.f_w) * max_omega - ch.f_l
+
+
+def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
+    """H(M) + (f_l - f_w) * (mass of the r_max likeliest messages) - f_l.
+
+    Block k's step re-picks the top-r_max set S (stable argsort), takes
+    a_k(m_k) = sum of p_-k(m_-k) over m in S, and sets p_k to the block
+    maximiser p_k ∝ 2^{c a_k}, c = f_l - f_w.  With S held, the block gap
+    is log2 sum 2^{c a_k} - (H(p_k) + c sum p_k a_k).
+    """
+    spread = ch.f_l - ch.f_w
+
+    def top_set(F: np.ndarray) -> np.ndarray:
+        pm = _joint(F)
+        top = np.argsort(-pm, axis=-1, kind="stable")[:, :r_max]
+        mask = np.zeros(pm.shape)
+        np.put_along_axis(mask, top, 1.0, axis=-1)
+        return mask
+
+    def objective(F: np.ndarray):
+        F = F.copy()
+        n = F.shape[1]
+        mask = top_set(F)
+        h = entropy(F, axis=-1)  # (R, n)
+        values = h.sum(axis=-1) + spread * (mask * _joint(F)).sum(axis=-1) - ch.f_l
+        gaps = np.zeros(F.shape[0])
+        for k in range(n):
+            a = _block_average(mask, F, k)
+            block = h[:, k] + spread * (F[:, k] * a).sum(axis=-1)
+            gaps = np.maximum(gaps, np.logaddexp2.reduce(spread * a, axis=-1) - block)
+        for k in range(n):
+            if k:
+                mask = top_set(F)
+            w = np.exp2(spread * _block_average(mask, F, k))
+            F[:, k] = w / w.sum(axis=-1, keepdims=True)
+        return values, gaps, F
+
+    return objective
 
 
 def classical_upper_bound(
@@ -364,18 +422,23 @@ def classical_upper_bound(
 
     r_max = round(omega_star_local * Δ) message tuples can at most land
     in the winning set under any deterministic encoder, so the win
-    probability is bounded by the r_max largest message masses.
+    probability is bounded by the r_max largest message masses.  The
+    maximum over pi comes from block-coordinate ascent, a local search:
+    the value is the best bound found, not a certified global maximum.
     """
     if not 0.0 < omega_star_local <= 1.0:
         raise ValueError(f"omega_star_local must lie in (0, 1], got {omega_star_local}")
     r_max = round(omega_star_local * ch.delta)
-
-    def subset_mass(pm: np.ndarray) -> float:
-        return float(np.sort(pm)[::-1][:r_max].sum())
-
-    result = _bound_result(ch, subset_mass, cfg, resource="L")
-    result.diagnostics["r_max"] = r_max
-    return result
+    val, pi, diag = maximize_over_pi(
+        _subset_bound_objective(ch, r_max), ch.game.n, ch.game.d, cfg
+    )
+    return CapacityResult(
+        value=val,
+        kind="upper-bound",
+        resource="L",
+        argmax_pi=pi,
+        diagnostics=dict(diag, r_max=r_max),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +524,12 @@ def vertex_file_bound(
     cfg: OptimizerConfig | None = None,
     resource: str = "file",
 ) -> CapacityResult:
-    """Max sum rate over user-supplied correlation-box vertices via E*."""
+    """Max sum rate over user-supplied correlation-box vertices via E*.
+
+    Every box must match the channel's scenario and be no-signaling
+    within NO_SIGNALING_TOL.  Each box's rate is a local-search maximum
+    over pi.
+    """
     boxes = boxes_from_csv(vertex_csv_path)
     game = ch.game
     best = None
@@ -470,6 +538,11 @@ def vertex_file_bound(
             raise ValueError(
                 f"vertex {i} has scenario ({box.n},{box.d},{box.D}), channel "
                 f"needs ({game.n},{game.d},{game.D})"
+            )
+        signaling = box.no_signaling_error()
+        if signaling > NO_SIGNALING_TOL:
+            raise ValueError(
+                f"vertex {i} signals: no-signaling error {signaling:.3g} exceeds {NO_SIGNALING_TOL:g}"
             )
         enc = e_star(box)
         val, pi, diag = maximize_over_pi(sum_rate_objective(enc, ch), game.n, game.d, cfg)

@@ -71,13 +71,34 @@ def _merged(config_path, **flags):
     return values
 
 
+def _parsed(values, key: str, convert):
+    """values[key] through int or float; a bad value names its key."""
+    try:
+        return convert(values[key])
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise click.ClickException(f"{key} must be {kind}, got {values[key]!r}") from None
+
+
+# config key -> OptimizerConfig field and its type
+_OPTIMIZER_KEYS = {
+    "grid-step": ("grid_step", float),
+    "restarts": ("restarts", int),
+    "tolerance": ("tolerance", float),
+    "seed": ("seed", int),
+}
+
+
 def _build_cfg(values) -> OptimizerConfig:
-    return OptimizerConfig(
-        grid_step=float(values["grid-step"]) if "grid-step" in values else None,
-        restarts=int(values.get("restarts", 20)),
-        tolerance=float(values.get("tolerance", 1e-7)),
-        seed=int(values.get("seed", 0)),
-    )
+    settings = {
+        name: _parsed(values, key, convert)
+        for key, (name, convert) in _OPTIMIZER_KEYS.items()
+        if key in values
+    }
+    try:
+        return OptimizerConfig(**settings)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
 
 
 @click.group()
@@ -112,7 +133,7 @@ def cmd_sweep(game_name, channel_type, eta_grid, resources, seed, out, config_pa
         game = game_by_name(values["game"])
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    ctype = int(values["channel-type"])
+    ctype = _parsed(values, "channel-type", int)
     if ctype not in (1, 2):
         raise click.ClickException(f"channel-type must be 1 or 2, got {ctype}")
     etas = parse_eta_grid(values["eta-grid"])

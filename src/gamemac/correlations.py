@@ -302,10 +302,16 @@ def box_to_csv(box: CorrelationBox, path) -> None:
 
 
 def boxes_from_csv(path) -> list[CorrelationBox]:
-    """Read one or more boxes; each block starts with its own `n,d,D` header."""
+    """Read one or more boxes; each block starts with its own `n,d,D` header.
+
+    Question digits must lie in [0, d), answer digits in [0, D), and no
+    (q, a) pair may repeat within a block; a violation is reported with
+    its `file:line`.
+    """
     boxes: list[CorrelationBox] = []
     current: tuple[int, int, int] | None = None
     table: np.ndarray | None = None
+    seen: set[tuple[int, int]] = set()
 
     def flush():
         nonlocal table
@@ -319,23 +325,40 @@ def boxes_from_csv(path) -> list[CorrelationBox]:
             line = raw.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             cells = line.split(",")
-            if len(cells) == 3:
+            is_header = len(cells) == 3
+            try:
+                digits = tuple(int(c) for c in (cells if is_header else cells[:-1]))
+                p = None if is_header else float(cells[-1])
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric cell in {line!r}") from None
+            if is_header:
                 flush()
-                current = (int(cells[0]), int(cells[1]), int(cells[2]))
+                current = digits
                 n, d, D = current
+                if min(current) < 1:
+                    raise ValueError(f"{where}: n, d, D must be positive, got {current}")
                 table = np.zeros((d**n, D**n))
+                seen = set()
                 continue
             if current is None:
-                raise ValueError(f"{path}:{lineno}: data row before n,d,D header")
+                raise ValueError(f"{where}: data row before n,d,D header")
             n, d, D = current
             if len(cells) != 2 * n + 1:
                 raise ValueError(
-                    f"{path}:{lineno}: expected {2 * n + 1} cells for n={n}, got {len(cells)}"
+                    f"{where}: expected {2 * n + 1} cells for n={n}, got {len(cells)}"
                 )
-            q = tuple(int(c) for c in cells[:n])
-            a = tuple(int(c) for c in cells[n : 2 * n])
-            table[pack_tuple(q, d), pack_tuple(a, D)] = float(cells[2 * n])
+            q, a = digits[:n], digits[n:]
+            if not all(0 <= x < d for x in q):
+                raise ValueError(f"{where}: question {q} has a digit outside [0, {d})")
+            if not all(0 <= x < D for x in a):
+                raise ValueError(f"{where}: answer {a} has a digit outside [0, {D})")
+            key = (pack_tuple(q, d), pack_tuple(a, D))
+            if key in seen:
+                raise ValueError(f"{where}: repeated row for question {q}, answer {a}")
+            seen.add(key)
+            table[key] = p
     flush()
     if not boxes:
         raise ValueError(f"{path}: no boxes found")

@@ -62,11 +62,22 @@ class ProductDistribution:
         return ProductDistribution(tuple(factors))
 
 
-def entropy(dist: np.ndarray) -> float:
-    """Shannon entropy in bits of any nonnegative array summing to ~1."""
-    p = np.asarray(dist, dtype=float).ravel()
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+def entropy(dist: np.ndarray, axis=None):
+    """Shannon entropy in bits.
+
+    With axis=None the whole array is one distribution and a float is
+    returned; otherwise `axis` (an int or a tuple) holds the outcomes and
+    an array of entropies, one per remaining index, is returned.
+    Nonpositive entries contribute nothing.
+    """
+    p = np.asarray(dist, dtype=float)
+    support = p > 0
+    nz = p[support]
+    if axis is None:
+        return float(-(nz * np.log2(nz)).sum())
+    plogp = np.zeros(p.shape)
+    plogp[support] = nz * np.log2(nz)
+    return -plogp.sum(axis=axis)
 
 
 def _marginal(joint: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:

@@ -1,9 +1,15 @@
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamemac.capacity import (
+    _grid_pms,
+    _kernel_mi_objective,
+    _subset_bound_objective,
     OptimizerConfig,
     PseudoTelepathyHypothesisError,
     best_vertex_rate_at_pi,
@@ -25,14 +31,21 @@ from gamemac.channels import noise_f, type_ii
 from gamemac.correlations import (
     EnumerationCapExceeded,
     box_to_csv,
+    e_star,
     local_deterministic_boxes,
     pr_box,
     tsirelson_box,
 )
-from gamemac.games import chsh_game, magic_square_game, mpp_game
-from gamemac.infotheory import ProductDistribution, entropy
+from gamemac.games import chsh_game, game_by_name, magic_square_game, mpp_game
+from gamemac.infotheory import ProductDistribution, sum_rate
 
 CFG = OptimizerConfig(seed=0)
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
+
+
+@lru_cache
+def _omega(name):
+    return bruteforce_classical_game_value(game_by_name(name))[0]
 
 
 @pytest.fixture(scope="module")
@@ -50,18 +63,24 @@ def test_simplex_grid_covers_vertices():
 
 
 def test_maximize_over_pi_recovers_entropy_max():
-    val, pi, diag = maximize_over_pi(lambda p: entropy(p.joint()), 2, 2, CFG)
+    # I(M;M) = H(M), maximal (2 bits) at uniform pi
+    objective = _kernel_mi_objective(np.eye(4))
+    val, pi, diag = maximize_over_pi(objective, 2, 2, CFG)
     assert val == pytest.approx(2.0, abs=1e-9)
     assert np.allclose(pi.joint(), 0.25, atol=1e-5)
-    assert diag["grid_best"] <= val
+    at_uniform = objective(np.full((1, 2, 2), 0.5))[0][0]
+    assert val >= at_uniform
+    assert diag["gap"] <= CFG.tolerance
+    assert diag["grid_points"] == 0
 
 
 def test_maximize_over_pi_deterministic_across_runs():
-    rng_obj = lambda p: entropy(p.joint()) - 0.5 * p.joint().max()
-    a = maximize_over_pi(rng_obj, 2, 2, CFG)
-    b = maximize_over_pi(rng_obj, 2, 2, CFG)
+    kernel = np.random.default_rng(3).dirichlet(np.ones(4), size=4)
+    a = maximize_over_pi(_kernel_mi_objective(kernel), 2, 2, CFG)
+    b = maximize_over_pi(_kernel_mi_objective(kernel), 2, 2, CFG)
     assert a[0] == b[0]
     assert all(np.array_equal(x, y) for x, y in zip(a[1].factors, b[1].factors))
+    assert a[2] == b[2]
 
 
 def test_optimizer_config_validation():
@@ -69,6 +88,10 @@ def test_optimizer_config_validation():
         OptimizerConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(max_iterations=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(grid_step=0.0)
     assert OptimizerConfig().step_for(2) == 0.05
     assert OptimizerConfig().step_for(3) == 0.1
     assert OptimizerConfig(grid_step=0.2).step_for(2) == 0.2
@@ -146,28 +169,74 @@ def test_classical_upper_bound_dominates_exact(chsh_type2_full):
     assert bound.value >= chsh_type2_full.value - 1e-9
 
 
-def test_classical_bound_is_resource_bound_with_subset_mass():
-    ch = type_ii(chsh_game(), 0.8)
-    r_max = 3
+@PROPERTY
+@given(name=st.sampled_from(["chsh", "magic-square", "mpp:3"]), eta=st.floats(0.1, 1.0))
+def test_classical_upper_bound_dominates_former_grid(name, eta):
+    # the ascent never ends below the product grid it replaced
+    game = game_by_name(name)
+    ch = type_ii(game, eta)
+    bound = classical_upper_bound(ch, _omega(name), CFG)
+    pms = _grid_pms(game.n, game.d, 0.05 if game.d == 2 else 0.1)
+    h = -(pms * np.log2(np.where(pms > 0, pms, 1.0))).sum(axis=1)
+    top = -np.sort(-pms, axis=1)[:, : bound.diagnostics["r_max"]].sum(axis=1)
+    grid = h + (ch.f_l - ch.f_w) * top - ch.f_l
+    assert bound.value >= grid.max() - 1e-12
 
-    def subset_mass(pm):
-        return float(np.sort(pm)[::-1][:r_max].sum())
 
-    via_generic = resource_dependent_bound(ch, subset_mass, CFG)
-    via_classical = classical_upper_bound(ch, 0.75, CFG).value
-    assert via_generic == pytest.approx(via_classical, abs=1e-12)
+@PROPERTY
+@given(eta=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_chsh_optima_beat_random_pi(eta, seed):
+    ch = type_ii(chsh_game(), eta)
+    pi = ProductDistribution.random(2, 2, np.random.default_rng(seed))
+    assert classical_capacity_exact(ch, CFG).value >= best_vertex_rate_at_pi(ch, pi) - 1e-12
+    q_rate = sum_rate(pi, e_star(tsirelson_box()), ch)
+    assert quantum_lower_bound_chsh(ch, CFG).value >= q_rate - 1e-12
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(["chsh", "magic-square", "mpp:3"]),
+    eta=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_sweep_never_lowers_the_value(name, eta, seed):
+    game = game_by_name(name)
+    ch = type_ii(game, eta)
+    rng = np.random.default_rng(seed)
+    F = rng.dirichlet(np.ones(game.d), size=(4, game.n))
+    kernel = rng.dirichlet(np.full(5, 0.5), size=game.d**game.n)
+    r_max = int(rng.integers(1, ch.delta + 1))
+    for objective in (_kernel_mi_objective(kernel), _subset_bound_objective(ch, r_max)):
+        before, gaps, swept = objective(F)
+        after = objective(swept)[0]
+        assert (after >= before - 1e-12).all()
+        assert (gaps >= -1e-12).all()
+
+
+@PROPERTY
+@given(shape=st.sampled_from([(2, 2), (2, 3), (3, 2)]), seed=st.integers(0, 2**32 - 1))
+def test_mi_gap_bounds_any_single_factor_change(shape, seed):
+    n, d = shape
+    rng = np.random.default_rng(seed)
+    F = rng.dirichlet(np.ones(d), size=(4, n))
+    objective = _kernel_mi_objective(rng.dirichlet(np.full(5, 0.5), size=d**n))
+    before, gaps, _ = objective(F)
+    for k in range(n):
+        moved = F.copy()
+        moved[:, k] = rng.dirichlet(np.ones(d), size=4)
+        assert (objective(moved)[0] <= before + gaps + 1e-12).all()
 
 
 def test_resource_bound_with_perfect_resource_hits_ceiling():
     # max_omega = 1 makes the bound log2(delta) - f_w exactly
     ch = type_ii(chsh_game(), 0.7)
-    val = resource_dependent_bound(ch, 1.0, CFG)
+    val = resource_dependent_bound(ch, 1.0)
     assert val == pytest.approx(2.0 - ch.f_w, abs=1e-9)
 
 
 def test_resource_bound_monotone_in_omega():
     ch = type_ii(chsh_game(), 0.9)
-    vals = [resource_dependent_bound(ch, w, CFG) for w in (0.5, 0.75, 1.0)]
+    vals = [resource_dependent_bound(ch, w) for w in (0.5, 0.75, 1.0)]
     assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
 
 
@@ -278,6 +347,16 @@ def test_vertex_file_bound_scenario_mismatch(tmp_path):
     box_to_csv(pr_box(), path)
     with pytest.raises(ValueError):
         vertex_file_bound(type_ii(magic_square_game(), 0.9), path, CFG)
+
+
+def test_vertex_file_bound_rejects_signaling_box(tmp_path):
+    # box 1 lets party 2's answer copy party 1's question
+    path = tmp_path / "boxes.csv"
+    box_to_csv(pr_box(), path)
+    with open(path, "a") as fh:
+        fh.write("2,2,2\n0,0,0,0,1\n0,1,0,0,1\n1,0,0,1,1\n1,1,0,1,1\n")
+    with pytest.raises(ValueError, match="vertex 1 signals"):
+        vertex_file_bound(type_ii(chsh_game(), 0.9), path, CFG)
 
 
 def test_channel_for_clamps_degenerate_eta():

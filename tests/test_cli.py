@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from gamemac.channels import noise_f
@@ -136,3 +141,39 @@ def test_vertex_bound_empty_file(tmp_path):
     )
     assert result.exit_code != 0
     assert "no boxes" in result.output
+
+
+def _sweep_with_config(tmp_path, extra):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "game = chsh\nchannel-type = 2\neta-grid = 1:1:1\nresources = NS-exact\n" + extra
+    )
+    return run("sweep", "--config", str(cfg))
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        ("channel-type = abc", "channel-type"),
+        ("restarts = zero", "restarts"),
+        ("restarts = 0", "restarts"),
+        ("tolerance = x", "tolerance"),
+        ("tolerance = 0", "tolerance"),
+        ("grid-step = x", "grid-step"),
+        ("grid-step = 0", "grid-step"),
+        ("seed = s", "seed"),
+    ],
+)
+def test_sweep_bad_config_value_names_its_key(tmp_path, line, key):
+    result = _sweep_with_config(tmp_path, line + "\n")
+    assert result.exit_code == 1, result.output
+    assert not isinstance(result.exception, ValueError)
+    assert key in result.output
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, gamemac.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

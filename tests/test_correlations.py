@@ -190,3 +190,35 @@ def test_csv_errors(tmp_path):
     short_row.write_text("2,2,2\n0,0,0.5\n")
     with pytest.raises(ValueError):
         boxes_from_csv(short_row)
+
+
+@pytest.mark.parametrize(
+    "row,problem",
+    [
+        ("0,0,0,2,1", "answer (0, 2) has a digit outside [0, 2)"),
+        ("2,0,0,0,1", "question (2, 0) has a digit outside [0, 2)"),
+        ("0,-1,0,0,1", "question (0, -1) has a digit outside [0, 2)"),
+        ("0,0,0,0,0.5", "repeated row for question (0, 0), answer (0, 0)"),
+        ("0,0,x,0,1", "non-numeric cell"),
+    ],
+)
+def test_csv_rejects_bad_rows_with_location(tmp_path, row, problem):
+    # before the check, answer digit 2 for D = 2 silently landed on answer (1, 0)
+    path = tmp_path / "bad.csv"
+    path.write_text(f"2,2,2\n0,0,0,0,0.5\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        boxes_from_csv(path)
+    assert f"{path}:3: {problem}" in str(err.value)
+
+
+def test_csv_repeated_row_allowed_across_blocks(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("2,2,2\n0,0,0,0,1\n2,2,2\n0,0,0,0,1\n")
+    assert len(boxes_from_csv(path)) == 2
+
+
+def test_csv_rejects_empty_scenario_header(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("2,0,2\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:1: n, d, D must be positive"):
+        boxes_from_csv(path)
