@@ -29,7 +29,7 @@ from .correlations import (
     support_marginal_uniformity_error,
     tsirelson_box,
 )
-from .games import NonlocalGame, pack_tuple
+from .games import NonlocalGame, local_map_indices
 from .infotheory import ProductDistribution, entropy, sum_rate
 
 
@@ -100,6 +100,9 @@ def simplex_grid(d: int, step: float) -> list[np.ndarray]:
 # values (R,), certified block gaps (R,) and F after one sweep.
 AscentObjective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
+# Values closer than this are equal up to rounding.
+_VALUE_ROUNDING = 1e-12
+
 
 def maximize_over_pi(
     objective: AscentObjective,
@@ -114,7 +117,8 @@ def maximize_over_pi(
     cfg.tolerance or after cfg.max_iterations sweeps.  Returns the best
     evaluated value, its distribution and diagnostics: `grid_points` (0),
     `iterations` (sweeps summed over the starts), `restarts`, `winner`
-    (the winning start) and `gap` (its block gap).
+    (the winning start: of the starts within rounding of the best value,
+    the one with the smallest gap) and `gap` (its block gap).
 
     A small gap certifies a block-wise optimum, not the global maximum:
     the value is a local-search result, a lower bound on the true maximum.
@@ -142,7 +146,9 @@ def maximize_over_pi(
         active = active[gaps > cfg.tolerance]
         if not active.size:
             break
-    winner = int(np.argmax(best))
+    # converged starts differ by rounding: of those, report the best-certified one
+    close = np.flatnonzero(best >= best.max() - _VALUE_ROUNDING)
+    winner = int(close[np.argmin(best_gap[close])])
     diagnostics = {
         "grid_points": 0,
         "restarts": cfg.restarts,
@@ -208,7 +214,7 @@ def _kernel_mi_objective(kernel: np.ndarray) -> AscentObjective:
 
 def sum_rate_objective(enc: Encoder, ch: MacChannel) -> AscentObjective:
     """I(M;Y) as an ascent objective, with the x axis pre-summed."""
-    return _kernel_mi_objective(enc.table @ ch.matrix)
+    return _kernel_mi_objective(ch.kernel(enc.table))
 
 
 def _kernel_rates(kernels: np.ndarray, pms: np.ndarray) -> np.ndarray:
@@ -222,11 +228,6 @@ def _kernel_rates(kernels: np.ndarray, pms: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_strategies(d: int, dD: int):
-    """Per-sender deterministic encoder maps m_k -> channel symbol."""
-    return list(product(range(dD), repeat=d))
-
-
 def vertex_count(game: NonlocalGame) -> int:
     dD = game.d * game.D
     return (dD**game.d) ** game.n
@@ -235,18 +236,10 @@ def vertex_count(game: NonlocalGame) -> int:
 def _vertex_kernels(ch: MacChannel) -> np.ndarray:
     """P(y|m) for every deterministic encoder vertex, shape (V, Δ, Δ)."""
     game = ch.game
-    n, d = game.n, game.d
-    dD = d * game.D
-    per = _vertex_strategies(d, dD)
-    messages = list(product(range(d), repeat=n))
-    kernels = np.empty((len(per) ** n, d**n, d**n))
-    for vi, strategies in enumerate(product(per, repeat=n)):
-        rows = [
-            pack_tuple(tuple(strategies[k][m[k]] for k in range(n)), dD)
-            for m in messages
-        ]
-        kernels[vi] = ch.matrix[rows]
-    return kernels
+    dD = game.d * game.D
+    per = np.array(list(product(range(dD), repeat=game.d)))  # one sender's maps m_k -> symbol
+    maps = per[np.indices((len(per),) * game.n).reshape(game.n, -1).T]  # (V, n, d)
+    return ch.matrix[local_map_indices(maps, dD)]
 
 
 def _grid_pms(n: int, d: int, step: float) -> np.ndarray:
@@ -303,7 +296,7 @@ def classical_capacity_exact(
     best = None
     for vi in sorted(finalists):
         val, pi, diag = maximize_over_pi(_kernel_mi_objective(kernels[vi]), n, d, cfg)
-        if best is None or val > best[0] + 1e-12:
+        if best is None or val > best[0] + _VALUE_ROUNDING:
             best = (val, pi, vi, diag)
     val, pi, vi, diag = best
     diag = dict(diag, vertices=count, candidates=len(candidates))
@@ -343,27 +336,14 @@ def bruteforce_classical_game_value(
         raise EnumerationCapExceeded(
             f"{game.name} has {count} deterministic strategy tuples, over the cap of {cap}"
         )
-    table = game.win_table()
+    w = game.win_table().reshape((d,) * n + (D,) * n)
     per = np.array(list(product(range(D), repeat=d)))  # (S, d)
-    if n == 2:
-        w = table.reshape(d, d, D, D)
-        counts = np.zeros((len(per), len(per)))
-        for q1 in range(d):
-            for q2 in range(d):
-                counts += w[q1, q2][np.ix_(per[:, q1], per[:, q2])]
-        idx = np.unravel_index(np.argmax(counts), counts.shape)
-        best = counts[idx] / d**2
-        return float(best), (tuple(per[idx[0]]), tuple(per[idx[1]]))
-    questions = list(product(range(d), repeat=n))
-    best, best_strats = -1.0, None
-    for strategies in product(map(tuple, per), repeat=n):
-        wins = sum(
-            table[pack_tuple(q, d), pack_tuple(tuple(strategies[k][q[k]] for k in range(n)), D)]
-            for q in questions
-        )
-        if wins > best:
-            best, best_strats = wins, strategies
-    return float(best) / d**n, best_strats
+    # counts[s_1..s_n]: questions won when player k answers with per[s_k]
+    counts = np.zeros((len(per),) * n, dtype=np.int64)
+    for q in product(range(d), repeat=n):
+        counts += w[q][np.ix_(*(per[:, q_k] for q_k in q))]
+    idx = np.unravel_index(np.argmax(counts), counts.shape)
+    return float(counts[idx]) / d**n, tuple(tuple(int(a) for a in per[i]) for i in idx)
 
 
 def resource_dependent_bound(ch: MacChannel, max_omega: float) -> float:
@@ -546,7 +526,7 @@ def vertex_file_bound(
             )
         enc = e_star(box)
         val, pi, diag = maximize_over_pi(sum_rate_objective(enc, ch), game.n, game.d, cfg)
-        if best is None or val > best[0] + 1e-12:
+        if best is None or val > best[0] + _VALUE_ROUNDING:
             best = (val, pi, i, diag)
     val, pi, i, diag = best
     return CapacityResult(

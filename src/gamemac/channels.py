@@ -9,11 +9,13 @@ All entropies are in bits.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .games import NonlocalGame, input_win_mask, question_index_of_input
+from .games import NonlocalGame, input_win_mask, question_indices
 
 _ROW_TOL = 1e-12
 
@@ -38,10 +40,24 @@ def noise_f(delta: int, eta: float) -> float:
     return float(out)
 
 
+def _entropy(p) -> float:
+    p = np.asarray(p, dtype=float)
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
 @dataclass(frozen=True)
 class MacChannel:
+    """P(y | x) = profile_{win(x)}[(y - q(x)) mod Δ], with Δ = d^n.
+
+    A profile is a distribution over the cyclic offset of y from the
+    echoed question tuple q(x).  Every row is a cyclic shift of one
+    profile, so checking the profiles checks the rows.
+    """
+
     game: NonlocalGame
-    matrix: np.ndarray  # shape ((d*D)^n, d^n): P(y | x)
+    win_profile: np.ndarray  # shape (Δ,)
+    lose_profile: np.ndarray  # shape (Δ,)
     f_w: float
     f_l: float
     eta_w: float | None = None
@@ -49,69 +65,80 @@ class MacChannel:
     name: str = "mac"
 
     def __post_init__(self):
-        dD = self.game.d * self.game.D
-        expected = (dD**self.game.n, self.game.d**self.game.n)
-        if self.matrix.shape != expected:
-            raise ValueError(f"channel matrix shape {self.matrix.shape}, expected {expected}")
-        err = np.abs(self.matrix.sum(axis=1) - 1.0).max()
-        if err > _ROW_TOL or self.matrix.min() < -_ROW_TOL:
-            raise ValueError(f"channel rows are not stochastic (err {err})")
+        for label in ("win", "lose"):
+            prof = np.array(getattr(self, f"{label}_profile"), dtype=float)
+            if prof.shape != (self.delta,):
+                raise ValueError(f"{label} profile must have length {self.delta}")
+            if abs(prof.sum() - 1.0) > _ROW_TOL or prof.min() < 0:
+                raise ValueError(f"{label} profile is not a distribution")
+            prof.setflags(write=False)
+            object.__setattr__(self, f"{label}_profile", prof)
         if not self.f_w < self.f_l:
             raise ValueError(
                 f"winning branch must be less noisy: f_w={self.f_w} >= f_l={self.f_l}"
             )
-        self.matrix.setflags(write=False)
 
     @property
     def delta(self) -> int:
         return self.game.d**self.game.n
 
-    def row_entropies(self) -> np.ndarray:
-        m = self.matrix
-        terms = np.where(m > 0, m * np.log2(np.where(m > 0, m, 1.0)), 0.0)
-        return -terms.sum(axis=1)
+    @functools.cached_property
+    def _circulants(self) -> np.ndarray:
+        """Shape (2, Δ, Δ): [branch, q, y] = profile_branch[(y - q) mod Δ],
+        branch 0 losing and 1 winning."""
+        steps = np.arange(self.delta)
+        shift = (steps[None, :] - steps[:, None]) % self.delta
+        return np.stack([self.lose_profile[shift], self.win_profile[shift]])
+
+    @property
+    def _input_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        return _input_maps(self.game)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense P(y | x), shape ((d*D)^n, Δ), read-only; built on first use."""
+        matrix = self._circulants[self._input_maps]
+        matrix.setflags(write=False)
+        return matrix
+
+    def kernel(self, table: np.ndarray) -> np.ndarray:
+        """table @ matrix, without the dense matrix: the table's nonzeros
+        are summed onto (row, win bit, question index), then multiplied by
+        the two Δ x Δ circulants."""
+        win, questions = self._input_maps
+        if table.shape[-1] != win.size:
+            raise ValueError(f"table has {table.shape[-1]} columns, channel has {win.size} inputs")
+        rows, cols = np.divmod(np.flatnonzero(table != 0), win.size)  # faster than np.nonzero
+        slots = (rows * 2 + win[cols]) * self.delta + questions[cols]
+        sums = np.bincount(slots, table[rows, cols], minlength=table.shape[0] * 2 * self.delta)
+        return sums.reshape(table.shape[0], -1) @ self._circulants.reshape(-1, self.delta)
 
     def branch_entropy_error(self) -> float:
-        """Max |H(Y|X=x) - f_branch| over all rows."""
-        ent = self.row_entropies()
-        win = input_win_mask(self.game)
-        err_w = np.abs(ent[win] - self.f_w).max() if win.any() else 0.0
-        err_l = np.abs(ent[~win] - self.f_l).max() if (~win).any() else 0.0
-        return float(max(err_w, err_l))
+        """Max |H(Y|X=x) - f_branch| over the rows of the dense matrix."""
+        m = self.matrix
+        ent = -np.where(m > 0, m * np.log2(np.where(m > 0, m, 1.0)), 0.0).sum(axis=1)
+        return float(np.abs(ent - np.where(self._input_maps[0], self.f_w, self.f_l)).max())
+
+
+@functools.lru_cache(maxsize=1)
+def _input_maps(game: NonlocalGame) -> tuple[np.ndarray, np.ndarray]:
+    """Win bit and question index of every channel input, read-only; kept
+    for the last game, so channels of one game share them."""
+    maps = input_win_mask(game).astype(np.intp), question_indices(game)
+    for m in maps:
+        m.setflags(write=False)
+    return maps
 
 
 def two_branch_mac(game: NonlocalGame, win_profile, lose_profile, name: str = "two-branch") -> MacChannel:
     """Generic two-branch channel from per-branch noise profiles.
 
-    Each profile is a distribution of length Delta = d^n over the cyclic
-    offset from the echoed question tuple: profile[0] is the probability
-    of outputting the question part of x, profile[j] that of the symbol
-    j steps later (mod Delta).  This keeps the conditional entropy
-    constant within a branch for arbitrary noise shapes.
+    The branch entropies f_w, f_l are those of the profiles, which keeps
+    the conditional entropy constant within a branch for arbitrary noise
+    shapes; see MacChannel for the profile convention.
     """
-    delta = game.d**game.n
-    win_profile = np.asarray(win_profile, dtype=float)
-    lose_profile = np.asarray(lose_profile, dtype=float)
-    for prof, label in ((win_profile, "win"), (lose_profile, "lose")):
-        if prof.shape != (delta,):
-            raise ValueError(f"{label} profile must have length {delta}")
-        if abs(prof.sum() - 1.0) > _ROW_TOL or prof.min() < 0:
-            raise ValueError(f"{label} profile is not a distribution")
-
-    def prof_entropy(p):
-        nz = p[p > 0]
-        return float(-(nz * np.log2(nz)).sum())
-
-    f_w = prof_entropy(win_profile)
-    f_l = prof_entropy(lose_profile)
-    dD = game.d * game.D
-    win = input_win_mask(game)
-    matrix = np.zeros((dD**game.n, delta))
-    for xi in range(dD**game.n):
-        peak = question_index_of_input(game, xi)
-        prof = win_profile if win[xi] else lose_profile
-        matrix[xi] = np.roll(prof, peak)
-    return MacChannel(game, matrix, f_w=f_w, f_l=f_l, name=name)
+    f_w, f_l = _entropy(win_profile), _entropy(lose_profile)
+    return MacChannel(game, win_profile, lose_profile, f_w, f_l, name=name)
 
 
 def depolarizing_mac(game: NonlocalGame, eta_w: float, eta_l: float) -> MacChannel:
@@ -125,20 +152,9 @@ def depolarizing_mac(game: NonlocalGame, eta_w: float, eta_l: float) -> MacChann
         p[0] += eta
         return p
 
-    ch = two_branch_mac(
-        game,
-        profile(eta_w),
-        profile(eta_l),
-        name=f"{game.name}({eta_w:g},{eta_l:g})",
-    )
-    return MacChannel(
-        game,
-        ch.matrix,
-        f_w=noise_f(delta, eta_w),
-        f_l=noise_f(delta, eta_l),
-        eta_w=eta_w,
-        eta_l=eta_l,
-        name=ch.name,
+    ch = two_branch_mac(game, profile(eta_w), profile(eta_l), name=f"{game.name}({eta_w:g},{eta_l:g})")
+    return dataclasses.replace(
+        ch, f_w=noise_f(delta, eta_w), f_l=noise_f(delta, eta_l), eta_w=eta_w, eta_l=eta_l
     )
 
 
@@ -158,10 +174,7 @@ def type_ii(game: NonlocalGame, eta: float) -> MacChannel:
 
 def channel_to_csv(ch: MacChannel, path) -> None:
     """Write nonzero entries as `x-index,y-index,probability` rows."""
+    xs, ys = np.nonzero(ch.matrix)
     with open(path, "w") as fh:
         fh.write("x,y,p\n")
-        for xi in range(ch.matrix.shape[0]):
-            for yi in range(ch.matrix.shape[1]):
-                p = ch.matrix[xi, yi]
-                if p != 0.0:
-                    fh.write(f"{xi},{yi},{p:.17g}\n")
+        fh.writelines(f"{x},{y},{p:.17g}\n" for x, y, p in zip(xs, ys, ch.matrix[xs, ys]))

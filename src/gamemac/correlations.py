@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from . import qkernel
-from .games import NonlocalGame, pack_tuple, unpack_index
+from .games import NonlocalGame, input_indices, local_map_indices, pack_tuple, unpack_index
 
 NORMALIZATION_TOL = 1e-12
 NO_SIGNALING_TOL = 1e-10
@@ -113,9 +113,7 @@ def validate_box(box: CorrelationBox, mode: str = "both") -> ValidationReport:
 def deterministic_box(n: int, d: int, D: int, strategies) -> CorrelationBox:
     """Box from per-party answer functions a_k = g_k(q_k), given as tuples."""
     table = np.zeros((d**n, D**n))
-    for q in product(range(d), repeat=n):
-        a = tuple(strategies[k][q[k]] for k in range(n))
-        table[pack_tuple(q, d), pack_tuple(a, D)] = 1.0
+    table[np.arange(d**n), local_map_indices(strategies, D)] = 1.0
     return CorrelationBox(n, d, D, table, name="deterministic", deterministic=True)
 
 
@@ -244,17 +242,8 @@ def e_star(box: CorrelationBox) -> Encoder:
     P(x | m) = box(a | m) when the question part of x echoes m, else 0.
     """
     n, d, D = box.n, box.d, box.D
-    dD = d * D
-    table = np.zeros((d**n, dD**n))
-    for mi in range(d**n):
-        m = unpack_index(mi, d, n)
-        for ai in range(D**n):
-            p = box.table[mi, ai]
-            if p == 0.0:
-                continue
-            a = unpack_index(ai, D, n)
-            xi = pack_tuple(tuple(m[k] * D + a[k] for k in range(n)), dD)
-            table[mi, xi] = p
+    table = np.zeros((d**n, (d * D) ** n))
+    table[np.arange(d**n)[:, None], input_indices(n, d, D)] = box.table
     return Encoder(n, d, D, table, deterministic=box.deterministic, name=f"e*({box.name})")
 
 
@@ -276,13 +265,10 @@ def support_marginal_uniformity_error(box: CorrelationBox) -> float:
     for k in range(box.n):
         other_a = tuple(box.n + j for j in range(box.n) if j != k)
         marg = t.sum(axis=other_a)  # question axes + party k answer axis
-        flat = marg.reshape(-1, box.D)
-        for row in flat:
-            support = row > 1e-12
-            if not support.any():
-                continue
-            target = 1.0 / support.sum()
-            worst = max(worst, float(np.abs(row[support] - target).max()))
+        rows = marg.reshape(-1, box.D)
+        support = rows > 1e-12
+        target = 1.0 / np.maximum(support.sum(axis=1, keepdims=True), 1)
+        worst = max(worst, float(np.abs(rows - target)[support].max(initial=0.0)))
     return worst
 
 

@@ -134,26 +134,40 @@ def game_by_name(name: str) -> NonlocalGame:
     raise ValueError(f"unknown game {name!r}")
 
 
+def input_indices(n: int, d: int, D: int) -> np.ndarray:
+    """Channel-input index x of every (question, answer) tuple pair.
+
+    Returns shape (d^n, D^n): entry [q_idx, a_idx] is x flattened
+    big-endian over the per-player symbols q_k*D + a_k.
+    """
+    x = np.arange((d * D) ** n).reshape((d, D) * n)
+    return x.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d**n, D**n)
+
+
 def input_win_mask(game: NonlocalGame) -> np.ndarray:
     """Win membership of channel inputs x = ((q_1,a_1),...,(q_n,a_n)).
 
-    x is flattened big-endian with per-player symbol q_k*D + a_k; the
-    returned boolean vector has length (d*D)^n.
+    The returned boolean vector has length (d*D)^n, indexed by x.
     """
-    d, D, n = game.d, game.D, game.n
-    dD = d * D
-    table = game.win_table()
-    mask = np.zeros(dD**n, dtype=bool)
-    for xi in range(dD**n):
-        syms = unpack_index(xi, dD, n)
-        q = tuple(s // D for s in syms)
-        a = tuple(s % D for s in syms)
-        mask[xi] = table[pack_tuple(q, d), pack_tuple(a, D)]
+    mask = np.empty((game.d * game.D) ** game.n, dtype=bool)
+    mask[input_indices(game.n, game.d, game.D)] = game.win_table()
     return mask
 
 
-def question_index_of_input(game: NonlocalGame, x_index: int) -> int:
-    """Flattened question-tuple index carried by a channel input."""
-    d, D, n = game.d, game.D, game.n
-    syms = unpack_index(x_index, d * D, n)
-    return pack_tuple(tuple(s // D for s in syms), d)
+def question_indices(game: NonlocalGame) -> np.ndarray:
+    """Flattened question-tuple index carried by every channel input x."""
+    n, d = game.n, game.d
+    out = np.empty((d * game.D) ** n, dtype=np.intp)
+    out[input_indices(n, d, game.D)] = np.arange(d**n)[:, None]
+    return out
+
+
+def local_map_indices(maps, base: int) -> np.ndarray:
+    """Index of (maps[0][i_0], ..., maps[n-1][i_{n-1}]) in base `base`, for
+    every input tuple i in big-endian order; maps has shape (..., n, d)
+    and the result (..., d^n)."""
+    maps = np.asarray(maps)
+    n, d = maps.shape[-2:]
+    digits = np.indices((d,) * n).reshape(n, -1)
+    symbols = maps[..., np.arange(n)[:, None], digits]
+    return np.ravel_multi_index(tuple(np.moveaxis(symbols, -2, 0)), (base,) * n)

@@ -5,7 +5,6 @@ acceptance tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .correlations import (
     support_marginal_uniformity_error,
     validate_box,
 )
-from .games import NonlocalGame, chsh_game, magic_square_game, mpp_game, pack_tuple
+from .games import NonlocalGame, chsh_game, local_map_indices, magic_square_game, mpp_game
 from .infotheory import (
     ProductDistribution,
     compose,
@@ -40,12 +39,9 @@ def random_product_distribution(game: NonlocalGame, rng: np.random.Generator) ->
 def random_vertex_encoder(game: NonlocalGame, rng: np.random.Generator) -> Encoder:
     """A uniformly random deterministic encoder vertex."""
     n, d, D = game.n, game.d, game.D
-    dD = d * D
-    table = np.zeros((d**n, dD**n))
-    maps = [rng.integers(0, dD, size=d) for _ in range(n)]
-    for mi, m in enumerate(product(range(d), repeat=n)):
-        xi = pack_tuple(tuple(int(maps[k][m[k]]) for k in range(n)), dD)
-        table[mi, xi] = 1.0
+    maps = [rng.integers(0, d * D, size=d) for _ in range(n)]
+    table = np.zeros((d**n, (d * D) ** n))
+    table[np.arange(d**n), local_map_indices(maps, d * D)] = 1.0
     return Encoder(n, d, D, table, deterministic=True, name="random-vertex")
 
 

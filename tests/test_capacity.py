@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from gamemac.capacity import (
     _grid_pms,
     _kernel_mi_objective,
     _subset_bound_objective,
+    _vertex_kernels,
     OptimizerConfig,
     PseudoTelepathyHypothesisError,
     best_vertex_rate_at_pi,
@@ -36,7 +37,7 @@ from gamemac.correlations import (
     pr_box,
     tsirelson_box,
 )
-from gamemac.games import chsh_game, game_by_name, magic_square_game, mpp_game
+from gamemac.games import chsh_game, game_by_name, magic_square_game, mpp_game, pack_tuple
 from gamemac.infotheory import ProductDistribution, sum_rate
 
 CFG = OptimizerConfig(seed=0)
@@ -102,6 +103,17 @@ def test_vertex_counts():
     assert vertex_count(magic_square_game()) == 24**3 * 24**3
 
 
+@pytest.mark.parametrize("game", [chsh_game(), mpp_game(3)])
+def test_vertex_kernels_match_per_vertex_rows(game):
+    ch = type_ii(game, 0.7)
+    n, d, dD = game.n, game.d, game.d * game.D
+    kernels = _vertex_kernels(ch)
+    per = list(product(range(dD), repeat=d))
+    for vi, maps in enumerate(product(per, repeat=n)):
+        rows = [pack_tuple([maps[k][m[k]] for k in range(n)], dD) for m in product(range(d), repeat=n)]
+        assert (kernels[vi] == ch.matrix[rows]).all()
+
+
 def test_classical_exact_chsh_value(chsh_type2_full):
     # frozen from the vertex enumeration; the coarse reference is 1.44
     assert chsh_type2_full.value == pytest.approx(1.4352809, abs=1e-4)
@@ -142,6 +154,21 @@ def test_bruteforce_game_values():
     assert wins / 4 == omega
     assert bruteforce_classical_game_value(magic_square_game())[0] == 8 / 9
     assert bruteforce_classical_game_value(mpp_game(3))[0] == 7 / 8
+
+
+@pytest.mark.parametrize(
+    "name, omega, strategies",
+    [
+        ("chsh", 0.75, ((0, 0), (0, 0))),
+        ("magic-square", 8 / 9, ((0, 0, 3), (4, 4, 1))),
+        ("mpp:3", 0.875, ((0, 0), (0, 0), (0, 1))),
+        ("mpp:4", 0.875, ((0, 0), (0, 0), (0, 0), (1, 1))),
+    ],
+)
+def test_bruteforce_returns_first_maximiser(name, omega, strategies):
+    # values and first maximisers in `product` order, recorded from the
+    # per-strategy loop this vectorised search replaced
+    assert bruteforce_classical_game_value(game_by_name(name)) == (omega, strategies)
 
 
 def test_mpp_game_value_formula():
@@ -306,6 +333,14 @@ def test_quantum_lower_bound_chsh():
     # noiseless winning branch: rate = 2 - f(4, cos^2(pi/8)) at uniform pi
     expected = 2.0 - noise_f(4, np.cos(np.pi / 8) ** 2)
     assert result.value == pytest.approx(expected, abs=1e-6)
+
+
+def test_maximize_over_pi_reports_best_certified_winner():
+    # CHSH Q-lower at eta = 0.95: starts tie up to rounding, and the winner
+    # once was an earlier iterate with gap 1.2e-8 against a 1e-10 tolerance
+    result = quantum_lower_bound_chsh(type_ii(chsh_game(), 0.95), CFG)
+    assert result.diagnostics["gap"] <= CFG.tolerance
+    assert abs(result.value - 1.1861381026252487) <= 1e-12
 
 
 def test_quantum_lower_bound_requires_chsh():

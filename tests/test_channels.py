@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamemac.channels import (
     MacChannel,
@@ -10,7 +12,15 @@ from gamemac.channels import (
     type_i,
     type_ii,
 )
-from gamemac.games import chsh_game, input_win_mask, mpp_game, question_index_of_input
+from gamemac.games import (
+    NonlocalGame,
+    chsh_game,
+    input_win_mask,
+    mpp_game,
+    pack_tuple,
+    question_indices,
+    unpack_index,
+)
 from gamemac.infotheory import entropy
 
 
@@ -45,10 +55,11 @@ def test_depolarizing_rows():
     game = chsh_game()
     ch = depolarizing_mac(game, 0.8, 0.2)
     win = input_win_mask(game)
+    questions = question_indices(game)
     for xi in (0, 5, 11):
         eta = 0.8 if win[xi] else 0.2
         expected = np.full(4, (1 - eta) / 4)
-        expected[question_index_of_input(game, xi)] += eta
+        expected[questions[xi]] += eta
         assert np.allclose(ch.matrix[xi], expected)
 
 
@@ -93,7 +104,7 @@ def test_two_branch_accepts_non_depolarizing_noise():
     # the profile is anchored at the echoed question tuple
     win = input_win_mask(game)
     xi = int(np.flatnonzero(win)[3])
-    peak = question_index_of_input(game, xi)
+    peak = question_indices(game)[xi]
     assert ch.matrix[xi, peak] == pytest.approx(0.9)
 
 
@@ -117,7 +128,7 @@ def test_channel_matrix_is_stochastic_and_frozen():
 def test_mac_channel_rejects_wrong_branch_order():
     ch = type_ii(chsh_game(), 0.5)
     with pytest.raises(ValueError):
-        MacChannel(chsh_game(), ch.matrix, f_w=2.0, f_l=1.0)
+        MacChannel(chsh_game(), ch.win_profile, ch.lose_profile, f_w=2.0, f_l=1.0)
 
 
 def test_channel_csv(tmp_path):
@@ -128,3 +139,87 @@ def test_channel_csv(tmp_path):
     assert lines[0] == "x,y,p"
     # 8 winning rows with one entry each, 8 losing rows with four
     assert len(lines) == 1 + 8 + 8 * 4
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+SCENARIOS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 3, 3), (3, 2, 3)]
+
+
+def _random_channel(scenario, seed):
+    """A game with a random win table and a channel with random profiles."""
+    n, d, D = scenario
+    rng = np.random.default_rng(seed)
+    table = rng.random((d**n, D**n)) < 0.5
+    game = NonlocalGame("random", n, d, D, lambda q, a: table[pack_tuple(q, d), pack_tuple(a, D)])
+    win_profile, lose_profile = rng.dirichlet(np.full(d**n, 0.5), size=2)
+    return MacChannel(game, win_profile, lose_profile, f_w=0.0, f_l=1.0), rng
+
+
+@PROPERTY
+@given(scenario=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**32 - 1))
+def test_index_maps_match_tuple_definitions(scenario, seed):
+    ch, _ = _random_channel(scenario, seed)
+    game = ch.game
+    n, d, D = scenario
+    win, questions = input_win_mask(game), question_indices(game)
+    assert win.shape == questions.shape == ((d * D) ** n,)
+    for xi in range(win.size):
+        syms = unpack_index(xi, d * D, n)
+        q = tuple(s // D for s in syms)
+        assert win[xi] == game.wins(q, tuple(s % D for s in syms))
+        assert questions[xi] == pack_tuple(q, d)
+
+
+@PROPERTY
+@given(scenario=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**32 - 1))
+def test_matrix_rows_are_shifted_profiles(scenario, seed):
+    ch, _ = _random_channel(scenario, seed)
+    win, questions = input_win_mask(ch.game), question_indices(ch.game)
+    for xi in range(win.size):
+        profile = ch.win_profile if win[xi] else ch.lose_profile
+        assert (ch.matrix[xi] == np.roll(profile, questions[xi])).all()
+
+
+@PROPERTY
+@given(scenario=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_dense_product(scenario, seed):
+    ch, rng = _random_channel(scenario, seed)
+    inputs = ch.matrix.shape[0]
+    dense = rng.dirichlet(np.full(inputs, 0.3), size=5)
+    sparse = np.where(rng.random(dense.shape) < 0.2, dense, 0.0)
+    for table in (dense, sparse):
+        assert np.abs(ch.kernel(table) - table @ ch.matrix).max() <= 1e-14
+
+
+def test_kernel_rejects_wrong_width():
+    ch = type_ii(chsh_game(), 0.5)
+    with pytest.raises(ValueError):
+        ch.kernel(np.ones((4, 8)))
+
+
+def test_large_channel_builds_without_dense_matrix():
+    ch = type_ii(mpp_game(10), 0.5)
+    assert ch.delta == 2**10
+    assert "matrix" not in ch.__dict__
+    # one input, x = ((q_k, a_k))_k with q = (1,1,0,...,0) and a = 0: a losing row
+    q, a = (1, 1) + (0,) * 8, (0,) * 10
+    table = np.zeros((1, 4**10))
+    table[0, pack_tuple([2 * qk + ak for qk, ak in zip(q, a)], 4)] = 1.0
+    assert not ch.game.wins(q, a)
+    assert (ch.kernel(table)[0] == np.roll(ch.lose_profile, pack_tuple(q, 2))).all()
+    assert "matrix" not in ch.__dict__
+
+
+def test_channels_of_one_game_share_read_only_input_maps():
+    game = chsh_game()
+    ch, other = type_ii(game, 0.5), depolarizing_mac(game, 0.9, 0.2)
+    assert ch.eta_w == 0.5 and ch.f_w == noise_f(4, 0.5) and ch.f_l == 2.0
+    for mine, theirs in zip(ch._input_maps, other._input_maps):
+        assert mine is theirs and not mine.flags.writeable
+
+
+def test_profiles_are_copied_and_frozen():
+    profile = np.full(4, 0.25)
+    ch = MacChannel(chsh_game(), np.array([1.0, 0, 0, 0]), profile, f_w=0.0, f_l=2.0)
+    assert not ch.lose_profile.flags.writeable
+    assert profile.flags.writeable

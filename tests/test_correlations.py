@@ -1,5 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamemac.correlations import (
     CorrelationBox,
@@ -20,7 +24,7 @@ from gamemac.correlations import (
     tsirelson_box,
     validate_box,
 )
-from gamemac.games import chsh_game, magic_square_game, mpp_game, unpack_index
+from gamemac.games import chsh_game, magic_square_game, mpp_game, pack_tuple, unpack_index
 
 
 def test_box_shape_check():
@@ -222,3 +226,57 @@ def test_csv_rejects_empty_scenario_header(tmp_path):
     path.write_text("2,0,2\n")
     with pytest.raises(ValueError, match=r"bad\.csv:1: n, d, D must be positive"):
         boxes_from_csv(path)
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+SCENARIOS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 3, 3), (3, 2, 3)]
+
+
+@PROPERTY
+@given(scenario=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**32 - 1))
+def test_e_star_matches_per_entry_lift(scenario, seed):
+    n, d, D = scenario
+    rng = np.random.default_rng(seed)
+    table = rng.dirichlet(np.full(D**n, 0.5), size=d**n)
+    table[rng.random(table.shape) < 0.3] = 0.0
+    table /= np.maximum(table.sum(axis=1, keepdims=True), 1e-300)
+    table[table.sum(axis=1) == 0, 0] = 1.0
+    box = CorrelationBox(n, d, D, table)
+    expected = np.zeros((d**n, (d * D) ** n))
+    for mi in range(d**n):
+        m = unpack_index(mi, d, n)
+        for ai in range(D**n):
+            a = unpack_index(ai, D, n)
+            expected[mi, pack_tuple([m[k] * D + a[k] for k in range(n)], d * D)] = table[mi, ai]
+    assert (e_star(box).table == expected).all()
+
+
+@PROPERTY
+@given(scenario=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**32 - 1))
+def test_deterministic_box_matches_answer_maps(scenario, seed):
+    n, d, D = scenario
+    strategies = np.random.default_rng(seed).integers(0, D, size=(n, d))
+    expected = np.zeros((d**n, D**n))
+    for q in product(range(d), repeat=n):
+        a = [strategies[k][q[k]] for k in range(n)]
+        expected[pack_tuple(q, d), pack_tuple(a, D)] = 1.0
+    assert (deterministic_box(n, d, D, strategies).table == expected).all()
+
+
+@PROPERTY
+@given(scenario=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**32 - 1))
+def test_support_uniformity_matches_per_row_loop(scenario, seed):
+    n, d, D = scenario
+    rng = np.random.default_rng(seed)
+    table = rng.dirichlet(np.full(D**n, 0.5), size=d**n)
+    table[rng.random(table.shape) < 0.3] = 0.0
+    box = CorrelationBox(n, d, D, table)
+    worst = 0.0
+    t = table.reshape((d,) * n + (D,) * n)
+    for k in range(n):
+        marg = t.sum(axis=tuple(n + j for j in range(n) if j != k))
+        for row in marg.reshape(-1, D):
+            support = row > 1e-12
+            if support.any():
+                worst = max(worst, float(np.abs(row[support] - 1.0 / support.sum()).max()))
+    assert support_marginal_uniformity_error(box) == worst

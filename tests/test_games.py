@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gamemac.games import (
@@ -5,10 +6,11 @@ from gamemac.games import (
     chsh_game,
     game_by_name,
     input_win_mask,
+    local_map_indices,
     magic_square_game,
     mpp_game,
     pack_tuple,
-    question_index_of_input,
+    question_indices,
     unpack_index,
 )
 
@@ -125,13 +127,26 @@ def test_input_win_mask_matches_predicate():
         assert mask[xi] == g.wins(q, a)
 
 
-def test_question_index_of_input():
+def test_question_indices():
     g = magic_square_game()
+    questions = question_indices(g)
+    assert questions.shape == (24**2,)
     # symbol = q*8 + a per player, base 24
     xi = pack_tuple((2 * 8 + 5, 1 * 8 + 3), 24)
-    assert question_index_of_input(g, xi) == pack_tuple((2, 1), 3)
+    assert questions[xi] == pack_tuple((2, 1), 3)
 
 
 def test_win_table_is_cached():
     g = chsh_game()
     assert g.win_table() is g.win_table()
+
+
+def test_local_map_indices_batches_over_leading_axes():
+    maps = np.random.default_rng(3).integers(0, 4, size=(5, 3, 2))
+    batched = local_map_indices(maps, 4)
+    assert batched.shape == (5, 2**3)
+    for one, expected in zip(maps, batched):
+        assert (local_map_indices(one, 4) == expected).all()
+        # input tuple i = (i_1, i_2, i_3) maps to (one[0][i_1], one[1][i_2], one[2][i_3])
+        i = (1, 0, 1)
+        assert expected[pack_tuple(i, 2)] == pack_tuple([one[k][i[k]] for k in range(3)], 4)

@@ -4,7 +4,7 @@ import pytest
 from gamemac import verify
 from gamemac.channels import MacChannel, type_ii
 from gamemac.correlations import tsirelson_box
-from gamemac.games import chsh_game, input_win_mask
+from gamemac.games import chsh_game, magic_square_game, mpp_game, pack_tuple, unpack_index
 
 
 def test_random_vertex_encoder_is_deterministic():
@@ -13,6 +13,19 @@ def test_random_vertex_encoder_is_deterministic():
     assert enc.deterministic
     assert ((enc.table == 0) | (enc.table == 1)).all()
     assert (enc.table.sum(axis=1) == 1).all()
+
+
+@pytest.mark.parametrize("game", [chsh_game(), magic_square_game(), mpp_game(3)])
+def test_random_vertex_encoder_applies_its_maps(game):
+    # same draws as the encoder: one map m_k -> channel symbol per player
+    n, d, dD = game.n, game.d, game.d * game.D
+    rng = np.random.default_rng(4)
+    maps = [rng.integers(0, dD, size=d) for _ in range(n)]
+    table = verify.random_vertex_encoder(game, np.random.default_rng(4)).table
+    for mi in range(d**n):
+        m = unpack_index(mi, d, n)
+        xi = pack_tuple([int(maps[k][m[k]]) for k in range(n)], dD)
+        assert table[mi, xi] == 1.0
 
 
 def test_random_mixture_encoder_is_stochastic():
@@ -36,12 +49,10 @@ def test_proposition_residuals_seeded():
 
 
 def test_constant_noise_residual_flags_uneven_rows():
-    # fault injection: perturb one losing row so its entropy drifts
+    # fault injection: the losing rows' entropy (2 bits, fully noisy) drifts
+    # from the declared f_l
     ch = type_ii(chsh_game(), 1.0)
-    matrix = ch.matrix.copy()
-    lose = np.flatnonzero(~input_win_mask(chsh_game()))
-    matrix[lose[0]] = [0.4, 0.3, 0.2, 0.1]
-    broken = MacChannel(chsh_game(), matrix, f_w=ch.f_w, f_l=ch.f_l)
+    broken = MacChannel(chsh_game(), ch.win_profile, ch.lose_profile, f_w=ch.f_w, f_l=1.5)
     assert verify.constant_noise_residual(ch) <= 1e-12
     assert verify.constant_noise_residual(broken) > 0.1
 
