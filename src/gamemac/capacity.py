@@ -214,7 +214,7 @@ def _kernel_mi_objective(kernel: np.ndarray) -> AscentObjective:
 
 def sum_rate_objective(enc: Encoder, ch: MacChannel) -> AscentObjective:
     """I(M;Y) as an ascent objective, with the x axis pre-summed."""
-    return _kernel_mi_objective(ch.kernel(enc.table))
+    return _kernel_mi_objective(ch.kernel(enc.cols, enc.probs))
 
 
 def _kernel_rates(kernels: np.ndarray, pms: np.ndarray) -> np.ndarray:

@@ -101,17 +101,20 @@ class MacChannel:
         matrix.setflags(write=False)
         return matrix
 
-    def kernel(self, table: np.ndarray) -> np.ndarray:
-        """table @ matrix, without the dense matrix: the table's nonzeros
-        are summed onto (row, win bit, question index), then multiplied by
-        the two Δ x Δ circulants."""
+    def kernel(self, cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        """P(y | m) of the encoder with support (cols, probs) (see
+        correlations.Encoder), without the dense matrix: the support is
+        summed onto (row, win bit, question index), then multiplied by the
+        two Δ x Δ circulants."""
         win, questions = self._input_maps
-        if table.shape[-1] != win.size:
-            raise ValueError(f"table has {table.shape[-1]} columns, channel has {win.size} inputs")
-        rows, cols = np.divmod(np.flatnonzero(table != 0), win.size)  # faster than np.nonzero
-        slots = (rows * 2 + win[cols]) * self.delta + questions[cols]
-        sums = np.bincount(slots, table[rows, cols], minlength=table.shape[0] * 2 * self.delta)
-        return sums.reshape(table.shape[0], -1) @ self._circulants.reshape(-1, self.delta)
+        if cols.shape != probs.shape or cols.ndim != 2:
+            raise ValueError(f"support shapes {cols.shape} and {probs.shape} differ or are not 2-D")
+        if cols.size and (cols.min() < 0 or cols.max() >= win.size):
+            raise ValueError(f"support inputs must lie in [0, {win.size}), the channel's inputs")
+        rows = cols.shape[0]
+        slots = (np.arange(rows)[:, None] * 2 + win[cols]) * self.delta + questions[cols]
+        sums = np.bincount(slots.ravel(), probs.ravel(), minlength=rows * 2 * self.delta)
+        return sums.reshape(rows, -1) @ self._circulants.reshape(-1, self.delta)
 
     def branch_entropy_error(self) -> float:
         """Max |H(Y|X=x) - f_branch| over the rows of the dense matrix."""

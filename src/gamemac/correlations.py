@@ -8,6 +8,7 @@ symbols q_k*D + a_k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -67,22 +68,49 @@ class CorrelationBox:
 
 @dataclass(frozen=True)
 class Encoder:
+    """P(x | m) stored by its support: message m puts probability
+    probs[m, j] on channel input cols[m, j]; repeated inputs add."""
+
     n: int
     d: int
     D: int
-    table: np.ndarray  # shape (d^n, (d*D)^n): P(x | m)
+    cols: np.ndarray  # shape (d^n, k): channel-input indices
+    probs: np.ndarray  # shape (d^n, k): P(x = cols[m, j] | m)
     deterministic: bool = False
     name: str = "encoder"
 
     def __post_init__(self):
-        dD = self.d * self.D
-        expected = (self.d**self.n, dD**self.n)
-        if self.table.shape != expected:
-            raise ValueError(f"encoder table shape {self.table.shape}, expected {expected}")
-        err = np.abs(self.table.sum(axis=1) - 1.0).max()
-        if err > NORMALIZATION_TOL or self.table.min() < -NORMALIZATION_TOL:
+        cols = np.asarray(self.cols, dtype=np.intp)
+        probs = np.asarray(self.probs, dtype=float)
+        if cols.ndim != 2 or cols.shape[0] != self.d**self.n or probs.shape != cols.shape:
+            raise ValueError(
+                f"encoder support shapes {cols.shape} and {probs.shape}, "
+                f"expected two equal (d^n, k) = ({self.d**self.n}, k)"
+            )
+        if cols.size and (cols.min() < 0 or cols.max() >= self.inputs):
+            raise ValueError(f"encoder inputs must lie in [0, {self.inputs})")
+        err = np.abs(probs.sum(axis=1) - 1.0).max()
+        if err > NORMALIZATION_TOL or probs.min() < -NORMALIZATION_TOL:
             raise ValueError(f"encoder rows are not stochastic (err {err})")
-        self.table.setflags(write=False)
+        for name, arr in (("cols", cols), ("probs", probs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def inputs(self) -> int:
+        """Channel input alphabet size (d*D)^n."""
+        return (self.d * self.D) ** self.n
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Dense P(x | m), shape (d^n, (d*D)^n), read-only; built on first use.
+        Repeated inputs of a row are added in support order."""
+        rows = self.cols.shape[0]
+        flat = np.arange(rows)[:, None] * self.inputs + self.cols
+        table = np.bincount(flat.ravel(), self.probs.ravel(), minlength=rows * self.inputs)
+        table = table.reshape(rows, self.inputs)
+        table.setflags(write=False)
+        return table
 
 
 @dataclass
@@ -239,12 +267,14 @@ def mpp_box(n: int) -> CorrelationBox:
 def e_star(box: CorrelationBox) -> Encoder:
     """Lift a box into an encoder: play the game with the message as question.
 
-    P(x | m) = box(a | m) when the question part of x echoes m, else 0.
+    P(x | m) = box(a | m) when the question part of x echoes m, else 0;
+    the support of row m is the inputs (m, a) for every answer tuple a.
     """
     n, d, D = box.n, box.d, box.D
-    table = np.zeros((d**n, (d * D) ** n))
-    table[np.arange(d**n)[:, None], input_indices(n, d, D)] = box.table
-    return Encoder(n, d, D, table, deterministic=box.deterministic, name=f"e*({box.name})")
+    return Encoder(
+        n, d, D, input_indices(n, d, D), box.table,
+        deterministic=box.deterministic, name=f"e*({box.name})",
+    )
 
 
 def box_win_probabilities(box: CorrelationBox, game: NonlocalGame) -> np.ndarray:
@@ -292,18 +322,25 @@ def boxes_from_csv(path) -> list[CorrelationBox]:
 
     Question digits must lie in [0, d), answer digits in [0, D), and no
     (q, a) pair may repeat within a block; a violation is reported with
-    its `file:line`.
+    its `file:line`.  Every question row of a block must be a distribution
+    within NORMALIZATION_TOL; a block that is not is reported with the
+    `file:line` of its header.
     """
     boxes: list[CorrelationBox] = []
     current: tuple[int, int, int] | None = None
     table: np.ndarray | None = None
     seen: set[tuple[int, int]] = set()
+    header = ""
 
     def flush():
         nonlocal table
         if current is not None and table is not None:
             n, d, D = current
-            boxes.append(CorrelationBox(n, d, D, table, name="csv"))
+            box = CorrelationBox(n, d, D, table, name="csv")
+            err = box.normalization_error()
+            if err > NORMALIZATION_TOL:
+                raise ValueError(f"{header}: box rows are not distributions (error {err:.3g})")
+            boxes.append(box)
         table = None
 
     with open(path) as fh:
@@ -321,7 +358,7 @@ def boxes_from_csv(path) -> list[CorrelationBox]:
                 raise ValueError(f"{where}: non-numeric cell in {line!r}") from None
             if is_header:
                 flush()
-                current = digits
+                current, header = digits, where
                 n, d, D = current
                 if min(current) < 1:
                     raise ValueError(f"{where}: n, d, D must be positive, got {current}")

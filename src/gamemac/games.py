@@ -39,6 +39,13 @@ class NonlocalGame:
     The predicate must be defined on every question/answer tuple; there
     are no promise restrictions.  Multi-bit answers (magic square) are
     packed as integers with bit j holding the j-th answer bit.
+
+    wins(q, a) takes two length-n sequences of per-player digits and must
+    also accept numpy integer arrays as digits: `win_table` calls it once,
+    with q[k] of shape (d^n, 1) and a[k] of shape (1, D^n), and expects a
+    result that broadcasts to (d^n, D^n) and is nonzero where the tuple
+    wins.  Integer arithmetic (`+ & ^ | >> %`, `==`) and numpy indexing
+    meet this; `if`, `and`/`or` and indexing a Python list by a digit do not.
     """
 
     def __init__(self, name: str, n: int, d: int, D: int, wins: Predicate):
@@ -61,14 +68,15 @@ class NonlocalGame:
         return product(range(self.D), repeat=self.n)
 
     def win_table(self) -> np.ndarray:
-        """Boolean array of shape (d^n, D^n): win_table[q_idx, a_idx]."""
+        """Read-only boolean array of shape (d^n, D^n): win_table[q_idx,
+        a_idx]; one predicate call on the broadcast digits of every pair."""
         if self._table is None:
-            t = np.zeros((self.d**self.n, self.D**self.n), dtype=bool)
-            for q in self.question_tuples():
-                qi = pack_tuple(q, self.d)
-                for a in self.answer_tuples():
-                    t[qi, pack_tuple(a, self.D)] = self._wins(q, a)
-            self._table = t
+            shape = (self.d**self.n, self.D**self.n)
+            q = np.indices((self.d,) * self.n).reshape(self.n, -1, 1)
+            a = np.indices((self.D,) * self.n).reshape(self.n, 1, -1)
+            table = np.broadcast_to(self._wins(tuple(q), tuple(a)), shape).astype(bool)
+            table.setflags(write=False)
+            self._table = table
         return self._table
 
     def __repr__(self):
@@ -93,14 +101,12 @@ def magic_square_game() -> NonlocalGame:
     packed with bit j = j-th entry of the row/column.
     """
 
+    def parity(x):
+        return (x ^ (x >> 1) ^ (x >> 2)) & 1
+
     def wins(q, a):
-        b1 = [(a[0] >> j) & 1 for j in range(3)]
-        b2 = [(a[1] >> j) & 1 for j in range(3)]
-        return (
-            sum(b1) % 2 == 0
-            and sum(b2) % 2 == 1
-            and b1[q[1]] == b2[q[0]]
-        )
+        overlap = ((a[0] >> q[1]) ^ (a[1] >> q[0])) & 1
+        return (parity(a[0]) ^ 1) & parity(a[1]) & (overlap ^ 1)
 
     return NonlocalGame("magic-square", n=2, d=3, D=8, wins=wins)
 
@@ -115,10 +121,9 @@ def mpp_game(n: int) -> NonlocalGame:
         raise ValueError(f"mpp game needs n >= 2, got {n}")
 
     def wins(q, a):
+        # even sq needs sum(a) = sq/2 (mod 2): 0 when 4 | sq, else 1
         sq = sum(q)
-        if sq % 2 == 1:
-            return True
-        return sum(a) % 2 == (0 if sq % 4 == 0 else 1)
+        return (sq & 1) | ((sum(a) ^ (sq >> 1) ^ 1) & 1)
 
     return NonlocalGame(f"mpp:{n}", n=n, d=2, D=2, wins=wins)
 

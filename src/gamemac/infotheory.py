@@ -129,7 +129,7 @@ def compose(pi: ProductDistribution, enc: Encoder, ch: MacChannel) -> np.ndarray
 def message_output_kernel(enc: Encoder, ch: MacChannel) -> np.ndarray:
     """P(y | m) with the x axis summed out; the fast path for sum rates."""
     _check_dims(enc, ch)
-    return ch.kernel(enc.table)
+    return ch.kernel(enc.cols, enc.probs)
 
 
 def sum_rate(pi: ProductDistribution, enc: Encoder, ch: MacChannel) -> float:

@@ -40,22 +40,24 @@ def random_vertex_encoder(game: NonlocalGame, rng: np.random.Generator) -> Encod
     """A uniformly random deterministic encoder vertex."""
     n, d, D = game.n, game.d, game.D
     maps = [rng.integers(0, d * D, size=d) for _ in range(n)]
-    table = np.zeros((d**n, (d * D) ** n))
-    table[np.arange(d**n), local_map_indices(maps, d * D)] = 1.0
-    return Encoder(n, d, D, table, deterministic=True, name="random-vertex")
+    cols = local_map_indices(maps, d * D)[:, None]
+    return Encoder(n, d, D, cols, np.ones(cols.shape), deterministic=True, name="random-vertex")
 
 
 def random_mixture_encoder(
     game: NonlocalGame, rng: np.random.Generator, components: int = 4
 ) -> Encoder:
     """Mixture of deterministic vertices, sometimes blended with the
-    game's perfect-box encoder.  Markov structure holds by construction."""
-    parts = [random_vertex_encoder(game, rng).table for _ in range(components)]
+    game's perfect-box encoder.  Markov structure holds by construction.
+    The parts' supports are joined in part order, so the dense table adds
+    them in that order."""
+    parts = [random_vertex_encoder(game, rng) for _ in range(components)]
     if rng.random() < 0.3:
-        parts.append(e_star(capacity.pseudo_telepathy_box(game)).table)
+        parts.append(e_star(capacity.pseudo_telepathy_box(game)))
     weights = rng.dirichlet(np.ones(len(parts)))
-    table = sum(w * t for w, t in zip(weights, parts))
-    return Encoder(game.n, game.d, game.D, table, name="random-mixture")
+    cols = np.concatenate([p.cols for p in parts], axis=1)
+    probs = np.concatenate([w * p.probs for w, p in zip(weights, parts)], axis=1)
+    return Encoder(game.n, game.d, game.D, cols, probs, name="random-mixture")
 
 
 def random_channel(game: NonlocalGame, rng: np.random.Generator) -> MacChannel:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +14,20 @@ from gamemac.channels import (
     type_i,
     type_ii,
 )
+from gamemac.capacity import pseudo_telepathy_capacity
+from gamemac.correlations import CorrelationBox, Encoder, e_star, mpp_box
 from gamemac.games import (
     NonlocalGame,
     chsh_game,
+    input_indices,
     input_win_mask,
+    local_map_indices,
     mpp_game,
     pack_tuple,
     question_indices,
     unpack_index,
 )
-from gamemac.infotheory import entropy
+from gamemac.infotheory import ProductDistribution, entropy, sum_rate
 
 
 def test_noise_f_endpoints():
@@ -182,19 +188,68 @@ def test_matrix_rows_are_shifted_profiles(scenario, seed):
 
 @PROPERTY
 @given(scenario=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**32 - 1))
+def test_win_table_matches_per_tuple_loop(scenario, seed):
+    ch, _ = _random_channel(scenario, seed)
+    game = ch.game
+    expected = np.zeros((game.d**game.n, game.D**game.n), dtype=bool)
+    for q in game.question_tuples():
+        for a in game.answer_tuples():
+            expected[pack_tuple(q, game.d), pack_tuple(a, game.D)] = game.wins(q, a)
+    assert (game.win_table() == expected).all()
+
+
+@PROPERTY
+@given(scenario=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**32 - 1))
 def test_kernel_matches_dense_product(scenario, seed):
     ch, rng = _random_channel(scenario, seed)
     inputs = ch.matrix.shape[0]
     dense = rng.dirichlet(np.full(inputs, 0.3), size=5)
     sparse = np.where(rng.random(dense.shape) < 0.2, dense, 0.0)
+    cols = np.tile(np.arange(inputs), (5, 1))
     for table in (dense, sparse):
-        assert np.abs(ch.kernel(table) - table @ ch.matrix).max() <= 1e-14
+        assert np.abs(ch.kernel(cols, table) - table @ ch.matrix).max() <= 1e-14
+
+
+def _former_lift(box):
+    """The dense E* table as it was built before encoders kept their support."""
+    n, d, D = box.n, box.d, box.D
+    table = np.zeros((d**n, (d * D) ** n))
+    table[np.arange(d**n)[:, None], input_indices(n, d, D)] = box.table
+    return table
+
+
+@PROPERTY
+@given(scenario=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**32 - 1))
+def test_kernel_of_support_matches_dense_encoder(scenario, seed):
+    ch, rng = _random_channel(scenario, seed)
+    n, d, D = scenario
+    rows, inputs = d**n, (d * D) ** n
+    table = rng.dirichlet(np.full(D**n, 0.5), size=rows)
+    table[rng.random(table.shape) < 0.3] = 0.0
+    table[table.sum(axis=1) == 0, 0] = 1.0
+    box = CorrelationBox(n, d, D, table / table.sum(axis=1, keepdims=True))
+    star = e_star(box)
+    assert (star.table == _former_lift(box)).all()
+    vertex_cols = local_map_indices(rng.integers(0, d * D, size=(n, d)), d * D)[:, None]
+    vertex = Encoder(n, d, D, vertex_cols, np.ones((rows, 1)), deterministic=True)
+    # a mixture whose support repeats inputs within a row
+    cols = rng.integers(0, inputs, size=(rows, 6))
+    cols[:, 3:] = cols[:, :3]
+    mixture = Encoder(n, d, D, cols, rng.dirichlet(np.ones(6), size=rows))
+    expected = np.zeros((rows, inputs))
+    for m, j in product(range(rows), range(6)):
+        expected[m, cols[m, j]] += mixture.probs[m, j]
+    assert np.abs(mixture.table - expected).max() <= 1e-15
+    for enc in (star, vertex, mixture):
+        assert np.abs(ch.kernel(enc.cols, enc.probs) - enc.table @ ch.matrix).max() <= 1e-14
 
 
 def test_kernel_rejects_wrong_width():
     ch = type_ii(chsh_game(), 0.5)
     with pytest.raises(ValueError):
-        ch.kernel(np.ones((4, 8)))
+        ch.kernel(np.full((4, 1), 16), np.ones((4, 1)))  # the channel has 16 inputs
+    with pytest.raises(ValueError):
+        ch.kernel(np.zeros((4, 2), dtype=np.intp), np.ones((4, 1)))
 
 
 def test_large_channel_builds_without_dense_matrix():
@@ -203,10 +258,22 @@ def test_large_channel_builds_without_dense_matrix():
     assert "matrix" not in ch.__dict__
     # one input, x = ((q_k, a_k))_k with q = (1,1,0,...,0) and a = 0: a losing row
     q, a = (1, 1) + (0,) * 8, (0,) * 10
-    table = np.zeros((1, 4**10))
-    table[0, pack_tuple([2 * qk + ak for qk, ak in zip(q, a)], 4)] = 1.0
+    x = pack_tuple([2 * qk + ak for qk, ak in zip(q, a)], 4)
     assert not ch.game.wins(q, a)
-    assert (ch.kernel(table)[0] == np.roll(ch.lose_profile, pack_tuple(q, 2))).all()
+    kernel = ch.kernel(np.array([[x]]), np.ones((1, 1)))
+    assert (kernel[0] == np.roll(ch.lose_profile, pack_tuple(q, 2))).all()
+    assert "matrix" not in ch.__dict__
+
+
+def test_e_star_sum_rate_at_mpp10_scale():
+    # the dense encoder would be 1,024 x 4^10 floats (8.6 GB), the matrix 4^10 x 1,024
+    ch, box = type_ii(mpp_game(10), 0.5), mpp_box(10)
+    enc = e_star(box)
+    rate = sum_rate(ProductDistribution.uniform(10, 2), enc, ch)
+    assert rate == pytest.approx(10 - ch.f_w, abs=1e-9)
+    result = pseudo_telepathy_capacity(ch, box)
+    assert result.kind == "exact" and result.value == 10 - ch.f_w
+    assert "table" not in enc.__dict__
     assert "matrix" not in ch.__dict__
 
 

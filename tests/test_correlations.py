@@ -150,14 +150,30 @@ def test_e_star_rows_reproduce_box_probabilities():
 
 
 def test_encoder_rejects_substochastic_rows():
-    table = np.zeros((4, 16))
-    table[:, 0] = 0.5
+    cols = np.zeros((4, 1), dtype=np.intp)
     with pytest.raises(ValueError):
-        Encoder(2, 2, 2, table)
+        Encoder(2, 2, 2, cols, np.full((4, 1), 0.5))
+
+
+@pytest.mark.parametrize("x", [-1, 16])
+def test_encoder_rejects_out_of_range_inputs(x):
+    cols = np.zeros((4, 2), dtype=np.intp)
+    cols[2, 1] = x  # CHSH encoders have 16 channel inputs
+    with pytest.raises(ValueError, match=r"\[0, 16\)"):
+        Encoder(2, 2, 2, cols, np.full((4, 2), 0.5))
+
+
+def test_encoder_table_is_lazy_and_frozen():
+    enc = e_star(pr_box())
+    assert "table" not in enc.__dict__
+    assert not enc.cols.flags.writeable and not enc.probs.flags.writeable
+    with pytest.raises(ValueError):
+        enc.table[0, 0] = 1.0
+    assert enc.table is enc.table
 
 
 def test_box_csv_roundtrip(tmp_path):
-    for box in (pr_box(), tsirelson_box(), magic_square_box()):
+    for box in (pr_box(), tsirelson_box(), magic_square_box(), mpp_box(5)):
         path = tmp_path / f"{box.name}.csv"
         box_to_csv(box, path)
         back = box_from_csv(path)
@@ -217,8 +233,23 @@ def test_csv_rejects_bad_rows_with_location(tmp_path, row, problem):
 
 def test_csv_repeated_row_allowed_across_blocks(tmp_path):
     path = tmp_path / "two.csv"
-    path.write_text("2,2,2\n0,0,0,0,1\n2,2,2\n0,0,0,0,1\n")
+    # each block is the normalised box answering (0, 0) to every question
+    block = "2,2,2\n0,0,0,0,1\n0,1,0,0,1\n1,0,0,0,1\n1,1,0,0,1\n"
+    path.write_text(block + block)
     assert len(boxes_from_csv(path)) == 2
+
+
+def test_csv_rejects_unnormalised_block_at_its_header(tmp_path):
+    path = tmp_path / "loose.csv"
+    good = "2,2,2\n0,0,0,0,1\n0,1,0,0,1\n1,0,0,0,1\n1,1,0,0,1\n"
+    # second block (header on line 6): question (1, 0) sums to 0.9
+    path.write_text(good + "2,2,2\n0,0,0,0,1\n0,1,0,0,1\n1,0,0,0,0.9\n1,1,0,0,1\n")
+    with pytest.raises(ValueError, match=r"loose\.csv:6: box rows are not distributions"):
+        boxes_from_csv(path)
+    # a block whose question (1, 1) has no rows at all
+    path.write_text("2,2,2\n0,0,0,0,1\n0,1,0,0,1\n1,0,0,0,1\n")
+    with pytest.raises(ValueError, match=r"loose\.csv:1: box rows are not distributions"):
+        boxes_from_csv(path)
 
 
 def test_csv_rejects_empty_scenario_header(tmp_path):

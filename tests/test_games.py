@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,38 @@ def test_local_map_indices_batches_over_leading_axes():
         # input tuple i = (i_1, i_2, i_3) maps to (one[0][i_1], one[1][i_2], one[2][i_3])
         i = (1, 0, 1)
         assert expected[pack_tuple(i, 2)] == pack_tuple([one[k][i[k]] for k in range(3)], 4)
+
+
+def _former_chsh(q, a):
+    return (a[0] ^ a[1]) == (q[0] & q[1])
+
+
+def _former_magic_square(q, a):
+    b1 = [(a[0] >> j) & 1 for j in range(3)]
+    b2 = [(a[1] >> j) & 1 for j in range(3)]
+    return sum(b1) % 2 == 0 and sum(b2) % 2 == 1 and b1[q[1]] == b2[q[0]]
+
+
+def _former_mpp(q, a):
+    sq = sum(q)
+    if sq % 2 == 1:
+        return True
+    return sum(a) % 2 == (0 if sq % 4 == 0 else 1)
+
+
+@pytest.mark.parametrize(
+    "game, former",
+    [(chsh_game(), _former_chsh), (magic_square_game(), _former_magic_square)]
+    + [(mpp_game(n), _former_mpp) for n in range(2, 7)],
+    ids=lambda v: getattr(v, "name", ""),
+)
+def test_win_table_matches_per_tuple_loop(game, former):
+    # the former predicates and the former (question, answer) loop
+    expected = np.zeros((game.d**game.n, game.D**game.n), dtype=bool)
+    for q in product(range(game.d), repeat=game.n):
+        for a in product(range(game.D), repeat=game.n):
+            expected[pack_tuple(q, game.d), pack_tuple(a, game.D)] = former(q, a)
+            assert game.wins(q, a) is bool(former(q, a))
+    table = game.win_table()
+    assert table.dtype == bool and not table.flags.writeable
+    assert (table == expected).all()

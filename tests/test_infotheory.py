@@ -151,9 +151,7 @@ def test_unrestricted_encoder_can_always_win():
     # channel input to one fixed winning tuple; the price is zero rate
     game = chsh_game()
     xi = int(np.flatnonzero(input_win_mask(game))[0])
-    table = np.zeros((4, 16))
-    table[:, xi] = 1.0
-    enc = Encoder(2, 2, 2, table, deterministic=True)
+    enc = Encoder(2, 2, 2, np.full((4, 1), xi), np.ones((4, 1)), deterministic=True)
     pi = ProductDistribution.uniform(2, 2)
     assert win_probability(pi, enc, game) == 1.0
     ch = type_ii(chsh_game(), 1.0)
