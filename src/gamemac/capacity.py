@@ -1,6 +1,6 @@
 """Sum-capacity computations: optimization over product message
 distributions, exact classical capacity by vertex enumeration, the
-subset-partition classical upper bound, pseudo-telepathy exact values,
+paper's subset-partition expression, pseudo-telepathy exact values,
 and η sweeps.
 """
 
@@ -74,7 +74,7 @@ class OptimizerConfig:
 @dataclass
 class CapacityResult:
     value: float
-    kind: str  # exact | lower-bound | upper-bound
+    kind: str  # exact | lower-bound | paper-bound
     resource: str  # L | Q | NS | any | user label
     argmax_pi: ProductDistribution | None = None
     argmax_encoder: str | None = None
@@ -96,12 +96,68 @@ def simplex_grid(d: int, step: float) -> list[np.ndarray]:
     return [np.array(p, dtype=float) / k for p in rec(k, [])]
 
 
-# An ascent objective maps a batch of factors F, shape (R, n, d), to its
-# values (R,), certified block gaps (R,) and F after one sweep.
-AscentObjective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+# An ascent objective maps one batch (F, group), the factors F of shape
+# (B, n, d) and the candidate of each row, group (B,) in ascending order,
+# to the values (B,), certified block gaps (B,) and F after one sweep.
+AscentObjective = Callable[
+    [tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray, np.ndarray]
+]
 
 # Values closer than this are equal up to rounding.
 _VALUE_ROUNDING = 1e-12
+
+
+def _ascend(
+    objective: AscentObjective, groups: int, n: int, d: int, cfg: OptimizerConfig
+) -> list[tuple[float, ProductDistribution, dict]]:
+    """The multi-start ascent of `maximize_over_pi`, one result per candidate.
+
+    Row g*R + r of the batch is start r of candidate g; every candidate gets
+    the same R = cfg.restarts starts, so its result is the one a
+    one-candidate call returns."""
+    R = cfg.restarts
+    rng = np.random.default_rng(cfg.seed)
+    starts = np.empty((R, n, d))
+    starts[0] = 1.0 / d
+    starts[1:] = rng.dirichlet(np.ones(d), size=(R - 1, n))
+    F = np.tile(starts, (groups, 1, 1))
+    best = np.full(groups * R, -np.inf)
+    best_F = F.copy()
+    best_gap = np.full(groups * R, np.inf)
+    active = np.arange(groups * R)
+    group = active // R
+    swept_rows = []
+    for _ in range(cfg.max_iterations):
+        swept_rows.append(active)
+        values, gaps, swept = objective((F[active], group))
+        better = values >= best[active]
+        idx = active[better]
+        best[idx] = values[better]
+        best_F[idx] = F[idx]
+        best_gap[idx] = gaps[better]
+        F[active] = swept
+        keep = gaps > cfg.tolerance
+        active, group = active[keep], group[keep]
+        if not active.size:
+            break
+    sweeps = np.bincount(np.concatenate(swept_rows), minlength=groups * R)
+    results = []
+    for g in range(groups):
+        rows = slice(g * R, (g + 1) * R)
+        value, gap = best[rows], best_gap[rows]
+        # converged starts differ by rounding: of those, report the best-certified one
+        close = np.flatnonzero(value >= value.max() - _VALUE_ROUNDING)
+        winner = int(close[np.argmin(gap[close])])
+        diagnostics = {
+            "grid_points": 0,
+            "restarts": R,
+            "iterations": int(sweeps[rows].sum()),
+            "winner": winner,
+            "gap": float(gap[winner]),
+        }
+        pi = ProductDistribution(tuple(best_F[rows][winner]))
+        results.append((float(value[winner]), pi, diagnostics))
+    return results
 
 
 def maximize_over_pi(
@@ -109,6 +165,7 @@ def maximize_over_pi(
     n: int,
     d: int,
     cfg: OptimizerConfig | None = None,
+    groups: int = 1,
 ) -> tuple[float, ProductDistribution, dict]:
     """Batched multi-start block-coordinate ascent over product distributions.
 
@@ -118,45 +175,26 @@ def maximize_over_pi(
     evaluated value, its distribution and diagnostics: `grid_points` (0),
     `iterations` (sweeps summed over the starts), `restarts`, `winner`
     (the winning start: of the starts within rounding of the best value,
-    the one with the smallest gap) and `gap` (its block gap).
+    the one with the smallest gap), `gap` (its block gap) and `group`.
+
+    With groups = G > 1 the objective scores G candidates in the same
+    batch, and each candidate runs the starts a one-candidate call gives
+    it.  The result is the best candidate's, `group` its index: in index
+    order, a later candidate replaces the best only if it is better by
+    more than rounding.  `iterations` then sums over every candidate.
 
     A small gap certifies a block-wise optimum, not the global maximum:
     the value is a local-search result, a lower bound on the true maximum.
     Deterministic under a fixed cfg.seed.
     """
-    cfg = cfg or OptimizerConfig()
-    rng = np.random.default_rng(cfg.seed)
-    F = np.empty((cfg.restarts, n, d))
-    F[0] = 1.0 / d
-    F[1:] = rng.dirichlet(np.ones(d), size=(cfg.restarts - 1, n))
-    best = np.full(cfg.restarts, -np.inf)
-    best_F = F.copy()
-    best_gap = np.full(cfg.restarts, np.inf)
-    active = np.arange(cfg.restarts)
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        values, gaps, swept = objective(F[active])
-        better = values >= best[active]
-        idx = active[better]
-        best[idx] = values[better]
-        best_F[idx] = F[idx]
-        best_gap[idx] = gaps[better]
-        iterations += active.size
-        F[active] = swept
-        active = active[gaps > cfg.tolerance]
-        if not active.size:
-            break
-    # converged starts differ by rounding: of those, report the best-certified one
-    close = np.flatnonzero(best >= best.max() - _VALUE_ROUNDING)
-    winner = int(close[np.argmin(best_gap[close])])
-    diagnostics = {
-        "grid_points": 0,
-        "restarts": cfg.restarts,
-        "iterations": iterations,
-        "winner": winner,
-        "gap": float(best_gap[winner]),
-    }
-    return float(best[winner]), ProductDistribution(tuple(best_F[winner])), diagnostics
+    results = _ascend(objective, groups, n, d, cfg or OptimizerConfig())
+    group = 0
+    for g, (value, _, _) in enumerate(results):
+        if value > results[group][0] + _VALUE_ROUNDING:
+            group = g
+    value, pi, diagnostics = results[group]
+    total = sum(diag["iterations"] for _, _, diag in results)
+    return value, pi, dict(diagnostics, iterations=total, group=group)
 
 
 def _joint(F: np.ndarray) -> np.ndarray:
@@ -179,26 +217,41 @@ def _block_average(x: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
     return np.einsum(*operands, [n, k])
 
 
-def _kernel_mi_objective(kernel: np.ndarray) -> AscentObjective:
+def _kernel_mi_objective(kernels: np.ndarray) -> AscentObjective:
     """I(M;Y) for P(y|m) = kernel, with the product-form Blahut-Arimoto sweep.
 
     With q = pi @ kernel and D_m = D(kernel[m] || q), block k's score is
     g_k(m_k) = E_{m_-k}[D_m]; the update is p_k <- p_k 2^{g_k} / Z, and
     max_k (max g_k - I) bounds what any one block can still add.
+
+    kernels is one kernel (Δ, Y) or a stack (G, Δ, Y), one per group.  Each
+    group's rows go through the matrix products a one-kernel batch of
+    those rows makes, so a row's result does not depend on other groups.
     """
-    h_rows = entropy(kernel, axis=-1)  # H(Y | M = m)
+    kernels = kernels.reshape((-1,) + kernels.shape[-2:])
+    kernels_t = kernels.transpose(0, 2, 1)
+    h_rows = entropy(kernels, axis=-1)  # H(Y | M = m), shape (G, Δ)
 
-    def divergences(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = pm @ kernel
-        log_q = np.log2(np.where(q > 0, q, 1.0))
-        return -h_rows - log_q @ kernel.T, q
-
-    def objective(F: np.ndarray):
+    def objective(batch: tuple[np.ndarray, np.ndarray]):
+        F, group = batch
         F = F.copy()
         n = F.shape[1]
+        # rows come sorted by group, so each group is one run of rows
+        bounds = np.searchsorted(group, np.arange(len(kernels) + 1)).tolist()
+        runs = [(g, lo, hi) for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+        h = h_rows[group]
+
+        def by_group(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+            return np.concatenate([x[lo:hi] @ mats[g] for g, lo, hi in runs])
+
+        def divergences(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            q = by_group(pm, kernels)
+            log_q = np.log2(np.where(q > 0, q, 1.0))
+            return -h - by_group(log_q, kernels_t), q
+
         pm = _joint(F)
         div, q = divergences(pm)
-        values = entropy(q, axis=-1) - pm @ h_rows
+        values = entropy(q, axis=-1) - by_group(pm, h_rows)
         scores = [_block_average(div, F, k) for k in range(n)]
         gaps = np.max([g.max(axis=-1) for g in scores], axis=0) - values
         for k in range(n):
@@ -293,12 +346,11 @@ def classical_capacity_exact(
     fine_order = np.argsort(-fine, kind="stable")
     finalists = [candidates[int(i)] for i in fine_order[:8]]
 
-    best = None
-    for vi in sorted(finalists):
-        val, pi, diag = maximize_over_pi(_kernel_mi_objective(kernels[vi]), n, d, cfg)
-        if best is None or val > best[0] + _VALUE_ROUNDING:
-            best = (val, pi, vi, diag)
-    val, pi, vi, diag = best
+    finalists.sort()
+    val, pi, diag = maximize_over_pi(
+        _kernel_mi_objective(kernels[finalists]), n, d, cfg, groups=len(finalists)
+    )
+    vi = finalists[diag["group"]]
     diag = dict(diag, vertices=count, candidates=len(candidates))
     return CapacityResult(
         value=val,
@@ -372,8 +424,8 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
         np.put_along_axis(mask, top, 1.0, axis=-1)
         return mask
 
-    def objective(F: np.ndarray):
-        F = F.copy()
+    def objective(batch: tuple[np.ndarray, np.ndarray]):
+        F = batch[0].copy()  # one candidate: every row's group is 0
         n = F.shape[1]
         mask = top_set(F)
         h = entropy(F, axis=-1)  # (R, n)
@@ -398,13 +450,15 @@ def classical_upper_bound(
     omega_star_local: float,
     cfg: OptimizerConfig | None = None,
 ) -> CapacityResult:
-    """Subset-partition upper bound on the classical sum-capacity.
+    """The paper's subset-partition expression for the classical sum-capacity.
 
-    r_max = round(omega_star_local * Δ) message tuples can at most land
-    in the winning set under any deterministic encoder, so the win
-    probability is bounded by the r_max largest message masses.  The
-    maximum over pi comes from block-coordinate ascent, a local search:
-    the value is the best bound found, not a certified global maximum.
+    It takes r_max = round(omega_star_local * Δ) message tuples as the
+    most that land in the winning set, bounds the win probability by the
+    r_max largest message masses and H(Y) by H(M).  It is not a proven
+    upper bound: on a noisy channel H(Y) can exceed H(M), and mpp:3
+    type-II at η = 0.3 has an encoder above it.  So the kind is
+    `paper-bound`.  The maximum over pi comes from block-coordinate
+    ascent, a local search, not a certified global maximum.
     """
     if not 0.0 < omega_star_local <= 1.0:
         raise ValueError(f"omega_star_local must lie in (0, 1], got {omega_star_local}")
@@ -414,7 +468,7 @@ def classical_upper_bound(
     )
     return CapacityResult(
         value=val,
-        kind="upper-bound",
+        kind="paper-bound",
         resource="L",
         argmax_pi=pi,
         diagnostics=dict(diag, r_max=r_max),
@@ -442,16 +496,11 @@ class PseudoTelepathyHypothesisError(ValueError):
     """The supplied box fails a hypothesis of the exact-capacity formula."""
 
 
-def pseudo_telepathy_capacity(
-    ch: MacChannel, box: CorrelationBox, resource: str | None = None
-) -> CapacityResult:
-    """Exact sum-capacity log2(Δ) - f_w for a perfect, output-uniform box.
-
-    Verifies both hypotheses (win probability 1 on every question tuple,
-    output marginals uniform over their support) and cross-checks the
-    closed form against the direct sum rate at uniform messages.
-    """
-    game = ch.game
+def _check_perfect_box(box: CorrelationBox, game: NonlocalGame) -> float:
+    """Raise unless box wins game on every question tuple and its output
+    marginals are uniform over their support; return the largest
+    deviation of a win probability from 1.  Depends on the game only, not
+    on the channel."""
     wins = box_win_probabilities(box, game)
     worst = float(np.abs(wins - 1.0).max())
     if worst > PT_WIN_TOL:
@@ -465,6 +514,28 @@ def pseudo_telepathy_capacity(
             f"box {box.name!r} output marginals deviate from uniform-over-support "
             f"by {uni_err}"
         )
+    return worst
+
+
+def pseudo_telepathy_capacity(
+    ch: MacChannel,
+    box: CorrelationBox,
+    resource: str | None = None,
+    *,
+    win_deviation: float | None = None,
+) -> CapacityResult:
+    """Exact sum-capacity log2(Δ) - f_w for a perfect, output-uniform box.
+
+    Verifies both hypotheses (win probability 1 on every question tuple,
+    output marginals uniform over their support) and cross-checks the
+    closed form against the direct sum rate at uniform messages.  Both
+    hypotheses depend on the game only: a caller that has checked them
+    for this box and game passes win_deviation, the value
+    `_check_perfect_box` returned, and only the cross-check runs.
+    """
+    game = ch.game
+    if win_deviation is None:
+        win_deviation = _check_perfect_box(box, game)
     value = float(np.log2(ch.delta)) - ch.f_w
     pi = ProductDistribution.uniform(game.n, game.d)
     direct = sum_rate(pi, e_star(box), ch)
@@ -478,7 +549,7 @@ def pseudo_telepathy_capacity(
         resource=resource or _box_resource(box),
         argmax_pi=pi,
         argmax_encoder=f"e*({box.name})",
-        diagnostics={"direct_sum_rate": direct, "win_deviation": worst},
+        diagnostics={"direct_sum_rate": direct, "win_deviation": win_deviation},
     )
 
 
@@ -507,12 +578,12 @@ def vertex_file_bound(
     """Max sum rate over user-supplied correlation-box vertices via E*.
 
     Every box must match the channel's scenario and be no-signaling
-    within NO_SIGNALING_TOL.  Each box's rate is a local-search maximum
-    over pi.
+    within NO_SIGNALING_TOL.  All boxes share one grouped ascent; each
+    box's rate is a local-search maximum over pi, achieved by its E*
+    encoder, so the value is a lower bound.
     """
     boxes = boxes_from_csv(vertex_csv_path)
     game = ch.game
-    best = None
     for i, box in enumerate(boxes):
         if (box.n, box.d, box.D) != (game.n, game.d, game.D):
             raise ValueError(
@@ -524,17 +595,16 @@ def vertex_file_bound(
             raise ValueError(
                 f"vertex {i} signals: no-signaling error {signaling:.3g} exceeds {NO_SIGNALING_TOL:g}"
             )
-        enc = e_star(box)
-        val, pi, diag = maximize_over_pi(sum_rate_objective(enc, ch), game.n, game.d, cfg)
-        if best is None or val > best[0] + _VALUE_ROUNDING:
-            best = (val, pi, i, diag)
-    val, pi, i, diag = best
+    kernels = np.stack([ch.kernel(enc.cols, enc.probs) for enc in map(e_star, boxes)])
+    val, pi, diag = maximize_over_pi(
+        _kernel_mi_objective(kernels), game.n, game.d, cfg, groups=len(boxes)
+    )
     return CapacityResult(
         value=val,
-        kind="upper-bound",
+        kind="lower-bound",
         resource=resource,
         argmax_pi=pi,
-        argmax_encoder=f"vertex-file:{i}",
+        argmax_encoder=f"vertex-file:{diag['group']}",
         diagnostics=dict(diag, boxes=len(boxes)),
     )
 
@@ -596,6 +666,7 @@ def sweep(
     rows: list[SweepRow] = []
     omega_star: float | None = None
     pt_box: CorrelationBox | None = None
+    pt_deviation = 0.0
     for eta in etas:
         ch = channel_for(game, channel_type, float(eta))
         for res in resources:
@@ -613,12 +684,13 @@ def sweep(
             elif res in ("Q-exact", "NS-exact"):
                 if pt_box is None:
                     pt_box = pseudo_telepathy_box(game)
+                    pt_deviation = _check_perfect_box(pt_box, game)  # game-only: once per sweep
                 if res == "Q-exact" and _box_resource(pt_box) != "Q":
                     raise ValueError(
                         f"{game.name} has no built-in quantum pseudo-telepathy box"
                     )
                 label = "Q" if res == "Q-exact" else "NS"
-                r = pseudo_telepathy_capacity(ch, pt_box, resource=label)
+                r = pseudo_telepathy_capacity(ch, pt_box, label, win_deviation=pt_deviation)
                 diag = r.argmax_encoder or ""
             elif res.startswith("vertex-file:"):
                 path = res.split(":", 1)[1]

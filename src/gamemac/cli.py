@@ -243,7 +243,7 @@ def cmd_box_export(box_name, out):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--resource-label", default="file", show_default=True)
 def cmd_vertex_bound(game_name, channel_type, eta, vertex_file, seed, resource_label):
-    """Bound the sum-capacity from a user-supplied vertex CSV."""
+    """Lower-bound the sum-capacity by the best E* rate over a box CSV."""
     try:
         game = game_by_name(game_name)
         ch = capacity.channel_for(game, int(channel_type), eta)

@@ -45,15 +45,15 @@ def random_vertex_encoder(game: NonlocalGame, rng: np.random.Generator) -> Encod
 
 
 def random_mixture_encoder(
-    game: NonlocalGame, rng: np.random.Generator, components: int = 4
+    game: NonlocalGame, rng: np.random.Generator, box_encoder: Encoder, components: int = 4
 ) -> Encoder:
-    """Mixture of deterministic vertices, sometimes blended with the
-    game's perfect-box encoder.  Markov structure holds by construction.
-    The parts' supports are joined in part order, so the dense table adds
-    them in that order."""
+    """Mixture of deterministic vertices, sometimes blended with
+    box_encoder, the E* encoder of the game's perfect box.  Markov
+    structure holds by construction.  The parts' supports are joined in
+    part order, so the dense table adds them in that order."""
     parts = [random_vertex_encoder(game, rng) for _ in range(components)]
     if rng.random() < 0.3:
-        parts.append(e_star(capacity.pseudo_telepathy_box(game)))
+        parts.append(box_encoder)
     weights = rng.dirichlet(np.ones(len(parts)))
     cols = np.concatenate([p.cols for p in parts], axis=1)
     probs = np.concatenate([w * p.probs for w, p in zip(weights, parts)], axis=1)
@@ -86,6 +86,7 @@ def proposition_residuals(
     special case is exercised alongside the general one.
     """
     rng = np.random.default_rng(seed)
+    box_encoder = e_star(capacity.pseudo_telepathy_box(game))
     r1 = r2 = r3 = r4 = -np.inf
     for i in range(count):
         pi = random_product_distribution(game, rng)
@@ -93,7 +94,7 @@ def proposition_residuals(
         enc = (
             random_vertex_encoder(game, rng)
             if deterministic
-            else random_mixture_encoder(game, rng)
+            else random_mixture_encoder(game, rng, box_encoder)
         )
         ch = random_channel(game, rng)
         joint = compose(pi, enc, ch)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamemac import capacity
 from gamemac.capacity import (
+    _ascend,
     _grid_pms,
     _kernel_mi_objective,
     _subset_bound_objective,
@@ -24,6 +26,7 @@ from gamemac.capacity import (
     quantum_lower_bound_chsh,
     resource_dependent_bound,
     simplex_grid,
+    sum_rate_objective,
     sweep,
     vertex_count,
     vertex_file_bound,
@@ -69,7 +72,7 @@ def test_maximize_over_pi_recovers_entropy_max():
     val, pi, diag = maximize_over_pi(objective, 2, 2, CFG)
     assert val == pytest.approx(2.0, abs=1e-9)
     assert np.allclose(pi.joint(), 0.25, atol=1e-5)
-    at_uniform = objective(np.full((1, 2, 2), 0.5))[0][0]
+    at_uniform = objective((np.full((1, 2, 2), 0.5), np.zeros(1, dtype=int)))[0][0]
     assert val >= at_uniform
     assert diag["gap"] <= CFG.tolerance
     assert diag["grid_points"] == 0
@@ -187,7 +190,7 @@ def test_classical_upper_bound_chsh():
     ch = type_ii(chsh_game(), 1.0)
     result = classical_upper_bound(ch, 0.75, CFG)
     assert result.value == pytest.approx(1.6276, abs=1e-3)
-    assert result.kind == "upper-bound"
+    assert result.kind == "paper-bound"
     assert result.diagnostics["r_max"] == 3
 
 
@@ -233,9 +236,10 @@ def test_one_sweep_never_lowers_the_value(name, eta, seed):
     F = rng.dirichlet(np.ones(game.d), size=(4, game.n))
     kernel = rng.dirichlet(np.full(5, 0.5), size=game.d**game.n)
     r_max = int(rng.integers(1, ch.delta + 1))
+    group = np.zeros(len(F), dtype=int)
     for objective in (_kernel_mi_objective(kernel), _subset_bound_objective(ch, r_max)):
-        before, gaps, swept = objective(F)
-        after = objective(swept)[0]
+        before, gaps, swept = objective((F, group))
+        after = objective((swept, group))[0]
         assert (after >= before - 1e-12).all()
         assert (gaps >= -1e-12).all()
 
@@ -247,11 +251,38 @@ def test_mi_gap_bounds_any_single_factor_change(shape, seed):
     rng = np.random.default_rng(seed)
     F = rng.dirichlet(np.ones(d), size=(4, n))
     objective = _kernel_mi_objective(rng.dirichlet(np.full(5, 0.5), size=d**n))
-    before, gaps, _ = objective(F)
+    group = np.zeros(len(F), dtype=int)
+    before, gaps, _ = objective((F, group))
     for k in range(n):
         moved = F.copy()
         moved[:, k] = rng.dirichlet(np.ones(d), size=4)
-        assert (objective(moved)[0] <= before + gaps + 1e-12).all()
+        assert (objective((moved, group))[0] <= before + gaps + 1e-12).all()
+
+
+@PROPERTY
+@given(n=st.sampled_from([2, 3]), groups=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_grouped_ascent_matches_one_kernel_runs(n, groups, seed):
+    # kernels of the chsh (n = 2) and mpp:3 (n = 3) shapes: d = 2, Δ = 2^n outputs
+    rng = np.random.default_rng(seed)
+    kernels = rng.dirichlet(np.ones(2**n), size=(groups, 2**n))
+    cfg = OptimizerConfig(restarts=6, max_iterations=100, seed=int(rng.integers(0, 1000)))
+    alone = [maximize_over_pi(_kernel_mi_objective(k), n, 2, cfg) for k in kernels]
+    grouped = _ascend(_kernel_mi_objective(kernels), groups, n, 2, cfg)
+    for (value, pi, diag), (value1, pi1, diag1) in zip(grouped, alone):
+        assert abs(value - value1) <= 1e-12
+        assert all(np.array_equal(a, b) for a, b in zip(pi.factors, pi1.factors))
+        assert (diag["gap"], diag["winner"], diag["iterations"]) == (
+            diag1["gap"], diag1["winner"], diag1["iterations"]
+        )
+    # the per-candidate loop a grouped call replaces: later wins only beyond rounding
+    pick = 0
+    for g, (value1, _, _) in enumerate(alone):
+        if value1 > alone[pick][0] + 1e-12:
+            pick = g
+    value, pi, diag = maximize_over_pi(_kernel_mi_objective(kernels), n, 2, cfg, groups=groups)
+    assert diag["group"] == pick
+    assert value == alone[pick][0]
+    assert diag["iterations"] == sum(a[2]["iterations"] for a in alone)
 
 
 def test_resource_bound_with_perfect_resource_hits_ceiling():
@@ -377,6 +408,29 @@ def test_vertex_file_bound_pr_vertex(tmp_path):
     assert result.resource == "NS"
 
 
+def test_vertex_file_bound_picks_the_per_box_winner(tmp_path):
+    # Tsirelson beats every local box at η = 0.5 and 0.8 but not at η = 1,
+    # where eight local boxes tie; the grouped ascent must pick the index
+    # the former one-box-at-a-time loop picked
+    boxes = [*local_deterministic_boxes(2, 2, 2), tsirelson_box()]
+    path = tmp_path / "boxes.csv"
+    with open(path, "w") as fh:
+        for i, box in enumerate(boxes):
+            box_to_csv(box, tmp_path / f"{i}.csv")
+            fh.write((tmp_path / f"{i}.csv").read_text())
+    for eta in (0.5, 0.8, 1.0):
+        ch = type_ii(chsh_game(), eta)
+        best = None
+        for i, box in enumerate(boxes):
+            val, _, _ = maximize_over_pi(sum_rate_objective(e_star(box), ch), 2, 2, CFG)
+            if best is None or val > best[0] + 1e-12:
+                best = (val, i)
+        result = vertex_file_bound(ch, path, CFG)
+        assert result.argmax_encoder == f"vertex-file:{best[1]}"
+        assert result.value == best[0]
+        assert result.kind == "lower-bound"
+
+
 def test_vertex_file_bound_scenario_mismatch(tmp_path):
     path = tmp_path / "pr.csv"
     box_to_csv(pr_box(), path)
@@ -410,11 +464,32 @@ def test_sweep_rows_and_errors():
     assert len(rows) == 4
     assert rows[0].resource == "NS-exact"
     assert rows[0].value == pytest.approx(2.0 - noise_f(4, 0.5), abs=1e-12)
-    assert rows[3].kind == "upper-bound"
+    assert rows[3].kind == "paper-bound"
     with pytest.raises(ValueError):
         sweep(chsh_game(), 2, [0.5], ["Q-exact"], CFG)
     with pytest.raises(ValueError):
         sweep(chsh_game(), 2, [0.5], ["bogus"], CFG)
+
+
+def test_sweep_checks_the_box_once_and_cross_checks_every_row(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(capacity, name)
+        monkeypatch.setattr(capacity, name, lambda *a: calls.append(name) or original(*a))
+
+    for name in ("box_win_probabilities", "support_marginal_uniformity_error", "sum_rate"):
+        counted(name)
+    game = mpp_game(3)
+    rows = sweep(game, 2, [0.4, 0.7, 1.0], ["NS-exact", "Q-exact"], CFG)
+    assert [r.value for r in rows] == [np.log2(8) - noise_f(8, eta) for eta in (0.4, 0.7, 1.0) for _ in "NQ"]
+    assert calls.count("box_win_probabilities") == 1
+    assert calls.count("support_marginal_uniformity_error") == 1
+    assert calls.count("sum_rate") == 6
+    # a direct call runs every check
+    calls.clear()
+    pseudo_telepathy_capacity(type_ii(game, 0.7), pseudo_telepathy_box(game))
+    assert sorted(calls) == ["box_win_probabilities", "sum_rate", "support_marginal_uniformity_error"]
 
 
 def test_sweep_q_exact_for_magic_square():

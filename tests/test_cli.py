@@ -132,6 +132,34 @@ def test_vertex_bound_command(tmp_path):
     assert "(NS)" in result.output
 
 
+def test_vertex_bound_reports_a_lower_bound(tmp_path):
+    # E* of the Tsirelson box at its local-search pi is achievable; the
+    # classical capacity (1.435281 at this eta) lies above it
+    out = tmp_path / "tsirelson.csv"
+    run("box-export", "tsirelson", "--out", str(out))
+    result = run(
+        "vertex-bound", "--game", "chsh", "--channel-type", "2",
+        "--eta", "1", "--vertex-file", str(out), "--resource-label", "Q",
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == "lower-bound (Q): 1.326497774 via vertex-file:0\n"
+
+
+def test_l_bound_is_the_papers_expression_not_an_upper_bound():
+    # an exact classical rate lies above the subset-partition value on mpp:3
+    result = run(
+        "sweep", "--game", "mpp:3", "--channel-type", "2", "--eta-grid", "0.3:0.3:1",
+        "--resources", "L-exact,L-bound", "--seed", "0",
+    )
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in result.output.strip().split("\n")[1:]]
+    (_, _, exact_kind, exact, _), (_, _, bound_kind, bound, _) = rows
+    assert (exact_kind, bound_kind) == ("exact", "paper-bound")
+    assert abs(float(exact) - 0.282669117) < 1e-9
+    assert abs(float(bound) - 0.2792130379) < 1e-9
+    assert float(exact) > float(bound)
+
+
 def test_vertex_bound_empty_file(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -104,7 +104,7 @@ def test_sum_rate_equals_joint_mi():
     rng = np.random.default_rng(11)
     game = chsh_game()
     pi = ProductDistribution.random(2, 2, rng)
-    enc = random_mixture_encoder(game, rng)
+    enc = random_mixture_encoder(game, rng, e_star(pr_box()))
     ch = depolarizing_mac(game, 0.9, 0.2)
     joint = compose(pi, enc, ch)
     assert sum_rate(pi, enc, ch) == pytest.approx(
@@ -163,7 +163,11 @@ def test_prop3_rate_matches_channel_input_mi(seed):
     rng = np.random.default_rng(seed)
     game = chsh_game()
     pi = ProductDistribution.random(2, 2, rng)
-    enc = random_vertex_encoder(game, rng) if seed % 2 else random_mixture_encoder(game, rng)
+    enc = (
+        random_vertex_encoder(game, rng)
+        if seed % 2
+        else random_mixture_encoder(game, rng, e_star(pr_box()))
+    )
     ch = depolarizing_mac(game, rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.4))
     joint = compose(pi, enc, ch)
     assert prop3_rate(pi, enc, ch) == pytest.approx(

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gamemac import verify
+from gamemac import capacity, verify
 from gamemac.channels import MacChannel, type_ii
-from gamemac.correlations import tsirelson_box
+from gamemac.correlations import e_star, tsirelson_box
 from gamemac.games import chsh_game, magic_square_game, mpp_game, pack_tuple, unpack_index
 
 
@@ -30,9 +30,20 @@ def test_random_vertex_encoder_applies_its_maps(game):
 
 def test_random_mixture_encoder_is_stochastic():
     rng = np.random.default_rng(2)
-    enc = verify.random_mixture_encoder(chsh_game(), rng)
+    box_encoder = e_star(capacity.pseudo_telepathy_box(chsh_game()))
+    enc = verify.random_mixture_encoder(chsh_game(), rng, box_encoder)
     assert np.allclose(enc.table.sum(axis=1), 1.0)
     assert enc.table.min() >= 0
+
+
+def test_proposition_residuals_build_the_box_once(monkeypatch):
+    built = []
+    original = capacity.pseudo_telepathy_box
+    monkeypatch.setattr(
+        capacity, "pseudo_telepathy_box", lambda game: built.append(game.name) or original(game)
+    )
+    verify.proposition_residuals(mpp_game(3), seed=0, count=60)
+    assert built == ["mpp:3"]
 
 
 def test_proposition_residuals_small():
