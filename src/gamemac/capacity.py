@@ -296,14 +296,10 @@ def _vertex_kernels(ch: MacChannel) -> np.ndarray:
 
 
 def _grid_pms(n: int, d: int, step: float) -> np.ndarray:
-    per = simplex_grid(d, step)
-    pms = []
-    for combo in product(per, repeat=n):
-        pm = combo[0]
-        for f in combo[1:]:
-            pm = np.outer(pm, f).ravel()
-        pms.append(pm)
-    return np.array(pms)
+    """Joint message distribution of every product of simplex_grid
+    factors, in itertools.product order: shape (G^n, d^n)."""
+    per = np.array(simplex_grid(d, step))
+    return _joint(per[np.indices((len(per),) * n).reshape(n, -1).T])
 
 
 def _batch_grid_values(kernels: np.ndarray, pms: np.ndarray, chunk: int = 256) -> np.ndarray:

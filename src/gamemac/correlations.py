@@ -248,20 +248,23 @@ def mpp_box(n: int) -> CorrelationBox:
 
     Each player phases |1> by e^{iπ q_k/2}, applies Hadamard, and
     measures; see mpp_game for the predicate this wins with certainty.
+    Player k's step is applied once to the states of every question
+    prefix (q_1..q_k-1), giving those of every prefix (q_1..q_k): n
+    batched steps in all, each the same arithmetic as
+    qkernel.apply_local_unitary.
     """
     if n < 2:
         raise ValueError(f"mpp box needs n >= 2, got {n}")
     ghz = np.zeros(2**n, dtype=complex)
     ghz[0] = ghz[-1] = _MS_SQRT2
-    ghz = qkernel.state_vector(ghz)
-    table = np.zeros((2**n, 2**n))
-    for qi, q in enumerate(product(range(2), repeat=n)):
-        state = ghz
-        for k in range(n):
-            phase = np.diag([1.0, np.exp(1j * np.pi * q[k] / 2)])
-            state = qkernel.apply_local_unitary(state, qkernel.HADAMARD @ phase, k, 1)
-        table[qi] = np.abs(state) ** 2
-    return CorrelationBox(n, 2, 2, table, name=f"mpp:{n}")
+    states = qkernel.state_vector(ghz)[None]  # (prefixes, 2^n)
+    steps = np.stack(
+        [qkernel.HADAMARD @ np.diag([1.0, np.exp(1j * np.pi * q / 2)]) for q in (0, 1)]
+    )
+    for k in range(n):
+        work = states.reshape(len(states), 2**k, 2, -1)
+        states = np.einsum("qij,pajb->pqaib", steps, work).reshape(2 * len(states), -1)
+    return CorrelationBox(n, 2, 2, np.abs(states) ** 2, name=f"mpp:{n}")
 
 
 def e_star(box: CorrelationBox) -> Encoder:

@@ -18,30 +18,95 @@ from .correlations import (
     support_marginal_uniformity_error,
     validate_box,
 )
-from .games import NonlocalGame, chsh_game, local_map_indices, magic_square_game, mpp_game
-from .infotheory import (
-    ProductDistribution,
-    compose,
-    conditional_mutual_information,
-    mutual_information,
-    prop3_rate,
+from .games import (
+    NonlocalGame,
+    chsh_game,
+    input_win_mask,
+    local_map_indices,
+    magic_square_game,
+    mpp_game,
 )
+from .infotheory import ProductDistribution, entropy
 
 IDENTITY_TOL = 1e-10
 CEILING_TOL = 1e-9
 PT_TOL = 1e-10
 
 
+# Vertex parts of a mixture encoder; a mixture may also hold the box's E*.
+_MIXTURE_VERTICES = 4
+
+# Most elements of the stacked (triple, M, X, Y) joint that one chunk of
+# proposition_residuals builds; a single triple may exceed it.
+_CHUNK_ELEMENTS = 2**15
+
+
+# The draws of one triple, in order: _draw_factors (pi), _draw_maps or
+# _draw_mixture (encoder), _draw_etas (channel).  The public random_*
+# helpers and _draw_triples both draw through these functions.
+
+
+def _draw_factors(game: NonlocalGame, rng: np.random.Generator) -> np.ndarray:
+    """Factors of a product distribution, shape (n, d): one Dirichlet(1)
+    draw per sender."""
+    return np.array([rng.dirichlet(np.ones(game.d)) for _ in range(game.n)])
+
+
+def _draw_maps(game: NonlocalGame, rng: np.random.Generator, vertices: int) -> np.ndarray:
+    """Maps m_k -> channel symbol of `vertices` deterministic encoders,
+    shape (vertices, n, d): one draw per sender, vertex after vertex."""
+    dD = game.d * game.D
+    return np.array(
+        [[rng.integers(0, dD, size=game.d) for _ in range(game.n)] for _ in range(vertices)]
+    )
+
+
+def _draw_mixture(game: NonlocalGame, rng: np.random.Generator, components: int):
+    """Vertex maps (components, n, d) and the part weights; with
+    probability 0.3 the box encoder is a further part, weighted last."""
+    maps = _draw_maps(game, rng, components)
+    with_box = rng.random() < 0.3
+    return maps, rng.dirichlet(np.ones(components + with_box))
+
+
+def _draw_etas(rng: np.random.Generator) -> tuple[float, float]:
+    """(eta_w, eta_l) with eta_l in [0, 0.7) and eta_w in [eta_l + 0.1, 1)."""
+    eta_l = rng.uniform(0.0, 0.7)
+    return rng.uniform(eta_l + 0.1, 1.0), eta_l
+
+
+def _mixture(
+    game: NonlocalGame,
+    vertex_cols: np.ndarray,
+    weights: np.ndarray,
+    box_encoder: Encoder | None,
+    deterministic: bool,
+) -> Encoder:
+    """Encoder of the vertices with channel inputs vertex_cols (k, d^n),
+    weighted by weights[:k], plus box_encoder weighted by weights[k] when
+    weights has k + 1 entries.  The parts' supports are joined in part
+    order, so the dense table adds them in that order."""
+    k = len(vertex_cols)
+    cols = [vertex_cols.T]
+    probs = [np.broadcast_to(weights[:k], cols[0].shape)]
+    if len(weights) > k:
+        cols.append(box_encoder.cols)
+        probs.append(weights[k] * box_encoder.probs)
+    return Encoder(
+        game.n, game.d, game.D, np.concatenate(cols, axis=1), np.concatenate(probs, axis=1),
+        deterministic=deterministic,
+        name="random-vertex" if deterministic else "random-mixture",
+    )
+
+
 def random_product_distribution(game: NonlocalGame, rng: np.random.Generator) -> ProductDistribution:
-    return ProductDistribution.random(game.n, game.d, rng)
+    return ProductDistribution(tuple(_draw_factors(game, rng)))
 
 
 def random_vertex_encoder(game: NonlocalGame, rng: np.random.Generator) -> Encoder:
     """A uniformly random deterministic encoder vertex."""
-    n, d, D = game.n, game.d, game.D
-    maps = [rng.integers(0, d * D, size=d) for _ in range(n)]
-    cols = local_map_indices(maps, d * D)[:, None]
-    return Encoder(n, d, D, cols, np.ones(cols.shape), deterministic=True, name="random-vertex")
+    cols = local_map_indices(_draw_maps(game, rng, 1), game.d * game.D)
+    return _mixture(game, cols, np.ones(1), None, deterministic=True)
 
 
 def random_mixture_encoder(
@@ -49,21 +114,118 @@ def random_mixture_encoder(
 ) -> Encoder:
     """Mixture of deterministic vertices, sometimes blended with
     box_encoder, the E* encoder of the game's perfect box.  Markov
-    structure holds by construction.  The parts' supports are joined in
-    part order, so the dense table adds them in that order."""
-    parts = [random_vertex_encoder(game, rng) for _ in range(components)]
-    if rng.random() < 0.3:
-        parts.append(box_encoder)
-    weights = rng.dirichlet(np.ones(len(parts)))
-    cols = np.concatenate([p.cols for p in parts], axis=1)
-    probs = np.concatenate([w * p.probs for w, p in zip(weights, parts)], axis=1)
-    return Encoder(game.n, game.d, game.D, cols, probs, name="random-mixture")
+    structure holds by construction."""
+    maps, weights = _draw_mixture(game, rng, components)
+    cols = local_map_indices(maps, game.d * game.D)
+    return _mixture(game, cols, weights, box_encoder, deterministic=False)
 
 
 def random_channel(game: NonlocalGame, rng: np.random.Generator) -> MacChannel:
-    eta_l = rng.uniform(0.0, 0.7)
-    eta_w = rng.uniform(eta_l + 0.1, 1.0)
-    return depolarizing_mac(game, eta_w, eta_l)
+    return depolarizing_mac(game, *_draw_etas(rng))
+
+
+@dataclass(frozen=True)
+class _Triples:
+    """Seeded (pi, encoder, channel) triples of one game, held as arrays;
+    box_encoder is the E* encoder a mixture may hold as its last part."""
+
+    game: NonlocalGame
+    box_encoder: Encoder
+    factors: np.ndarray  # (count, n, d): pi's factors
+    vertex_cols: np.ndarray  # (count, 4, d^n): each vertex part's channel input per message
+    weights: np.ndarray  # (count, 5): part weights, the box part last; 0 past `parts`
+    parts: np.ndarray  # (count,): 1 (one vertex), 4 (mixture) or 5 (mixture with the box)
+    etas: np.ndarray  # (count, 2): (eta_w, eta_l)
+
+    def encoder(self, i: int) -> Encoder:
+        p = int(self.parts[i])
+        vertices = self.vertex_cols[i, : min(p, _MIXTURE_VERTICES)]
+        return _mixture(self.game, vertices, self.weights[i, :p], self.box_encoder, p == 1)
+
+    def channel(self, i: int) -> MacChannel:
+        return depolarizing_mac(self.game, *self.etas[i].tolist())
+
+
+def _draw_triples(
+    game: NonlocalGame, rng: np.random.Generator, count: int, box_encoder: Encoder
+) -> _Triples:
+    """The triples of proposition_residuals.  Triple i draws pi, then its
+    encoder, one vertex when i % 3 == 0 and otherwise a mixture, then its
+    channel; one local_map_indices call indexes every vertex."""
+    n, d = game.n, game.d
+    factors = np.empty((count, n, d))
+    maps = np.zeros((count, _MIXTURE_VERTICES, n, d), dtype=np.intp)
+    weights = np.zeros((count, _MIXTURE_VERTICES + 1))
+    parts = np.empty(count, dtype=np.intp)
+    etas = np.empty((count, 2))
+    for i in range(count):
+        factors[i] = _draw_factors(game, rng)
+        if i % 3 == 0:
+            maps[i, :1], w = _draw_maps(game, rng, 1), np.ones(1)
+        else:
+            maps[i], w = _draw_mixture(game, rng, _MIXTURE_VERTICES)
+        weights[i, : len(w)] = w
+        parts[i] = len(w)
+        etas[i] = _draw_etas(rng)
+    vertex_cols = local_map_indices(maps, d * game.D)
+    return _Triples(game, box_encoder, factors, vertex_cols, weights, parts, etas)
+
+
+def _triple_quantities(triples: _Triples) -> np.ndarray:
+    """Rows I(X;Y), I(M;Y), I(X;Y|M), the Prop-3 rate and the ceiling
+    log(delta) - f_w, one column per triple.
+
+    Consecutive triples form a chunk; their joints p(m) P(x|m) P(y|x) are
+    stacked into one (B, M, X, Y) array, and every entropy is that of a
+    marginal of it.  A chunk keeps only the inputs x that carry mass in
+    one of its triples, which is exact since 0 log 0 = 0.  Triple i puts
+    mass on at most widths[i] inputs, so a chunk's array holds at most
+    B * M * Y * min(X, sum of its widths) elements; each chunk is the
+    longest run of triples whose bound fits _CHUNK_ELEMENTS.
+    """
+    game = triples.game
+    M = Y = game.d**game.n
+    X = (game.d * game.D) ** game.n
+    parts = triples.parts
+    widths = M * np.minimum(parts, _MIXTURE_VERTICES) + np.where(
+        parts > _MIXTURE_VERTICES, np.count_nonzero(triples.box_encoder.probs), 0
+    )
+    win = input_win_mask(game)
+    out = np.empty((5, parts.size))
+    lo = 0
+    while lo < parts.size:
+        inputs = np.minimum(X, np.cumsum(widths[lo : lo + _CHUNK_ELEMENTS // (M * Y) + 1]))
+        sizes = np.arange(1, inputs.size + 1) * inputs * (M * Y)
+        hi = lo + max(1, int(np.searchsorted(sizes, _CHUNK_ELEMENTS, side="right")))
+        out[:, lo:hi] = _chunk_quantities(triples, range(lo, hi), win)
+        lo = hi
+    return out
+
+
+def _chunk_quantities(triples: _Triples, chunk: range, win: np.ndarray):
+    """The rows of _triple_quantities for the triples in `chunk`.  No
+    entropy uses the Markov chain M -> X -> Y: that is what is checked."""
+    tables = np.stack([triples.encoder(i).table for i in chunk])
+    channels = [triples.channel(i) for i in chunk]
+    kept = np.flatnonzero(tables.any(axis=(0, 1)))
+    messages = capacity._joint(triples.factors[chunk.start : chunk.stop])
+    pyx = np.stack([ch.matrix[kept] for ch in channels])
+    joint = messages[:, :, None, None] * tables[:, :, kept, None] * pyx[:, None]
+    pmx, pmy, pxy = joint.sum(axis=3), joint.sum(axis=2), joint.sum(axis=1)
+    pm, px, py = pmx.sum(axis=2), pxy.sum(axis=2), pxy.sum(axis=1)
+    h_m, h_x, h_y = (entropy(p, axis=1) for p in (pm, px, py))
+    h_mx, h_my, h_xy = (entropy(p, axis=(1, 2)) for p in (pmx, pmy, pxy))
+    h_mxy = entropy(joint, axis=(1, 2, 3))
+    f_w = np.array([ch.f_w for ch in channels])
+    f_l = np.array([ch.f_l for ch in channels])
+    omega = px[:, win[kept]].sum(axis=1)
+    return (
+        h_x + h_y - h_xy,
+        h_m + h_y - h_my,
+        h_mx + h_my - h_mxy - h_m,
+        h_y - f_l + omega * (f_l - f_w),
+        np.log2(channels[0].delta) - f_w,
+    )
 
 
 @dataclass
@@ -83,30 +245,20 @@ def proposition_residuals(
     """Max residuals of the chain identities over seeded random triples.
 
     Every third triple uses a deterministic encoder so the deterministic
-    special case is exercised alongside the general one.
+    special case is exercised alongside the general one.  All triples are
+    drawn first, then evaluated in chunks (see _triple_quantities).
     """
     rng = np.random.default_rng(seed)
-    box_encoder = e_star(capacity.pseudo_telepathy_box(game))
-    r1 = r2 = r3 = r4 = -np.inf
-    for i in range(count):
-        pi = random_product_distribution(game, rng)
-        deterministic = i % 3 == 0
-        enc = (
-            random_vertex_encoder(game, rng)
-            if deterministic
-            else random_mixture_encoder(game, rng, box_encoder)
-        )
-        ch = random_channel(game, rng)
-        joint = compose(pi, enc, ch)
-        i_xy = mutual_information(joint, (1,), (2,))
-        i_my = mutual_information(joint, (0,), (2,))
-        i_xy_m = conditional_mutual_information(joint, (1,), (2,), (0,))
-        r1 = max(r1, abs(i_xy - i_my - i_xy_m))
-        if deterministic:
-            r2 = max(r2, abs(i_my - i_xy))
-        r3 = max(r3, abs(prop3_rate(pi, enc, ch) - i_xy))
-        ceiling = np.log2(ch.delta) - ch.f_w
-        r4 = max(r4, i_my - ceiling, i_xy - ceiling)
+    triples = _draw_triples(game, rng, count, e_star(capacity.pseudo_telepathy_box(game)))
+    i_xy, i_my, i_xy_m, rate, ceiling = _triple_quantities(triples)
+
+    def worst(values):
+        return float(np.max(values, initial=-np.inf))
+
+    r1 = worst(abs(i_xy - i_my - i_xy_m))
+    r2 = worst(abs(i_my - i_xy)[triples.parts == 1])
+    r3 = worst(abs(rate - i_xy))
+    r4 = worst(np.maximum(i_my, i_xy) - ceiling)
     return [
         Check(f"{game.name}: I(X;Y) = I(M;Y) + I(X;Y|M)", r1, IDENTITY_TOL),
         Check(f"{game.name}: deterministic I(M;Y) = I(X;Y)", r2, IDENTITY_TOL),

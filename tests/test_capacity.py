@@ -213,6 +213,18 @@ def test_classical_upper_bound_dominates_former_grid(name, eta):
     assert bound.value >= grid.max() - 1e-12
 
 
+@pytest.mark.parametrize("n, d, step", [(2, 2, 0.25), (3, 2, 0.05), (2, 3, 0.1), (4, 2, 0.25)])
+def test_grid_pms_match_outer_product_loop(n, d, step):
+    # reference: np.outer per grid point, in itertools.product order
+    rows = []
+    for combo in product(simplex_grid(d, step), repeat=n):
+        pm = combo[0]
+        for f in combo[1:]:
+            pm = np.outer(pm, f).ravel()
+        rows.append(pm)
+    assert np.array_equal(_grid_pms(n, d, step), np.array(rows))
+
+
 @PROPERTY
 @given(eta=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_chsh_optima_beat_random_pi(eta, seed):

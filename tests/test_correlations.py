@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamemac import qkernel
 from gamemac.correlations import (
     CorrelationBox,
     Encoder,
@@ -121,6 +122,21 @@ def test_mpp_box_wins_with_certainty(n):
     assert np.abs(wins - 1.0).max() <= 1e-12
     assert validate_box(box).ok()
     assert support_marginal_uniformity_error(box) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mpp_box_matches_per_row_construction(n):
+    # reference: one apply_local_unitary call per player and question row
+    ghz = np.zeros(2**n, dtype=complex)
+    ghz[0] = ghz[-1] = 1 / np.sqrt(2)
+    table = np.zeros((2**n, 2**n))
+    for qi, q in enumerate(product(range(2), repeat=n)):
+        state = ghz
+        for k in range(n):
+            phase = np.diag([1.0, np.exp(1j * np.pi * q[k] / 2)])
+            state = qkernel.apply_local_unitary(state, qkernel.HADAMARD @ phase, k, 1)
+        table[qi] = np.abs(state) ** 2
+    assert np.abs(mpp_box(n).table - table).max() <= 1e-14
 
 
 def test_box_game_scenario_mismatch():

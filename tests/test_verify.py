@@ -5,6 +5,12 @@ from gamemac import capacity, verify
 from gamemac.channels import MacChannel, type_ii
 from gamemac.correlations import e_star, tsirelson_box
 from gamemac.games import chsh_game, magic_square_game, mpp_game, pack_tuple, unpack_index
+from gamemac.infotheory import (
+    compose,
+    conditional_mutual_information,
+    mutual_information,
+    prop3_rate,
+)
 
 
 def test_random_vertex_encoder_is_deterministic():
@@ -57,6 +63,72 @@ def test_proposition_residuals_seeded():
     a = verify.proposition_residuals(chsh_game(), seed=7, count=10)
     b = verify.proposition_residuals(chsh_game(), seed=7, count=10)
     assert [c.residual for c in a] == [c.residual for c in b]
+
+
+def _reference_triples(game, seed, count):
+    # the public helpers in the per-triple order: pi, encoder, channel
+    rng = np.random.default_rng(seed)
+    box_encoder = e_star(capacity.pseudo_telepathy_box(game))
+    out = []
+    for i in range(count):
+        pi = verify.random_product_distribution(game, rng)
+        enc = (
+            verify.random_vertex_encoder(game, rng)
+            if i % 3 == 0
+            else verify.random_mixture_encoder(game, rng, box_encoder)
+        )
+        out.append((pi, enc, verify.random_channel(game, rng)))
+    return out, box_encoder
+
+
+GAMES = [chsh_game(), magic_square_game(), mpp_game(3)]
+
+
+@pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
+def test_batched_draw_matches_public_helpers(game):
+    reference, box_encoder = _reference_triples(game, 5, 30)
+    triples = verify._draw_triples(game, np.random.default_rng(5), 30, box_encoder)
+    for i, (pi, enc, ch) in enumerate(reference):
+        assert np.array_equal(triples.factors[i], np.array(pi.factors))
+        batched = triples.encoder(i)
+        assert batched.deterministic == enc.deterministic == (i % 3 == 0)
+        assert np.array_equal(batched.table, enc.table)
+        assert tuple(triples.etas[i]) == (ch.eta_w, ch.eta_l)
+
+
+@pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
+def test_batched_quantities_match_compose(game):
+    reference, box_encoder = _reference_triples(game, 3, 40)
+    triples = verify._draw_triples(game, np.random.default_rng(3), 40, box_encoder)
+    i_xy, i_my, i_xy_m, rate, ceiling = verify._triple_quantities(triples)
+    for i, (pi, enc, ch) in enumerate(reference):
+        joint = compose(pi, enc, ch)
+        assert abs(i_xy[i] - mutual_information(joint, (1,), (2,))) <= 1e-12
+        assert abs(i_my[i] - mutual_information(joint, (0,), (2,))) <= 1e-12
+        assert abs(i_xy_m[i] - conditional_mutual_information(joint, (1,), (2,), (0,))) <= 1e-12
+        assert abs(rate[i] - prop3_rate(pi, enc, ch)) <= 1e-12
+        assert abs(ceiling[i] - (np.log2(ch.delta) - ch.f_w)) <= 1e-12
+
+
+@pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
+def test_chunk_budget_does_not_change_residuals(game, monkeypatch):
+    count = 40
+    default = verify.proposition_residuals(game, 2, count)
+    sizes = []
+    original = verify._chunk_quantities
+    monkeypatch.setattr(
+        verify,
+        "_chunk_quantities",
+        lambda triples, chunk, *rest: sizes.append(len(chunk)) or original(triples, chunk, *rest),
+    )
+    for budget, expected in ((1, [1] * count), (10**9, [count])):
+        sizes.clear()
+        monkeypatch.setattr(verify, "_CHUNK_ELEMENTS", budget)
+        checks = verify.proposition_residuals(game, 2, count)
+        assert sizes == expected
+        for a, b in zip(checks, default):
+            assert a.name == b.name
+            assert abs(a.residual - b.residual) <= 1e-14
 
 
 def test_constant_noise_residual_flags_uneven_rows():
