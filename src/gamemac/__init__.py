@@ -33,7 +33,6 @@ from .capacity import (
     maximize_over_pi,
     pseudo_telepathy_capacity,
     quantum_lower_bound_chsh,
-    resource_dependent_bound,
     sweep,
     vertex_file_bound,
 )

@@ -41,8 +41,10 @@ class OptimizerConfig:
         restarts - 1 seeded Dirichlet draws.
     tolerance: a start stops once its certified block gap (the most any
         single sender's factor could still add) is at most this, in bits.
-    max_iterations: sweeps over the senders' factors after which a start
-        stops regardless of its gap.
+    max_iterations: ascent steps after which a start stops regardless of
+        its gap.  One step of the I(M;Y) objective is an extrapolated
+        Blahut-Arimoto step of three sweeps; one of the subset bound is
+        one sweep.
     grid_step: spacing of the fine simplex grid on which
         `classical_capacity_exact` ranks its candidate vertices; None means
         0.05 for d=2 and 0.1 otherwise.
@@ -98,7 +100,8 @@ def simplex_grid(d: int, step: float) -> list[np.ndarray]:
 
 # An ascent objective maps one batch (F, group), the factors F of shape
 # (B, n, d) and the candidate of each row, group (B,) in ascending order,
-# to the values (B,), certified block gaps (B,) and F after one sweep.
+# to the values (B,) and certified block gaps (B,) at F, and F after one
+# ascent step, at which the value is no lower.
 AscentObjective = Callable[
     [tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray, np.ndarray]
 ]
@@ -126,21 +129,23 @@ def _ascend(
     best_gap = np.full(groups * R, np.inf)
     active = np.arange(groups * R)
     group = active // R
-    swept_rows = []
+    stepped_rows = []
     for _ in range(cfg.max_iterations):
-        swept_rows.append(active)
-        values, gaps, swept = objective((F[active], group))
+        stepped_rows.append(active)
+        values, gaps, stepped = objective((F[active], group))
         better = values >= best[active]
         idx = active[better]
         best[idx] = values[better]
         best_F[idx] = F[idx]
         best_gap[idx] = gaps[better]
-        F[active] = swept
+        F[active] = stepped
         keep = gaps > cfg.tolerance
         active, group = active[keep], group[keep]
         if not active.size:
             break
-    sweeps = np.bincount(np.concatenate(swept_rows), minlength=groups * R)
+    steps = np.bincount(np.concatenate(stepped_rows), minlength=groups * R)
+    # starts still active ran out of steps with their last gap above tolerance
+    capped = np.bincount(active // R, minlength=groups)
     results = []
     for g in range(groups):
         rows = slice(g * R, (g + 1) * R)
@@ -151,7 +156,8 @@ def _ascend(
         diagnostics = {
             "grid_points": 0,
             "restarts": R,
-            "iterations": int(sweeps[rows].sum()),
+            "iterations": int(steps[rows].sum()),
+            "capped": int(capped[g]),
             "winner": winner,
             "gap": float(gap[winner]),
         }
@@ -171,17 +177,20 @@ def maximize_over_pi(
 
     All starts (uniform, then cfg.restarts - 1 seeded Dirichlet draws) run
     as one batch.  A start stops once its block gap is at most
-    cfg.tolerance or after cfg.max_iterations sweeps.  Returns the best
-    evaluated value, its distribution and diagnostics: `grid_points` (0),
-    `iterations` (sweeps summed over the starts), `restarts`, `winner`
-    (the winning start: of the starts within rounding of the best value,
-    the one with the smallest gap), `gap` (its block gap) and `group`.
+    cfg.tolerance or after cfg.max_iterations ascent steps.  Returns the
+    best evaluated value, its distribution and diagnostics: `grid_points`
+    (0), `iterations` (steps summed over the starts), `capped` (starts that
+    ran all cfg.max_iterations steps with a gap still above cfg.tolerance),
+    `restarts`, `winner` (the winning start: of the starts within rounding
+    of the best value, the one with the smallest gap), `gap` (its block
+    gap) and `group`.
 
     With groups = G > 1 the objective scores G candidates in the same
     batch, and each candidate runs the starts a one-candidate call gives
     it.  The result is the best candidate's, `group` its index: in index
     order, a later candidate replaces the best only if it is better by
-    more than rounding.  `iterations` then sums over every candidate.
+    more than rounding.  `iterations` and `capped` then sum over every
+    candidate.
 
     A small gap certifies a block-wise optimum, not the global maximum:
     the value is a local-search result, a lower bound on the true maximum.
@@ -193,8 +202,10 @@ def maximize_over_pi(
         if value > results[group][0] + _VALUE_ROUNDING:
             group = g
     value, pi, diagnostics = results[group]
-    total = sum(diag["iterations"] for _, _, diag in results)
-    return value, pi, dict(diagnostics, iterations=total, group=group)
+    totals = {
+        key: sum(diag[key] for _, _, diag in results) for key in ("iterations", "capped")
+    }
+    return value, pi, dict(diagnostics, **totals, group=group)
 
 
 def _joint(F: np.ndarray) -> np.ndarray:
@@ -218,24 +229,34 @@ def _block_average(x: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
 
 
 def _kernel_mi_objective(kernels: np.ndarray) -> AscentObjective:
-    """I(M;Y) for P(y|m) = kernel, with the product-form Blahut-Arimoto sweep.
+    """I(M;Y) for P(y|m) = kernel, with an extrapolated Blahut-Arimoto step.
 
     With q = pi @ kernel and D_m = D(kernel[m] || q), block k's score is
-    g_k(m_k) = E_{m_-k}[D_m]; the update is p_k <- p_k 2^{g_k} / Z, and
-    max_k (max g_k - I) bounds what any one block can still add.
+    g_k(m_k) = E_{m_-k}[D_m]; the product-form BA sweep S sets
+    p_k <- p_k 2^{g_k} / Z block by block, and max_k (max g_k - I) bounds
+    what any one block can still add.  Values and gaps are those at the
+    input F0.
+
+    The step is squared extrapolation (SQUAREM; Varadhan & Roland, 2008)
+    of S, per row: F1 = S(F0), F2 = S(F1), r = F1 - F0, v = F2 - 2 F1 + F0,
+    alpha = min(-|r|/|v|, -1) (-1 when v = 0), and F' = F0 - 2 alpha r +
+    alpha^2 v renormalised per factor, or F2 when some entry of F' is not
+    positive.  It returns S(F') if I(F') >= I(F1), else F2.  BA sweeps
+    never lower I, so I(returned) >= I(F1) >= I(F0), and the values
+    compared are those the second and third sweeps compute anyway.
 
     kernels is one kernel (Δ, Y) or a stack (G, Δ, Y), one per group.  Each
     group's rows go through the matrix products a one-kernel batch of
-    those rows makes, so a row's result does not depend on other groups.
+    those rows makes, and alpha is chosen per row, so a row's result does
+    not depend on other groups.
     """
     kernels = kernels.reshape((-1,) + kernels.shape[-2:])
     kernels_t = kernels.transpose(0, 2, 1)
     h_rows = entropy(kernels, axis=-1)  # H(Y | M = m), shape (G, Δ)
 
     def objective(batch: tuple[np.ndarray, np.ndarray]):
-        F, group = batch
-        F = F.copy()
-        n = F.shape[1]
+        F0, group = batch
+        n = F0.shape[1]
         # rows come sorted by group, so each group is one run of rows
         bounds = np.searchsorted(group, np.arange(len(kernels) + 1)).tolist()
         runs = [(g, lo, hi) for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
@@ -249,18 +270,33 @@ def _kernel_mi_objective(kernels: np.ndarray) -> AscentObjective:
             log_q = np.log2(np.where(q > 0, q, 1.0))
             return -h - by_group(log_q, kernels_t), q
 
-        pm = _joint(F)
-        div, q = divergences(pm)
-        values = entropy(q, axis=-1) - by_group(pm, h_rows)
-        scores = [_block_average(div, F, k) for k in range(n)]
-        gaps = np.max([g.max(axis=-1) for g in scores], axis=0) - values
-        for k in range(n):
-            if k:
-                div, _ = divergences(_joint(F))
-                scores[k] = _block_average(div, F, k)
-            w = F[:, k] * np.exp2(scores[k] - scores[k].max(axis=-1, keepdims=True))
-            F[:, k] = w / w.sum(axis=-1, keepdims=True)
-        return values, gaps, F
+        def sweep(F: np.ndarray, certify: bool = False):
+            """I at F, its block gap if certify, and S(F)."""
+            F = F.copy()
+            pm = _joint(F)
+            div, q = divergences(pm)
+            values = entropy(q, axis=-1) - by_group(pm, h_rows)
+            scores = [_block_average(div, F, k) for k in range(n if certify else 1)]
+            gaps = np.max([g.max(axis=-1) for g in scores], axis=0) - values if certify else None
+            for k in range(n):
+                score = scores[0] if k == 0 else _block_average(divergences(_joint(F))[0], F, k)
+                w = F[:, k] * np.exp2(score - score.max(axis=-1, keepdims=True))
+                F[:, k] = w / w.sum(axis=-1, keepdims=True)
+            return values, gaps, F
+
+        values, gaps, F1 = sweep(F0, certify=True)
+        value1, _, F2 = sweep(F1)
+        r, v = F1 - F0, F2 - 2.0 * F1 + F0
+        r_norm, v_norm = (np.linalg.norm(x, axis=(1, 2)) for x in (r, v))
+        alpha = -np.maximum(r_norm / np.where(v_norm > 0, v_norm, np.inf), 1.0)
+        a = alpha[:, None, None]
+        F_ext = F0 - 2.0 * a * r + a * a * v
+        # alpha = -1 gives F2 itself; so does a step off the open simplex
+        take = (alpha < -1.0) & (F_ext > 0).all(axis=(1, 2))
+        F_ext[~take] = F2[~take]
+        F_ext[take] /= F_ext[take].sum(axis=-1, keepdims=True)
+        value_ext, _, F3 = sweep(F_ext)
+        return values, gaps, np.where((value_ext >= value1)[:, None, None], F3, F2)
 
     return objective
 
@@ -398,7 +434,11 @@ def resource_dependent_bound(ch: MacChannel, max_omega: float) -> float:
     """max_pi { H(M) + (f_l - f_w) * max_omega } - f_l, in bits.
 
     max_omega is the resource's best win probability; H(M) peaks at the
-    uniform distribution, so the bound is log2 Δ + (f_l - f_w) max_omega - f_l.
+    uniform distribution, so the value is log2 Δ + (f_l - f_w) max_omega - f_l.
+    It is not a bound: a non-uniform pi can win more often than max_omega,
+    and H(Y) can exceed H(M).  Nothing in the package calls it and it is
+    not exported; it stays defined only because perfbench/spans.py wraps
+    it by name.
     """
     return float(np.log2(ch.delta)) + (ch.f_l - ch.f_w) * max_omega - ch.f_l
 
@@ -565,21 +605,13 @@ def quantum_lower_bound_chsh(ch: MacChannel, cfg: OptimizerConfig | None = None)
     )
 
 
-def vertex_file_bound(
-    ch: MacChannel,
-    vertex_csv_path,
-    cfg: OptimizerConfig | None = None,
-    resource: str = "file",
-) -> CapacityResult:
-    """Max sum rate over user-supplied correlation-box vertices via E*.
+def _vertex_file_encoders(vertex_csv_path, game: NonlocalGame) -> list[Encoder]:
+    """E* encoders of the boxes in a vertex file.
 
-    Every box must match the channel's scenario and be no-signaling
-    within NO_SIGNALING_TOL.  All boxes share one grouped ascent; each
-    box's rate is a local-search maximum over pi, achieved by its E*
-    encoder, so the value is a lower bound.
-    """
+    Raises unless every box matches the game's scenario and is
+    no-signaling within NO_SIGNALING_TOL.  Depends on the game only, not
+    on the channel."""
     boxes = boxes_from_csv(vertex_csv_path)
-    game = ch.game
     for i, box in enumerate(boxes):
         if (box.n, box.d, box.D) != (game.n, game.d, game.D):
             raise ValueError(
@@ -591,9 +623,16 @@ def vertex_file_bound(
             raise ValueError(
                 f"vertex {i} signals: no-signaling error {signaling:.3g} exceeds {NO_SIGNALING_TOL:g}"
             )
-    kernels = np.stack([ch.kernel(enc.cols, enc.probs) for enc in map(e_star, boxes)])
+    return [e_star(box) for box in boxes]
+
+
+def _vertex_encoders_bound(
+    ch: MacChannel, encoders: list[Encoder], cfg: OptimizerConfig | None, resource: str
+) -> CapacityResult:
+    """Best E* sum rate over checked vertex-file encoders, one grouped ascent."""
+    kernels = np.stack([ch.kernel(enc.cols, enc.probs) for enc in encoders])
     val, pi, diag = maximize_over_pi(
-        _kernel_mi_objective(kernels), game.n, game.d, cfg, groups=len(boxes)
+        _kernel_mi_objective(kernels), ch.game.n, ch.game.d, cfg, groups=len(encoders)
     )
     return CapacityResult(
         value=val,
@@ -601,8 +640,26 @@ def vertex_file_bound(
         resource=resource,
         argmax_pi=pi,
         argmax_encoder=f"vertex-file:{diag['group']}",
-        diagnostics=dict(diag, boxes=len(boxes)),
+        diagnostics=dict(diag, boxes=len(encoders)),
     )
+
+
+def vertex_file_bound(
+    ch: MacChannel,
+    vertex_csv_path,
+    cfg: OptimizerConfig | None = None,
+    resource: str = "file",
+) -> CapacityResult:
+    """Max sum rate over user-supplied correlation-box vertices via E*.
+
+    Every box must match the channel's scenario and be no-signaling
+    within NO_SIGNALING_TOL.  All boxes share one grouped ascent; each
+    box's rate is a local-search maximum over pi, achieved by its E*
+    encoder, so the value is a lower bound.  `sweep` reads and checks a
+    file once for all its η.
+    """
+    encoders = _vertex_file_encoders(vertex_csv_path, ch.game)
+    return _vertex_encoders_bound(ch, encoders, cfg, resource)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +720,7 @@ def sweep(
     omega_star: float | None = None
     pt_box: CorrelationBox | None = None
     pt_deviation = 0.0
+    vertex_encoders: dict[str, list[Encoder]] = {}
     for eta in etas:
         ch = channel_for(game, channel_type, float(eta))
         for res in resources:
@@ -690,7 +748,9 @@ def sweep(
                 diag = r.argmax_encoder or ""
             elif res.startswith("vertex-file:"):
                 path = res.split(":", 1)[1]
-                r = vertex_file_bound(ch, path, cfg)
+                if path not in vertex_encoders:  # game-only: once per sweep
+                    vertex_encoders[path] = _vertex_file_encoders(path, game)
+                r = _vertex_encoders_bound(ch, vertex_encoders[path], cfg, "file")
                 diag = r.argmax_encoder or ""
             else:
                 raise ValueError(f"unknown resource {res!r}")

@@ -297,6 +297,58 @@ def test_grouped_ascent_matches_one_kernel_runs(n, groups, seed):
     assert diag["iterations"] == sum(a[2]["iterations"] for a in alone)
 
 
+@PROPERTY
+@given(shape=st.sampled_from([(2, 2), (2, 3), (3, 2)]), seed=st.integers(0, 2**32 - 1))
+def test_extrapolated_step_never_lowers_the_value_and_converges(shape, seed):
+    n, d = shape
+    rng = np.random.default_rng(seed)
+    objective = _kernel_mi_objective(rng.dirichlet(np.ones(d**n), size=d**n))
+    F = rng.dirichlet(np.ones(d), size=(8, n))
+    group = np.zeros(len(F), dtype=int)
+    before, _, stepped = objective((F, group))
+    assert (objective((stepped, group))[0] >= before - 1e-12).all()
+    _, _, diag = maximize_over_pi(objective, n, d, CFG)
+    assert diag["capped"] == 0
+    assert diag["gap"] <= CFG.tolerance
+
+
+def test_capped_counts_starts_that_ran_out_of_steps():
+    kernels = np.random.default_rng(7).dirichlet(np.ones(4), size=(3, 4))
+    cfg = OptimizerConfig(restarts=5, max_iterations=1)
+    _, _, diag = maximize_over_pi(_kernel_mi_objective(kernels), 2, 2, cfg, groups=3)
+    assert diag["capped"] == 5 * 3
+    assert diag["iterations"] == 5 * 3
+
+
+# Values of the plain Blahut-Arimoto ascent this step replaced, seed 0:
+# (game, eta) -> (L-exact value, its vertex, Q-lower value or None)
+FORMER_ASCENT = {
+    ("chsh", 0.1): (0.015319251846211968, "vertex:34", 0.014986336521687793),
+    ("chsh", 0.3): (0.1251906186817906, "vertex:34", 0.1253810992609532),
+    ("chsh", 0.5): (0.3281978483338648, "vertex:34", 0.3328154563075647),
+    ("chsh", 0.75): (0.7218438624401722, "vertex:54", 0.7309693545154923),
+    ("chsh", 1.0): (1.4352809428676363, "vertex:34", 1.3264977737608123),
+    ("mpp:3", 0.1): (0.03869972227862961, "vertex:547", None),
+    ("mpp:3", 0.5): (0.6915570893669942, "vertex:547", None),
+    ("mpp:3", 1.0): (2.605346777001006, "vertex:547", None),
+}
+
+
+@pytest.mark.parametrize("name, eta", list(FORMER_ASCENT))
+def test_ascent_matches_former_values(name, eta):
+    value, vertex, q_value = FORMER_ASCENT[name, eta]
+    ch = type_ii(game_by_name(name), eta)
+    results = [classical_capacity_exact(ch, CFG)]
+    assert abs(results[0].value - value) <= 1e-10
+    assert results[0].argmax_encoder == vertex
+    if q_value is not None:
+        results.append(quantum_lower_bound_chsh(ch, CFG))
+        assert abs(results[1].value - q_value) <= 1e-10
+    for result in results:
+        assert result.diagnostics["capped"] == 0
+        assert result.diagnostics["gap"] <= CFG.tolerance
+
+
 def test_resource_bound_with_perfect_resource_hits_ceiling():
     # max_omega = 1 makes the bound log2(delta) - f_w exactly
     ch = type_ii(chsh_game(), 0.7)
@@ -441,6 +493,24 @@ def test_vertex_file_bound_picks_the_per_box_winner(tmp_path):
         assert result.argmax_encoder == f"vertex-file:{best[1]}"
         assert result.value == best[0]
         assert result.kind == "lower-bound"
+
+
+def test_sweep_reads_a_vertex_file_once(tmp_path, monkeypatch):
+    parts = [tmp_path / "pr.csv", tmp_path / "tsirelson.csv"]
+    box_to_csv(pr_box(), parts[0])
+    box_to_csv(tsirelson_box(), parts[1])
+    path = tmp_path / "boxes.csv"
+    path.write_text("".join(part.read_text() for part in parts))
+    etas = (0.4, 0.7, 1.0)
+    alone = [vertex_file_bound(type_ii(chsh_game(), eta), path, CFG) for eta in etas]
+    reads = []
+    original = capacity.boxes_from_csv
+    monkeypatch.setattr(capacity, "boxes_from_csv", lambda p: reads.append(p) or original(p))
+    rows = sweep(chsh_game(), 2, etas, [f"vertex-file:{path}"], CFG)
+    assert len(reads) == 1
+    assert [(r.kind, r.value, r.diagnostic) for r in rows] == [
+        (a.kind, a.value, a.argmax_encoder) for a in alone
+    ]
 
 
 def test_vertex_file_bound_scenario_mismatch(tmp_path):
