@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -23,14 +22,15 @@ from .correlations import (
     boxes_from_csv,
     box_win_probabilities,
     e_star,
+    local_deterministic_count,
     magic_square_box,
     mpp_box,
     pr_box,
     support_marginal_uniformity_error,
     tsirelson_box,
 )
-from .games import NonlocalGame, local_map_indices
-from .infotheory import ProductDistribution, entropy, sum_rate
+from .games import NonlocalGame, local_map_indices, local_maps
+from .infotheory import ProductDistribution, entropy, product_joint, sum_rate
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,9 @@ class OptimizerConfig:
         its gap.  One step of the I(M;Y) objective is an extrapolated
         Blahut-Arimoto step of three sweeps; one of the subset bound is
         one sweep.
-    grid_step: spacing of the fine simplex grid on which
-        `classical_capacity_exact` ranks its candidate vertices; None means
-        0.05 for d=2 and 0.1 otherwise.
     seed: seeds the Dirichlet starts.
     """
 
-    grid_step: float | None = None
     restarts: int = 20
     tolerance: float = 1e-10
     max_iterations: int = 4000
@@ -64,13 +60,6 @@ class OptimizerConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.grid_step is not None and not 0.0 < self.grid_step <= 1.0:
-            raise ValueError(f"grid-step must lie in (0, 1], got {self.grid_step}")
-
-    def step_for(self, d: int) -> float:
-        if self.grid_step is not None:
-            return self.grid_step
-        return 0.05 if d == 2 else 0.1
 
 
 @dataclass
@@ -87,15 +76,9 @@ def simplex_grid(d: int, step: float) -> list[np.ndarray]:
     """Lattice points on the (d-1)-simplex with spacing ~step, in
     deterministic lexicographic order."""
     k = max(1, round(1.0 / step))
-
-    def rec(remaining, parts):
-        if len(parts) == d - 1:
-            yield parts + [remaining]
-            return
-        for i in range(remaining + 1):
-            yield from rec(remaining - i, parts + [i])
-
-    return [np.array(p, dtype=float) / k for p in rec(k, [])]
+    head = local_maps(1, d - 1, k + 1)[:, 0]  # the first d - 1 coordinates
+    head = head[head.sum(axis=1) <= k]
+    return list(np.column_stack([head, k - head.sum(axis=1)]) / k)
 
 
 # An ascent objective maps one batch (F, group), the factors F of shape
@@ -208,14 +191,6 @@ def maximize_over_pi(
     return value, pi, dict(diagnostics, **totals, group=group)
 
 
-def _joint(F: np.ndarray) -> np.ndarray:
-    """Joint message distributions (R, d^n) of factors F (R, n, d)."""
-    out = F[:, 0]
-    for k in range(1, F.shape[1]):
-        out = (out[:, :, None] * F[:, k, None, :]).reshape(F.shape[0], -1)
-    return out
-
-
 def _block_average(x: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
     """E over m_-k ~ p_-k of x(m), as a function of m_k: shape (R, d).
 
@@ -273,13 +248,13 @@ def _kernel_mi_objective(kernels: np.ndarray) -> AscentObjective:
         def sweep(F: np.ndarray, certify: bool = False):
             """I at F, its block gap if certify, and S(F)."""
             F = F.copy()
-            pm = _joint(F)
+            pm = product_joint(F)
             div, q = divergences(pm)
             values = entropy(q, axis=-1) - by_group(pm, h_rows)
             scores = [_block_average(div, F, k) for k in range(n if certify else 1)]
             gaps = np.max([g.max(axis=-1) for g in scores], axis=0) - values if certify else None
             for k in range(n):
-                score = scores[0] if k == 0 else _block_average(divergences(_joint(F))[0], F, k)
+                score = scores[0] if k == 0 else _block_average(divergences(product_joint(F))[0], F, k)
                 w = F[:, k] * np.exp2(score - score.max(axis=-1, keepdims=True))
                 F[:, k] = w / w.sum(axis=-1, keepdims=True)
             return values, gaps, F
@@ -318,24 +293,28 @@ def _kernel_rates(kernels: np.ndarray, pms: np.ndarray) -> np.ndarray:
 
 
 def vertex_count(game: NonlocalGame) -> int:
-    dD = game.d * game.D
-    return (dD**game.d) ** game.n
+    return local_deterministic_count(game.n, game.d, game.d * game.D)
 
 
-def _vertex_kernels(ch: MacChannel) -> np.ndarray:
-    """P(y|m) for every deterministic encoder vertex, shape (V, Δ, Δ)."""
+def _vertex_kernels(ch: MacChannel, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """P(y|m) for every deterministic encoder vertex, shape (V, Δ, Δ), or
+    EnumerationCapExceeded when there are more than cap vertices."""
     game = ch.game
+    count = vertex_count(game)
+    if count > cap:
+        raise EnumerationCapExceeded(
+            f"{game.name} encoding scenario has {count} deterministic encoder "
+            f"vertices, over the cap of {cap}; use classical_upper_bound instead"
+        )
     dD = game.d * game.D
-    per = np.array(list(product(range(dD), repeat=game.d)))  # one sender's maps m_k -> symbol
-    maps = per[np.indices((len(per),) * game.n).reshape(game.n, -1).T]  # (V, n, d)
-    return ch.matrix[local_map_indices(maps, dD)]
+    return ch.matrix[local_map_indices(local_maps(game.n, game.d, dD), dD)]
 
 
 def _grid_pms(n: int, d: int, step: float) -> np.ndarray:
     """Joint message distribution of every product of simplex_grid
     factors, in itertools.product order: shape (G^n, d^n)."""
     per = np.array(simplex_grid(d, step))
-    return _joint(per[np.indices((len(per),) * n).reshape(n, -1).T])
+    return product_joint(per[local_maps(n, 1, len(per))[..., 0]])
 
 
 def _batch_grid_values(kernels: np.ndarray, pms: np.ndarray, chunk: int = 256) -> np.ndarray:
@@ -358,23 +337,16 @@ def classical_capacity_exact(
     coarse grid, then the leading candidates get the full optimizer.
     """
     cfg = cfg or OptimizerConfig()
-    game = ch.game
-    count = vertex_count(game)
-    if count > cap:
-        raise EnumerationCapExceeded(
-            f"{game.name} encoding scenario has {count} deterministic encoder "
-            f"vertices, over the cap of {cap}; use classical_upper_bound instead"
-        )
-    n, d = game.n, game.d
-    kernels = _vertex_kernels(ch)
+    n, d = ch.game.n, ch.game.d
+    kernels = _vertex_kernels(ch, cap)
 
-    coarse_step = 0.25 if d == 2 else 0.2
+    coarse_step, fine_step = (0.25, 0.05) if d == 2 else (0.2, 0.1)
     coarse = _batch_grid_values(kernels, _grid_pms(n, d, coarse_step))
     order = np.argsort(-coarse, kind="stable")
     threshold = coarse[order[0]] - 0.1
     candidates = [int(v) for v in order if coarse[v] >= threshold][:128]
 
-    fine = _batch_grid_values(kernels[candidates], _grid_pms(n, d, cfg.step_for(d)))
+    fine = _batch_grid_values(kernels[candidates], _grid_pms(n, d, fine_step))
     fine_order = np.argsort(-fine, kind="stable")
     finalists = [candidates[int(i)] for i in fine_order[:8]]
 
@@ -383,7 +355,7 @@ def classical_capacity_exact(
         _kernel_mi_objective(kernels[finalists]), n, d, cfg, groups=len(finalists)
     )
     vi = finalists[diag["group"]]
-    diag = dict(diag, vertices=count, candidates=len(candidates))
+    diag = dict(diag, vertices=len(kernels), candidates=len(candidates))
     return CapacityResult(
         value=val,
         kind="exact",
@@ -396,10 +368,7 @@ def classical_capacity_exact(
 
 def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Best deterministic-encoder sum rate at a fixed message distribution."""
-    count = vertex_count(ch.game)
-    if count > cap:
-        raise EnumerationCapExceeded(f"{count} vertices over the cap of {cap}")
-    return float(_kernel_rates(_vertex_kernels(ch), pi.joint()[None]).max())
+    return float(_kernel_rates(_vertex_kernels(ch, cap), pi.joint()[None]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +384,16 @@ def bruteforce_classical_game_value(
     Returns (omega, strategies) with one optimal per-player answer map.
     """
     n, d, D = game.n, game.d, game.D
-    count = (D**d) ** n
+    count = local_deterministic_count(n, d, D)
     if count > cap:
         raise EnumerationCapExceeded(
             f"{game.name} has {count} deterministic strategy tuples, over the cap of {cap}"
         )
     w = game.win_table().reshape((d,) * n + (D,) * n)
-    per = np.array(list(product(range(D), repeat=d)))  # (S, d)
+    per = local_maps(1, d, D)[:, 0]  # (S, d): one player's answer maps
     # counts[s_1..s_n]: questions won when player k answers with per[s_k]
     counts = np.zeros((len(per),) * n, dtype=np.int64)
-    for q in product(range(d), repeat=n):
+    for q in np.ndindex((d,) * n):
         counts += w[q][np.ix_(*(per[:, q_k] for q_k in q))]
     idx = np.unravel_index(np.argmax(counts), counts.shape)
     return float(counts[idx]) / d**n, tuple(tuple(int(a) for a in per[i]) for i in idx)
@@ -454,7 +423,7 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
     spread = ch.f_l - ch.f_w
 
     def top_set(F: np.ndarray) -> np.ndarray:
-        pm = _joint(F)
+        pm = product_joint(F)
         top = np.argsort(-pm, axis=-1, kind="stable")[:, :r_max]
         mask = np.zeros(pm.shape)
         np.put_along_axis(mask, top, 1.0, axis=-1)
@@ -465,7 +434,7 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
         n = F.shape[1]
         mask = top_set(F)
         h = entropy(F, axis=-1)  # (R, n)
-        values = h.sum(axis=-1) + spread * (mask * _joint(F)).sum(axis=-1) - ch.f_l
+        values = h.sum(axis=-1) + spread * (mask * product_joint(F)).sum(axis=-1) - ch.f_l
         gaps = np.zeros(F.shape[0])
         for k in range(n):
             a = _block_average(mask, F, k)

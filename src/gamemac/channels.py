@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import NonlocalGame, input_win_mask, question_indices
+from .infotheory import entropy
 
 _ROW_TOL = 1e-12
 
@@ -38,12 +39,6 @@ def noise_f(delta: int, eta: float) -> float:
     if rest > 0:
         out -= (delta - 1) * rest * np.log2(rest)
     return float(out)
-
-
-def _entropy(p) -> float:
-    p = np.asarray(p, dtype=float)
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
 
 
 @dataclass(frozen=True)
@@ -118,8 +113,7 @@ class MacChannel:
 
     def branch_entropy_error(self) -> float:
         """Max |H(Y|X=x) - f_branch| over the rows of the dense matrix."""
-        m = self.matrix
-        ent = -np.where(m > 0, m * np.log2(np.where(m > 0, m, 1.0)), 0.0).sum(axis=1)
+        ent = entropy(self.matrix, axis=1)
         return float(np.abs(ent - np.where(self._input_maps[0], self.f_w, self.f_l)).max())
 
 
@@ -140,7 +134,7 @@ def two_branch_mac(game: NonlocalGame, win_profile, lose_profile, name: str = "t
     the conditional entropy constant within a branch for arbitrary noise
     shapes; see MacChannel for the profile convention.
     """
-    f_w, f_l = _entropy(win_profile), _entropy(lose_profile)
+    f_w, f_l = entropy(win_profile), entropy(lose_profile)
     return MacChannel(game, win_profile, lose_profile, f_w, f_l, name=name)
 
 
@@ -174,10 +168,3 @@ def type_ii(game: NonlocalGame, eta: float) -> MacChannel:
         raise ValueError(f"type-II needs 0 < eta <= 1, got {eta}")
     return depolarizing_mac(game, eta, 0.0)
 
-
-def channel_to_csv(ch: MacChannel, path) -> None:
-    """Write nonzero entries as `x-index,y-index,probability` rows."""
-    xs, ys = np.nonzero(ch.matrix)
-    with open(path, "w") as fh:
-        fh.write("x,y,p\n")
-        fh.writelines(f"{x},{y},{p:.17g}\n" for x, y, p in zip(xs, ys, ch.matrix[xs, ys]))

@@ -38,7 +38,8 @@ def _fmt(x: float) -> str:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Flat `key = value` config; '#' starts a comment."""
+    """Flat `key = value` config; '#' starts a comment.  A key outside
+    _CONFIG_KEYS is an error that names its `file:line`."""
     out: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -47,8 +48,12 @@ def load_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise click.ClickException(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise click.ClickException(
+                    f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}"
+                )
+            out[key] = value
     return out
 
 
@@ -82,11 +87,12 @@ def _parsed(values, key: str, convert):
 
 # config key -> OptimizerConfig field and its type
 _OPTIMIZER_KEYS = {
-    "grid-step": ("grid_step", float),
     "restarts": ("restarts", int),
     "tolerance": ("tolerance", float),
     "seed": ("seed", int),
 }
+
+_CONFIG_KEYS = ("game", "channel-type", "eta-grid", "resources", "out", *_OPTIMIZER_KEYS)
 
 
 def _build_cfg(values) -> OptimizerConfig:
@@ -145,9 +151,7 @@ def cmd_sweep(game_name, channel_type, eta_grid, resources, seed, out, config_pa
     cfg = _build_cfg(values)
     try:
         rows = capacity.sweep(game, ctype, etas, res_list, cfg)
-    except EnumerationCapExceeded as exc:
-        raise click.ClickException(str(exc))
-    except ValueError as exc:
+    except (ValueError, EnumerationCapExceeded) as exc:
         raise click.ClickException(str(exc))
     lines = ["eta,resource,kind,value,diagnostic"]
     for r in rows:
@@ -166,7 +170,10 @@ def cmd_sweep(game_name, channel_type, eta_grid, resources, seed, out, config_pa
 @click.option("--count", default=1000, show_default=True, help="random triples per game")
 def cmd_verify(seed, count):
     """Run the randomized identity suite and pseudo-telepathy checks."""
-    checks = verify.run_verification(seed=int(seed), count=int(count))
+    try:
+        checks = verify.run_verification(seed=int(seed), count=int(count))
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     click.echo(verify.format_report(checks), nl=False)
     if any(not c.passed for c in checks):
         sys.exit(1)
@@ -213,11 +220,14 @@ def cmd_game_value(game_name):
         click.echo(f"  player {k}: answers {list(strat)} for questions 0..{game.d - 1}")
 
 
-_BOXES = {
-    "pr": pr_box,
-    "tsirelson": tsirelson_box,
-    "magic-square": magic_square_box,
-}
+def _box_by_name(name: str):
+    """Built-in box pr, tsirelson, magic-square or mpp:<n>; ValueError otherwise."""
+    builders = {"pr": pr_box, "tsirelson": tsirelson_box, "magic-square": magic_square_box}
+    if name in builders:
+        return builders[name]()
+    if name.startswith("mpp:"):
+        return mpp_box(game_by_name(name).n)
+    raise ValueError(f"unknown box {name!r}")
 
 
 @main.command("box-export")
@@ -225,12 +235,10 @@ _BOXES = {
 @click.option("--out", required=True, type=click.Path())
 def cmd_box_export(box_name, out):
     """Export a built-in box (pr, tsirelson, magic-square, mpp:<n>) as CSV."""
-    if box_name in _BOXES:
-        box = _BOXES[box_name]()
-    elif box_name.startswith("mpp:"):
-        box = mpp_box(int(box_name.split(":", 1)[1]))
-    else:
-        raise click.ClickException(f"unknown box {box_name!r}")
+    try:
+        box = _box_by_name(box_name)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     box_to_csv(box, out)
     click.echo(f"wrote {box.name} box to {out}")
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from . import qkernel
-from .games import NonlocalGame, input_indices, local_map_indices, pack_tuple, unpack_index
+from .games import NonlocalGame, chsh_game, input_indices, local_map_indices, local_maps, pack_tuple
 
 NORMALIZATION_TOL = 1e-12
 NO_SIGNALING_TOL = 1e-10
@@ -115,27 +114,19 @@ class Encoder:
 
 @dataclass
 class ValidationReport:
-    normalization_error: float | None = None
-    no_signaling_error: float | None = None
+    normalization_error: float
+    no_signaling_error: float
 
-    def ok(self, norm_tol: float = NORMALIZATION_TOL, ns_tol: float = NO_SIGNALING_TOL) -> bool:
-        if self.normalization_error is not None and self.normalization_error > norm_tol:
-            return False
-        if self.no_signaling_error is not None and self.no_signaling_error > ns_tol:
-            return False
-        return True
+    def ok(self) -> bool:
+        return (
+            self.normalization_error <= NORMALIZATION_TOL
+            and self.no_signaling_error <= NO_SIGNALING_TOL
+        )
 
 
-def validate_box(box: CorrelationBox, mode: str = "both") -> ValidationReport:
+def validate_box(box: CorrelationBox) -> ValidationReport:
     """Report max violation magnitudes; never mutates the box."""
-    report = ValidationReport()
-    if mode in ("normalization", "both"):
-        report.normalization_error = box.normalization_error()
-    if mode in ("no-signaling", "both"):
-        report.no_signaling_error = box.no_signaling_error()
-    if mode not in ("normalization", "no-signaling", "both"):
-        raise ValueError(f"unknown validation mode {mode!r}")
-    return report
+    return ValidationReport(box.normalization_error(), box.no_signaling_error())
 
 
 def deterministic_box(n: int, d: int, D: int, strategies) -> CorrelationBox:
@@ -157,18 +148,14 @@ def local_deterministic_boxes(n: int, d: int, D: int, cap: int = DEFAULT_ENUMERA
             f"({n},{d},{D}) scenario has {count} local deterministic boxes, "
             f"over the cap of {cap}"
         )
-    per_party = list(product(range(D), repeat=d))
-    for strategies in product(per_party, repeat=n):
+    for strategies in local_maps(n, d, D):
         yield deterministic_box(n, d, D, strategies)
 
 
 def pr_box() -> CorrelationBox:
-    """The extremal no-signaling (2,2,2) box: a1 XOR a2 = q1 AND q2, uniform."""
-    table = np.zeros((4, 4))
-    for q1, q2, a1, a2 in product(range(2), repeat=4):
-        if (a1 ^ a2) == (q1 & q2):
-            table[q1 * 2 + q2, a1 * 2 + a2] = 0.5
-    return CorrelationBox(2, 2, 2, table, name="pr")
+    """The extremal no-signaling (2,2,2) box: uniform over the answers that
+    win CHSH, a1 XOR a2 = q1 AND q2."""
+    return CorrelationBox(2, 2, 2, 0.5 * chsh_game().win_table(), name="pr")
 
 
 def tsirelson_box() -> CorrelationBox:
@@ -306,18 +293,14 @@ def support_marginal_uniformity_error(box: CorrelationBox) -> float:
 
 
 def box_to_csv(box: CorrelationBox, path) -> None:
-    """Write the box as CSV: header `n,d,D`, rows `q_1..q_n,a_1..a_n,p`."""
+    """Write the box as CSV: header `n,d,D`, then a row `q_1..q_n,a_1..a_n,p`
+    for every nonzero entry, in table order.  The digits are the entry's
+    index into the table reshaped to one axis per question and answer digit."""
+    t = box.table.reshape((box.d,) * box.n + (box.D,) * box.n)
     with open(path, "w") as fh:
         fh.write(f"{box.n},{box.d},{box.D}\n")
-        for qi in range(box.d**box.n):
-            q = unpack_index(qi, box.d, box.n)
-            for ai in range(box.D**box.n):
-                p = box.table[qi, ai]
-                if p == 0.0:
-                    continue
-                a = unpack_index(ai, box.D, box.n)
-                cells = list(q) + list(a) + [f"{p:.17g}"]
-                fh.write(",".join(str(c) for c in cells) + "\n")
+        for digits in zip(*np.nonzero(t)):
+            fh.write(",".join(map(str, digits)) + f",{t[digits]:.17g}\n")
 
 
 def boxes_from_csv(path) -> list[CorrelationBox]:
@@ -390,9 +373,3 @@ def boxes_from_csv(path) -> list[CorrelationBox]:
         raise ValueError(f"{path}: no boxes found")
     return boxes
 
-
-def box_from_csv(path) -> CorrelationBox:
-    boxes = boxes_from_csv(path)
-    if len(boxes) != 1:
-        raise ValueError(f"{path}: expected one box, found {len(boxes)}")
-    return boxes[0]

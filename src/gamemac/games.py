@@ -8,7 +8,6 @@ significant position.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,12 +59,6 @@ class NonlocalGame:
 
     def wins(self, questions: Sequence[int], answers: Sequence[int]) -> bool:
         return bool(self._wins(questions, answers))
-
-    def question_tuples(self):
-        return product(range(self.d), repeat=self.n)
-
-    def answer_tuples(self):
-        return product(range(self.D), repeat=self.n)
 
     def win_table(self) -> np.ndarray:
         """Read-only boolean array of shape (d^n, D^n): win_table[q_idx,
@@ -135,7 +128,11 @@ def game_by_name(name: str) -> NonlocalGame:
     if name == "magic-square":
         return magic_square_game()
     if name.startswith("mpp:"):
-        return mpp_game(int(name.split(":", 1)[1]))
+        try:
+            n = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"{name!r}: expected mpp:<n> with an integer n") from None
+        return mpp_game(n)
     raise ValueError(f"unknown game {name!r}")
 
 
@@ -165,6 +162,13 @@ def question_indices(game: NonlocalGame) -> np.ndarray:
     out = np.empty((d * game.D) ** n, dtype=np.intp)
     out[input_indices(n, d, game.D)] = np.arange(d**n)[:, None]
     return out
+
+
+def local_maps(n: int, d: int, base: int) -> np.ndarray:
+    """Every tuple of per-player maps {0..d-1} -> {0..base-1}, shape
+    (base^(d n), n, d), in the order of
+    itertools.product(itertools.product(range(base), repeat=d), repeat=n)."""
+    return np.indices((base,) * (d * n)).reshape(d * n, -1).T.reshape(-1, n, d)
 
 
 def local_map_indices(maps, base: int) -> np.ndarray:

@@ -8,12 +8,15 @@ with the flattened tuple indices used throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import MacChannel
-from .correlations import Encoder
 from .games import NonlocalGame, input_win_mask
+
+if TYPE_CHECKING:  # channels imports entropy from here
+    from .channels import MacChannel
+    from .correlations import Encoder
 
 _SIMPLEX_TOL = 1e-12
 
@@ -44,22 +47,20 @@ class ProductDistribution:
 
     def joint(self) -> np.ndarray:
         """Flattened joint message distribution of length d^n."""
-        out = self.factors[0]
-        for f in self.factors[1:]:
-            out = np.outer(out, f).ravel()
-        return out
+        return product_joint(np.array(self.factors))
 
     @staticmethod
     def uniform(n: int, d: int) -> "ProductDistribution":
         return ProductDistribution(tuple(np.full(d, 1.0 / d) for _ in range(n)))
 
-    @staticmethod
-    def random(n: int, d: int, rng: np.random.Generator) -> "ProductDistribution":
-        factors = []
-        for _ in range(n):
-            v = rng.dirichlet(np.ones(d))
-            factors.append(v)
-        return ProductDistribution(tuple(factors))
+
+def product_joint(factors: np.ndarray) -> np.ndarray:
+    """Joint message distributions (..., d^n) of product factors (..., n, d),
+    flattened big-endian with player 1 as the high-order digit."""
+    out = factors[..., 0, :]
+    for k in range(1, factors.shape[-2]):
+        out = (out[..., :, None] * factors[..., k, None, :]).reshape(*out.shape[:-1], -1)
+    return out
 
 
 def entropy(dist: np.ndarray, axis=None):

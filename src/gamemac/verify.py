@@ -26,7 +26,7 @@ from .games import (
     magic_square_game,
     mpp_game,
 )
-from .infotheory import ProductDistribution, entropy
+from .infotheory import ProductDistribution, entropy, product_joint
 
 IDENTITY_TOL = 1e-10
 CEILING_TOL = 1e-9
@@ -208,7 +208,7 @@ def _chunk_quantities(triples: _Triples, chunk: range, win: np.ndarray):
     tables = np.stack([triples.encoder(i).table for i in chunk])
     channels = [triples.channel(i) for i in chunk]
     kept = np.flatnonzero(tables.any(axis=(0, 1)))
-    messages = capacity._joint(triples.factors[chunk.start : chunk.stop])
+    messages = product_joint(triples.factors[chunk.start : chunk.stop])
     pyx = np.stack([ch.matrix[kept] for ch in channels])
     joint = messages[:, :, None, None] * tables[:, :, kept, None] * pyx[:, None]
     pmx, pmy, pxy = joint.sum(axis=3), joint.sum(axis=2), joint.sum(axis=1)
@@ -247,7 +247,10 @@ def proposition_residuals(
     Every third triple uses a deterministic encoder so the deterministic
     special case is exercised alongside the general one.  All triples are
     drawn first, then evaluated in chunks (see _triple_quantities).
+    Raises ValueError unless count >= 1.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     triples = _draw_triples(game, rng, count, e_star(capacity.pseudo_telepathy_box(game)))
     i_xy, i_my, i_xy_m, rate, ceiling = _triple_quantities(triples)

@@ -66,6 +66,15 @@ def test_simplex_grid_covers_vertices():
     assert len(pts3) == 6  # compositions of 2 into 3 parts
 
 
+@pytest.mark.parametrize("d, step", [(2, 0.25), (2, 0.05), (3, 0.2), (3, 0.1), (4, 0.25)])
+def test_simplex_grid_matches_lexicographic_compositions(d, step):
+    # reference: compositions of k = 1/step into d parts, in product order
+    k = round(1 / step)
+    expected = [c for c in product(range(k + 1), repeat=d) if sum(c) == k]
+    grid = np.array(simplex_grid(d, step))
+    assert np.array_equal(grid, np.array(expected, dtype=float) / k)
+
+
 def test_maximize_over_pi_recovers_entropy_max():
     # I(M;M) = H(M), maximal (2 bits) at uniform pi
     objective = _kernel_mi_objective(np.eye(4))
@@ -94,11 +103,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(grid_step=0.0)
-    assert OptimizerConfig().step_for(2) == 0.05
-    assert OptimizerConfig().step_for(3) == 0.1
-    assert OptimizerConfig(grid_step=0.2).step_for(2) == 0.2
 
 
 def test_vertex_counts():
@@ -152,7 +156,7 @@ def test_bruteforce_game_values():
     # the returned strategy actually achieves the value
     game = chsh_game()
     wins = sum(
-        game.wins(q, (strats[0][q[0]], strats[1][q[1]])) for q in game.question_tuples()
+        game.wins(q, (strats[0][q[0]], strats[1][q[1]])) for q in product(range(2), repeat=2)
     )
     assert wins / 4 == omega
     assert bruteforce_classical_game_value(magic_square_game())[0] == 8 / 9
@@ -229,7 +233,8 @@ def test_grid_pms_match_outer_product_loop(n, d, step):
 @given(eta=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_chsh_optima_beat_random_pi(eta, seed):
     ch = type_ii(chsh_game(), eta)
-    pi = ProductDistribution.random(2, 2, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    pi = ProductDistribution(tuple(rng.dirichlet(np.ones(2)) for _ in range(2)))
     assert classical_capacity_exact(ch, CFG).value >= best_vertex_rate_at_pi(ch, pi) - 1e-12
     q_rate = sum_rate(pi, e_star(tsirelson_box()), ch)
     assert quantum_lower_bound_chsh(ch, CFG).value >= q_rate - 1e-12

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gamemac.channels import (
     MacChannel,
-    channel_to_csv,
     depolarizing_mac,
     noise_f,
     two_branch_mac,
@@ -137,16 +136,6 @@ def test_mac_channel_rejects_wrong_branch_order():
         MacChannel(chsh_game(), ch.win_profile, ch.lose_profile, f_w=2.0, f_l=1.0)
 
 
-def test_channel_csv(tmp_path):
-    ch = type_i(chsh_game(), 0.0)
-    path = tmp_path / "ch.csv"
-    channel_to_csv(ch, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x,y,p"
-    # 8 winning rows with one entry each, 8 losing rows with four
-    assert len(lines) == 1 + 8 + 8 * 4
-
-
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 SCENARIOS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 3, 3), (3, 2, 3)]
 
@@ -192,8 +181,8 @@ def test_win_table_matches_per_tuple_loop(scenario, seed):
     ch, _ = _random_channel(scenario, seed)
     game = ch.game
     expected = np.zeros((game.d**game.n, game.D**game.n), dtype=bool)
-    for q in game.question_tuples():
-        for a in game.answer_tuples():
+    for q in product(range(game.d), repeat=game.n):
+        for a in product(range(game.D), repeat=game.n):
             expected[pack_tuple(q, game.d), pack_tuple(a, game.D)] = game.wins(q, a)
     assert (game.win_table() == expected).all()
 

@@ -96,6 +96,15 @@ def test_verify_command_passes():
     assert "27/27 checks passed" in result.output
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_refuses_count_below_one(count):
+    result = run("verify", "--count", count)
+    assert result.exit_code == 1, result.output
+    assert not isinstance(result.exception, ValueError)
+    assert "count must be at least 1" in result.output
+    assert "PASS" not in result.output
+
+
 def test_verify_deterministic_output():
     a = run("verify", "--seed", "5", "--count", "5")
     b = run("verify", "--seed", "5", "--count", "5")
@@ -110,13 +119,23 @@ def test_game_value_command():
 
 
 def test_box_export_roundtrip(tmp_path):
-    from gamemac.correlations import box_from_csv, pr_box
+    from gamemac.correlations import boxes_from_csv, pr_box
 
     out = tmp_path / "pr.csv"
     result = run("box-export", "pr", "--out", str(out))
     assert result.exit_code == 0
-    assert np.allclose(box_from_csv(out).table, pr_box().table)
+    (box,) = boxes_from_csv(out)
+    assert np.allclose(box.table, pr_box().table)
     assert run("box-export", "nope", "--out", str(tmp_path / "x.csv")).exit_code != 0
+
+
+@pytest.mark.parametrize("name", ["mpp:x", "mpp:", "mpp:1"])
+def test_box_export_bad_mpp_name(tmp_path, name):
+    result = run("box-export", name, "--out", str(tmp_path / "x.csv"))
+    assert result.exit_code == 1, result.output
+    assert not isinstance(result.exception, ValueError)
+    assert "Error:" in result.output and "mpp" in result.output
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_vertex_bound_command(tmp_path):
@@ -187,8 +206,6 @@ def _sweep_with_config(tmp_path, extra):
         ("restarts = 0", "restarts"),
         ("tolerance = x", "tolerance"),
         ("tolerance = 0", "tolerance"),
-        ("grid-step = x", "grid-step"),
-        ("grid-step = 0", "grid-step"),
         ("seed = s", "seed"),
     ],
 )
@@ -197,6 +214,14 @@ def test_sweep_bad_config_value_names_its_key(tmp_path, line, key):
     assert result.exit_code == 1, result.output
     assert not isinstance(result.exception, ValueError)
     assert key in result.output
+
+
+@pytest.mark.parametrize("line", ["restart = 5", "grid-step = 0.1"])
+def test_sweep_config_rejects_unknown_key(tmp_path, line):
+    result = _sweep_with_config(tmp_path, "# optimizer\n" + line + "\n")
+    assert result.exit_code == 1, result.output
+    key = line.split(" =")[0]
+    assert f"sweep.cfg:6: unknown key '{key}'" in result.output
 
 
 def test_import_does_not_load_scipy():

@@ -10,7 +10,6 @@ from gamemac.correlations import (
     CorrelationBox,
     Encoder,
     EnumerationCapExceeded,
-    box_from_csv,
     box_to_csv,
     box_win_probabilities,
     boxes_from_csv,
@@ -44,13 +43,6 @@ def test_validate_box_flags_signaling():
     assert report.normalization_error <= 1e-12
     assert report.no_signaling_error == pytest.approx(1.0)
     assert not report.ok()
-
-
-def test_validate_box_modes():
-    report = validate_box(pr_box(), mode="normalization")
-    assert report.no_signaling_error is None
-    with pytest.raises(ValueError):
-        validate_box(pr_box(), mode="bogus")
 
 
 def test_deterministic_boxes_no_signal():
@@ -192,9 +184,23 @@ def test_box_csv_roundtrip(tmp_path):
     for box in (pr_box(), tsirelson_box(), magic_square_box(), mpp_box(5)):
         path = tmp_path / f"{box.name}.csv"
         box_to_csv(box, path)
-        back = box_from_csv(path)
+        (back,) = boxes_from_csv(path)
         assert (back.n, back.d, back.D) == (box.n, box.d, box.D)
         assert np.abs(back.table - box.table).max() <= 1e-16
+
+
+@pytest.mark.parametrize("box", [pr_box(), tsirelson_box(), magic_square_box(), mpp_box(3)])
+def test_box_to_csv_matches_per_entry_loop(tmp_path, box):
+    # reference: the former loop over every (question, answer) index pair
+    lines = [f"{box.n},{box.d},{box.D}"]
+    for qi in range(box.d**box.n):
+        for ai in range(box.D**box.n):
+            if box.table[qi, ai] != 0.0:
+                digits = unpack_index(qi, box.d, box.n) + unpack_index(ai, box.D, box.n)
+                lines.append(",".join(map(str, digits)) + f",{box.table[qi, ai]:.17g}")
+    path = tmp_path / "box.csv"
+    box_to_csv(box, path)
+    assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_multi_block_csv(tmp_path):

@@ -9,6 +9,7 @@ from gamemac.games import (
     game_by_name,
     input_win_mask,
     local_map_indices,
+    local_maps,
     magic_square_game,
     mpp_game,
     pack_tuple,
@@ -82,9 +83,9 @@ def test_magic_square_win_table_counts():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_mpp_odd_question_parity_always_wins(n):
     g = mpp_game(n)
-    for q in g.question_tuples():
+    for q in product(range(2), repeat=n):
         if sum(q) % 2 == 1:
-            for a in g.answer_tuples():
+            for a in product(range(2), repeat=n):
                 assert g.wins(q, a)
 
 
@@ -152,6 +153,14 @@ def test_local_map_indices_batches_over_leading_axes():
         # input tuple i = (i_1, i_2, i_3) maps to (one[0][i_1], one[1][i_2], one[2][i_3])
         i = (1, 0, 1)
         assert expected[pack_tuple(i, 2)] == pack_tuple([one[k][i[k]] for k in range(3)], 4)
+
+
+@pytest.mark.parametrize("n, d, base", [(1, 2, 2), (2, 2, 4), (3, 2, 4), (1, 3, 8), (3, 1, 5), (2, 3, 2)])
+def test_local_maps_match_itertools_product(n, d, base):
+    expected = list(product(product(range(base), repeat=d), repeat=n))
+    maps = local_maps(n, d, base)
+    assert maps.shape == (base ** (d * n), n, d)
+    assert maps.tolist() == [[list(m) for m in maps_k] for maps_k in expected]
 
 
 def _former_chsh(q, a):

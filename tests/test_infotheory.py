@@ -103,7 +103,7 @@ def test_compose_dimension_mismatch():
 def test_sum_rate_equals_joint_mi():
     rng = np.random.default_rng(11)
     game = chsh_game()
-    pi = ProductDistribution.random(2, 2, rng)
+    pi = ProductDistribution(tuple(rng.dirichlet(np.ones(2)) for _ in range(2)))
     enc = random_mixture_encoder(game, rng, e_star(pr_box()))
     ch = depolarizing_mac(game, 0.9, 0.2)
     joint = compose(pi, enc, ch)
@@ -162,7 +162,7 @@ def test_unrestricted_encoder_can_always_win():
 def test_prop3_rate_matches_channel_input_mi(seed):
     rng = np.random.default_rng(seed)
     game = chsh_game()
-    pi = ProductDistribution.random(2, 2, rng)
+    pi = ProductDistribution(tuple(rng.dirichlet(np.ones(2)) for _ in range(2)))
     enc = (
         random_vertex_encoder(game, rng)
         if seed % 2

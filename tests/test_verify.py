@@ -59,6 +59,12 @@ def test_proposition_residuals_small():
         assert c.passed, f"{c.name}: residual {c.residual}"
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_proposition_residuals_refuses_empty_count(count):
+    with pytest.raises(ValueError, match="count"):
+        verify.proposition_residuals(chsh_game(), seed=0, count=count)
+
+
 def test_proposition_residuals_seeded():
     a = verify.proposition_residuals(chsh_game(), seed=7, count=10)
     b = verify.proposition_residuals(chsh_game(), seed=7, count=10)
