@@ -60,6 +60,8 @@ class OptimizerConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -283,8 +285,12 @@ def sum_rate_objective(enc: Encoder, ch: MacChannel) -> AscentObjective:
 
 def _kernel_rates(kernels: np.ndarray, pms: np.ndarray) -> np.ndarray:
     """I(M;Y) = H(Y) - H(Y|M) for each kernel (..., Δ, Y) at each message
-    distribution pms (G, Δ): shape (..., G)."""
-    return entropy(pms @ kernels, axis=-1) - entropy(kernels, axis=-1) @ pms.T
+    distribution pms (G, Δ): shape (..., G).  Each kernel's H(Y|M=m)
+    rides along as one more column, so every kernel takes one product of
+    the same shape and its rates do not depend on how many are stacked."""
+    rows = entropy(kernels, axis=-1)[..., None]
+    out = pms @ np.concatenate([kernels, rows], axis=-1)
+    return entropy(out[..., :-1], axis=-1) - out[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +323,16 @@ def _grid_pms(n: int, d: int, step: float) -> np.ndarray:
     return product_joint(per[local_maps(n, 1, len(per))[..., 0]])
 
 
-def _batch_grid_values(kernels: np.ndarray, pms: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Best grid value per vertex: max_g I(M;Y) at pm_g under K_v."""
+# Most elements of the (vertex, grid, Y) output distributions that one
+# chunk of the vertex prefilter builds.
+_GRID_ELEMENTS = 2**16
+
+
+def _batch_grid_values(kernels: np.ndarray, pms: np.ndarray) -> np.ndarray:
+    """Best grid value per vertex: max_g I(M;Y) at pm_g under K_v, taken
+    in chunks of at least one vertex that fit _GRID_ELEMENTS."""
     out = np.empty(kernels.shape[0])
+    chunk = max(1, _GRID_ELEMENTS // (pms.shape[0] * kernels.shape[-1]))
     for lo in range(0, kernels.shape[0], chunk):
         out[lo : lo + chunk] = _kernel_rates(kernels[lo : lo + chunk], pms).max(axis=1)
     return out
@@ -508,13 +521,13 @@ def _check_perfect_box(box: CorrelationBox, game: NonlocalGame) -> float:
     on the channel."""
     wins = box_win_probabilities(box, game)
     worst = float(np.abs(wins - 1.0).max())
-    if worst > PT_WIN_TOL:
+    if not worst <= PT_WIN_TOL:
         raise PseudoTelepathyHypothesisError(
             f"box {box.name!r} does not win {game.name} on every question tuple "
             f"(max deviation {worst})"
         )
     uni_err = support_marginal_uniformity_error(box)
-    if uni_err > PT_UNIFORMITY_TOL:
+    if not uni_err <= PT_UNIFORMITY_TOL:
         raise PseudoTelepathyHypothesisError(
             f"box {box.name!r} output marginals deviate from uniform-over-support "
             f"by {uni_err}"
@@ -544,7 +557,7 @@ def pseudo_telepathy_capacity(
     value = float(np.log2(ch.delta)) - ch.f_w
     pi = ProductDistribution.uniform(game.n, game.d)
     direct = sum_rate(pi, e_star(box), ch)
-    if abs(direct - value) > PT_CROSS_CHECK_TOL:
+    if not abs(direct - value) <= PT_CROSS_CHECK_TOL:
         raise PseudoTelepathyHypothesisError(
             f"closed form {value} disagrees with direct sum rate {direct}"
         )
@@ -588,7 +601,7 @@ def _vertex_file_encoders(vertex_csv_path, game: NonlocalGame) -> list[Encoder]:
                 f"needs ({game.n},{game.d},{game.D})"
             )
         signaling = box.no_signaling_error()
-        if signaling > NO_SIGNALING_TOL:
+        if not signaling <= NO_SIGNALING_TOL:
             raise ValueError(
                 f"vertex {i} signals: no-signaling error {signaling:.3g} exceeds {NO_SIGNALING_TOL:g}"
             )

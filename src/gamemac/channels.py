@@ -64,7 +64,7 @@ class MacChannel:
             prof = np.array(getattr(self, f"{label}_profile"), dtype=float)
             if prof.shape != (self.delta,):
                 raise ValueError(f"{label} profile must have length {self.delta}")
-            if abs(prof.sum() - 1.0) > _ROW_TOL or prof.min() < 0:
+            if not (abs(prof.sum() - 1.0) <= _ROW_TOL and prof.min() >= 0):
                 raise ValueError(f"{label} profile is not a distribution")
             prof.setflags(write=False)
             object.__setattr__(self, f"{label}_profile", prof)

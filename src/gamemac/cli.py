@@ -183,7 +183,10 @@ def cmd_verify(seed, count):
 @click.option("--seed", default=0, show_default=True)
 def cmd_table(seed):
     """Recompute the (eta_w=1, eta_l=0) comparison table."""
-    cfg = OptimizerConfig(seed=int(seed))
+    try:
+        cfg = OptimizerConfig(seed=int(seed))
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     click.echo("game          resource  computed      reference  delta")
     for name, (ref_l, ref_hi, hi_resource) in REFERENCE_TABLE.items():
         game = game_by_name(name)

@@ -9,6 +9,7 @@ symbols q_k*D + a_k.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +43,16 @@ class CorrelationBox:
         self.table.setflags(write=False)
 
     def normalization_error(self) -> float:
-        neg = max(0.0, float(-self.table.min()))
-        rows = float(np.abs(self.table.sum(axis=1) - 1.0).max())
-        return max(neg, rows)
+        """Largest negative entry or row-sum deviation from 1; NaN if the
+        table holds a NaN."""
+        rows = np.abs(self.table.sum(axis=1) - 1.0).max()
+        return float(np.max([0.0, -self.table.min(), rows]))
 
     def no_signaling_error(self) -> float:
         """Max deviation of any party's answer marginal across other questions.
 
         For each party k, the marginal P(a_k | q) must not depend on the
-        other parties' questions.
+        other parties' questions.  NaN if the table holds a NaN.
         """
         shape_q = (self.d,) * self.n
         shape_a = (self.D,) * self.n
@@ -61,8 +63,8 @@ class CorrelationBox:
             marg = t.sum(axis=other_a)  # (d,)*n + (D,) with party k's answer last
             other_q = tuple(j for j in range(self.n) if j != k)
             spread = marg.max(axis=other_q) - marg.min(axis=other_q)
-            worst = max(worst, float(spread.max()))
-        return worst
+            worst = np.maximum(worst, spread.max())
+        return float(worst)
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ class Encoder:
         if cols.size and (cols.min() < 0 or cols.max() >= self.inputs):
             raise ValueError(f"encoder inputs must lie in [0, {self.inputs})")
         err = np.abs(probs.sum(axis=1) - 1.0).max()
-        if err > NORMALIZATION_TOL or probs.min() < -NORMALIZATION_TOL:
+        if not (err <= NORMALIZATION_TOL and probs.min() >= -NORMALIZATION_TOL):
             raise ValueError(f"encoder rows are not stochastic (err {err})")
         for name, arr in (("cols", cols), ("probs", probs)):
             arr.setflags(write=False)
@@ -306,11 +308,11 @@ def box_to_csv(box: CorrelationBox, path) -> None:
 def boxes_from_csv(path) -> list[CorrelationBox]:
     """Read one or more boxes; each block starts with its own `n,d,D` header.
 
-    Question digits must lie in [0, d), answer digits in [0, D), and no
-    (q, a) pair may repeat within a block; a violation is reported with
-    its `file:line`.  Every question row of a block must be a distribution
-    within NORMALIZATION_TOL; a block that is not is reported with the
-    `file:line` of its header.
+    Question digits must lie in [0, d), answer digits in [0, D),
+    probabilities must be finite, and no (q, a) pair may repeat within a
+    block; a violation is reported with its `file:line`.  Every question
+    row of a block must be a distribution within NORMALIZATION_TOL; a
+    block that is not is reported with the `file:line` of its header.
     """
     boxes: list[CorrelationBox] = []
     current: tuple[int, int, int] | None = None
@@ -324,7 +326,7 @@ def boxes_from_csv(path) -> list[CorrelationBox]:
             n, d, D = current
             box = CorrelationBox(n, d, D, table, name="csv")
             err = box.normalization_error()
-            if err > NORMALIZATION_TOL:
+            if not err <= NORMALIZATION_TOL:
                 raise ValueError(f"{header}: box rows are not distributions (error {err:.3g})")
             boxes.append(box)
         table = None
@@ -342,6 +344,8 @@ def boxes_from_csv(path) -> list[CorrelationBox]:
                 p = None if is_header else float(cells[-1])
             except ValueError:
                 raise ValueError(f"{where}: non-numeric cell in {line!r}") from None
+            if not (is_header or math.isfinite(p)):
+                raise ValueError(f"{where}: probability {cells[-1].strip()!r} is not finite")
             if is_header:
                 flush()
                 current, header = digits, where

@@ -31,7 +31,7 @@ class ProductDistribution:
         cleaned = []
         for f in self.factors:
             f = np.asarray(f, dtype=float)
-            if f.min() < -_SIMPLEX_TOL or abs(f.sum() - 1.0) > _SIMPLEX_TOL:
+            if not (f.min() >= -_SIMPLEX_TOL and abs(f.sum() - 1.0) <= _SIMPLEX_TOL):
                 raise ValueError(f"factor {f} is not on the simplex")
             f.setflags(write=False)
             cleaned.append(f)

@@ -23,7 +23,7 @@ def state_vector(amplitudes) -> np.ndarray:
     """Validate and return a normalized state vector."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _NORM_TOL:
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise ValueError(f"state norm {norm} deviates from 1 by more than {_NORM_TOL}")
     return v
 
@@ -34,7 +34,7 @@ def unitary(matrix) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     err = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-    if err > _UNITARY_TOL:
+    if not err <= _UNITARY_TOL:
         raise ValueError(f"matrix fails unitarity check: max |UU† - I| = {err}")
     return u
 

@@ -41,40 +41,6 @@ _MIXTURE_VERTICES = 4
 _CHUNK_ELEMENTS = 2**15
 
 
-# The draws of one triple, in order: _draw_factors (pi), _draw_maps or
-# _draw_mixture (encoder), _draw_etas (channel).  The public random_*
-# helpers and _draw_triples both draw through these functions.
-
-
-def _draw_factors(game: NonlocalGame, rng: np.random.Generator) -> np.ndarray:
-    """Factors of a product distribution, shape (n, d): one Dirichlet(1)
-    draw per sender."""
-    return np.array([rng.dirichlet(np.ones(game.d)) for _ in range(game.n)])
-
-
-def _draw_maps(game: NonlocalGame, rng: np.random.Generator, vertices: int) -> np.ndarray:
-    """Maps m_k -> channel symbol of `vertices` deterministic encoders,
-    shape (vertices, n, d): one draw per sender, vertex after vertex."""
-    dD = game.d * game.D
-    return np.array(
-        [[rng.integers(0, dD, size=game.d) for _ in range(game.n)] for _ in range(vertices)]
-    )
-
-
-def _draw_mixture(game: NonlocalGame, rng: np.random.Generator, components: int):
-    """Vertex maps (components, n, d) and the part weights; with
-    probability 0.3 the box encoder is a further part, weighted last."""
-    maps = _draw_maps(game, rng, components)
-    with_box = rng.random() < 0.3
-    return maps, rng.dirichlet(np.ones(components + with_box))
-
-
-def _draw_etas(rng: np.random.Generator) -> tuple[float, float]:
-    """(eta_w, eta_l) with eta_l in [0, 0.7) and eta_w in [eta_l + 0.1, 1)."""
-    eta_l = rng.uniform(0.0, 0.7)
-    return rng.uniform(eta_l + 0.1, 1.0), eta_l
-
-
 def _mixture(
     game: NonlocalGame,
     vertex_cols: np.ndarray,
@@ -100,28 +66,33 @@ def _mixture(
 
 
 def random_product_distribution(game: NonlocalGame, rng: np.random.Generator) -> ProductDistribution:
-    return ProductDistribution(tuple(_draw_factors(game, rng)))
+    """Factors drawn from Dirichlet(1), one per sender."""
+    return ProductDistribution(tuple(rng.dirichlet(np.ones(game.d), size=game.n)))
 
 
 def random_vertex_encoder(game: NonlocalGame, rng: np.random.Generator) -> Encoder:
     """A uniformly random deterministic encoder vertex."""
-    cols = local_map_indices(_draw_maps(game, rng, 1), game.d * game.D)
+    dD = game.d * game.D
+    cols = local_map_indices(rng.integers(0, dD, size=(1, game.n, game.d)), dD)
     return _mixture(game, cols, np.ones(1), None, deterministic=True)
 
 
 def random_mixture_encoder(
     game: NonlocalGame, rng: np.random.Generator, box_encoder: Encoder, components: int = 4
 ) -> Encoder:
-    """Mixture of deterministic vertices, sometimes blended with
-    box_encoder, the E* encoder of the game's perfect box.  Markov
+    """Mixture of deterministic vertices, with probability 0.3 blended
+    with box_encoder, the E* encoder of the game's perfect box.  Markov
     structure holds by construction."""
-    maps, weights = _draw_mixture(game, rng, components)
-    cols = local_map_indices(maps, game.d * game.D)
+    dD = game.d * game.D
+    cols = local_map_indices(rng.integers(0, dD, size=(components, game.n, game.d)), dD)
+    weights = rng.dirichlet(np.ones(components + (rng.random() < 0.3)))
     return _mixture(game, cols, weights, box_encoder, deterministic=False)
 
 
 def random_channel(game: NonlocalGame, rng: np.random.Generator) -> MacChannel:
-    return depolarizing_mac(game, *_draw_etas(rng))
+    """Depolarizing MAC with eta_l in [0, 0.7) and eta_w in [eta_l + 0.1, 1)."""
+    eta_l = rng.uniform(0.0, 0.7)
+    return depolarizing_mac(game, rng.uniform(eta_l + 0.1, 1.0), eta_l)
 
 
 @dataclass(frozen=True)
@@ -149,25 +120,23 @@ class _Triples:
 def _draw_triples(
     game: NonlocalGame, rng: np.random.Generator, count: int, box_encoder: Encoder
 ) -> _Triples:
-    """The triples of proposition_residuals.  Triple i draws pi, then its
-    encoder, one vertex when i % 3 == 0 and otherwise a mixture, then its
-    channel; one local_map_indices call indexes every vertex."""
-    n, d = game.n, game.d
-    factors = np.empty((count, n, d))
-    maps = np.zeros((count, _MIXTURE_VERTICES, n, d), dtype=np.intp)
-    weights = np.zeros((count, _MIXTURE_VERTICES + 1))
-    parts = np.empty(count, dtype=np.intp)
-    etas = np.empty((count, 2))
-    for i in range(count):
-        factors[i] = _draw_factors(game, rng)
-        if i % 3 == 0:
-            maps[i, :1], w = _draw_maps(game, rng, 1), np.ones(1)
-        else:
-            maps[i], w = _draw_mixture(game, rng, _MIXTURE_VERTICES)
-        weights[i, : len(w)] = w
-        parts[i] = len(w)
-        etas[i] = _draw_etas(rng)
-    vertex_cols = local_map_indices(maps, d * game.D)
+    """The triples of proposition_residuals: triple i uses one vertex when
+    i % 3 == 0 and otherwise a mixture of four vertices, which holds the
+    box encoder as a fifth part with probability 0.3.  Each array is one
+    generator call for all triples, so the number of calls does not
+    depend on count; the public random_* helpers draw independently."""
+    n, d, dD = game.n, game.d, game.d * game.D
+    factors = rng.dirichlet(np.ones(d), size=(count, n))
+    maps = rng.integers(0, dD, size=(count, _MIXTURE_VERTICES, n, d))
+    with_box = rng.random(count) < 0.3
+    parts = np.where(np.arange(count) % 3 == 0, 1, _MIXTURE_VERTICES + with_box)
+    # Dirichlet(1) over each triple's parts: normalised exponentials
+    weights = rng.standard_exponential((count, _MIXTURE_VERTICES + 1))
+    weights *= np.arange(_MIXTURE_VERTICES + 1) < parts[:, None]
+    weights /= weights.sum(axis=1, keepdims=True)
+    eta_l = rng.uniform(0.0, 0.7, count)
+    etas = np.stack([rng.uniform(eta_l + 0.1, 1.0), eta_l], axis=1)
+    vertex_cols = local_map_indices(maps, dD)
     return _Triples(game, box_encoder, factors, vertex_cols, weights, parts, etas)
 
 
@@ -247,10 +216,12 @@ def proposition_residuals(
     Every third triple uses a deterministic encoder so the deterministic
     special case is exercised alongside the general one.  All triples are
     drawn first, then evaluated in chunks (see _triple_quantities).
-    Raises ValueError unless count >= 1.
+    Raises ValueError unless count >= 1 and seed >= 0.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     triples = _draw_triples(game, rng, count, e_star(capacity.pseudo_telepathy_box(game)))
     i_xy, i_my, i_xy_m, rate, ceiling = _triple_quantities(triples)

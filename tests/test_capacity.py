@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gamemac import capacity
 from gamemac.capacity import (
     _ascend,
+    _batch_grid_values,
     _grid_pms,
     _kernel_mi_objective,
     _subset_bound_objective,
@@ -103,6 +104,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        OptimizerConfig(seed=-1)
 
 
 def test_vertex_counts():
@@ -227,6 +230,28 @@ def test_grid_pms_match_outer_product_loop(n, d, step):
             pm = np.outer(pm, f).ravel()
         rows.append(pm)
     assert np.array_equal(_grid_pms(n, d, step), np.array(rows))
+
+
+def test_prefilter_budget_bounds_chunks_not_values(monkeypatch):
+    kernels = _vertex_kernels(type_ii(mpp_game(3), 0.4))
+    pms = _grid_pms(3, 2, 0.25)
+    per_vertex = pms.shape[0] * kernels.shape[-1]
+    sizes = []
+    original = capacity._kernel_rates
+
+    def spy(k, p):
+        sizes.append(k.shape[0] * p.shape[0] * k.shape[-1])
+        return original(k, p)
+
+    monkeypatch.setattr(capacity, "_kernel_rates", spy)
+    values = []
+    for budget in (1, capacity._GRID_ELEMENTS, 10**12):
+        sizes.clear()
+        monkeypatch.setattr(capacity, "_GRID_ELEMENTS", budget)
+        values.append(_batch_grid_values(kernels, pms))
+        assert max(sizes) <= max(budget, per_vertex)
+    assert len(sizes) == 1
+    assert all(np.array_equal(values[0], v) for v in values[1:])
 
 
 @PROPERTY

@@ -105,6 +105,23 @@ def test_verify_refuses_count_below_one(count):
     assert "PASS" not in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("table", "--seed", "-1"),
+        ("verify", "--seed", "-4", "--count", "3"),
+        ("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "1:1:1",
+         "--resources", "L-exact", "--seed", "-1"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_negative_seed_is_refused_by_name(args):
+    result = run(*args)
+    assert result.exit_code == 1, result.output
+    assert not isinstance(result.exception, ValueError)
+    assert f"seed must be >= 0, got {args[args.index('--seed') + 1]}" in result.output
+
+
 def test_verify_deterministic_output():
     a = run("verify", "--seed", "5", "--count", "5")
     b = run("verify", "--seed", "5", "--count", "5")
@@ -188,6 +205,28 @@ def test_vertex_bound_empty_file(tmp_path):
     )
     assert result.exit_code != 0
     assert "no boxes" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("vertex-bound", "--game", "chsh", "--channel-type", "2", "--eta", "0.9"),
+        ("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "0.9:0.9:1",
+         "--resources", "vertex-file"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_vertex_file_with_nan_is_refused(tmp_path, args):
+    # one nan probability in a PR box used to print a negative lower bound
+    path = tmp_path / "pr.csv"
+    run("box-export", "pr", "--out", str(path))
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    result = run(*args, "--vertex-file", str(path))
+    assert result.exit_code == 1, result.output
+    assert f"{path}:2: probability 'nan' is not finite" in result.output
+    assert "bound" not in result.output
 
 
 def _sweep_with_config(tmp_path, extra):

@@ -253,6 +253,24 @@ def test_csv_rejects_bad_rows_with_location(tmp_path, row, problem):
     assert f"{path}:3: {problem}" in str(err.value)
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_probability_with_location(tmp_path, p):
+    # a nan entry used to pass the normalisation check
+    path = tmp_path / "bad.csv"
+    path.write_text(f"2,2,2\n0,0,0,0,0.5\n0,0,1,1,{p}\n")
+    with pytest.raises(ValueError, match=rf"bad\.csv:3: probability '{p}' is not finite"):
+        boxes_from_csv(path)
+
+
+def test_box_errors_propagate_nan():
+    table = pr_box().table.copy()
+    table[0, 0] = np.nan
+    box = CorrelationBox(2, 2, 2, table)
+    assert np.isnan(box.normalization_error())
+    assert np.isnan(box.no_signaling_error())
+    assert not validate_box(box).ok()
+
+
 def test_csv_repeated_row_allowed_across_blocks(tmp_path):
     path = tmp_path / "two.csv"
     # each block is the normalised box answering (0, 0) to every question

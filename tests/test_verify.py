@@ -6,6 +6,7 @@ from gamemac.channels import MacChannel, type_ii
 from gamemac.correlations import e_star, tsirelson_box
 from gamemac.games import chsh_game, magic_square_game, mpp_game, pack_tuple, unpack_index
 from gamemac.infotheory import (
+    ProductDistribution,
     compose,
     conditional_mutual_information,
     mutual_information,
@@ -23,10 +24,9 @@ def test_random_vertex_encoder_is_deterministic():
 
 @pytest.mark.parametrize("game", [chsh_game(), magic_square_game(), mpp_game(3)])
 def test_random_vertex_encoder_applies_its_maps(game):
-    # same draws as the encoder: one map m_k -> channel symbol per player
+    # same draw as the encoder: one map m_k -> channel symbol per player
     n, d, dD = game.n, game.d, game.d * game.D
-    rng = np.random.default_rng(4)
-    maps = [rng.integers(0, dD, size=d) for _ in range(n)]
+    maps = np.random.default_rng(4).integers(0, dD, size=(n, d))
     table = verify.random_vertex_encoder(game, np.random.default_rng(4)).table
     for mi in range(d**n):
         m = unpack_index(mi, d, n)
@@ -65,55 +65,78 @@ def test_proposition_residuals_refuses_empty_count(count):
         verify.proposition_residuals(chsh_game(), seed=0, count=count)
 
 
+def test_proposition_residuals_refuses_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -4"):
+        verify.proposition_residuals(chsh_game(), seed=-4, count=3)
+
+
 def test_proposition_residuals_seeded():
     a = verify.proposition_residuals(chsh_game(), seed=7, count=10)
     b = verify.proposition_residuals(chsh_game(), seed=7, count=10)
     assert [c.residual for c in a] == [c.residual for c in b]
 
 
-def _reference_triples(game, seed, count):
-    # the public helpers in the per-triple order: pi, encoder, channel
-    rng = np.random.default_rng(seed)
-    box_encoder = e_star(capacity.pseudo_telepathy_box(game))
-    out = []
-    for i in range(count):
-        pi = verify.random_product_distribution(game, rng)
-        enc = (
-            verify.random_vertex_encoder(game, rng)
-            if i % 3 == 0
-            else verify.random_mixture_encoder(game, rng, box_encoder)
-        )
-        out.append((pi, enc, verify.random_channel(game, rng)))
-    return out, box_encoder
-
-
 GAMES = [chsh_game(), magic_square_game(), mpp_game(3)]
 
 
-@pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
-def test_batched_draw_matches_public_helpers(game):
-    reference, box_encoder = _reference_triples(game, 5, 30)
-    triples = verify._draw_triples(game, np.random.default_rng(5), 30, box_encoder)
-    for i, (pi, enc, ch) in enumerate(reference):
-        assert np.array_equal(triples.factors[i], np.array(pi.factors))
-        batched = triples.encoder(i)
-        assert batched.deterministic == enc.deterministic == (i % 3 == 0)
-        assert np.array_equal(batched.table, enc.table)
-        assert tuple(triples.etas[i]) == (ch.eta_w, ch.eta_l)
+def _triples(game, seed, count):
+    box_encoder = e_star(capacity.pseudo_telepathy_box(game))
+    return verify._draw_triples(game, np.random.default_rng(seed), count, box_encoder)
 
 
 @pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
 def test_batched_quantities_match_compose(game):
-    reference, box_encoder = _reference_triples(game, 3, 40)
-    triples = verify._draw_triples(game, np.random.default_rng(3), 40, box_encoder)
+    triples = _triples(game, 3, 40)
     i_xy, i_my, i_xy_m, rate, ceiling = verify._triple_quantities(triples)
-    for i, (pi, enc, ch) in enumerate(reference):
+    for i in range(40):
+        pi = ProductDistribution(tuple(triples.factors[i]))
+        enc, ch = triples.encoder(i), triples.channel(i)
+        assert enc.deterministic == (i % 3 == 0)
         joint = compose(pi, enc, ch)
         assert abs(i_xy[i] - mutual_information(joint, (1,), (2,))) <= 1e-12
         assert abs(i_my[i] - mutual_information(joint, (0,), (2,))) <= 1e-12
         assert abs(i_xy_m[i] - conditional_mutual_information(joint, (1,), (2,), (0,))) <= 1e-12
         assert abs(rate[i] - prop3_rate(pi, enc, ch)) <= 1e-12
         assert abs(ceiling[i] - (np.log2(ch.delta) - ch.f_w)) <= 1e-12
+
+
+def test_draw_triples_law():
+    count = 3000
+    triples = _triples(mpp_game(3), 11, count)
+    vertex = np.arange(count) % 3 == 0
+    assert np.array_equal(triples.parts == 1, vertex)
+    assert set(triples.parts[~vertex].tolist()) <= {4, 5}
+    w = triples.weights
+    assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert (w[vertex] == [1, 0, 0, 0, 0]).all()
+    assert ((w > 0) == (np.arange(5) < triples.parts[:, None])).all()
+    f = triples.factors
+    assert f.shape == (count, 3, 2) and f.min() >= 0
+    assert np.allclose(f.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+    eta_w, eta_l = triples.etas.T
+    assert (0 <= eta_l).all() and (eta_l < 0.7).all()
+    assert (eta_l + 0.1 <= eta_w).all() and (eta_w < 1).all()
+    mixtures = triples.parts[~vertex]
+    share, sigma = np.mean(mixtures == 5), np.sqrt(0.3 * 0.7 / mixtures.size)
+    assert abs(share - 0.3) <= 5 * sigma
+
+
+def test_draw_triples_calls_do_not_grow_with_count():
+    class Counting:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def __getattr__(self, name):
+            self.calls += 1
+            return getattr(self.rng, name)
+
+    box_encoder = e_star(capacity.pseudo_telepathy_box(chsh_game()))
+    calls = []
+    for count in (1, 10, 1000):
+        rng = Counting(np.random.default_rng(0))
+        verify._draw_triples(chsh_game(), rng, count, box_encoder)
+        calls.append(rng.calls)
+    assert calls[0] == calls[1] == calls[2]
 
 
 @pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
