@@ -302,10 +302,10 @@ def vertex_count(game: NonlocalGame) -> int:
     return local_deterministic_count(game.n, game.d, game.d * game.D)
 
 
-def _vertex_kernels(ch: MacChannel, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """P(y|m) for every deterministic encoder vertex, shape (V, Δ, Δ), or
-    EnumerationCapExceeded when there are more than cap vertices."""
-    game = ch.game
+def _vertex_rows(game: NonlocalGame, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """The channel input each deterministic encoder vertex sends for each
+    message, shape (V, Δ): vertex v's kernel P(y|m) is ch.matrix[idx[v]].
+    Raises EnumerationCapExceeded when there are more than cap vertices."""
     count = vertex_count(game)
     if count > cap:
         raise EnumerationCapExceeded(
@@ -313,7 +313,7 @@ def _vertex_kernels(ch: MacChannel, cap: int = DEFAULT_ENUMERATION_CAP) -> np.nd
             f"vertices, over the cap of {cap}; use classical_upper_bound instead"
         )
     dD = game.d * game.D
-    return ch.matrix[local_map_indices(local_maps(game.n, game.d, dD), dD)]
+    return local_map_indices(local_maps(game.n, game.d, dD), dD)
 
 
 def _grid_pms(n: int, d: int, step: float) -> np.ndarray:
@@ -328,13 +328,14 @@ def _grid_pms(n: int, d: int, step: float) -> np.ndarray:
 _GRID_ELEMENTS = 2**16
 
 
-def _batch_grid_values(kernels: np.ndarray, pms: np.ndarray) -> np.ndarray:
-    """Best grid value per vertex: max_g I(M;Y) at pm_g under K_v, taken
-    in chunks of at least one vertex that fit _GRID_ELEMENTS."""
-    out = np.empty(kernels.shape[0])
-    chunk = max(1, _GRID_ELEMENTS // (pms.shape[0] * kernels.shape[-1]))
-    for lo in range(0, kernels.shape[0], chunk):
-        out[lo : lo + chunk] = _kernel_rates(kernels[lo : lo + chunk], pms).max(axis=1)
+def _batch_grid_values(matrix: np.ndarray, idx: np.ndarray, pms: np.ndarray) -> np.ndarray:
+    """Best grid value per vertex: max_g I(M;Y) at pm_g under the kernel
+    matrix[idx[v]], gathered and taken in chunks of at least one vertex
+    that fit _GRID_ELEMENTS."""
+    out = np.empty(idx.shape[0])
+    chunk = max(1, _GRID_ELEMENTS // (pms.shape[0] * matrix.shape[-1]))
+    for lo in range(0, idx.shape[0], chunk):
+        out[lo : lo + chunk] = _kernel_rates(matrix[idx[lo : lo + chunk]], pms).max(axis=1)
     return out
 
 
@@ -351,24 +352,24 @@ def classical_capacity_exact(
     """
     cfg = cfg or OptimizerConfig()
     n, d = ch.game.n, ch.game.d
-    kernels = _vertex_kernels(ch, cap)
+    idx = _vertex_rows(ch.game, cap)
 
     coarse_step, fine_step = (0.25, 0.05) if d == 2 else (0.2, 0.1)
-    coarse = _batch_grid_values(kernels, _grid_pms(n, d, coarse_step))
+    coarse = _batch_grid_values(ch.matrix, idx, _grid_pms(n, d, coarse_step))
     order = np.argsort(-coarse, kind="stable")
     threshold = coarse[order[0]] - 0.1
     candidates = [int(v) for v in order if coarse[v] >= threshold][:128]
 
-    fine = _batch_grid_values(kernels[candidates], _grid_pms(n, d, fine_step))
+    fine = _batch_grid_values(ch.matrix, idx[candidates], _grid_pms(n, d, fine_step))
     fine_order = np.argsort(-fine, kind="stable")
     finalists = [candidates[int(i)] for i in fine_order[:8]]
 
     finalists.sort()
     val, pi, diag = maximize_over_pi(
-        _kernel_mi_objective(kernels[finalists]), n, d, cfg, groups=len(finalists)
+        _kernel_mi_objective(ch.matrix[idx[finalists]]), n, d, cfg, groups=len(finalists)
     )
     vi = finalists[diag["group"]]
-    diag = dict(diag, vertices=len(kernels), candidates=len(candidates))
+    diag = dict(diag, vertices=len(idx), candidates=len(candidates))
     return CapacityResult(
         value=val,
         kind="exact",
@@ -381,7 +382,8 @@ def classical_capacity_exact(
 
 def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Best deterministic-encoder sum rate at a fixed message distribution."""
-    return float(_kernel_rates(_vertex_kernels(ch, cap), pi.joint()[None]).max())
+    idx = _vertex_rows(ch.game, cap)
+    return float(_batch_grid_values(ch.matrix, idx, pi.joint()[None]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +396,22 @@ def bruteforce_classical_game_value(
 ) -> tuple[float, tuple[tuple[int, ...], ...]]:
     """Best uniform-question win probability over deterministic strategies.
 
-    Returns (omega, strategies) with one optimal per-player answer map.
+    Returns (omega, strategies) with one optimal per-player answer map:
+    the first maximiser in `itertools.product` order of the players'
+    answer maps.
+
+    The last player best-responds to every strategy tuple s of the first
+    n - 1 players: T[s, q_n, a_n] counts the question tuples ending in q_n
+    that (s, a_n) wins, and the best response picks, per q_n, the first
+    a_n maximising T.  Its wins, summed over q_n, are the most any map of
+    player n wins against s, so omega is the best such sum over s, / d^n.
+    The first optimal s in product order, with its per-question first best
+    responses, is the first maximiser over all n players, since the best
+    responses of player n form a product set over its questions.
+
+    The work is (D^d)^(n-1) d^n D, not (D^d)^n d^n, but cap still bounds
+    the (D^d)^n strategy tuples the maximum ranges over, so which games
+    are refused does not depend on how the maximum is found.
     """
     n, d, D = game.n, game.d, game.D
     count = local_deterministic_count(n, d, D)
@@ -402,14 +419,18 @@ def bruteforce_classical_game_value(
         raise EnumerationCapExceeded(
             f"{game.name} has {count} deterministic strategy tuples, over the cap of {cap}"
         )
-    w = game.win_table().reshape((d,) * n + (D,) * n)
+    # axes (q_1..q_{n-1}, a_1..a_{n-1}, q_n, a_n)
+    w = np.moveaxis(game.win_table().reshape((d,) * n + (D,) * n), n - 1, 2 * n - 2)
     per = local_maps(1, d, D)[:, 0]  # (S, d): one player's answer maps
-    # counts[s_1..s_n]: questions won when player k answers with per[s_k]
-    counts = np.zeros((len(per),) * n, dtype=np.int64)
-    for q in np.ndindex((d,) * n):
-        counts += w[q][np.ix_(*(per[:, q_k] for q_k in q))]
-    idx = np.unravel_index(np.argmax(counts), counts.shape)
-    return float(counts[idx]) / d**n, tuple(tuple(int(a) for a in per[i]) for i in idx)
+    T = np.zeros((len(per),) * (n - 1) + (d, D), dtype=np.int64)
+    for q in np.ndindex((d,) * (n - 1)):
+        T += w[q][np.ix_(*(per[:, q_k] for q_k in q))]
+    T = T.reshape(-1, d, D)
+    best = T.max(axis=2).sum(axis=1)  # wins of the best response to each s
+    i = int(np.argmax(best))
+    head = np.unravel_index(i, (len(per),) * (n - 1))
+    strategies = tuple(tuple(int(a) for a in per[s]) for s in head)
+    return float(best[i]) / d**n, strategies + (tuple(int(a) for a in T[i].argmax(axis=1)),)
 
 
 def resource_dependent_bound(ch: MacChannel, max_omega: float) -> float:

@@ -13,7 +13,7 @@ from gamemac.capacity import (
     _grid_pms,
     _kernel_mi_objective,
     _subset_bound_objective,
-    _vertex_kernels,
+    _vertex_rows,
     OptimizerConfig,
     PseudoTelepathyHypothesisError,
     best_vertex_rate_at_pi,
@@ -41,7 +41,14 @@ from gamemac.correlations import (
     pr_box,
     tsirelson_box,
 )
-from gamemac.games import chsh_game, game_by_name, magic_square_game, mpp_game, pack_tuple
+from gamemac.games import (
+    NonlocalGame,
+    chsh_game,
+    game_by_name,
+    magic_square_game,
+    mpp_game,
+    pack_tuple,
+)
 from gamemac.infotheory import ProductDistribution, sum_rate
 
 CFG = OptimizerConfig(seed=0)
@@ -115,13 +122,14 @@ def test_vertex_counts():
 
 @pytest.mark.parametrize("game", [chsh_game(), mpp_game(3)])
 def test_vertex_kernels_match_per_vertex_rows(game):
-    ch = type_ii(game, 0.7)
+    # vertex v's kernel is the channel matrix at rows idx[v]
     n, d, dD = game.n, game.d, game.d * game.D
-    kernels = _vertex_kernels(ch)
+    idx = _vertex_rows(game)
+    assert idx.shape == (vertex_count(game), d**n)
     per = list(product(range(dD), repeat=d))
     for vi, maps in enumerate(product(per, repeat=n)):
         rows = [pack_tuple([maps[k][m[k]] for k in range(n)], dD) for m in product(range(d), repeat=n)]
-        assert (kernels[vi] == ch.matrix[rows]).all()
+        assert idx[vi].tolist() == rows
 
 
 def test_classical_exact_chsh_value(chsh_type2_full):
@@ -176,9 +184,33 @@ def test_bruteforce_game_values():
     ],
 )
 def test_bruteforce_returns_first_maximiser(name, omega, strategies):
-    # values and first maximisers in `product` order, recorded from the
-    # per-strategy loop this vectorised search replaced
+    # values and first maximisers in `product` order, recorded from a
+    # per-strategy loop over every strategy tuple
     assert bruteforce_classical_game_value(game_by_name(name)) == (omega, strategies)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 3),
+    d=st.integers(2, 3),
+    D=st.integers(2, 3),
+    density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bruteforce_matches_full_enumeration(n, d, D, density, seed):
+    # sparse and dense tables make many optimal strategy tuples, so the
+    # first maximiser in `product` order is what is compared
+    table = np.random.default_rng(seed).random((d**n, D**n)) < density
+    game = NonlocalGame("random", n, d, D, lambda q, a: table[pack_tuple(q, d), pack_tuple(a, D)])
+    # reference: count the questions every strategy tuple wins
+    w = table.reshape((d,) * n + (D,) * n)
+    per = np.array(list(product(range(D), repeat=d)))
+    counts = np.zeros((len(per),) * n, dtype=np.int64)
+    for q in np.ndindex((d,) * n):
+        counts += w[q][np.ix_(*(per[:, q_k] for q_k in q))]
+    best = np.unravel_index(np.argmax(counts), counts.shape)
+    expected = (counts[best] / d**n, tuple(tuple(int(a) for a in per[s]) for s in best))
+    assert bruteforce_classical_game_value(game) == expected
 
 
 def test_mpp_game_value_formula():
@@ -233,9 +265,9 @@ def test_grid_pms_match_outer_product_loop(n, d, step):
 
 
 def test_prefilter_budget_bounds_chunks_not_values(monkeypatch):
-    kernels = _vertex_kernels(type_ii(mpp_game(3), 0.4))
+    matrix, idx = type_ii(mpp_game(3), 0.4).matrix, _vertex_rows(mpp_game(3))
     pms = _grid_pms(3, 2, 0.25)
-    per_vertex = pms.shape[0] * kernels.shape[-1]
+    per_vertex = pms.shape[0] * matrix.shape[-1]
     sizes = []
     original = capacity._kernel_rates
 
@@ -248,7 +280,7 @@ def test_prefilter_budget_bounds_chunks_not_values(monkeypatch):
     for budget in (1, capacity._GRID_ELEMENTS, 10**12):
         sizes.clear()
         monkeypatch.setattr(capacity, "_GRID_ELEMENTS", budget)
-        values.append(_batch_grid_values(kernels, pms))
+        values.append(_batch_grid_values(matrix, idx, pms))
         assert max(sizes) <= max(budget, per_vertex)
     assert len(sizes) == 1
     assert all(np.array_equal(values[0], v) for v in values[1:])

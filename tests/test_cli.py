@@ -133,6 +133,26 @@ def test_game_value_command():
     assert result.exit_code == 0
     assert "omega*_L = 0.875" in result.output
     assert run("game-value", "nope").exit_code != 0
+    # the first optimal strategy tuple in `product` order
+    assert run("game-value", "magic-square").output == (
+        "game magic-square: omega*_L = 0.8888888889\n"
+        "  player 1: answers [0, 0, 3] for questions 0..2\n"
+        "  player 2: answers [4, 4, 1] for questions 0..2\n"
+    )
+
+
+def test_table_stdout():
+    result = run("table", "--seed", "0")
+    assert result.exit_code == 0, result.output
+    assert result.output == (
+        "game          resource  computed      reference  delta\n"
+        "chsh          L-exact   1.435280943   1.44       -0.0047\n"
+        "chsh          L-bound   1.627638829   1.63       -0.0024\n"
+        "magic-square  L-bound   2.928351264   2.93       -0.0016\n"
+        "magic-square  Q-exact   3.169925001   3.17       -0.0001\n"
+        "mpp:3         L-bound   2.722815365   2.72       +0.0028\n"
+        "mpp:3         Q-exact   3             3.00       +0.0000\n"
+    )
 
 
 def test_box_export_roundtrip(tmp_path):
