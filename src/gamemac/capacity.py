@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -29,13 +30,14 @@ from .correlations import (
     support_marginal_uniformity_error,
     tsirelson_box,
 )
-from .games import NonlocalGame, local_map_indices, local_maps
+from .games import NonlocalGame, input_win_mask, local_map_indices, local_maps, question_indices
 from .infotheory import ProductDistribution, entropy, product_joint, sum_rate
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of `maximize_over_pi` and of the vertex prefilter.
+    """Settings of `maximize_over_pi`; max_iterations also caps the vertex
+    pruning of `classical_capacity_exact`.
 
     restarts: starts of the ascent, the uniform distribution plus
         restarts - 1 seeded Dirichlet draws.
@@ -72,15 +74,6 @@ class CapacityResult:
     argmax_pi: ProductDistribution | None = None
     argmax_encoder: str | None = None
     diagnostics: dict = field(default_factory=dict)
-
-
-def simplex_grid(d: int, step: float) -> list[np.ndarray]:
-    """Lattice points on the (d-1)-simplex with spacing ~step, in
-    deterministic lexicographic order."""
-    k = max(1, round(1.0 / step))
-    head = local_maps(1, d - 1, k + 1)[:, 0]  # the first d - 1 coordinates
-    head = head[head.sum(axis=1) <= k]
-    return list(np.column_stack([head, k - head.sum(axis=1)]) / k)
 
 
 # An ascent objective maps one batch (F, group), the factors F of shape
@@ -302,10 +295,15 @@ def vertex_count(game: NonlocalGame) -> int:
     return local_deterministic_count(game.n, game.d, game.d * game.D)
 
 
-def _vertex_rows(game: NonlocalGame, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """The channel input each deterministic encoder vertex sends for each
-    message, shape (V, Δ): vertex v's kernel P(y|m) is ch.matrix[idx[v]].
-    Raises EnumerationCapExceeded when there are more than cap vertices."""
+def _representatives(ch: MacChannel, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """One vertex per message-relabelling orbit and distinct kernel: their
+    indices in `local_maps(n, d, dD)` order (R,), ascending, and kernels
+    P(y|m) (R, Δ, Δ).  Relabelling a sender's messages changes no rate, and
+    the vertex with non-decreasing per-sender maps is its orbit's lowest
+    index.  A channel row depends on x only through (win bit, question
+    index), so of vertices sending every message to the same such pair
+    the first is kept.  Raises EnumerationCapExceeded over cap vertices."""
+    game = ch.game
     count = vertex_count(game)
     if count > cap:
         raise EnumerationCapExceeded(
@@ -313,30 +311,14 @@ def _vertex_rows(game: NonlocalGame, cap: int = DEFAULT_ENUMERATION_CAP) -> np.n
             f"vertices, over the cap of {cap}; use classical_upper_bound instead"
         )
     dD = game.d * game.D
-    return local_map_indices(local_maps(game.n, game.d, dD), dD)
-
-
-def _grid_pms(n: int, d: int, step: float) -> np.ndarray:
-    """Joint message distribution of every product of simplex_grid
-    factors, in itertools.product order: shape (G^n, d^n)."""
-    per = np.array(simplex_grid(d, step))
-    return product_joint(per[local_maps(n, 1, len(per))[..., 0]])
-
-
-# Most elements of the (vertex, grid, Y) output distributions that one
-# chunk of the vertex prefilter builds.
-_GRID_ELEMENTS = 2**16
-
-
-def _batch_grid_values(matrix: np.ndarray, idx: np.ndarray, pms: np.ndarray) -> np.ndarray:
-    """Best grid value per vertex: max_g I(M;Y) at pm_g under the kernel
-    matrix[idx[v]], gathered and taken in chunks of at least one vertex
-    that fit _GRID_ELEMENTS."""
-    out = np.empty(idx.shape[0])
-    chunk = max(1, _GRID_ELEMENTS // (pms.shape[0] * matrix.shape[-1]))
-    for lo in range(0, idx.shape[0], chunk):
-        out[lo : lo + chunk] = _kernel_rates(matrix[idx[lo : lo + chunk]], pms).max(axis=1)
-    return out
+    maps = local_maps(game.n, game.d, dD)
+    canonical = np.flatnonzero((np.diff(maps, axis=-1) >= 0).all(axis=(1, 2)))
+    cols = local_map_indices(maps[canonical], dD)
+    keys = input_win_mask(game)[cols] * ch.delta + question_indices(game)[cols]
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    cols = cols[first].reshape(-1, 1)
+    kernels = ch.kernel(cols, np.ones(cols.shape)).reshape(len(first), ch.delta, ch.delta)
+    return canonical[first], kernels
 
 
 def classical_capacity_exact(
@@ -344,46 +326,54 @@ def classical_capacity_exact(
     cfg: OptimizerConfig | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CapacityResult:
-    """Exact classical sum-capacity by enumerating deterministic encoders.
+    """Classical d-message sum-capacity: the best I(M;Y) = I(X;Y) over
+    deterministic encoders, each sender sending each of its d messages as
+    one channel input.  Not the product-input sum-capacity, where a
+    sender may use more than d of its dD inputs.
 
-    Uses I(X;Y) = I(M;Y) for deterministic encoders, so each vertex only
-    needs its Δ x Δ message-output kernel.  Vertices are prefiltered on a
-    coarse grid, then the leading candidates get the full optimizer.
+    A representative (see `_representatives`) is dropped once the
+    Blahut-Arimoto bound max_m D(K_m || q) on its capacity over all Δ
+    messages (Blahut 1972, Arimoto 1972), which holds at every step, is
+    below the floor: the best rate at uniform messages.  It is kept once
+    its BA value reaches the floor, or after cfg.max_iterations steps.
+    The survivors (`candidates`, of `representatives` and `vertices`)
+    share one grouped ascent; `vertex:N` names the lowest-index one
+    within rounding of the best.
     """
     cfg = cfg or OptimizerConfig()
-    n, d = ch.game.n, ch.game.d
-    idx = _vertex_rows(ch.game, cap)
-
-    coarse_step, fine_step = (0.25, 0.05) if d == 2 else (0.2, 0.1)
-    coarse = _batch_grid_values(ch.matrix, idx, _grid_pms(n, d, coarse_step))
-    order = np.argsort(-coarse, kind="stable")
-    threshold = coarse[order[0]] - 0.1
-    candidates = [int(v) for v in order if coarse[v] >= threshold][:128]
-
-    fine = _batch_grid_values(ch.matrix, idx[candidates], _grid_pms(n, d, fine_step))
-    fine_order = np.argsort(-fine, kind="stable")
-    finalists = [candidates[int(i)] for i in fine_order[:8]]
-
-    finalists.sort()
+    vertices, kernels = _representatives(ch, cap)
+    floor = _kernel_rates(kernels, np.full((1, ch.delta), 1.0 / ch.delta)).max() - _VALUE_ROUNDING
+    objective = _kernel_mi_objective(kernels)
+    F = np.full((len(kernels), 1, ch.delta), 1.0 / ch.delta)  # one sender, Δ messages
+    active, kept = np.arange(len(kernels)), []
+    for _ in range(cfg.max_iterations):
+        values, gaps, F[active] = objective((F[active], active))
+        kept.append(active[values >= floor])
+        active = active[(values < floor) & (values + gaps >= floor)]
+        if not active.size:
+            break
+    survivors = np.sort(np.concatenate([*kept, active]))
     val, pi, diag = maximize_over_pi(
-        _kernel_mi_objective(ch.matrix[idx[finalists]]), n, d, cfg, groups=len(finalists)
+        _kernel_mi_objective(kernels[survivors]), ch.game.n, ch.game.d, cfg, groups=len(survivors)
     )
-    vi = finalists[diag["group"]]
-    diag = dict(diag, vertices=len(idx), candidates=len(candidates))
+    diag = dict(diag, vertices=vertex_count(ch.game), representatives=len(vertices), candidates=len(survivors))
     return CapacityResult(
         value=val,
         kind="exact",
         resource="L",
         argmax_pi=pi,
-        argmax_encoder=f"vertex:{vi}",
+        argmax_encoder=f"vertex:{vertices[survivors[diag['group']]]}",
         diagnostics=diag,
     )
 
 
 def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """Best deterministic-encoder sum rate at a fixed message distribution."""
-    idx = _vertex_rows(ch.game, cap)
-    return float(_batch_grid_values(ch.matrix, idx, pi.joint()[None]).max())
+    """Best deterministic-encoder sum rate at a fixed message distribution:
+    every representative at every per-sender relabelling of pi."""
+    orders = np.array(list(permutations(range(pi.d))))
+    per_sender = orders[local_maps(pi.n, 1, len(orders))[..., 0]]  # (d!^n, n, d)
+    relabelled = np.stack(pi.factors)[np.arange(pi.n)[:, None], per_sender]
+    return float(_kernel_rates(_representatives(ch, cap)[1], product_joint(relabelled)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,10 @@ def cmd_verify(seed, count):
 @main.command("table")
 @click.option("--seed", default=0, show_default=True)
 def cmd_table(seed):
-    """Recompute the (eta_w=1, eta_l=0) comparison table."""
+    """Recompute the (eta_w=1, eta_l=0) comparison table.
+
+    Its L-exact row is the d-message capacity over deterministic encoders,
+    not the product-input sum-capacity of the MAC."""
     try:
         cfg = OptimizerConfig(seed=int(seed))
     except ValueError as exc:

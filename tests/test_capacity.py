@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from gamemac import capacity
 from gamemac.capacity import (
     _ascend,
-    _batch_grid_values,
-    _grid_pms,
     _kernel_mi_objective,
+    _representatives,
     _subset_bound_objective,
-    _vertex_rows,
     OptimizerConfig,
     PseudoTelepathyHypothesisError,
     best_vertex_rate_at_pi,
@@ -26,14 +24,14 @@ from gamemac.capacity import (
     pseudo_telepathy_capacity,
     quantum_lower_bound_chsh,
     resource_dependent_bound,
-    simplex_grid,
     sum_rate_objective,
     sweep,
     vertex_count,
     vertex_file_bound,
 )
-from gamemac.channels import noise_f, type_ii
+from gamemac.channels import noise_f, two_branch_mac, type_ii
 from gamemac.correlations import (
+    DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     box_to_csv,
     e_star,
@@ -49,7 +47,7 @@ from gamemac.games import (
     mpp_game,
     pack_tuple,
 )
-from gamemac.infotheory import ProductDistribution, sum_rate
+from gamemac.infotheory import ProductDistribution, entropy, sum_rate
 
 CFG = OptimizerConfig(seed=0)
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
@@ -64,23 +62,6 @@ def _omega(name):
 def chsh_type2_full():
     """Exact classical result for the noiseless-on-win/fully-noisy-on-loss channel."""
     return classical_capacity_exact(type_ii(chsh_game(), 1.0), CFG)
-
-
-def test_simplex_grid_covers_vertices():
-    pts = simplex_grid(2, 0.25)
-    assert len(pts) == 5
-    assert all(abs(p.sum() - 1.0) < 1e-12 for p in pts)
-    pts3 = simplex_grid(3, 0.5)
-    assert len(pts3) == 6  # compositions of 2 into 3 parts
-
-
-@pytest.mark.parametrize("d, step", [(2, 0.25), (2, 0.05), (3, 0.2), (3, 0.1), (4, 0.25)])
-def test_simplex_grid_matches_lexicographic_compositions(d, step):
-    # reference: compositions of k = 1/step into d parts, in product order
-    k = round(1 / step)
-    expected = [c for c in product(range(k + 1), repeat=d) if sum(c) == k]
-    grid = np.array(simplex_grid(d, step))
-    assert np.array_equal(grid, np.array(expected, dtype=float) / k)
 
 
 def test_maximize_over_pi_recovers_entropy_max():
@@ -120,16 +101,44 @@ def test_vertex_counts():
     assert vertex_count(magic_square_game()) == 24**3 * 24**3
 
 
-@pytest.mark.parametrize("game", [chsh_game(), mpp_game(3)])
-def test_vertex_kernels_match_per_vertex_rows(game):
-    # vertex v's kernel is the channel matrix at rows idx[v]
+@lru_cache
+def _vertex_rows(name):
+    """Reference: the channel input every vertex sends for each message,
+    one row per vertex in `product` order of the per-sender maps."""
+    game = game_by_name(name)
     n, d, dD = game.n, game.d, game.d * game.D
-    idx = _vertex_rows(game)
-    assert idx.shape == (vertex_count(game), d**n)
     per = list(product(range(dD), repeat=d))
-    for vi, maps in enumerate(product(per, repeat=n)):
-        rows = [pack_tuple([maps[k][m[k]] for k in range(n)], dD) for m in product(range(d), repeat=n)]
-        assert idx[vi].tolist() == rows
+    messages = list(product(range(d), repeat=n))
+    return np.array(
+        [[pack_tuple([maps[k][m[k]] for k in range(n)], dD) for m in messages] for maps in product(per, repeat=n)]
+    )
+
+
+@pytest.mark.parametrize("name, count", [("chsh", 68), ("mpp:3", 216), ("mpp:4", 1296)])
+def test_representatives_one_per_orbit(name, count):
+    game = game_by_name(name)
+    ch = type_ii(game, 0.6)
+    vertices, kernels = _representatives(ch, DEFAULT_ENUMERATION_CAP)
+    assert len(vertices) == count
+    assert (np.diff(vertices) > 0).all()
+    if name != "mpp:4":
+        # each kernel is its vertex's rows of the dense matrix, bit for bit
+        assert np.array_equal(kernels, ch.matrix[_vertex_rows(name)[vertices]])
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("name", ["chsh", "mpp:3"])
+def test_best_vertex_rate_matches_every_vertex_kernel(name, seed):
+    # reference: I(M;Y) of every vertex's ch.matrix kernel at one random pi
+    game = game_by_name(name)
+    rng = np.random.default_rng(seed)
+    ch = type_ii(game, float(rng.uniform(0.1, 1.0)))
+    pi = ProductDistribution(tuple(rng.dirichlet(np.ones(game.d)) for _ in range(game.n)))
+    pm = pi.joint()
+    kernels = ch.matrix[_vertex_rows(name)]
+    rates = entropy(pm @ kernels, axis=-1) - entropy(kernels, axis=-1) @ pm
+    assert abs(best_vertex_rate_at_pi(ch, pi) - rates.max()) <= 1e-12
 
 
 def test_classical_exact_chsh_value(chsh_type2_full):
@@ -238,6 +247,21 @@ def test_classical_upper_bound_dominates_exact(chsh_type2_full):
     assert bound.value >= chsh_type2_full.value - 1e-9
 
 
+@lru_cache
+def _former_grid(n, d, step):
+    """Joint law of every product of per-sender factors on the simplex
+    lattice of spacing step: the grid the bound's ascent replaced."""
+    k = round(1 / step)
+    per = [np.array(c) / k for c in product(range(k + 1), repeat=d) if sum(c) == k]
+    rows = []
+    for combo in product(per, repeat=n):
+        pm = combo[0]
+        for f in combo[1:]:
+            pm = np.outer(pm, f).ravel()
+        rows.append(pm)
+    return np.array(rows)
+
+
 @PROPERTY
 @given(name=st.sampled_from(["chsh", "magic-square", "mpp:3"]), eta=st.floats(0.1, 1.0))
 def test_classical_upper_bound_dominates_former_grid(name, eta):
@@ -245,45 +269,11 @@ def test_classical_upper_bound_dominates_former_grid(name, eta):
     game = game_by_name(name)
     ch = type_ii(game, eta)
     bound = classical_upper_bound(ch, _omega(name), CFG)
-    pms = _grid_pms(game.n, game.d, 0.05 if game.d == 2 else 0.1)
+    pms = _former_grid(game.n, game.d, 0.05 if game.d == 2 else 0.1)
     h = -(pms * np.log2(np.where(pms > 0, pms, 1.0))).sum(axis=1)
     top = -np.sort(-pms, axis=1)[:, : bound.diagnostics["r_max"]].sum(axis=1)
     grid = h + (ch.f_l - ch.f_w) * top - ch.f_l
     assert bound.value >= grid.max() - 1e-12
-
-
-@pytest.mark.parametrize("n, d, step", [(2, 2, 0.25), (3, 2, 0.05), (2, 3, 0.1), (4, 2, 0.25)])
-def test_grid_pms_match_outer_product_loop(n, d, step):
-    # reference: np.outer per grid point, in itertools.product order
-    rows = []
-    for combo in product(simplex_grid(d, step), repeat=n):
-        pm = combo[0]
-        for f in combo[1:]:
-            pm = np.outer(pm, f).ravel()
-        rows.append(pm)
-    assert np.array_equal(_grid_pms(n, d, step), np.array(rows))
-
-
-def test_prefilter_budget_bounds_chunks_not_values(monkeypatch):
-    matrix, idx = type_ii(mpp_game(3), 0.4).matrix, _vertex_rows(mpp_game(3))
-    pms = _grid_pms(3, 2, 0.25)
-    per_vertex = pms.shape[0] * matrix.shape[-1]
-    sizes = []
-    original = capacity._kernel_rates
-
-    def spy(k, p):
-        sizes.append(k.shape[0] * p.shape[0] * k.shape[-1])
-        return original(k, p)
-
-    monkeypatch.setattr(capacity, "_kernel_rates", spy)
-    values = []
-    for budget in (1, capacity._GRID_ELEMENTS, 10**12):
-        sizes.clear()
-        monkeypatch.setattr(capacity, "_GRID_ELEMENTS", budget)
-        values.append(_batch_grid_values(matrix, idx, pms))
-        assert max(sizes) <= max(budget, per_vertex)
-    assert len(sizes) == 1
-    assert all(np.array_equal(values[0], v) for v in values[1:])
 
 
 @PROPERTY
@@ -388,7 +378,7 @@ FORMER_ASCENT = {
     ("chsh", 0.1): (0.015319251846211968, "vertex:34", 0.014986336521687793),
     ("chsh", 0.3): (0.1251906186817906, "vertex:34", 0.1253810992609532),
     ("chsh", 0.5): (0.3281978483338648, "vertex:34", 0.3328154563075647),
-    ("chsh", 0.75): (0.7218438624401722, "vertex:54", 0.7309693545154923),
+    ("chsh", 0.75): (0.7218438624401722, "vertex:34", 0.7309693545154923),
     ("chsh", 1.0): (1.4352809428676363, "vertex:34", 1.3264977737608123),
     ("mpp:3", 0.1): (0.03869972227862961, "vertex:547", None),
     ("mpp:3", 0.5): (0.6915570893669942, "vertex:547", None),
@@ -409,6 +399,56 @@ def test_ascent_matches_former_values(name, eta):
     for result in results:
         assert result.diagnostics["capped"] == 0
         assert result.diagnostics["gap"] <= CFG.tolerance
+
+
+def _random_channel(name, seed):
+    """Two-branch channel with random profiles: one sorted to peak at the
+    echoed question tuple, the other unsorted; the lower-entropy one wins."""
+    game = game_by_name(name)
+    rng = np.random.default_rng(seed)
+    peaked = -np.sort(-rng.dirichlet(np.ones(game.d**game.n)))
+    other = rng.dirichlet(np.ones(game.d**game.n))
+    profiles = (peaked, other) if entropy(peaked) < entropy(other) else (other, peaked)
+    return two_branch_mac(game, *profiles)
+
+
+SOUNDNESS_CHANNELS = [
+    *((name, eta, None) for name in ("chsh", "mpp:3") for eta in (0.1, 0.5, 1.0)),
+    ("chsh", None, 1),
+    ("mpp:3", None, 2),
+    ("mpp:3", None, 15),
+]
+
+
+@pytest.mark.parametrize("name, eta, seed", SOUNDNESS_CHANNELS)
+def test_pruning_keeps_the_unpruned_maximum(name, eta, seed):
+    # reference: one grouped ascent over every representative, none pruned
+    ch = type_ii(game_by_name(name), eta) if seed is None else _random_channel(name, seed)
+    vertices, kernels = _representatives(ch, DEFAULT_ENUMERATION_CAP)
+    value, _, diag = maximize_over_pi(
+        _kernel_mi_objective(kernels), ch.game.n, ch.game.d, CFG, groups=len(vertices)
+    )
+    result = classical_capacity_exact(ch, CFG)
+    assert abs(result.value - value) <= 1e-12
+    assert result.argmax_encoder == f"vertex:{vertices[diag['group']]}"
+    assert result.diagnostics["representatives"] == len(vertices)
+    assert result.diagnostics["candidates"] < len(vertices)
+
+
+def test_classical_exact_finds_the_vertex_a_grid_dropped():
+    # a coarse-then-fine grid prefilter ranked vertex 563 out and reported
+    # 0.8448723661 here, 4.6e-4 bits below the unpruned ascent's maximum
+    result = classical_capacity_exact(_random_channel("mpp:3", 15), CFG)
+    assert abs(result.value - 0.8453350674443052) <= 1e-10
+    assert result.argmax_encoder == "vertex:563"
+
+
+def test_classical_exact_mpp4_without_the_dense_matrix():
+    ch = type_ii(mpp_game(4), 1.0)
+    result = classical_capacity_exact(ch, CFG)
+    assert abs(result.value - 3.379605076705) <= 1e-9
+    assert result.diagnostics["vertices"] == 65536
+    assert "matrix" not in vars(ch)
 
 
 def test_resource_bound_with_perfect_resource_hits_ceiling():
