@@ -15,11 +15,9 @@ import numpy as np
 
 from .channels import MacChannel, type_i, type_ii
 from .correlations import (
-    DEFAULT_ENUMERATION_CAP,
     NO_SIGNALING_TOL,
     CorrelationBox,
     Encoder,
-    EnumerationCapExceeded,
     boxes_from_csv,
     box_win_probabilities,
     e_star,
@@ -27,6 +25,7 @@ from .correlations import (
     magic_square_box,
     mpp_box,
     pr_box,
+    refuse_over_cap,
     support_marginal_uniformity_error,
     tsirelson_box,
 )
@@ -295,21 +294,22 @@ def vertex_count(game: NonlocalGame) -> int:
     return local_deterministic_count(game.n, game.d, game.d * game.D)
 
 
-def _representatives(ch: MacChannel, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
     """One vertex per message-relabelling orbit and distinct kernel: their
     indices in `local_maps(n, d, dD)` order (R,), ascending, and kernels
     P(y|m) (R, Δ, Δ).  Relabelling a sender's messages changes no rate, and
     the vertex with non-decreasing per-sender maps is its orbit's lowest
     index.  A channel row depends on x only through (win bit, question
     index), so of vertices sending every message to the same such pair
-    the first is kept.  Raises EnumerationCapExceeded over cap vertices."""
+    the first is kept.  Raises EnumerationCapExceeded over
+    DEFAULT_ENUMERATION_CAP vertices."""
     game = ch.game
-    count = vertex_count(game)
-    if count > cap:
-        raise EnumerationCapExceeded(
-            f"{game.name} encoding scenario has {count} deterministic encoder "
-            f"vertices, over the cap of {cap}; use classical_upper_bound instead"
-        )
+    refuse_over_cap(
+        vertex_count(game),
+        f"{game.name} encoding scenario",
+        "deterministic encoder vertices",
+        "; use classical_upper_bound instead",
+    )
     dD = game.d * game.D
     maps = local_maps(game.n, game.d, dD)
     canonical = np.flatnonzero((np.diff(maps, axis=-1) >= 0).all(axis=(1, 2)))
@@ -321,11 +321,7 @@ def _representatives(ch: MacChannel, cap: int) -> tuple[np.ndarray, np.ndarray]:
     return canonical[first], kernels
 
 
-def classical_capacity_exact(
-    ch: MacChannel,
-    cfg: OptimizerConfig | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> CapacityResult:
+def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None) -> CapacityResult:
     """Classical d-message sum-capacity: the best I(M;Y) = I(X;Y) over
     deterministic encoders, each sender sending each of its d messages as
     one channel input.  Not the product-input sum-capacity, where a
@@ -341,7 +337,7 @@ def classical_capacity_exact(
     within rounding of the best.
     """
     cfg = cfg or OptimizerConfig()
-    vertices, kernels = _representatives(ch, cap)
+    vertices, kernels = _representatives(ch)
     floor = _kernel_rates(kernels, np.full((1, ch.delta), 1.0 / ch.delta)).max() - _VALUE_ROUNDING
     objective = _kernel_mi_objective(kernels)
     F = np.full((len(kernels), 1, ch.delta), 1.0 / ch.delta)  # one sender, Δ messages
@@ -367,13 +363,13 @@ def classical_capacity_exact(
     )
 
 
-def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution) -> float:
     """Best deterministic-encoder sum rate at a fixed message distribution:
     every representative at every per-sender relabelling of pi."""
     orders = np.array(list(permutations(range(pi.d))))
     per_sender = orders[local_maps(pi.n, 1, len(orders))[..., 0]]  # (d!^n, n, d)
     relabelled = np.stack(pi.factors)[np.arange(pi.n)[:, None], per_sender]
-    return float(_kernel_rates(_representatives(ch, cap)[1], product_joint(relabelled)).max())
+    return float(_kernel_rates(_representatives(ch)[1], product_joint(relabelled)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +377,7 @@ def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution, cap: int = D
 # ---------------------------------------------------------------------------
 
 
-def bruteforce_classical_game_value(
-    game: NonlocalGame, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[float, tuple[tuple[int, ...], ...]]:
+def bruteforce_classical_game_value(game: NonlocalGame) -> tuple[float, tuple[tuple[int, ...], ...]]:
     """Best uniform-question win probability over deterministic strategies.
 
     Returns (omega, strategies) with one optimal per-player answer map:
@@ -399,16 +393,12 @@ def bruteforce_classical_game_value(
     responses, is the first maximiser over all n players, since the best
     responses of player n form a product set over its questions.
 
-    The work is (D^d)^(n-1) d^n D, not (D^d)^n d^n, but cap still bounds
-    the (D^d)^n strategy tuples the maximum ranges over, so which games
-    are refused does not depend on how the maximum is found.
+    The work is (D^d)^(n-1) d^n D, not (D^d)^n d^n, but the enumeration
+    cap still bounds the (D^d)^n strategy tuples the maximum ranges over,
+    so which games are refused does not depend on how the maximum is found.
     """
     n, d, D = game.n, game.d, game.D
-    count = local_deterministic_count(n, d, D)
-    if count > cap:
-        raise EnumerationCapExceeded(
-            f"{game.name} has {count} deterministic strategy tuples, over the cap of {cap}"
-        )
+    refuse_over_cap(local_deterministic_count(n, d, D), game.name, "deterministic strategy tuples")
     # axes (q_1..q_{n-1}, a_1..a_{n-1}, q_n, a_n)
     w = np.moveaxis(game.win_table().reshape((d,) * n + (D,) * n), n - 1, 2 * n - 2)
     per = local_maps(1, d, D)[:, 0]  # (S, d): one player's answer maps
@@ -699,15 +689,33 @@ class SweepRow:
     diagnostic: str = ""
 
 
+def _check_resources(resources: list[str]) -> None:
+    """Raise ValueError, listing the valid names, unless resources is a
+    non-empty list of them."""
+    names = ("L-exact", "L-bound", "Q-lower", "Q-exact", "NS-exact")
+    valid = f"expected one or more of {', '.join(names)}, vertex-file:<path>"
+    if not resources:
+        raise ValueError(f"no resource given; {valid}")
+    for res in resources:
+        if res == "vertex-file":
+            raise ValueError(
+                "resource 'vertex-file' needs a box CSV path: vertex-file:<path>, "
+                f"or --vertex-file on the command line; {valid}"
+            )
+        if res not in names and not res.startswith("vertex-file:"):
+            raise ValueError(f"unknown resource {res!r}; {valid}")
+
+
 def sweep(
     game: NonlocalGame,
     channel_type: int,
     etas,
     resources: list[str],
     cfg: OptimizerConfig | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[SweepRow]:
-    """Capacity table over an η grid; one row per (η, resource)."""
+    """Capacity table over an η grid; one row per (η, resource).  The
+    resource list is checked before any row is computed."""
+    _check_resources(resources)
     cfg = cfg or OptimizerConfig()
     rows: list[SweepRow] = []
     omega_star: float | None = None
@@ -718,11 +726,11 @@ def sweep(
         ch = channel_for(game, channel_type, float(eta))
         for res in resources:
             if res == "L-exact":
-                r = classical_capacity_exact(ch, cfg, cap=cap)
+                r = classical_capacity_exact(ch, cfg)
                 diag = r.argmax_encoder or ""
             elif res == "L-bound":
                 if omega_star is None:
-                    omega_star, _ = bruteforce_classical_game_value(game, cap=cap)
+                    omega_star, _ = bruteforce_classical_game_value(game)
                 r = classical_upper_bound(ch, omega_star, cfg)
                 diag = f"omega*={omega_star:.10g}"
             elif res == "Q-lower":
@@ -739,14 +747,12 @@ def sweep(
                 label = "Q" if res == "Q-exact" else "NS"
                 r = pseudo_telepathy_capacity(ch, pt_box, label, win_deviation=pt_deviation)
                 diag = r.argmax_encoder or ""
-            elif res.startswith("vertex-file:"):
+            else:  # vertex-file:<path>
                 path = res.split(":", 1)[1]
                 if path not in vertex_encoders:  # game-only: once per sweep
                     vertex_encoders[path] = _vertex_file_encoders(path, game)
                 r = _vertex_encoders_bound(ch, vertex_encoders[path], cfg, "file")
                 diag = r.argmax_encoder or ""
-            else:
-                raise ValueError(f"unknown resource {res!r}")
             rows.append(
                 SweepRow(eta=float(eta), resource=res, kind=r.kind, value=r.value, diagnostic=diag)
             )

@@ -1,9 +1,11 @@
 """Command-line experiment runner.
 
-All capacity math routes through the capacity module; this layer only
-parses configuration, formats CSV, and sets exit codes.  Floating-point
-output uses 10 significant digits so runs are byte-reproducible under a
-fixed seed.
+A thin shell over the capacity module: every capacity it prints, in
+`sweep`, `table` and `vertex-bound`, is a row of `capacity.sweep`.  This
+layer parses configuration, formats output and sets exit codes.  One error
+boundary, the `main` group, turns library errors into a one-line `Error:`
+and exit code 1, never a traceback.  Floating-point output uses 10
+significant digits so runs are byte-reproducible under a fixed seed.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .correlations import (
 from .games import game_by_name
 
 REFERENCE_TABLE = {
-    # (eta_w=1, eta_l=0) channels: (L value, better value, better resource)
-    "chsh": (1.44, 1.63, None),
-    "magic-square": (2.93, 3.17, "Q"),
-    "mpp:3": (2.72, 3.00, "Q"),
+    # (eta_w=1, eta_l=0) type-II channels: resource -> the paper's value
+    "chsh": {"L-exact": 1.44, "L-bound": 1.63},
+    "magic-square": {"L-bound": 2.93, "Q-exact": 3.17},
+    "mpp:3": {"L-bound": 2.72, "Q-exact": 3.00},
 }
 
 
@@ -96,18 +98,25 @@ _CONFIG_KEYS = ("game", "channel-type", "eta-grid", "resources", "out", *_OPTIMI
 
 
 def _build_cfg(values) -> OptimizerConfig:
-    settings = {
+    return OptimizerConfig(**{
         name: _parsed(values, key, convert)
         for key, (name, convert) in _OPTIMIZER_KEYS.items()
         if key in values
-    }
-    try:
-        return OptimizerConfig(**settings)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    })
 
 
-@click.group()
+class _Cli(click.Group):
+    """The one error boundary: a library error ends any command with its
+    message as a ClickException, `Error: ...` and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OverflowError, MemoryError, EnumerationCapExceeded) as exc:
+            raise click.ClickException(str(exc) or type(exc).__name__) from None
+
+
+@click.group(cls=_Cli)
 def main():
     """Sum-capacities of nonlocal-game-based multiple access channels."""
 
@@ -135,10 +144,7 @@ def cmd_sweep(game_name, channel_type, eta_grid, resources, seed, out, config_pa
     for required in ("game", "channel-type", "eta-grid", "resources"):
         if required not in values:
             raise click.ClickException(f"missing required field: {required}")
-    try:
-        game = game_by_name(values["game"])
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    game = game_by_name(values["game"])
     ctype = _parsed(values, "channel-type", int)
     if ctype not in (1, 2):
         raise click.ClickException(f"channel-type must be 1 or 2, got {ctype}")
@@ -148,11 +154,7 @@ def cmd_sweep(game_name, channel_type, eta_grid, resources, seed, out, config_pa
         res_list = [
             f"vertex-file:{vertex_file}" if r == "vertex-file" else r for r in res_list
         ]
-    cfg = _build_cfg(values)
-    try:
-        rows = capacity.sweep(game, ctype, etas, res_list, cfg)
-    except (ValueError, EnumerationCapExceeded) as exc:
-        raise click.ClickException(str(exc))
+    rows = capacity.sweep(game, ctype, etas, res_list, _build_cfg(values))
     lines = ["eta,resource,kind,value,diagnostic"]
     for r in rows:
         lines.append(f"{_fmt(r.eta)},{r.resource},{r.kind},{_fmt(r.value)},{r.diagnostic}")
@@ -170,10 +172,7 @@ def cmd_sweep(game_name, channel_type, eta_grid, resources, seed, out, config_pa
 @click.option("--count", default=1000, show_default=True, help="random triples per game")
 def cmd_verify(seed, count):
     """Run the randomized identity suite and pseudo-telepathy checks."""
-    try:
-        checks = verify.run_verification(seed=int(seed), count=int(count))
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    checks = verify.run_verification(seed=int(seed), count=int(count))
     click.echo(verify.format_report(checks), nl=False)
     if any(not c.passed for c in checks):
         sys.exit(1)
@@ -182,33 +181,17 @@ def cmd_verify(seed, count):
 @main.command("table")
 @click.option("--seed", default=0, show_default=True)
 def cmd_table(seed):
-    """Recompute the (eta_w=1, eta_l=0) comparison table.
+    """Recompute the (eta_w=1, eta_l=0) comparison table from sweep rows.
 
     Its L-exact row is the d-message capacity over deterministic encoders,
     not the product-input sum-capacity of the MAC."""
-    try:
-        cfg = OptimizerConfig(seed=int(seed))
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    cfg = OptimizerConfig(seed=int(seed))
     click.echo("game          resource  computed      reference  delta")
-    for name, (ref_l, ref_hi, hi_resource) in REFERENCE_TABLE.items():
-        game = game_by_name(name)
-        ch = capacity.channel_for(game, 2, 1.0)
-        omega, _ = capacity.bruteforce_classical_game_value(game)
-        bound = capacity.classical_upper_bound(ch, omega, cfg)
-        rows = [("L-bound", bound.value, ref_l)]
-        if name == "chsh":
-            exact = capacity.classical_capacity_exact(ch, cfg)
-            rows.insert(0, ("L-exact", exact.value, ref_l))
-            rows[1] = ("L-bound", bound.value, ref_hi)
-        else:
-            pt = capacity.pseudo_telepathy_capacity(
-                ch, capacity.pseudo_telepathy_box(game), resource=hi_resource
-            )
-            rows.append((f"{hi_resource}-exact", pt.value, ref_hi))
-        for label, value, ref in rows:
+    for name, refs in REFERENCE_TABLE.items():
+        for r in capacity.sweep(game_by_name(name), 2, [1.0], list(refs), cfg):
+            ref = refs[r.resource]
             click.echo(
-                f"{name:<13} {label:<9} {_fmt(value):<13} {ref:<10.2f} {value - ref:+.4f}"
+                f"{name:<13} {r.resource:<9} {_fmt(r.value):<13} {ref:<10.2f} {r.value - ref:+.4f}"
             )
 
 
@@ -216,11 +199,8 @@ def cmd_table(seed):
 @click.argument("game_name")
 def cmd_game_value(game_name):
     """Brute-force classical game value and one optimal strategy."""
-    try:
-        game = game_by_name(game_name)
-        omega, strategies = capacity.bruteforce_classical_game_value(game)
-    except (ValueError, EnumerationCapExceeded) as exc:
-        raise click.ClickException(str(exc))
+    game = game_by_name(game_name)
+    omega, strategies = capacity.bruteforce_classical_game_value(game)
     click.echo(f"game {game.name}: omega*_L = {_fmt(omega)}")
     for k, strat in enumerate(strategies, 1):
         click.echo(f"  player {k}: answers {list(strat)} for questions 0..{game.d - 1}")
@@ -241,10 +221,7 @@ def _box_by_name(name: str):
 @click.option("--out", required=True, type=click.Path())
 def cmd_box_export(box_name, out):
     """Export a built-in box (pr, tsirelson, magic-square, mpp:<n>) as CSV."""
-    try:
-        box = _box_by_name(box_name)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    box = _box_by_name(box_name)
     box_to_csv(box, out)
     click.echo(f"wrote {box.name} box to {out}")
 
@@ -257,19 +234,13 @@ def cmd_box_export(box_name, out):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--resource-label", default="file", show_default=True)
 def cmd_vertex_bound(game_name, channel_type, eta, vertex_file, seed, resource_label):
-    """Lower-bound the sum-capacity by the best E* rate over a box CSV."""
-    try:
-        game = game_by_name(game_name)
-        ch = capacity.channel_for(game, int(channel_type), eta)
-        result = capacity.vertex_file_bound(
-            ch, vertex_file, OptimizerConfig(seed=int(seed)), resource=resource_label
-        )
-    except (ValueError, EnumerationCapExceeded) as exc:
-        raise click.ClickException(str(exc))
-    click.echo(
-        f"{result.kind} ({result.resource}): {_fmt(result.value)} "
-        f"via {result.argmax_encoder}"
+    """Lower-bound the sum-capacity by the best E* rate over a box CSV: the
+    one row of a `vertex-file:` sweep at eta, labelled resource-label."""
+    cfg = OptimizerConfig(seed=int(seed))
+    (row,) = capacity.sweep(
+        game_by_name(game_name), int(channel_type), [eta], [f"vertex-file:{vertex_file}"], cfg
     )
+    click.echo(f"{row.kind} ({resource_label}): {_fmt(row.value)} via {row.diagnostic}")
 
 
 if __name__ == "__main__":

@@ -142,14 +142,20 @@ def local_deterministic_count(n: int, d: int, D: int) -> int:
     return (D**d) ** n
 
 
-def local_deterministic_boxes(n: int, d: int, D: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Yield all (D^d)^n local deterministic boxes, or refuse loudly."""
-    count = local_deterministic_count(n, d, D)
-    if count > cap:
+def refuse_over_cap(count: int, subject: str, items: str, advice: str = "") -> None:
+    """Refuse, never truncate, an enumeration of count items: raise
+    EnumerationCapExceeded when count is over DEFAULT_ENUMERATION_CAP."""
+    if count > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"({n},{d},{D}) scenario has {count} local deterministic boxes, "
-            f"over the cap of {cap}"
+            f"{subject} has {count} {items}, over the cap of {DEFAULT_ENUMERATION_CAP}{advice}"
         )
+
+
+def local_deterministic_boxes(n: int, d: int, D: int):
+    """Yield all (D^d)^n local deterministic boxes, or refuse loudly."""
+    refuse_over_cap(
+        local_deterministic_count(n, d, D), f"({n},{d},{D}) scenario", "local deterministic boxes"
+    )
     for strategies in local_maps(n, d, D):
         yield deterministic_box(n, d, D, strategies)
 

@@ -78,14 +78,14 @@ def random_vertex_encoder(game: NonlocalGame, rng: np.random.Generator) -> Encod
 
 
 def random_mixture_encoder(
-    game: NonlocalGame, rng: np.random.Generator, box_encoder: Encoder, components: int = 4
+    game: NonlocalGame, rng: np.random.Generator, box_encoder: Encoder
 ) -> Encoder:
-    """Mixture of deterministic vertices, with probability 0.3 blended
-    with box_encoder, the E* encoder of the game's perfect box.  Markov
-    structure holds by construction."""
+    """Mixture of _MIXTURE_VERTICES deterministic vertices, with
+    probability 0.3 blended with box_encoder, the E* encoder of the game's
+    perfect box.  Markov structure holds by construction."""
     dD = game.d * game.D
-    cols = local_map_indices(rng.integers(0, dD, size=(components, game.n, game.d)), dD)
-    weights = rng.dirichlet(np.ones(components + (rng.random() < 0.3)))
+    cols = local_map_indices(rng.integers(0, dD, size=(_MIXTURE_VERTICES, game.n, game.d)), dD)
+    weights = rng.dirichlet(np.ones(_MIXTURE_VERTICES + (rng.random() < 0.3)))
     return _mixture(game, cols, weights, box_encoder, deterministic=False)
 
 

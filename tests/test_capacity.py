@@ -31,7 +31,6 @@ from gamemac.capacity import (
 )
 from gamemac.channels import noise_f, two_branch_mac, type_ii
 from gamemac.correlations import (
-    DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     box_to_csv,
     e_star,
@@ -118,7 +117,7 @@ def _vertex_rows(name):
 def test_representatives_one_per_orbit(name, count):
     game = game_by_name(name)
     ch = type_ii(game, 0.6)
-    vertices, kernels = _representatives(ch, DEFAULT_ENUMERATION_CAP)
+    vertices, kernels = _representatives(ch)
     assert len(vertices) == count
     assert (np.diff(vertices) > 0).all()
     if name != "mpp:4":
@@ -230,8 +229,9 @@ def test_mpp_game_value_formula():
 
 
 def test_bruteforce_cap():
+    # 4^12 strategy tuples: refused before any work
     with pytest.raises(EnumerationCapExceeded):
-        bruteforce_classical_game_value(mpp_game(3), cap=10)
+        bruteforce_classical_game_value(mpp_game(12))
 
 
 def test_classical_upper_bound_chsh():
@@ -424,7 +424,7 @@ SOUNDNESS_CHANNELS = [
 def test_pruning_keeps_the_unpruned_maximum(name, eta, seed):
     # reference: one grouped ascent over every representative, none pruned
     ch = type_ii(game_by_name(name), eta) if seed is None else _random_channel(name, seed)
-    vertices, kernels = _representatives(ch, DEFAULT_ENUMERATION_CAP)
+    vertices, kernels = _representatives(ch)
     value, _, diag = maximize_over_pi(
         _kernel_mi_objective(kernels), ch.game.n, ch.game.d, CFG, groups=len(vertices)
     )

@@ -1,11 +1,14 @@
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gamemac import capacity, verify
 from gamemac.channels import noise_f
 from gamemac.cli import main, parse_eta_grid
 
@@ -289,3 +292,92 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "resources, message",
+    [
+        ("L-exact,bogus", "unknown resource 'bogus'"),
+        (",", "no resource given"),
+        ("vertex-file", "resource 'vertex-file' needs a box CSV path"),
+    ],
+    ids=["unknown", "empty", "vertex-file-without-path"],
+)
+def test_sweep_refuses_bad_resources_before_any_row(monkeypatch, resources, message):
+    calls = []
+    monkeypatch.setattr(capacity, "classical_capacity_exact", lambda *args: calls.append(args))
+    result = run("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "1:1:1",
+                 "--resources", resources)
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert "L-exact, L-bound, Q-lower, Q-exact, NS-exact, vertex-file:<path>" in result.output
+    assert calls == []
+
+
+def _assert_error_line(result, fragment=""):
+    """Ended by the CLI's error boundary: exit code 1 and an `Error:`
+    line, not an exception escaping the command."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Error:" in result.output and fragment in result.output
+
+
+@pytest.mark.parametrize(
+    "args, fragment",
+    [
+        # a 2 EiB noise profile: larger than any address space, refused
+        # before any memory is touched
+        (("sweep", "--game", "mpp:58", "--channel-type", "2", "--eta-grid", "0.5:1:1",
+          "--resources", "NS-exact"), "Unable to allocate"),
+        (("box-export", "mpp:58", "--out", "mpp58.csv"), "Unable to allocate"),
+        # 2^5000 outputs: the noise function overflows a float
+        (("vertex-bound", "--game", "mpp:5000", "--channel-type", "2", "--eta", "0.5",
+          "--vertex-file", "pr.csv"), "too large"),
+    ],
+    ids=lambda x: x[0] if isinstance(x, tuple) else None,
+)
+def test_error_boundary_catches_memory_and_overflow(tmp_path, monkeypatch, args, fragment):
+    monkeypatch.chdir(tmp_path)
+    run("box-export", "pr", "--out", "pr.csv")
+    _assert_error_line(run(*args), fragment)
+    assert not (tmp_path / "mpp58.csv").exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 2.00 EiB")
+
+
+@pytest.mark.parametrize(
+    "module, name, args",
+    [
+        (verify, "run_verification", ("verify", "--count", "3")),
+        (capacity, "bruteforce_classical_game_value", ("table",)),
+        (capacity, "bruteforce_classical_game_value", ("game-value", "chsh")),
+    ],
+    ids=lambda x: x[0] if isinstance(x, tuple) else None,
+)
+def test_error_boundary_covers_every_command(monkeypatch, module, name, args):
+    monkeypatch.setattr(module, name, _out_of_memory)
+    _assert_error_line(run(*args), "Unable to allocate 2.00 EiB")
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The `gamemac ...` lines of README.md's `## CLI` block, in order,
+    without the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("gamemac ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("sweep.cfg").write_text(
+        "game = chsh\nchannel-type = 2\neta-grid = 0.1:1:10\n"
+        "resources = NS-exact,Q-lower,L-bound\nseed = 0\nout = sweep.csv\n"
+    )
+    commands = _readme_cli_commands()
+    assert {args[0] for args in commands} == set(main.commands)
+    for args in commands:
+        result = run(*args)
+        assert result.exit_code == 0, (args, result.output)
