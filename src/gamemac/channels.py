@@ -9,9 +9,8 @@ All entropies are in bits.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,20 +46,19 @@ class MacChannel:
 
     A profile is a distribution over the cyclic offset of y from the
     echoed question tuple q(x).  Every row is a cyclic shift of one
-    profile, so checking the profiles checks the rows.
+    profile, so checking the profiles checks the rows, and the branch
+    entropies f_w, f_l are the entropies of the two profiles.
     """
 
     game: NonlocalGame
     win_profile: np.ndarray  # shape (Δ,)
     lose_profile: np.ndarray  # shape (Δ,)
-    f_w: float
-    f_l: float
-    eta_w: float | None = None
-    eta_l: float | None = None
     name: str = "mac"
+    f_w: float = field(init=False)
+    f_l: float = field(init=False)
 
     def __post_init__(self):
-        for label in ("win", "lose"):
+        for label, f in (("win", "f_w"), ("lose", "f_l")):
             prof = np.array(getattr(self, f"{label}_profile"), dtype=float)
             if prof.shape != (self.delta,):
                 raise ValueError(f"{label} profile must have length {self.delta}")
@@ -68,6 +66,7 @@ class MacChannel:
                 raise ValueError(f"{label} profile is not a distribution")
             prof.setflags(write=False)
             object.__setattr__(self, f"{label}_profile", prof)
+            object.__setattr__(self, f, entropy(prof))
         if not self.f_w < self.f_l:
             raise ValueError(
                 f"winning branch must be less noisy: f_w={self.f_w} >= f_l={self.f_l}"
@@ -128,14 +127,9 @@ def _input_maps(game: NonlocalGame) -> tuple[np.ndarray, np.ndarray]:
 
 
 def two_branch_mac(game: NonlocalGame, win_profile, lose_profile, name: str = "two-branch") -> MacChannel:
-    """Generic two-branch channel from per-branch noise profiles.
-
-    The branch entropies f_w, f_l are those of the profiles, which keeps
-    the conditional entropy constant within a branch for arbitrary noise
-    shapes; see MacChannel for the profile convention.
-    """
-    f_w, f_l = entropy(win_profile), entropy(lose_profile)
-    return MacChannel(game, win_profile, lose_profile, f_w, f_l, name=name)
+    """Generic two-branch channel from per-branch noise profiles; see
+    MacChannel for the profile convention."""
+    return MacChannel(game, win_profile, lose_profile, name=name)
 
 
 def depolarizing_mac(game: NonlocalGame, eta_w: float, eta_l: float) -> MacChannel:
@@ -149,10 +143,7 @@ def depolarizing_mac(game: NonlocalGame, eta_w: float, eta_l: float) -> MacChann
         p[0] += eta
         return p
 
-    ch = two_branch_mac(game, profile(eta_w), profile(eta_l), name=f"{game.name}({eta_w:g},{eta_l:g})")
-    return dataclasses.replace(
-        ch, f_w=noise_f(delta, eta_w), f_l=noise_f(delta, eta_l), eta_w=eta_w, eta_l=eta_l
-    )
+    return two_branch_mac(game, profile(eta_w), profile(eta_l), name=f"{game.name}({eta_w:g},{eta_l:g})")
 
 
 def type_i(game: NonlocalGame, eta: float) -> MacChannel:

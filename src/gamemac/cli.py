@@ -106,13 +106,14 @@ def _build_cfg(values) -> OptimizerConfig:
 
 
 class _Cli(click.Group):
-    """The one error boundary: a library error ends any command with its
-    message as a ClickException, `Error: ...` and exit code 1."""
+    """The one error boundary: a library error, or an OSError on a path
+    given from outside, ends any command with its message as a
+    ClickException, `Error: ...` and exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, OverflowError, MemoryError, EnumerationCapExceeded) as exc:
+        except (ValueError, OverflowError, MemoryError, OSError, EnumerationCapExceeded) as exc:
             raise click.ClickException(str(exc) or type(exc).__name__) from None
 
 

@@ -34,7 +34,6 @@ class CorrelationBox:
     D: int
     table: np.ndarray  # shape (d^n, D^n)
     name: str = "box"
-    deterministic: bool = False
 
     def __post_init__(self):
         expected = (self.d**self.n, self.D**self.n)
@@ -77,7 +76,6 @@ class Encoder:
     D: int
     cols: np.ndarray  # shape (d^n, k): channel-input indices
     probs: np.ndarray  # shape (d^n, k): P(x = cols[m, j] | m)
-    deterministic: bool = False
     name: str = "encoder"
 
     def __post_init__(self):
@@ -135,7 +133,7 @@ def deterministic_box(n: int, d: int, D: int, strategies) -> CorrelationBox:
     """Box from per-party answer functions a_k = g_k(q_k), given as tuples."""
     table = np.zeros((d**n, D**n))
     table[np.arange(d**n), local_map_indices(strategies, D)] = 1.0
-    return CorrelationBox(n, d, D, table, name="deterministic", deterministic=True)
+    return CorrelationBox(n, d, D, table, name="deterministic")
 
 
 def local_deterministic_count(n: int, d: int, D: int) -> int:
@@ -269,10 +267,7 @@ def e_star(box: CorrelationBox) -> Encoder:
     the support of row m is the inputs (m, a) for every answer tuple a.
     """
     n, d, D = box.n, box.d, box.D
-    return Encoder(
-        n, d, D, input_indices(n, d, D), box.table,
-        deterministic=box.deterministic, name=f"e*({box.name})",
-    )
+    return Encoder(n, d, D, input_indices(n, d, D), box.table, name=f"e*({box.name})")
 
 
 def box_win_probabilities(box: CorrelationBox, game: NonlocalGame) -> np.ndarray:

@@ -46,12 +46,12 @@ def _mixture(
     vertex_cols: np.ndarray,
     weights: np.ndarray,
     box_encoder: Encoder | None,
-    deterministic: bool,
 ) -> Encoder:
     """Encoder of the vertices with channel inputs vertex_cols (k, d^n),
     weighted by weights[:k], plus box_encoder weighted by weights[k] when
     weights has k + 1 entries.  The parts' supports are joined in part
-    order, so the dense table adds them in that order."""
+    order, so the dense table adds them in that order.  One weight names
+    the encoder a vertex, more a mixture."""
     k = len(vertex_cols)
     cols = [vertex_cols.T]
     probs = [np.broadcast_to(weights[:k], cols[0].shape)]
@@ -60,8 +60,7 @@ def _mixture(
         probs.append(weights[k] * box_encoder.probs)
     return Encoder(
         game.n, game.d, game.D, np.concatenate(cols, axis=1), np.concatenate(probs, axis=1),
-        deterministic=deterministic,
-        name="random-vertex" if deterministic else "random-mixture",
+        name="random-vertex" if len(weights) == 1 else "random-mixture",
     )
 
 
@@ -74,7 +73,7 @@ def random_vertex_encoder(game: NonlocalGame, rng: np.random.Generator) -> Encod
     """A uniformly random deterministic encoder vertex."""
     dD = game.d * game.D
     cols = local_map_indices(rng.integers(0, dD, size=(1, game.n, game.d)), dD)
-    return _mixture(game, cols, np.ones(1), None, deterministic=True)
+    return _mixture(game, cols, np.ones(1), None)
 
 
 def random_mixture_encoder(
@@ -86,7 +85,7 @@ def random_mixture_encoder(
     dD = game.d * game.D
     cols = local_map_indices(rng.integers(0, dD, size=(_MIXTURE_VERTICES, game.n, game.d)), dD)
     weights = rng.dirichlet(np.ones(_MIXTURE_VERTICES + (rng.random() < 0.3)))
-    return _mixture(game, cols, weights, box_encoder, deterministic=False)
+    return _mixture(game, cols, weights, box_encoder)
 
 
 def random_channel(game: NonlocalGame, rng: np.random.Generator) -> MacChannel:
@@ -111,7 +110,7 @@ class _Triples:
     def encoder(self, i: int) -> Encoder:
         p = int(self.parts[i])
         vertices = self.vertex_cols[i, : min(p, _MIXTURE_VERTICES)]
-        return _mixture(self.game, vertices, self.weights[i, :p], self.box_encoder, p == 1)
+        return _mixture(self.game, vertices, self.weights[i, :p], self.box_encoder)
 
     def channel(self, i: int) -> MacChannel:
         return depolarizing_mac(self.game, *self.etas[i].tolist())

@@ -633,12 +633,14 @@ def test_vertex_file_bound_rejects_signaling_box(tmp_path):
 
 
 def test_channel_for_clamps_degenerate_eta():
-    with pytest.warns(UserWarning):
-        ch = channel_for(chsh_game(), 1, 1.0)
-    assert ch.f_w < ch.f_l
-    with pytest.warns(UserWarning):
-        ch = channel_for(chsh_game(), 2, 0.0)
-    assert ch.f_w < ch.f_l
+    # the clamp margin must survive double precision on every Δ, so the
+    # derived branch entropies stay ordered at both degenerate endpoints
+    games = ("chsh", "magic-square", "mpp:3", "mpp:8")
+    for name, (channel_type, eta) in product(games, ((1, 1.0), (2, 0.0))):
+        with pytest.warns(UserWarning):
+            ch = channel_for(game_by_name(name), channel_type, eta)
+        assert ch.f_w < ch.f_l, (name, channel_type)
+        assert ch.f_w == entropy(ch.win_profile) and ch.f_l == entropy(ch.lose_profile)
     with pytest.raises(ValueError):
         channel_for(chsh_game(), 3, 0.5)
 
@@ -665,8 +667,10 @@ def test_sweep_checks_the_box_once_and_cross_checks_every_row(monkeypatch):
     for name in ("box_win_probabilities", "support_marginal_uniformity_error", "sum_rate"):
         counted(name)
     game = mpp_game(3)
-    rows = sweep(game, 2, [0.4, 0.7, 1.0], ["NS-exact", "Q-exact"], CFG)
-    assert [r.value for r in rows] == [np.log2(8) - noise_f(8, eta) for eta in (0.4, 0.7, 1.0) for _ in "NQ"]
+    etas = (0.4, 0.7, 1.0)
+    rows = sweep(game, 2, etas, ["NS-exact", "Q-exact"], CFG)
+    assert [r.value for r in rows] == [np.log2(8) - type_ii(game, eta).f_w for eta in etas for _ in "NQ"]
+    assert [r.value for r in rows] == pytest.approx([3 - noise_f(8, eta) for eta in etas for _ in "NQ"], abs=1e-12)
     assert calls.count("box_win_probabilities") == 1
     assert calls.count("support_marginal_uniformity_error") == 1
     assert calls.count("sum_rate") == 6

@@ -87,11 +87,13 @@ def test_depolarizing_requires_noisier_losing_branch():
 def test_type_i_and_type_ii_profiles():
     game = chsh_game()
     t1 = type_i(game, 0.4)
-    assert (t1.eta_w, t1.eta_l) == (1.0, 0.4)
+    assert (t1.win_profile == [1, 0, 0, 0]).all()
+    assert t1.lose_profile == pytest.approx([0.55, 0.15, 0.15, 0.15], abs=1e-15)
     assert t1.f_w == 0.0
     t2 = type_ii(game, 0.4)
-    assert (t2.eta_w, t2.eta_l) == (0.4, 0.0)
-    assert t2.f_l == pytest.approx(2.0)
+    assert t2.win_profile == pytest.approx([0.55, 0.15, 0.15, 0.15], abs=1e-15)
+    assert (t2.lose_profile == 0.25).all()
+    assert t2.f_l == 2.0
     with pytest.raises(ValueError):
         type_i(game, 1.0)
     with pytest.raises(ValueError):
@@ -133,7 +135,28 @@ def test_channel_matrix_is_stochastic_and_frozen():
 def test_mac_channel_rejects_wrong_branch_order():
     ch = type_ii(chsh_game(), 0.5)
     with pytest.raises(ValueError):
-        MacChannel(chsh_game(), ch.win_profile, ch.lose_profile, f_w=2.0, f_l=1.0)
+        MacChannel(chsh_game(), ch.lose_profile, ch.win_profile)
+
+
+
+def test_branch_entropies_are_derived_not_settable():
+    ch = type_ii(chsh_game(), 0.5)
+    with pytest.raises(TypeError):
+        MacChannel(chsh_game(), ch.win_profile, ch.lose_profile, f_w=0.0, f_l=2.0)
+    with pytest.raises(TypeError):
+        Encoder(2, 2, 2, np.zeros((4, 1)), np.ones((4, 1)), deterministic=True)
+    # the sum-capacity formulas read f_w, f_l: they are the profiles' entropies
+    skewed = two_branch_mac(chsh_game(), [0.7, 0.1, 0.1, 0.1], [0.25] * 4)
+    for ch in (ch, type_i(mpp_game(3), 0.3), skewed):
+        assert ch.f_w == entropy(ch.win_profile) and ch.f_l == entropy(ch.lose_profile)
+
+
+def test_depolarizing_mac_validates_each_channel_once(monkeypatch):
+    calls = []
+    check = MacChannel.__post_init__
+    monkeypatch.setattr(MacChannel, "__post_init__", lambda self: calls.append(self) or check(self))
+    channels = [depolarizing_mac(chsh_game(), 0.9, 0.2), type_i(chsh_game(), 0.4), type_ii(chsh_game(), 0.4)]
+    assert len(calls) == len(channels) and all(a is b for a, b in zip(calls, channels))
 
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -146,8 +169,8 @@ def _random_channel(scenario, seed):
     rng = np.random.default_rng(seed)
     table = rng.random((d**n, D**n)) < 0.5
     game = NonlocalGame("random", n, d, D, lambda q, a: table[pack_tuple(q, d), pack_tuple(a, D)])
-    win_profile, lose_profile = rng.dirichlet(np.full(d**n, 0.5), size=2)
-    return MacChannel(game, win_profile, lose_profile, f_w=0.0, f_l=1.0), rng
+    win_profile, lose_profile = sorted(rng.dirichlet(np.full(d**n, 0.5), size=2), key=entropy)
+    return MacChannel(game, win_profile, lose_profile), rng
 
 
 @PROPERTY
@@ -220,7 +243,7 @@ def test_kernel_of_support_matches_dense_encoder(scenario, seed):
     star = e_star(box)
     assert (star.table == _former_lift(box)).all()
     vertex_cols = local_map_indices(rng.integers(0, d * D, size=(n, d)), d * D)[:, None]
-    vertex = Encoder(n, d, D, vertex_cols, np.ones((rows, 1)), deterministic=True)
+    vertex = Encoder(n, d, D, vertex_cols, np.ones((rows, 1)))
     # a mixture whose support repeats inputs within a row
     cols = rng.integers(0, inputs, size=(rows, 6))
     cols[:, 3:] = cols[:, :3]
@@ -269,13 +292,14 @@ def test_e_star_sum_rate_at_mpp10_scale():
 def test_channels_of_one_game_share_read_only_input_maps():
     game = chsh_game()
     ch, other = type_ii(game, 0.5), depolarizing_mac(game, 0.9, 0.2)
-    assert ch.eta_w == 0.5 and ch.f_w == noise_f(4, 0.5) and ch.f_l == 2.0
+    assert ch.f_w == entropy(ch.win_profile) and ch.f_l == 2.0
+    assert ch.f_w == pytest.approx(noise_f(4, 0.5), abs=1e-12)
     for mine, theirs in zip(ch._input_maps, other._input_maps):
         assert mine is theirs and not mine.flags.writeable
 
 
 def test_profiles_are_copied_and_frozen():
     profile = np.full(4, 0.25)
-    ch = MacChannel(chsh_game(), np.array([1.0, 0, 0, 0]), profile, f_w=0.0, f_l=2.0)
+    ch = MacChannel(chsh_game(), np.array([1.0, 0, 0, 0]), profile)
     assert not ch.lose_profile.flags.writeable
     assert profile.flags.writeable

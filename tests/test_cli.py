@@ -361,6 +361,25 @@ def test_error_boundary_covers_every_command(monkeypatch, module, name, args):
     _assert_error_line(run(*args), "Unable to allocate 2.00 EiB")
 
 
+_SWEEP_CHSH = ("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "1:1:1")
+
+
+@pytest.mark.parametrize(
+    "args, path",
+    [
+        ((*_SWEEP_CHSH, "--resources", "vertex-file:{tmp}/no-such.csv"), "{tmp}/no-such.csv"),
+        (("box-export", "pr", "--out", "{tmp}/no/dir/x.csv"), "{tmp}/no/dir/x.csv"),
+        ((*_SWEEP_CHSH, "--resources", "NS-exact", "--out", "{tmp}/no/dir/x.csv"), "{tmp}/no/dir/x.csv"),
+        (("sweep", "--config", "{tmp}", "--game", "chsh"), "{tmp}"),
+    ],
+    ids=["missing-vertex-file", "box-export-to-missing-dir", "sweep-to-missing-dir", "config-is-a-dir"],
+)
+def test_error_boundary_names_the_path_of_an_os_error(tmp_path, args, path):
+    result = run(*(arg.format(tmp=tmp_path) for arg in args))
+    _assert_error_line(result, repr(path.format(tmp=tmp_path)))
+    assert "Traceback" not in result.output
+
+
 def _readme_cli_commands() -> list[list[str]]:
     """The `gamemac ...` lines of README.md's `## CLI` block, in order,
     without the program name."""

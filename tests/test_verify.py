@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gamemac import capacity, verify
-from gamemac.channels import MacChannel, type_ii
+from gamemac.channels import type_ii
 from gamemac.correlations import e_star, tsirelson_box
-from gamemac.games import chsh_game, magic_square_game, mpp_game, pack_tuple, unpack_index
+from gamemac.games import chsh_game, input_win_mask, magic_square_game, mpp_game, pack_tuple, unpack_index
 from gamemac.infotheory import (
     ProductDistribution,
     compose,
@@ -17,7 +17,7 @@ from gamemac.infotheory import (
 def test_random_vertex_encoder_is_deterministic():
     rng = np.random.default_rng(1)
     enc = verify.random_vertex_encoder(chsh_game(), rng)
-    assert enc.deterministic
+    assert enc.cols.shape[1] == 1
     assert ((enc.table == 0) | (enc.table == 1)).all()
     assert (enc.table.sum(axis=1) == 1).all()
 
@@ -91,7 +91,7 @@ def test_batched_quantities_match_compose(game):
     for i in range(40):
         pi = ProductDistribution(tuple(triples.factors[i]))
         enc, ch = triples.encoder(i), triples.channel(i)
-        assert enc.deterministic == (i % 3 == 0)
+        assert (enc.cols.shape[1] == 1) == (i % 3 == 0)
         joint = compose(pi, enc, ch)
         assert abs(i_xy[i] - mutual_information(joint, (1,), (2,))) <= 1e-12
         assert abs(i_my[i] - mutual_information(joint, (0,), (2,))) <= 1e-12
@@ -161,10 +161,13 @@ def test_chunk_budget_does_not_change_residuals(game, monkeypatch):
 
 
 def test_constant_noise_residual_flags_uneven_rows():
-    # fault injection: the losing rows' entropy (2 bits, fully noisy) drifts
-    # from the declared f_l
-    ch = type_ii(chsh_game(), 1.0)
-    broken = MacChannel(chsh_game(), ch.win_profile, ch.lose_profile, f_w=ch.f_w, f_l=1.5)
+    # fault injection: one losing row of the dense matrix (fully noisy,
+    # 2 bits) is replaced by a noiseless one, 2 bits away from f_l
+    game = chsh_game()
+    ch, broken = type_ii(game, 1.0), type_ii(game, 1.0)
+    matrix = ch.matrix.copy()
+    matrix[np.flatnonzero(~input_win_mask(game))[0]] = ch.win_profile
+    broken.__dict__["matrix"] = matrix  # where cached_property keeps the matrix
     assert verify.constant_noise_residual(ch) <= 1e-12
     assert verify.constant_noise_residual(broken) > 0.1
 
