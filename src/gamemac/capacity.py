@@ -6,6 +6,7 @@ and η sweeps.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -20,38 +21,39 @@ from .correlations import (
     Encoder,
     boxes_from_csv,
     box_win_probabilities,
+    builtin_box,
     e_star,
     local_deterministic_count,
-    magic_square_box,
-    mpp_box,
-    pr_box,
     refuse_over_cap,
     support_marginal_uniformity_error,
     tsirelson_box,
 )
 from .games import NonlocalGame, input_win_mask, local_map_indices, local_maps, question_indices
-from .infotheory import ProductDistribution, entropy, product_joint, sum_rate
+from .infotheory import ProductDistribution, entropy, message_output_kernel, product_joint, sum_rate
+
+# Ascent steps after which a start of `maximize_over_pi` stops regardless of
+# its gap; also the step cap of the vertex pruning in `classical_capacity_exact`.
+MAX_ITERATIONS = 4000
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of `maximize_over_pi`; max_iterations also caps the vertex
-    pruning of `classical_capacity_exact`.
+    """Settings of `maximize_over_pi`.
 
     restarts: starts of the ascent, the uniform distribution plus
         restarts - 1 seeded Dirichlet draws.
     tolerance: a start stops once its certified block gap (the most any
         single sender's factor could still add) is at most this, in bits.
-    max_iterations: ascent steps after which a start stops regardless of
-        its gap.  One step of the I(M;Y) objective is an extrapolated
-        Blahut-Arimoto step of three sweeps; one of the subset bound is
-        one sweep.
     seed: seeds the Dirichlet starts.
+
+    A start also stops after MAX_ITERATIONS ascent steps, a module
+    constant.  One step of the I(M;Y) objective is an extrapolated
+    Blahut-Arimoto step of three sweeps; one of the subset bound is one
+    sweep.
     """
 
     restarts: int = 20
     tolerance: float = 1e-10
-    max_iterations: int = 4000
     seed: int = 0
 
     def __post_init__(self):
@@ -59,8 +61,6 @@ class OptimizerConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -107,7 +107,7 @@ def _ascend(
     active = np.arange(groups * R)
     group = active // R
     stepped_rows = []
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         stepped_rows.append(active)
         values, gaps, stepped = objective((F[active], group))
         better = values >= best[active]
@@ -154,10 +154,10 @@ def maximize_over_pi(
 
     All starts (uniform, then cfg.restarts - 1 seeded Dirichlet draws) run
     as one batch.  A start stops once its block gap is at most
-    cfg.tolerance or after cfg.max_iterations ascent steps.  Returns the
+    cfg.tolerance or after MAX_ITERATIONS ascent steps.  Returns the
     best evaluated value, its distribution and diagnostics: `grid_points`
     (0), `iterations` (steps summed over the starts), `capped` (starts that
-    ran all cfg.max_iterations steps with a gap still above cfg.tolerance),
+    ran all MAX_ITERATIONS steps with a gap still above cfg.tolerance),
     `restarts`, `winner` (the winning start: of the starts within rounding
     of the best value, the one with the smallest gap), `gap` (its block
     gap) and `group`.
@@ -272,7 +272,7 @@ def _kernel_mi_objective(kernels: np.ndarray) -> AscentObjective:
 
 def sum_rate_objective(enc: Encoder, ch: MacChannel) -> AscentObjective:
     """I(M;Y) as an ascent objective, with the x axis pre-summed."""
-    return _kernel_mi_objective(ch.kernel(enc.cols, enc.probs))
+    return _kernel_mi_objective(message_output_kernel(enc, ch))
 
 
 def _kernel_rates(kernels: np.ndarray, pms: np.ndarray) -> np.ndarray:
@@ -331,7 +331,7 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     Blahut-Arimoto bound max_m D(K_m || q) on its capacity over all Δ
     messages (Blahut 1972, Arimoto 1972), which holds at every step, is
     below the floor: the best rate at uniform messages.  It is kept once
-    its BA value reaches the floor, or after cfg.max_iterations steps.
+    its BA value reaches the floor, or after MAX_ITERATIONS steps.
     The survivors (`candidates`, of `representatives` and `vertices`)
     share one grouped ascent; `vertex:N` names the lowest-index one
     within rounding of the best.
@@ -342,7 +342,7 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     objective = _kernel_mi_objective(kernels)
     F = np.full((len(kernels), 1, ch.delta), 1.0 / ch.delta)  # one sender, Δ messages
     active, kept = np.arange(len(kernels)), []
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         values, gaps, F[active] = objective((F[active], active))
         kept.append(active[values >= floor])
         active = active[(values < floor) & (values + gaps >= floor)]
@@ -377,6 +377,7 @@ def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def bruteforce_classical_game_value(game: NonlocalGame) -> tuple[float, tuple[tuple[int, ...], ...]]:
     """Best uniform-question win probability over deterministic strategies.
 
@@ -396,6 +397,7 @@ def bruteforce_classical_game_value(game: NonlocalGame) -> tuple[float, tuple[tu
     The work is (D^d)^(n-1) d^n D, not (D^d)^n d^n, but the enumeration
     cap still bounds the (D^d)^n strategy tuples the maximum ranges over,
     so which games are refused does not depend on how the maximum is found.
+    The last game's answer is kept, so a sweep's bounds share one search.
     """
     n, d, D = game.n, game.d, game.D
     refuse_over_cap(local_deterministic_count(n, d, D), game.name, "deterministic strategy tuples")
@@ -464,24 +466,20 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
     return objective
 
 
-def classical_upper_bound(
-    ch: MacChannel,
-    omega_star_local: float,
-    cfg: OptimizerConfig | None = None,
-) -> CapacityResult:
+def classical_upper_bound(ch: MacChannel, cfg: OptimizerConfig | None = None) -> CapacityResult:
     """The paper's subset-partition expression for the classical sum-capacity.
 
-    It takes r_max = round(omega_star_local * Δ) message tuples as the
-    most that land in the winning set, bounds the win probability by the
-    r_max largest message masses and H(Y) by H(M).  It is not a proven
+    It takes r_max = round(ω*_L Δ) message tuples, with ω*_L the game's
+    classical value (diagnostic `omega_star`), as the most that land in
+    the winning set, bounds the win probability by the r_max largest
+    message masses and H(Y) by H(M).  It is not a proven
     upper bound: on a noisy channel H(Y) can exceed H(M), and mpp:3
     type-II at η = 0.3 has an encoder above it.  So the kind is
     `paper-bound`.  The maximum over pi comes from block-coordinate
     ascent, a local search, not a certified global maximum.
     """
-    if not 0.0 < omega_star_local <= 1.0:
-        raise ValueError(f"omega_star_local must lie in (0, 1], got {omega_star_local}")
-    r_max = round(omega_star_local * ch.delta)
+    omega_star, _ = bruteforce_classical_game_value(ch.game)
+    r_max = round(omega_star * ch.delta)
     val, pi, diag = maximize_over_pi(
         _subset_bound_objective(ch, r_max), ch.game.n, ch.game.d, cfg
     )
@@ -490,7 +488,7 @@ def classical_upper_bound(
         kind="paper-bound",
         resource="L",
         argmax_pi=pi,
-        diagnostics=dict(diag, r_max=r_max),
+        diagnostics=dict(diag, r_max=r_max, omega_star=omega_star),
     )
 
 
@@ -502,13 +500,10 @@ PT_WIN_TOL = 1e-10
 PT_UNIFORMITY_TOL = 1e-10
 PT_CROSS_CHECK_TOL = 1e-9
 
-_BOX_RESOURCE = {"pr": "NS", "tsirelson": "Q", "magic-square": "Q"}
-
 
 def _box_resource(box: CorrelationBox) -> str:
-    if box.name.startswith("mpp:"):
-        return "Q"
-    return _BOX_RESOURCE.get(box.name, "NS")
+    """Q for the built-in quantum boxes, NS for every other box."""
+    return "Q" if box.name in ("tsirelson", "magic-square") or box.name.startswith("mpp:") else "NS"
 
 
 class PseudoTelepathyHypothesisError(ValueError):
@@ -610,17 +605,17 @@ def _vertex_file_encoders(vertex_csv_path, game: NonlocalGame) -> list[Encoder]:
 
 
 def _vertex_encoders_bound(
-    ch: MacChannel, encoders: list[Encoder], cfg: OptimizerConfig | None, resource: str
+    ch: MacChannel, encoders: list[Encoder], cfg: OptimizerConfig | None
 ) -> CapacityResult:
     """Best E* sum rate over checked vertex-file encoders, one grouped ascent."""
-    kernels = np.stack([ch.kernel(enc.cols, enc.probs) for enc in encoders])
+    kernels = np.stack([message_output_kernel(enc, ch) for enc in encoders])
     val, pi, diag = maximize_over_pi(
         _kernel_mi_objective(kernels), ch.game.n, ch.game.d, cfg, groups=len(encoders)
     )
     return CapacityResult(
         value=val,
         kind="lower-bound",
-        resource=resource,
+        resource="file",
         argmax_pi=pi,
         argmax_encoder=f"vertex-file:{diag['group']}",
         diagnostics=dict(diag, boxes=len(encoders)),
@@ -628,10 +623,7 @@ def _vertex_encoders_bound(
 
 
 def vertex_file_bound(
-    ch: MacChannel,
-    vertex_csv_path,
-    cfg: OptimizerConfig | None = None,
-    resource: str = "file",
+    ch: MacChannel, vertex_csv_path, cfg: OptimizerConfig | None = None
 ) -> CapacityResult:
     """Max sum rate over user-supplied correlation-box vertices via E*.
 
@@ -642,7 +634,7 @@ def vertex_file_bound(
     file once for all its η.
     """
     encoders = _vertex_file_encoders(vertex_csv_path, ch.game)
-    return _vertex_encoders_bound(ch, encoders, cfg, resource)
+    return _vertex_encoders_bound(ch, encoders, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +647,12 @@ _ETA_CLAMP = 1e-6
 
 
 def pseudo_telepathy_box(game: NonlocalGame) -> CorrelationBox:
-    """The built-in perfect box for a game, if one exists."""
-    if game.name == "chsh":
-        return pr_box()
-    if game.name == "magic-square":
-        return magic_square_box()
-    if game.name.startswith("mpp:"):
-        return mpp_box(game.n)
-    raise ValueError(f"no built-in pseudo-telepathy box for {game.name}")
+    """The built-in perfect box for a game: the PR box for CHSH, else the
+    built-in box named after the game (magic-square, mpp:<n>)."""
+    try:
+        return builtin_box("pr" if game.name == "chsh" else game.name)
+    except ValueError:
+        raise ValueError(f"no built-in pseudo-telepathy box for {game.name}") from None
 
 
 def channel_for(game: NonlocalGame, channel_type: int, eta: float) -> MacChannel:
@@ -718,7 +708,6 @@ def sweep(
     _check_resources(resources)
     cfg = cfg or OptimizerConfig()
     rows: list[SweepRow] = []
-    omega_star: float | None = None
     pt_box: CorrelationBox | None = None
     pt_deviation = 0.0
     vertex_encoders: dict[str, list[Encoder]] = {}
@@ -729,10 +718,8 @@ def sweep(
                 r = classical_capacity_exact(ch, cfg)
                 diag = r.argmax_encoder or ""
             elif res == "L-bound":
-                if omega_star is None:
-                    omega_star, _ = bruteforce_classical_game_value(game)
-                r = classical_upper_bound(ch, omega_star, cfg)
-                diag = f"omega*={omega_star:.10g}"
+                r = classical_upper_bound(ch, cfg)
+                diag = f"omega*={r.diagnostics['omega_star']:.10g}"
             elif res == "Q-lower":
                 r = quantum_lower_bound_chsh(ch, cfg)
                 diag = r.argmax_encoder or ""
@@ -751,7 +738,7 @@ def sweep(
                 path = res.split(":", 1)[1]
                 if path not in vertex_encoders:  # game-only: once per sweep
                     vertex_encoders[path] = _vertex_file_encoders(path, game)
-                r = _vertex_encoders_bound(ch, vertex_encoders[path], cfg, "file")
+                r = _vertex_encoders_bound(ch, vertex_encoders[path], cfg)
                 diag = r.argmax_encoder or ""
             rows.append(
                 SweepRow(eta=float(eta), resource=res, kind=r.kind, value=r.value, diagnostic=diag)

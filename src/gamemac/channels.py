@@ -40,7 +40,7 @@ def noise_f(delta: int, eta: float) -> float:
     return float(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MacChannel:
     """P(y | x) = profile_{win(x)}[(y - q(x)) mod Δ], with Δ = d^n.
 
@@ -53,7 +53,6 @@ class MacChannel:
     game: NonlocalGame
     win_profile: np.ndarray  # shape (Δ,)
     lose_profile: np.ndarray  # shape (Δ,)
-    name: str = "mac"
     f_w: float = field(init=False)
     f_l: float = field(init=False)
 
@@ -126,10 +125,10 @@ def _input_maps(game: NonlocalGame) -> tuple[np.ndarray, np.ndarray]:
     return maps
 
 
-def two_branch_mac(game: NonlocalGame, win_profile, lose_profile, name: str = "two-branch") -> MacChannel:
+def two_branch_mac(game: NonlocalGame, win_profile, lose_profile) -> MacChannel:
     """Generic two-branch channel from per-branch noise profiles; see
     MacChannel for the profile convention."""
-    return MacChannel(game, win_profile, lose_profile, name=name)
+    return MacChannel(game, win_profile, lose_profile)
 
 
 def depolarizing_mac(game: NonlocalGame, eta_w: float, eta_l: float) -> MacChannel:
@@ -143,7 +142,7 @@ def depolarizing_mac(game: NonlocalGame, eta_w: float, eta_l: float) -> MacChann
         p[0] += eta
         return p
 
-    return two_branch_mac(game, profile(eta_w), profile(eta_l), name=f"{game.name}({eta_w:g},{eta_l:g})")
+    return two_branch_mac(game, profile(eta_w), profile(eta_l))
 
 
 def type_i(game: NonlocalGame, eta: float) -> MacChannel:

@@ -17,14 +17,7 @@ import numpy as np
 
 from . import capacity, verify
 from .capacity import OptimizerConfig
-from .correlations import (
-    EnumerationCapExceeded,
-    box_to_csv,
-    magic_square_box,
-    mpp_box,
-    pr_box,
-    tsirelson_box,
-)
+from .correlations import EnumerationCapExceeded, box_to_csv, builtin_box
 from .games import game_by_name
 
 REFERENCE_TABLE = {
@@ -207,22 +200,12 @@ def cmd_game_value(game_name):
         click.echo(f"  player {k}: answers {list(strat)} for questions 0..{game.d - 1}")
 
 
-def _box_by_name(name: str):
-    """Built-in box pr, tsirelson, magic-square or mpp:<n>; ValueError otherwise."""
-    builders = {"pr": pr_box, "tsirelson": tsirelson_box, "magic-square": magic_square_box}
-    if name in builders:
-        return builders[name]()
-    if name.startswith("mpp:"):
-        return mpp_box(game_by_name(name).n)
-    raise ValueError(f"unknown box {name!r}")
-
-
 @main.command("box-export")
 @click.argument("box_name")
 @click.option("--out", required=True, type=click.Path())
 def cmd_box_export(box_name, out):
     """Export a built-in box (pr, tsirelson, magic-square, mpp:<n>) as CSV."""
-    box = _box_by_name(box_name)
+    box = builtin_box(box_name)
     box_to_csv(box, out)
     click.echo(f"wrote {box.name} box to {out}")
 

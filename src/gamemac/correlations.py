@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qkernel
-from .games import NonlocalGame, chsh_game, input_indices, local_map_indices, local_maps, pack_tuple
+from .games import (
+    NonlocalGame, chsh_game, game_by_name, input_indices, local_map_indices, local_maps, pack_tuple
+)
 
 NORMALIZATION_TOL = 1e-12
 NO_SIGNALING_TOL = 1e-10
@@ -27,7 +29,7 @@ class EnumerationCapExceeded(RuntimeError):
     """Raised instead of silently truncating a vertex enumeration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationBox:
     n: int
     d: int
@@ -66,7 +68,7 @@ class CorrelationBox:
         return float(worst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Encoder:
     """P(x | m) stored by its support: message m puts probability
     probs[m, j] on channel input cols[m, j]; repeated inputs add."""
@@ -258,6 +260,16 @@ def mpp_box(n: int) -> CorrelationBox:
         work = states.reshape(len(states), 2**k, 2, -1)
         states = np.einsum("qij,pajb->pqaib", steps, work).reshape(2 * len(states), -1)
     return CorrelationBox(n, 2, 2, np.abs(states) ** 2, name=f"mpp:{n}")
+
+
+def builtin_box(name: str) -> CorrelationBox:
+    """Built-in box pr, tsirelson, magic-square or mpp:<n>; ValueError otherwise."""
+    builders = {"pr": pr_box, "tsirelson": tsirelson_box, "magic-square": magic_square_box}
+    if name in builders:
+        return builders[name]()
+    if name.startswith("mpp:"):
+        return mpp_box(game_by_name(name).n)
+    raise ValueError(f"unknown box {name!r}")
 
 
 def e_star(box: CorrelationBox) -> Encoder:

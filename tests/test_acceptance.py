@@ -109,19 +109,11 @@ def test_criterion_4_reference_table(capsys):
     chsh_exact = classical_capacity_exact(type_ii(chsh_game(), 1.0), CFG)
     elapsed = time.perf_counter() - t0
     targets.append(("chsh L-exact", chsh_exact.value, 1.44))
-    omega_chsh, _ = bruteforce_classical_game_value(chsh_game())
+    targets.append(("chsh L-bound", classical_upper_bound(type_ii(chsh_game(), 1.0), CFG).value, 1.63))
     targets.append(
-        ("chsh L-bound", classical_upper_bound(type_ii(chsh_game(), 1.0), omega_chsh, CFG).value, 1.63)
+        ("magic-square L-bound", classical_upper_bound(type_ii(magic_square_game(), 1.0), CFG).value, 2.93)
     )
-    omega_ms, _ = bruteforce_classical_game_value(magic_square_game())
-    targets.append(
-        ("magic-square L-bound",
-         classical_upper_bound(type_ii(magic_square_game(), 1.0), omega_ms, CFG).value, 2.93)
-    )
-    omega_mpp, _ = bruteforce_classical_game_value(mpp_game(3))
-    targets.append(
-        ("mpp:3 L-bound", classical_upper_bound(type_ii(mpp_game(3), 1.0), omega_mpp, CFG).value, 2.72)
-    )
+    targets.append(("mpp:3 L-bound", classical_upper_bound(type_ii(mpp_game(3), 1.0), CFG).value, 2.72))
     deviations = [(name, abs(value - ref)) for name, value, ref in targets]
     passed = all(dev <= 0.01 for _, dev in deviations) and elapsed < 60.0
     report(capsys, "criterion 4: reference capacities", passed,

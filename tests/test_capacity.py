@@ -1,5 +1,6 @@
 from functools import lru_cache
 from itertools import combinations, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -52,11 +53,6 @@ CFG = OptimizerConfig(seed=0)
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
 
 
-@lru_cache
-def _omega(name):
-    return bruteforce_classical_game_value(game_by_name(name))[0]
-
-
 @pytest.fixture(scope="module")
 def chsh_type2_full():
     """Exact classical result for the noiseless-on-win/fully-noisy-on-loss channel."""
@@ -89,8 +85,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         OptimizerConfig(seed=-1)
 
@@ -228,6 +222,14 @@ def test_mpp_game_value_formula():
         assert omega == 0.75 + 2.0 ** -(-(-n // 2) + 1)
 
 
+def test_sweep_computes_the_game_value_once():
+    bruteforce_classical_game_value.cache_clear()
+    rows = sweep(mpp_game(3), 2, [0.2, 0.6, 1.0], ["L-bound"], CFG)
+    assert [r.diagnostic for r in rows] == ["omega*=0.875"] * 3
+    info = bruteforce_classical_game_value.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_bruteforce_cap():
     # 4^12 strategy tuples: refused before any work
     with pytest.raises(EnumerationCapExceeded):
@@ -236,14 +238,15 @@ def test_bruteforce_cap():
 
 def test_classical_upper_bound_chsh():
     ch = type_ii(chsh_game(), 1.0)
-    result = classical_upper_bound(ch, 0.75, CFG)
+    result = classical_upper_bound(ch, CFG)
     assert result.value == pytest.approx(1.6276, abs=1e-3)
     assert result.kind == "paper-bound"
+    assert result.diagnostics["omega_star"] == 0.75
     assert result.diagnostics["r_max"] == 3
 
 
 def test_classical_upper_bound_dominates_exact(chsh_type2_full):
-    bound = classical_upper_bound(type_ii(chsh_game(), 1.0), 0.75, CFG)
+    bound = classical_upper_bound(type_ii(chsh_game(), 1.0), CFG)
     assert bound.value >= chsh_type2_full.value - 1e-9
 
 
@@ -268,7 +271,7 @@ def test_classical_upper_bound_dominates_former_grid(name, eta):
     # the ascent never ends below the product grid it replaced
     game = game_by_name(name)
     ch = type_ii(game, eta)
-    bound = classical_upper_bound(ch, _omega(name), CFG)
+    bound = classical_upper_bound(ch, CFG)
     pms = _former_grid(game.n, game.d, 0.05 if game.d == 2 else 0.1)
     h = -(pms * np.log2(np.where(pms > 0, pms, 1.0))).sum(axis=1)
     top = -np.sort(-pms, axis=1)[:, : bound.diagnostics["r_max"]].sum(axis=1)
@@ -329,9 +332,11 @@ def test_grouped_ascent_matches_one_kernel_runs(n, groups, seed):
     # kernels of the chsh (n = 2) and mpp:3 (n = 3) shapes: d = 2, Δ = 2^n outputs
     rng = np.random.default_rng(seed)
     kernels = rng.dirichlet(np.ones(2**n), size=(groups, 2**n))
-    cfg = OptimizerConfig(restarts=6, max_iterations=100, seed=int(rng.integers(0, 1000)))
-    alone = [maximize_over_pi(_kernel_mi_objective(k), n, 2, cfg) for k in kernels]
-    grouped = _ascend(_kernel_mi_objective(kernels), groups, n, 2, cfg)
+    cfg = OptimizerConfig(restarts=6, seed=int(rng.integers(0, 1000)))
+    with patch.object(capacity, "MAX_ITERATIONS", 100):
+        alone = [maximize_over_pi(_kernel_mi_objective(k), n, 2, cfg) for k in kernels]
+        grouped = _ascend(_kernel_mi_objective(kernels), groups, n, 2, cfg)
+        best, _, best_diag = maximize_over_pi(_kernel_mi_objective(kernels), n, 2, cfg, groups=groups)
     for (value, pi, diag), (value1, pi1, diag1) in zip(grouped, alone):
         assert abs(value - value1) <= 1e-12
         assert all(np.array_equal(a, b) for a, b in zip(pi.factors, pi1.factors))
@@ -343,10 +348,9 @@ def test_grouped_ascent_matches_one_kernel_runs(n, groups, seed):
     for g, (value1, _, _) in enumerate(alone):
         if value1 > alone[pick][0] + 1e-12:
             pick = g
-    value, pi, diag = maximize_over_pi(_kernel_mi_objective(kernels), n, 2, cfg, groups=groups)
-    assert diag["group"] == pick
-    assert value == alone[pick][0]
-    assert diag["iterations"] == sum(a[2]["iterations"] for a in alone)
+    assert best_diag["group"] == pick
+    assert best == alone[pick][0]
+    assert best_diag["iterations"] == sum(a[2]["iterations"] for a in alone)
 
 
 @PROPERTY
@@ -366,8 +370,9 @@ def test_extrapolated_step_never_lowers_the_value_and_converges(shape, seed):
 
 def test_capped_counts_starts_that_ran_out_of_steps():
     kernels = np.random.default_rng(7).dirichlet(np.ones(4), size=(3, 4))
-    cfg = OptimizerConfig(restarts=5, max_iterations=1)
-    _, _, diag = maximize_over_pi(_kernel_mi_objective(kernels), 2, 2, cfg, groups=3)
+    cfg = OptimizerConfig(restarts=5)
+    with patch.object(capacity, "MAX_ITERATIONS", 1):
+        _, _, diag = maximize_over_pi(_kernel_mi_objective(kernels), 2, 2, cfg, groups=3)
     assert diag["capped"] == 5 * 3
     assert diag["iterations"] == 5 * 3
 
@@ -474,11 +479,6 @@ def test_subset_mass_matches_exhaustive_subsets():
         assert sorted_mass == pytest.approx(brute, abs=1e-15)
 
 
-def test_classical_upper_bound_validates_omega():
-    with pytest.raises(ValueError):
-        classical_upper_bound(type_ii(chsh_game(), 1.0), 0.0)
-
-
 @pytest.mark.parametrize(
     "game,delta",
     [(chsh_game(), 4), (magic_square_game(), 9), (mpp_game(3), 8)],
@@ -540,6 +540,11 @@ def test_maximize_over_pi_reports_best_certified_winner():
     assert abs(result.value - 1.1861381026252487) <= 1e-12
 
 
+def test_sum_rate_objective_refuses_a_scenario_mismatch():
+    with pytest.raises(ValueError, match=r"encoder scenario \(2,2,2\) .* channel game \(3,2,2\)"):
+        sum_rate_objective(e_star(pr_box()), type_ii(mpp_game(3), 0.5))
+
+
 def test_quantum_lower_bound_requires_chsh():
     with pytest.raises(ValueError):
         quantum_lower_bound_chsh(type_ii(mpp_game(3), 1.0), CFG)
@@ -569,9 +574,9 @@ def test_vertex_file_bound_pr_vertex(tmp_path):
     path = tmp_path / "pr.csv"
     box_to_csv(pr_box(), path)
     ch = type_ii(chsh_game(), 0.9)
-    result = vertex_file_bound(ch, path, CFG, resource="NS")
+    result = vertex_file_bound(ch, path, CFG)
     assert result.value == pytest.approx(2.0 - noise_f(4, 0.9), abs=1e-6)
-    assert result.resource == "NS"
+    assert result.resource == "file"
 
 
 def test_vertex_file_bound_picks_the_per_box_winner(tmp_path):

@@ -14,7 +14,7 @@ from gamemac.channels import (
     type_ii,
 )
 from gamemac.capacity import pseudo_telepathy_capacity
-from gamemac.correlations import CorrelationBox, Encoder, e_star, mpp_box
+from gamemac.correlations import CorrelationBox, Encoder, e_star, mpp_box, pr_box
 from gamemac.games import (
     NonlocalGame,
     chsh_game,
@@ -149,6 +149,17 @@ def test_branch_entropies_are_derived_not_settable():
     skewed = two_branch_mac(chsh_game(), [0.7, 0.1, 0.1, 0.1], [0.25] * 4)
     for ch in (ch, type_i(mpp_game(3), 0.3), skewed):
         assert ch.f_w == entropy(ch.win_profile) and ch.f_l == entropy(ch.lose_profile)
+
+
+def test_data_types_compare_and_hash_by_identity():
+    # array fields make value equality ambiguous; each object equals only itself
+    ch, box, enc = type_ii(chsh_game(), 0.5), pr_box(), e_star(pr_box())
+    assert (ch == type_ii(chsh_game(), 0.5)) is False
+    assert (box == pr_box()) is False
+    assert (enc == e_star(pr_box())) is False
+    for obj in (ch, box, enc):
+        assert obj == obj
+    assert len({ch, ch, box, enc}) == 3
 
 
 def test_depolarizing_mac_validates_each_channel_once(monkeypatch):

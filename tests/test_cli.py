@@ -1,4 +1,5 @@
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -380,11 +381,16 @@ def test_error_boundary_names_the_path_of_an_os_error(tmp_path, args, path):
     assert "Traceback" not in result.output
 
 
+def _readme_block(after: str, fence: str) -> str:
+    """The first `fence` code block of README.md after the line `after`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"\n{after}\n", 1)[1].split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_cli_commands() -> list[list[str]]:
     """The `gamemac ...` lines of README.md's `## CLI` block, in order,
     without the program name."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("## CLI", "sh")
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("gamemac ")]
 
@@ -400,3 +406,15 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     for args in commands:
         result = run(*args)
         assert result.exit_code == 0, (args, result.output)
+
+
+def test_readme_python_example_values():
+    # README.md's library example runs, and each `name = ...  # value` comment
+    # states name.value to 1e-4
+    block = _readme_block("## Library overview", "python")
+    stated = re.findall(r"^(\w+) = .*#\s*(\d+\.\d+)\b", block, flags=re.MULTILINE)
+    assert [name for name, _ in stated] == ["exact", "bound", "ns"]
+    scope: dict = {}
+    exec(block, scope)
+    for name, value in stated:
+        assert abs(scope[name].value - float(value)) <= 1e-4, (name, scope[name].value, value)
