@@ -1,6 +1,7 @@
 """Nonlocal-game-based multiple access channels and their correlation-
 assisted sum-capacities."""
 
+from . import qkernel
 from .games import NonlocalGame, chsh_game, game_by_name, magic_square_game, mpp_game
 from .correlations import (
     CorrelationBox,

@@ -502,7 +502,11 @@ PT_CROSS_CHECK_TOL = 1e-9
 
 
 def _box_resource(box: CorrelationBox) -> str:
-    """Q for the built-in quantum boxes, NS for every other box."""
+    """Q for the built-in quantum boxes, NS for every other box.  The
+    quantum strategies behind Q are in tests/test_correlations.py
+    (test_tsirelson_box_matches_bell_state_strategy,
+    test_magic_square_box_matches_four_qubit_strategy and
+    test_mpp_box_matches_per_row_construction)."""
     return "Q" if box.name in ("tsirelson", "magic-square") or box.name.startswith("mpp:") else "NS"
 
 

@@ -55,12 +55,13 @@ def load_config(path: str) -> dict[str, str]:
 def parse_eta_grid(spec: str) -> np.ndarray:
     try:
         a, b, n = spec.split(":")
-        grid = np.linspace(float(a), float(b), int(n))
+        a, b, n = float(a), float(b), int(n)
     except ValueError as exc:
         raise click.ClickException(f"eta-grid must be a:b:n, got {spec!r}") from exc
-    if int(n) < 1 or grid.min() < 0 or grid.max() > 1:
+    # written so that a NaN endpoint fails too; linspace keeps both endpoints
+    if not (n >= 1 and 0 <= a <= 1 and 0 <= b <= 1):
         raise click.ClickException(f"eta-grid {spec!r} must stay within [0, 1] with n >= 1")
-    return grid
+    return np.linspace(a, b, n)
 
 
 def _merged(config_path, **flags):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qkernel
 from .games import (
-    NonlocalGame, chsh_game, game_by_name, input_indices, local_map_indices, local_maps, pack_tuple
+    NonlocalGame, chsh_game, game_by_name, input_indices, local_map_indices, local_maps,
+    magic_square_game, mpp_game, pack_tuple,
 )
 
 NORMALIZATION_TOL = 1e-12
@@ -160,106 +160,47 @@ def local_deterministic_boxes(n: int, d: int, D: int):
         yield deterministic_box(n, d, D, strategies)
 
 
+def _uniform_over_wins(game: NonlocalGame, name: str) -> CorrelationBox:
+    """Box answering each question uniformly over the game's winning
+    answers: the win table divided by its row sums."""
+    win = game.win_table()
+    return CorrelationBox(game.n, game.d, game.D, win / win.sum(axis=1, keepdims=True), name=name)
+
+
 def pr_box() -> CorrelationBox:
     """The extremal no-signaling (2,2,2) box: uniform over the answers that
     win CHSH, a1 XOR a2 = q1 AND q2."""
-    return CorrelationBox(2, 2, 2, 0.5 * chsh_game().win_table(), name="pr")
+    return _uniform_over_wins(chsh_game(), "pr")
 
 
 def tsirelson_box() -> CorrelationBox:
     """Quantum (2,2,2) box at the maximal CHSH win probability cos²(π/8).
 
-    Maximally entangled state; party 1 measures σ_z / σ_x, party 2
-    measures -(σ_z+σ_x)/√2 / (-σ_z+σ_x)/√2.  Party 2's outcome labels
-    are flipped relative to the raw +1->0 convention; with the raw
-    labels the box wins with probability sin²(π/8) instead.
+    P(a | q) = (1 + (-1)^(a1 XOR a2 XOR q1 q2)/√2)/4 (Tsirelson 1980), that
+    is (1 + (2W - 1)/√2)/4 with W the CHSH win table: the statistics of
+    σ_z / σ_x against (σ_z + σ_x)/√2 / (σ_z - σ_x)/√2 on the Bell state
+    (|00> + |11>)/√2, eigenvalue +1 read as answer 0.
     """
-    phi = qkernel.state_vector(np.array([1, 0, 0, 1]) / np.sqrt(2))
-    obs_a = [qkernel.PAULI_Z, qkernel.PAULI_X]
-    s2 = np.sqrt(2)
-    obs_b = [-(qkernel.PAULI_Z + qkernel.PAULI_X) / s2, (-qkernel.PAULI_Z + qkernel.PAULI_X) / s2]
-    table = np.zeros((4, 4))
-    for q1 in range(2):
-        for q2 in range(2):
-            joint = qkernel.projective_binary_measurement(phi, obs_a[q1], obs_b[q2])
-            for a1 in range(2):
-                for a2 in range(2):
-                    table[q1 * 2 + q2, a1 * 2 + a2] = joint[a1, 1 - a2]
-    return CorrelationBox(2, 2, 2, table, name="tsirelson")
-
-
-_MS_SQRT2 = 1 / np.sqrt(2)
-_MS_U = [
-    _MS_SQRT2 * np.array([[1j, 0, 0, 1], [0, -1j, 1, 0], [0, 1j, 1, 0], [1, 0, 0, 1j]]),
-    0.5 * np.array([[1j, 1, 1, 1j], [-1j, 1, -1, 1j], [1j, 1, -1, -1j], [-1j, 1, 1, -1j]]),
-    0.5 * np.array([[-1, -1, -1, 1], [1, 1, -1, 1], [1, -1, 1, 1], [1, -1, -1, -1]]),
-]
-_MS_V = [
-    0.5 * np.array([[1j, -1j, 1, 1], [-1j, -1j, 1, -1], [1, 1, -1j, 1j], [-1j, 1j, 1, 1]]),
-    0.5 * np.array([[-1, 1j, 1, 1j], [1, 1j, 1, -1j], [1, -1j, 1, 1j], [-1, -1j, 1, -1j]]),
-    _MS_SQRT2 * np.array([[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0]]),
-]
-
-
-def _ms_shared_state() -> np.ndarray:
-    # (|00>|11> - |01>|10> - |10>|01> + |11>|00>)/2, party 1 on high qubits
-    psi = np.zeros(16, dtype=complex)
-    psi[0b0011] = 0.5
-    psi[0b0110] = -0.5
-    psi[0b1001] = -0.5
-    psi[0b1100] = 0.5
-    return qkernel.state_vector(psi)
+    win = chsh_game().win_table()
+    return CorrelationBox(2, 2, 2, (1 + (2 * win - 1) / np.sqrt(2)) / 4, name="tsirelson")
 
 
 def magic_square_box() -> CorrelationBox:
-    """Quantum (2,3,8) box winning the magic square game with probability 1.
-
-    Both parties rotate their two qubits of the shared four-qubit state
-    with the question-indexed unitaries and measure in the computational
-    basis; the two measured bits become (a^0, a^1), in qubit order, and
-    a^2 completes the parity (even for party 1, odd for party 2).
-    """
-    psi = _ms_shared_state()
-    us = [qkernel.unitary(u) for u in _MS_U]
-    vs = [qkernel.unitary(v) for v in _MS_V]
-    table = np.zeros((9, 64))
-    for q1 in range(3):
-        for q2 in range(3):
-            rotated = qkernel.apply_local_unitary(psi, us[q1], 0, 2)
-            rotated = qkernel.apply_local_unitary(rotated, vs[q2], 2, 2)
-            probs = qkernel.measurement_distribution(rotated, [2, 2])
-            for o1 in range(4):
-                for o2 in range(4):
-                    b0_1, b1_1 = (o1 >> 1) & 1, o1 & 1
-                    b0_2, b1_2 = (o2 >> 1) & 1, o2 & 1
-                    a1 = b0_1 | (b1_1 << 1) | ((b0_1 ^ b1_1) << 2)
-                    a2 = b0_2 | (b1_2 << 1) | ((1 ^ b0_2 ^ b1_2) << 2)
-                    table[q1 * 3 + q2, a1 * 8 + a2] += probs[o1, o2]
-    return CorrelationBox(2, 3, 8, table, name="magic-square")
+    """Quantum (2,3,8) box winning the magic square game with probability 1:
+    uniform over the 8 winning answer pairs of each question, the
+    statistics of the Mermin-Peres strategy on two shared Bell pairs
+    (Brassard, Broadbent & Tapp, "Quantum pseudo-telepathy", 2005)."""
+    return _uniform_over_wins(magic_square_game(), "magic-square")
 
 
 def mpp_box(n: int) -> CorrelationBox:
-    """Quantum (n,2,2) box from the GHZ state winning the MPP game.
-
-    Each player phases |1> by e^{iπ q_k/2}, applies Hadamard, and
-    measures; see mpp_game for the predicate this wins with certainty.
-    Player k's step is applied once to the states of every question
-    prefix (q_1..q_k-1), giving those of every prefix (q_1..q_k): n
-    batched steps in all, each the same arithmetic as
-    qkernel.apply_local_unitary.
-    """
+    """Quantum (n,2,2) box winning the MPP game with certainty: uniform over
+    the winning answers of each question, the statistics of the GHZ
+    strategy (each player phases |1> by e^{iπ q_k/2}, applies Hadamard and
+    measures; Brassard, Broadbent & Tapp 2005)."""
     if n < 2:
         raise ValueError(f"mpp box needs n >= 2, got {n}")
-    ghz = np.zeros(2**n, dtype=complex)
-    ghz[0] = ghz[-1] = _MS_SQRT2
-    states = qkernel.state_vector(ghz)[None]  # (prefixes, 2^n)
-    steps = np.stack(
-        [qkernel.HADAMARD @ np.diag([1.0, np.exp(1j * np.pi * q / 2)]) for q in (0, 1)]
-    )
-    for k in range(n):
-        work = states.reshape(len(states), 2**k, 2, -1)
-        states = np.einsum("qij,pajb->pqaib", steps, work).reshape(2 * len(states), -1)
-    return CorrelationBox(n, 2, 2, np.abs(states) ** 2, name=f"mpp:{n}")
+    return _uniform_over_wins(mpp_game(n), f"mpp:{n}")
 
 
 def builtin_box(name: str) -> CorrelationBox:

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from gamemac import capacity, verify
 from gamemac.channels import noise_f
 from gamemac.cli import main, parse_eta_grid
+from gamemac.games import mpp_game
 
 
 def run(*args, **kwargs):
@@ -29,6 +30,10 @@ def test_parse_eta_grid_errors():
                "--eta-grid", "nope", "--resources", "NS-exact").exit_code != 0
     assert run("sweep", "--game", "chsh", "--channel-type", "2",
                "--eta-grid", "0:2:3", "--resources", "NS-exact").exit_code != 0
+    for spec in ("nan:1:2", "0.1:inf:2"):
+        result = run("sweep", "--game", "chsh", "--channel-type", "2",
+                     "--eta-grid", spec, "--resources", "NS-exact")
+        assert result.exit_code == 1 and "eta-grid" in result.output, result.output
 
 
 def test_sweep_stdout_csv():
@@ -168,6 +173,21 @@ def test_box_export_roundtrip(tmp_path):
     (box,) = boxes_from_csv(out)
     assert np.allclose(box.table, pr_box().table)
     assert run("box-export", "nope", "--out", str(tmp_path / "x.csv")).exit_code != 0
+
+
+def test_box_export_writes_only_winning_rows(tmp_path):
+    # mpp:3: 4 odd-parity questions x 8 answers at 1/8, 4 even-parity
+    # questions x 4 winning answers at 1/4, and no losing answer
+    out = tmp_path / "mpp3.csv"
+    assert run("box-export", "mpp:3", "--out", str(out)).exit_code == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "3,2,2" and len(rows) == 48
+    game = mpp_game(3)
+    for row in rows:
+        *digits, p = row.split(",")
+        digits = list(map(int, digits))
+        assert game.wins(digits[:3], digits[3:])
+        assert p == ("0.125" if sum(digits[:3]) % 2 else "0.25")
 
 
 @pytest.mark.parametrize("name", ["mpp:x", "mpp:", "mpp:1"])
@@ -330,7 +350,7 @@ def _assert_error_line(result, fragment=""):
         # before any memory is touched
         (("sweep", "--game", "mpp:58", "--channel-type", "2", "--eta-grid", "0.5:1:1",
           "--resources", "NS-exact"), "Unable to allocate"),
-        (("box-export", "mpp:58", "--out", "mpp58.csv"), "Unable to allocate"),
+        (("box-export", "mpp:58", "--out", "mpp58.csv"), "too big"),
         # 2^5000 outputs: the noise function overflows a float
         (("vertex-bound", "--game", "mpp:5000", "--channel-type", "2", "--eta", "0.5",
           "--vertex-file", "pr.csv"), "too large"),

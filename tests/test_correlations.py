@@ -13,6 +13,7 @@ from gamemac.correlations import (
     box_to_csv,
     box_win_probabilities,
     boxes_from_csv,
+    builtin_box,
     deterministic_box,
     e_star,
     local_deterministic_boxes,
@@ -24,7 +25,9 @@ from gamemac.correlations import (
     tsirelson_box,
     validate_box,
 )
-from gamemac.games import chsh_game, magic_square_game, mpp_game, pack_tuple, unpack_index
+from gamemac.games import (
+    chsh_game, game_by_name, magic_square_game, mpp_game, pack_tuple, unpack_index
+)
 
 
 def test_box_shape_check():
@@ -129,6 +132,63 @@ def test_mpp_box_matches_per_row_construction(n):
             state = qkernel.apply_local_unitary(state, qkernel.HADAMARD @ phase, k, 1)
         table[qi] = np.abs(state) ** 2
     assert np.abs(mpp_box(n).table - table).max() <= 1e-14
+
+
+def test_tsirelson_box_matches_bell_state_strategy():
+    # reference: σ_z / σ_x against (σ_z ± σ_x)/√2 on (|00> + |11>)/√2,
+    # Born probabilities from qkernel, eigenvalue +1 read as answer 0
+    bell = qkernel.state_vector(np.array([1, 0, 0, 1]) / np.sqrt(2))
+    z, x = qkernel.PAULI_Z, qkernel.PAULI_X
+    obs_1 = [z, x]
+    obs_2 = [(z + x) / np.sqrt(2), (z - x) / np.sqrt(2)]
+    table = np.array([
+        qkernel.projective_binary_measurement(bell, obs_1[q1], obs_2[q2]).ravel()
+        for q1, q2 in product(range(2), repeat=2)
+    ])
+    assert np.abs(tsirelson_box().table - table).max() <= 1e-14
+
+
+# Mermin-Peres strategy on two Bell pairs: per-question two-qubit unitaries
+# of party 1 (row q1) and party 2 (column q2), then a computational-basis
+# measurement of each party's two qubits
+_MS_H = 1 / np.sqrt(2)
+_MS_U = [
+    _MS_H * np.array([[1j, 0, 0, 1], [0, -1j, 1, 0], [0, 1j, 1, 0], [1, 0, 0, 1j]]),
+    0.5 * np.array([[1j, 1, 1, 1j], [-1j, 1, -1, 1j], [1j, 1, -1, -1j], [-1j, 1, 1, -1j]]),
+    0.5 * np.array([[-1, -1, -1, 1], [1, 1, -1, 1], [1, -1, 1, 1], [1, -1, -1, -1]]),
+]
+_MS_V = [
+    0.5 * np.array([[1j, -1j, 1, 1], [-1j, -1j, 1, -1], [1, 1, -1j, 1j], [-1j, 1j, 1, 1]]),
+    0.5 * np.array([[-1, 1j, 1, 1j], [1, 1j, 1, -1j], [1, -1j, 1, 1j], [-1, -1j, 1, -1j]]),
+    _MS_H * np.array([[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0]]),
+]
+
+
+def test_magic_square_box_matches_four_qubit_strategy():
+    # (|00>|11> - |01>|10> - |10>|01> + |11>|00>)/2, party 1 on the high
+    # qubits; measured bits (b0, b1) become the answer b0 | b1 << 1 with the
+    # third entry completing the parity (even for party 1, odd for party 2)
+    psi = np.zeros(16, dtype=complex)
+    psi[[0b0011, 0b0110, 0b1001, 0b1100]] = [0.5, -0.5, -0.5, 0.5]
+    psi = qkernel.state_vector(psi)
+    table = np.zeros((9, 64))
+    for q1, q2 in product(range(3), repeat=2):
+        state = qkernel.apply_local_unitary(psi, qkernel.unitary(_MS_U[q1]), 0, 2)
+        state = qkernel.apply_local_unitary(state, qkernel.unitary(_MS_V[q2]), 2, 2)
+        probs = qkernel.measurement_distribution(state, [2, 2])
+        for o1, o2 in product(range(4), repeat=2):
+            b1, b2 = divmod(o1, 2), divmod(o2, 2)
+            a1 = b1[0] | b1[1] << 1 | (b1[0] ^ b1[1]) << 2
+            a2 = b2[0] | b2[1] << 1 | (1 ^ b2[0] ^ b2[1]) << 2
+            table[q1 * 3 + q2, a1 * 8 + a2] += probs[o1, o2]
+    assert np.abs(magic_square_box().table - table).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["pr", "magic-square", *(f"mpp:{n}" for n in range(2, 9))])
+def test_pseudo_telepathy_boxes_are_uniform_over_wins(name):
+    # exactly: no probability on a losing answer, not even a rounding residue
+    win = game_by_name("chsh" if name == "pr" else name).win_table()
+    assert np.array_equal(builtin_box(name).table, win / win.sum(axis=1, keepdims=True))
 
 
 def test_box_game_scenario_mismatch():
