@@ -685,12 +685,14 @@ class SweepRow:
 
 def _check_resources(resources: list[str]) -> None:
     """Raise ValueError, listing the valid names, unless resources is a
-    non-empty list of them."""
+    non-empty list of distinct ones."""
     names = ("L-exact", "L-bound", "Q-lower", "Q-exact", "NS-exact")
     valid = f"expected one or more of {', '.join(names)}, vertex-file:<path>"
     if not resources:
         raise ValueError(f"no resource given; {valid}")
-    for res in resources:
+    for i, res in enumerate(resources):
+        if res in resources[:i]:
+            raise ValueError(f"resource {res!r} given twice; {valid}")
         if res == "vertex-file":
             raise ValueError(
                 "resource 'vertex-file' needs a box CSV path: vertex-file:<path>, "

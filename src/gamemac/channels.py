@@ -66,10 +66,7 @@ class MacChannel:
             prof.setflags(write=False)
             object.__setattr__(self, f"{label}_profile", prof)
             object.__setattr__(self, f, entropy(prof))
-        if not self.f_w < self.f_l:
-            raise ValueError(
-                f"winning branch must be less noisy: f_w={self.f_w} >= f_l={self.f_l}"
-            )
+        check_branch_order(self.f_w, self.f_l)
 
     @property
     def delta(self) -> int:
@@ -79,9 +76,7 @@ class MacChannel:
     def _circulants(self) -> np.ndarray:
         """Shape (2, Δ, Δ): [branch, q, y] = profile_branch[(y - q) mod Δ],
         branch 0 losing and 1 winning."""
-        steps = np.arange(self.delta)
-        shift = (steps[None, :] - steps[:, None]) % self.delta
-        return np.stack([self.lose_profile[shift], self.win_profile[shift]])
+        return circulants(np.stack([self.lose_profile, self.win_profile]))
 
     @property
     def _input_maps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -133,16 +128,44 @@ def two_branch_mac(game: NonlocalGame, win_profile, lose_profile) -> MacChannel:
 
 def depolarizing_mac(game: NonlocalGame, eta_w: float, eta_l: float) -> MacChannel:
     """Depolarizing two-branch channel: echo with probability eta, else uniform."""
-    if not (0.0 <= eta_l < eta_w <= 1.0):
+    lose, win = depolarizing_profiles(game.d**game.n, eta_w, eta_l)
+    return two_branch_mac(game, win, lose)
+
+
+def depolarizing_profiles(delta: int, eta_w, eta_l) -> np.ndarray:
+    """Profiles of depolarizing branches, shape (2, ..., delta) for eta_w
+    and eta_l of shape (...): [0] losing (eta_l), [1] winning (eta_w), each
+    (1 - eta)/delta plus eta at offset 0.  Raises ValueError unless
+    0 <= eta_l < eta_w <= 1 everywhere."""
+    etas = np.array([eta_l, eta_w], dtype=float)
+    ok = (0.0 <= etas[0]) & (etas[0] < etas[1]) & (etas[1] <= 1.0)
+    if not ok.all():
+        i = np.argmin(ok)
+        eta_l, eta_w = etas[0].flat[i], etas[1].flat[i]
         raise ValueError(f"need 0 <= eta_l < eta_w <= 1, got ({eta_w}, {eta_l})")
-    delta = game.d**game.n
+    profiles = np.repeat(((1 - etas) / delta)[..., None], delta, axis=-1)
+    profiles[..., 0] += etas
+    return profiles
 
-    def profile(eta):
-        p = np.full(delta, (1 - eta) / delta)
-        p[0] += eta
-        return p
 
-    return two_branch_mac(game, profile(eta_w), profile(eta_l))
+def circulants(profiles: np.ndarray) -> np.ndarray:
+    """Echo-offset rows of profiles (..., Δ): shape (..., Δ, Δ) with
+    [..., q, y] = profiles[..., (y - q) mod Δ], the row P(y | x) of an
+    input x with echoed question index q."""
+    steps = np.arange(profiles.shape[-1])
+    return np.take(profiles, (steps[None, :] - steps[:, None]) % steps.size, axis=-1)
+
+
+def check_branch_order(f_w, f_l) -> None:
+    """Raise ValueError unless f_w < f_l everywhere: the winning branch
+    must be less noisy."""
+    ok = np.less(f_w, f_l)
+    if not ok.all():
+        i = np.argmin(ok)
+        f_w, f_l = np.broadcast_arrays(f_w, f_l)
+        raise ValueError(
+            f"winning branch must be less noisy: f_w={f_w.flat[i]} >= f_l={f_l.flat[i]}"
+        )
 
 
 def type_i(game: NonlocalGame, eta: float) -> MacChannel:

@@ -11,6 +11,7 @@ significant digits so runs are byte-reproducible under a fixed seed.
 from __future__ import annotations
 
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -99,16 +100,25 @@ def _build_cfg(values) -> OptimizerConfig:
     })
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    click.echo(f"Warning: {message}", err=True)
+
+
 class _Cli(click.Group):
     """The one error boundary: a library error, or an OSError on a path
     given from outside, ends any command with its message as a
-    ClickException, `Error: ...` and exit code 1."""
+    ClickException, `Error: ...` and exit code 1.  A library warning is
+    printed to stderr as one `Warning: ...` line."""
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (ValueError, OverflowError, MemoryError, OSError, EnumerationCapExceeded) as exc:
-            raise click.ClickException(str(exc) or type(exc).__name__) from None
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            try:
+                return super().invoke(ctx)
+            except (
+                ValueError, OverflowError, MemoryError, OSError, EnumerationCapExceeded
+            ) as exc:
+                raise click.ClickException(str(exc) or type(exc).__name__) from None
 
 
 @click.group(cls=_Cli)

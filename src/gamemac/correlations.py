@@ -88,11 +88,7 @@ class Encoder:
                 f"encoder support shapes {cols.shape} and {probs.shape}, "
                 f"expected two equal (d^n, k) = ({self.d**self.n}, k)"
             )
-        if cols.size and (cols.min() < 0 or cols.max() >= self.inputs):
-            raise ValueError(f"encoder inputs must lie in [0, {self.inputs})")
-        err = np.abs(probs.sum(axis=1) - 1.0).max()
-        if not (err <= NORMALIZATION_TOL and probs.min() >= -NORMALIZATION_TOL):
-            raise ValueError(f"encoder rows are not stochastic (err {err})")
+        check_encoder_support(cols, probs, self.inputs)
         for name, arr in (("cols", cols), ("probs", probs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -112,6 +108,17 @@ class Encoder:
         table = table.reshape(rows, self.inputs)
         table.setflags(write=False)
         return table
+
+
+def check_encoder_support(cols: np.ndarray, probs: np.ndarray, inputs: int) -> None:
+    """Raise ValueError unless every input in cols lies in [0, inputs) and
+    each row of probs (its last axis) is stochastic within
+    NORMALIZATION_TOL.  Shapes (..., k); Encoder's support is (d^n, k)."""
+    if cols.size and (cols.min() < 0 or cols.max() >= inputs):
+        raise ValueError(f"encoder inputs must lie in [0, {inputs})")
+    err = np.abs(probs.sum(axis=-1) - 1.0).max()
+    if not (err <= NORMALIZATION_TOL and probs.min() >= -NORMALIZATION_TOL):
+        raise ValueError(f"encoder rows are not stochastic (err {err})")
 
 
 @dataclass

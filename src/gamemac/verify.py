@@ -9,11 +9,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity
-from .channels import MacChannel, depolarizing_mac
+from .channels import (
+    MacChannel,
+    check_branch_order,
+    circulants,
+    depolarizing_mac,
+    depolarizing_profiles,
+)
 from .correlations import (
     CorrelationBox,
     Encoder,
     box_win_probabilities,
+    check_encoder_support,
     e_star,
     support_marginal_uniformity_error,
     validate_box,
@@ -25,6 +32,7 @@ from .games import (
     local_map_indices,
     magic_square_game,
     mpp_game,
+    question_indices,
 )
 from .infotheory import ProductDistribution, entropy, product_joint
 
@@ -36,8 +44,8 @@ PT_TOL = 1e-10
 # Vertex parts of a mixture encoder; a mixture may also hold the box's E*.
 _MIXTURE_VERTICES = 4
 
-# Most elements of the stacked (triple, M, X, Y) joint that one chunk of
-# proposition_residuals builds; a single triple may exceed it.
+# Most joint-row elements, triples x M x support width x Y, that one chunk
+# of proposition_residuals builds; a single triple may exceed it.
 _CHUNK_ELEMENTS = 2**15
 
 
@@ -107,14 +115,6 @@ class _Triples:
     parts: np.ndarray  # (count,): 1 (one vertex), 4 (mixture) or 5 (mixture with the box)
     etas: np.ndarray  # (count, 2): (eta_w, eta_l)
 
-    def encoder(self, i: int) -> Encoder:
-        p = int(self.parts[i])
-        vertices = self.vertex_cols[i, : min(p, _MIXTURE_VERTICES)]
-        return _mixture(self.game, vertices, self.weights[i, :p], self.box_encoder)
-
-    def channel(self, i: int) -> MacChannel:
-        return depolarizing_mac(self.game, *self.etas[i].tolist())
-
 
 def _draw_triples(
     game: NonlocalGame, rng: np.random.Generator, count: int, box_encoder: Encoder
@@ -143,56 +143,103 @@ def _triple_quantities(triples: _Triples) -> np.ndarray:
     """Rows I(X;Y), I(M;Y), I(X;Y|M), the Prop-3 rate and the ceiling
     log(delta) - f_w, one column per triple.
 
-    Consecutive triples form a chunk; their joints p(m) P(x|m) P(y|x) are
-    stacked into one (B, M, X, Y) array, and every entropy is that of a
-    marginal of it.  A chunk keeps only the inputs x that carry mass in
-    one of its triples, which is exact since 0 log 0 = 0.  Triple i puts
-    mass on at most widths[i] inputs, so a chunk's array holds at most
-    B * M * Y * min(X, sum of its widths) elements; each chunk is the
-    longest run of triples whose bound fits _CHUNK_ELEMENTS.
+    Consecutive triples form a chunk, evaluated on their encoders'
+    supports (see _chunk_quantities).  A triple's support is its four
+    vertex parts plus the box part, at most `width` inputs per message, so
+    its joint rows hold at most M * width * Y elements; a chunk has as
+    many triples as fit _CHUNK_ELEMENTS, and at least one.
     """
     game = triples.game
     M = Y = game.d**game.n
-    X = (game.d * game.D) ** game.n
-    parts = triples.parts
-    widths = M * np.minimum(parts, _MIXTURE_VERTICES) + np.where(
-        parts > _MIXTURE_VERTICES, np.count_nonzero(triples.box_encoder.probs), 0
-    )
-    win = input_win_mask(game)
-    out = np.empty((5, parts.size))
-    lo = 0
-    while lo < parts.size:
-        inputs = np.minimum(X, np.cumsum(widths[lo : lo + _CHUNK_ELEMENTS // (M * Y) + 1]))
-        sizes = np.arange(1, inputs.size + 1) * inputs * (M * Y)
-        hi = lo + max(1, int(np.searchsorted(sizes, _CHUNK_ELEMENTS, side="right")))
-        out[:, lo:hi] = _chunk_quantities(triples, range(lo, hi), win)
-        lo = hi
+    box = _box_support(triples.box_encoder)
+    width = _MIXTURE_VERTICES + box[0].shape[1]
+    step = max(1, _CHUNK_ELEMENTS // (M * width * Y))
+    maps = input_win_mask(game).astype(np.intp), question_indices(game)
+    count = triples.parts.size
+    out = np.empty((5, count))
+    for lo in range(0, count, step):
+        chunk = range(lo, min(lo + step, count))
+        out[:, lo : chunk.stop] = _chunk_quantities(triples, chunk, box, maps)
     return out
 
 
-def _chunk_quantities(triples: _Triples, chunk: range, win: np.ndarray):
-    """The rows of _triple_quantities for the triples in `chunk`.  No
-    entropy uses the Markov chain M -> X -> Y: that is what is checked."""
-    tables = np.stack([triples.encoder(i).table for i in chunk])
-    channels = [triples.channel(i) for i in chunk]
-    kept = np.flatnonzero(tables.any(axis=(0, 1)))
-    messages = product_joint(triples.factors[chunk.start : chunk.stop])
-    pyx = np.stack([ch.matrix[kept] for ch in channels])
-    joint = messages[:, :, None, None] * tables[:, :, kept, None] * pyx[:, None]
-    pmx, pmy, pxy = joint.sum(axis=3), joint.sum(axis=2), joint.sum(axis=1)
-    pm, px, py = pmx.sum(axis=2), pxy.sum(axis=2), pxy.sum(axis=1)
-    h_m, h_x, h_y = (entropy(p, axis=1) for p in (pm, px, py))
-    h_mx, h_my, h_xy = (entropy(p, axis=(1, 2)) for p in (pmx, pmy, pxy))
-    h_mxy = entropy(joint, axis=(1, 2, 3))
-    f_w = np.array([ch.f_w for ch in channels])
-    f_l = np.array([ch.f_l for ch in channels])
-    omega = px[:, win[kept]].sum(axis=1)
+def _box_support(box_encoder: Encoder) -> tuple[np.ndarray, np.ndarray]:
+    """The box encoder's (cols, probs) with each row's zero entries
+    dropped, in support order, padded with zero weights to the widest row."""
+    zero = box_encoder.probs == 0
+    width = (~zero).sum(axis=1).max()
+    order = np.argsort(zero, axis=1, kind="stable")[:, :width]
+    return tuple(np.take_along_axis(a, order, 1) for a in (box_encoder.cols, box_encoder.probs))
+
+
+def _merged_support(triples: _Triples, chunk: range, box, inputs: int):
+    """The encoder supports of the triples in `chunk`, each repeated
+    (triple, m, x) entry merged: (tm, x, P(x|m)) with tm = (i - chunk.start)
+    * M + m for triple i, one entry per (triple, m, x) with mass, sorted.
+    Entries add in support order, the vertex parts then the box part, as
+    Encoder.table adds them; Encoder's checks apply to the stacked rows."""
+    B, (M, k) = len(chunk), box[0].shape
+    part = slice(chunk.start, chunk.stop)
+    weights = triples.weights[part]
+    cols = np.concatenate(
+        [triples.vertex_cols[part].transpose(0, 2, 1), np.broadcast_to(box[0], (B, M, k))], axis=2
+    )
+    probs = np.concatenate(
+        [
+            np.broadcast_to(weights[:, None, :_MIXTURE_VERTICES], (B, M, _MIXTURE_VERTICES)),
+            weights[:, _MIXTURE_VERTICES, None, None] * box[1],
+        ],
+        axis=2,
+    )
+    check_encoder_support(cols, probs, inputs)
+    mass = probs != 0
+    keys = (np.arange(B * M).reshape(B, M, 1) * inputs + cols)[mass]
+    keys, merged = np.unique(keys, return_inverse=True)
+    return *np.divmod(keys, inputs), np.bincount(merged, probs[mass])
+
+
+def _chunk_quantities(triples: _Triples, chunk: range, box, maps):
+    """The rows of _triple_quantities for the triples in `chunk`.
+
+    The joint p(m) P(x|m) P(y|x) is held as one row over y per (triple,
+    m, x) with mass, and every entropy is that of a marginal summed from
+    these rows by triple.  No entropy uses the Markov chain M -> X -> Y:
+    that is what is checked."""
+    win, questions = maps
+    B, X = len(chunk), win.size
+    M = Y = box[0].shape[0]
+    tm, x, p_x_given_m = _merged_support(triples, chunk, box, X)
+    t = tm // M
+    messages = product_joint(triples.factors[chunk.start : chunk.stop]).ravel()
+    profiles = depolarizing_profiles(M, *triples.etas[chunk.start : chunk.stop].T)
+    f_l, f_w = entropy(profiles, axis=2)
+    check_branch_order(f_w, f_l)
+    joint = (messages[tm] * p_x_given_m)[:, None] * circulants(profiles)[win[x], t, questions[x]]
+
+    def summed(groups, size):
+        """Rows of the joint added by group: one row over y per group."""
+        flat = (groups[:, None] * Y + np.arange(Y)).ravel()
+        return np.bincount(flat, joint.ravel(), minlength=size * Y).reshape(size, Y)
+
+    def by_triple(groups, rows):
+        """Entropies of rows, one row per group, added by triple."""
+        return np.bincount(groups, entropy(rows, axis=1), minlength=B)
+
+    tx, by_tx = np.unique(t * X + x, return_inverse=True)
+    t_tx = tx // X
+    p_my, p_xy = summed(tm, B * M).reshape(B, M, Y), summed(by_tx, tx.size)
+    p_mx, p_x = joint.sum(axis=1), p_xy.sum(axis=1)
+    p_m, p_y = p_my.sum(axis=2), p_my.sum(axis=1)
+    h_m, h_y, h_my = entropy(p_m, axis=1), entropy(p_y, axis=1), entropy(p_my, axis=(1, 2))
+    h_x, h_xy = by_triple(t_tx, p_x[:, None]), by_triple(t_tx, p_xy)
+    h_mx, h_mxy = by_triple(t, p_mx[:, None]), by_triple(t, joint)
+    omega = np.bincount(t_tx, p_x * win[tx % X], minlength=B)
     return (
         h_x + h_y - h_xy,
         h_m + h_y - h_my,
         h_mx + h_my - h_mxy - h_m,
         h_y - f_l + omega * (f_l - f_w),
-        np.log2(channels[0].delta) - f_w,
+        np.log2(M) - f_w,
     )
 
 

@@ -662,6 +662,15 @@ def test_sweep_rows_and_errors():
         sweep(chsh_game(), 2, [0.5], ["bogus"], CFG)
 
 
+@pytest.mark.parametrize("resources", [["L-exact", "L-exact"], ["NS-exact", "L-bound", "NS-exact"]])
+def test_sweep_refuses_a_resource_named_twice(monkeypatch, resources):
+    calls = []
+    monkeypatch.setattr(capacity, "channel_for", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"resource '{resources[-1]}' given twice; expected one"):
+        sweep(chsh_game(), 2, [0.5], resources, CFG)
+    assert calls == []
+
+
 def test_sweep_checks_the_box_once_and_cross_checks_every_row(monkeypatch):
     calls = []
 

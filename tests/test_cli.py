@@ -335,6 +335,35 @@ def test_sweep_refuses_bad_resources_before_any_row(monkeypatch, resources, mess
     assert calls == []
 
 
+def test_sweep_refuses_a_resource_named_twice(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(capacity, "classical_capacity_exact", lambda *args: calls.append(args))
+    for out in ((), ("--out", str(tmp_path / "rows.csv"))):
+        result = run("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "0.5:0.5:1",
+                     "--resources", "L-exact,L-exact", *out)
+        _assert_error_line(result, "resource 'L-exact' given twice")
+        assert "L-exact, L-bound, Q-lower, Q-exact, NS-exact, vertex-file:<path>" in result.output
+        assert "eta,resource" not in result.output
+    assert not (tmp_path / "rows.csv").exists()
+    assert calls == []
+
+
+def test_sweep_prints_a_clamp_warning_as_one_line():
+    args = ["sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "0:0.5:3",
+            "--resources", "NS-exact"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-m", "gamemac.cli", *args], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "Warning: type-II eta=0.0 clamped above 0 (degenerate f_w = f_l)\n"
+    assert out.stdout == (
+        "eta,resource,kind,value,diagnostic\n"
+        "0,NS-exact,exact,2.16404672e-12,e*(pr)\n"
+        "0.25,NS-exact,exact,0.1197591851,e*(pr)\n"
+        "0.5,NS-exact,exact,0.4512050593,e*(pr)\n"
+    )
+
+
 def _assert_error_line(result, fragment=""):
     """Ended by the CLI's error boundary: exit code 1 and an `Error:`
     line, not an exception escaping the command."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gamemac import capacity, verify
-from gamemac.channels import type_ii
+from gamemac.channels import depolarizing_mac, type_ii
 from gamemac.correlations import e_star, tsirelson_box
 from gamemac.games import chsh_game, input_win_mask, magic_square_game, mpp_game, pack_tuple, unpack_index
 from gamemac.infotheory import (
@@ -84,20 +84,109 @@ def _triples(game, seed, count):
     return verify._draw_triples(game, np.random.default_rng(seed), count, box_encoder)
 
 
-@pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
-def test_batched_quantities_match_compose(game):
-    triples = _triples(game, 3, 40)
+def _encoder(triples, i):
+    """Triple i's encoder, built as one Encoder object."""
+    p = int(triples.parts[i])
+    vertices = triples.vertex_cols[i, : min(p, verify._MIXTURE_VERTICES)]
+    return verify._mixture(triples.game, vertices, triples.weights[i, :p], triples.box_encoder)
+
+
+def _channel(triples, i):
+    """Triple i's channel, built as one MacChannel object."""
+    return depolarizing_mac(triples.game, *triples.etas[i].tolist())
+
+
+def _assert_quantities_match_compose(triples):
     i_xy, i_my, i_xy_m, rate, ceiling = verify._triple_quantities(triples)
-    for i in range(40):
+    for i in range(triples.parts.size):
         pi = ProductDistribution(tuple(triples.factors[i]))
-        enc, ch = triples.encoder(i), triples.channel(i)
-        assert (enc.cols.shape[1] == 1) == (i % 3 == 0)
+        enc, ch = _encoder(triples, i), _channel(triples, i)
         joint = compose(pi, enc, ch)
         assert abs(i_xy[i] - mutual_information(joint, (1,), (2,))) <= 1e-12
         assert abs(i_my[i] - mutual_information(joint, (0,), (2,))) <= 1e-12
         assert abs(i_xy_m[i] - conditional_mutual_information(joint, (1,), (2,), (0,))) <= 1e-12
         assert abs(rate[i] - prop3_rate(pi, enc, ch)) <= 1e-12
         assert abs(ceiling[i] - (np.log2(ch.delta) - ch.f_w)) <= 1e-12
+
+
+@pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
+def test_batched_quantities_match_compose(game):
+    triples = _triples(game, 3, 40)
+    for i in range(40):
+        assert (_encoder(triples, i).cols.shape[1] == 1) == (i % 3 == 0)
+    _assert_quantities_match_compose(triples)
+
+
+def _hand_triples(game, vertex_cols, weights, etas=(0.9, 0.2)):
+    """A _Triples with the given vertex inputs (count, 4, d^n) and part
+    weights (count, 5); a weight on the box part makes it a 5-part mixture."""
+    count = len(weights)
+    weights = np.asarray(weights, dtype=float)
+    return verify._Triples(
+        game,
+        e_star(capacity.pseudo_telepathy_box(game)),
+        np.random.default_rng(5).dirichlet(np.ones(game.d), size=(count, game.n)),
+        np.asarray(vertex_cols),
+        weights,
+        np.where(weights[:, -1] > 0, 5, 4),
+        np.tile(etas, (count, 1)),
+    )
+
+
+@pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
+def test_repeated_inputs_are_merged(game):
+    M = game.d**game.n
+    box = e_star(capacity.pseudo_telepathy_box(game))
+    support = verify._box_support(box)
+    # every row: all mass on one input, through four entries
+    equal = np.broadcast_to(np.random.default_rng(6).integers(0, box.inputs, M), (4, M))
+    # vertex inputs that the box part also puts mass on
+    overlap = np.stack([support[0][:, 0], support[0][:, 1], support[0][:, 0], equal[0]])
+    triples = _hand_triples(
+        game,
+        [equal, equal, overlap, overlap],
+        [[0.1, 0.2, 0.3, 0.4, 0], [0.1, 0.2, 0.3, 0.2, 0.2], [0.1, 0.2, 0.3, 0.4, 0],
+         [0.3, 0.1, 0.2, 0.1, 0.3]],
+    )
+    _assert_quantities_match_compose(triples)
+    # the merged support is the dense table, added in the same order
+    tm, x, probs = verify._merged_support(triples, range(4), support, box.inputs)
+    for i in range(4):
+        table = np.zeros((M, box.inputs))
+        mine = tm // M == i
+        table[tm[mine] % M, x[mine]] = probs[mine]
+        assert np.array_equal(table, _encoder(triples, i).table)
+
+
+def test_stacked_supports_keep_the_constructors_checks():
+    game = chsh_game()
+    M = game.d**game.n
+    cols = np.zeros((2, 4, M), dtype=int)
+    short = _hand_triples(game, cols, [[0.2, 0.2, 0.2, 0.2, 0.1], [0.25] * 4 + [0]])
+    with pytest.raises(ValueError, match="not stochastic"):
+        verify._triple_quantities(short)
+    flat = _hand_triples(game, cols, [[0.25] * 4 + [0]] * 2, etas=(0.5, 0.5))
+    with pytest.raises(ValueError, match="eta_l < eta_w"):
+        verify._triple_quantities(flat)
+
+
+@pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
+def test_proposition_residuals_build_no_object_per_triple(game, monkeypatch):
+    calls = []
+
+    def count(name):
+        original = getattr(verify, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    count("depolarizing_mac")
+    count("Encoder")
+    verify.proposition_residuals(game, 0, 300)
+    assert calls == []
 
 
 def test_draw_triples_law():
