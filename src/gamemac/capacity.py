@@ -14,11 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import MacChannel, type_i, type_ii
+from .channels import MacChannel, input_maps, type_i, type_ii
 from .correlations import (
     NO_SIGNALING_TOL,
     CorrelationBox,
     Encoder,
+    UnknownBoxError,
     boxes_from_csv,
     box_win_probabilities,
     builtin_box,
@@ -28,7 +29,7 @@ from .correlations import (
     support_marginal_uniformity_error,
     tsirelson_box,
 )
-from .games import NonlocalGame, input_win_mask, local_map_indices, local_maps, question_indices
+from .games import NonlocalGame, local_map_indices, local_maps
 from .infotheory import ProductDistribution, entropy, message_output_kernel, product_joint, sum_rate
 
 # Ascent steps after which a start of `maximize_over_pi` stops regardless of
@@ -75,10 +76,20 @@ class CapacityResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# A sweep row of one channel: its result and its CSV diagnostic.
+Solve = Callable[[MacChannel], tuple[CapacityResult, str]]
+
+
+def _row(r: CapacityResult, diagnostic: str = "") -> tuple[CapacityResult, str]:
+    """r and its diagnostic: `diagnostic` filled from r's diagnostics, or
+    by default r's encoder."""
+    return r, diagnostic.format(**r.diagnostics) or r.argmax_encoder or ""
+
+
 # An ascent objective maps one batch (F, group), the factors F of shape
-# (B, n, d) and the candidate of each row, group (B,) in ascending order,
-# to the values (B,) and certified block gaps (B,) at F, and F after one
-# ascent step, at which the value is no lower.
+# (B, n, d) and the candidate of each row, group (B,), to the values (B,)
+# and certified block gaps (B,) at F, and F after one ascent step, at which
+# the value is no lower.
 AscentObjective = Callable[
     [tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray, np.ndarray]
 ]
@@ -214,37 +225,29 @@ def _kernel_mi_objective(kernels: np.ndarray) -> AscentObjective:
     never lower I, so I(returned) >= I(F1) >= I(F0), and the values
     compared are those the second and third sweeps compute anyway.
 
-    kernels is one kernel (Δ, Y) or a stack (G, Δ, Y), one per group.  Each
-    group's rows go through the matrix products a one-kernel batch of
-    those rows makes, and alpha is chosen per row, so a row's result does
-    not depend on other groups.
+    kernels is one kernel (Δ, Y) or a stack (G, Δ, Y), one per group.  Every
+    product is taken row by row, with the row's own kernel, and alpha is
+    chosen per row, so a row's result does not depend on the other rows.
     """
     kernels = kernels.reshape((-1,) + kernels.shape[-2:])
-    kernels_t = kernels.transpose(0, 2, 1)
     h_rows = entropy(kernels, axis=-1)  # H(Y | M = m), shape (G, Δ)
 
     def objective(batch: tuple[np.ndarray, np.ndarray]):
         F0, group = batch
         n = F0.shape[1]
-        # rows come sorted by group, so each group is one run of rows
-        bounds = np.searchsorted(group, np.arange(len(kernels) + 1)).tolist()
-        runs = [(g, lo, hi) for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
-        h = h_rows[group]
-
-        def by_group(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
-            return np.concatenate([x[lo:hi] @ mats[g] for g, lo, hi in runs])
+        K, h = kernels[group], h_rows[group]
 
         def divergences(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            q = by_group(pm, kernels)
+            q = np.matmul(pm[:, None, :], K)[:, 0]
             log_q = np.log2(np.where(q > 0, q, 1.0))
-            return -h - by_group(log_q, kernels_t), q
+            return -h - np.matmul(K, log_q[..., None])[..., 0], q
 
         def sweep(F: np.ndarray, certify: bool = False):
             """I at F, its block gap if certify, and S(F)."""
             F = F.copy()
             pm = product_joint(F)
             div, q = divergences(pm)
-            values = entropy(q, axis=-1) - by_group(pm, h_rows)
+            values = entropy(q, axis=-1) - (pm * h).sum(-1)
             scores = [_block_average(div, F, k) for k in range(n if certify else 1)]
             gaps = np.max([g.max(axis=-1) for g in scores], axis=0) - values if certify else None
             for k in range(n):
@@ -314,7 +317,8 @@ def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
     maps = local_maps(game.n, game.d, dD)
     canonical = np.flatnonzero((np.diff(maps, axis=-1) >= 0).all(axis=(1, 2)))
     cols = local_map_indices(maps[canonical], dD)
-    keys = input_win_mask(game)[cols] * ch.delta + question_indices(game)[cols]
+    win, questions = input_maps(game)
+    keys = win[cols] * ch.delta + questions[cols]
     first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
     cols = cols[first].reshape(-1, 1)
     kernels = ch.kernel(cols, np.ones(cols.shape)).reshape(len(first), ch.delta, ch.delta)
@@ -496,8 +500,9 @@ def classical_upper_bound(ch: MacChannel, cfg: OptimizerConfig | None = None) ->
 # pseudo-telepathy and quantum paths
 # ---------------------------------------------------------------------------
 
-PT_WIN_TOL = 1e-10
-PT_UNIFORMITY_TOL = 1e-10
+# Tolerance of the perfect-box hypotheses: win probability 1 on every
+# question tuple, output marginals uniform over their support.
+PT_TOL = 1e-10
 PT_CROSS_CHECK_TOL = 1e-9
 
 
@@ -514,67 +519,69 @@ class PseudoTelepathyHypothesisError(ValueError):
     """The supplied box fails a hypothesis of the exact-capacity formula."""
 
 
-def _check_perfect_box(box: CorrelationBox, game: NonlocalGame) -> float:
-    """Raise unless box wins game on every question tuple and its output
-    marginals are uniform over their support; return the largest
-    deviation of a win probability from 1.  Depends on the game only, not
-    on the channel."""
-    wins = box_win_probabilities(box, game)
-    worst = float(np.abs(wins - 1.0).max())
-    if not worst <= PT_WIN_TOL:
+def _prepare_perfect_box(
+    box: CorrelationBox, game: NonlocalGame, resource: str | None = None
+) -> Solve:
+    """Check box's two hypotheses on game, which no channel changes: it
+    wins every question tuple (`win_deviation`, the largest deviation of a
+    win probability from 1) and its output marginals are uniform over their
+    support.  Return the Solve of pseudo_telepathy_capacity on game."""
+    win_deviation = float(np.abs(box_win_probabilities(box, game) - 1.0).max())
+    if not win_deviation <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
             f"box {box.name!r} does not win {game.name} on every question tuple "
-            f"(max deviation {worst})"
+            f"(max deviation {win_deviation})"
         )
     uni_err = support_marginal_uniformity_error(box)
-    if not uni_err <= PT_UNIFORMITY_TOL:
+    if not uni_err <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
             f"box {box.name!r} output marginals deviate from uniform-over-support "
             f"by {uni_err}"
         )
-    return worst
+    encoder = e_star(box)
+
+    def solve(ch: MacChannel) -> tuple[CapacityResult, str]:
+        value = float(np.log2(ch.delta)) - ch.f_w
+        pi = ProductDistribution.uniform(game.n, game.d)
+        direct = sum_rate(pi, encoder, ch)
+        if not abs(direct - value) <= PT_CROSS_CHECK_TOL:
+            raise PseudoTelepathyHypothesisError(
+                f"closed form {value} disagrees with direct sum rate {direct}"
+            )
+        return _row(CapacityResult(
+            value=value,
+            kind="exact",
+            resource=resource or _box_resource(box),
+            argmax_pi=pi,
+            argmax_encoder=encoder.name,
+            diagnostics={"direct_sum_rate": direct, "win_deviation": win_deviation},
+        ))
+
+    return solve
 
 
 def pseudo_telepathy_capacity(
-    ch: MacChannel,
-    box: CorrelationBox,
-    resource: str | None = None,
-    *,
-    win_deviation: float | None = None,
+    ch: MacChannel, box: CorrelationBox, resource: str | None = None
 ) -> CapacityResult:
     """Exact sum-capacity log2(Δ) - f_w for a perfect, output-uniform box.
 
     Verifies both hypotheses (win probability 1 on every question tuple,
     output marginals uniform over their support) and cross-checks the
     closed form against the direct sum rate at uniform messages.  Both
-    hypotheses depend on the game only: a caller that has checked them
-    for this box and game passes win_deviation, the value
-    `_check_perfect_box` returned, and only the cross-check runs.
+    hypotheses depend on the game only: a sweep checks them once and
+    cross-checks every row.
     """
-    game = ch.game
-    if win_deviation is None:
-        win_deviation = _check_perfect_box(box, game)
-    value = float(np.log2(ch.delta)) - ch.f_w
-    pi = ProductDistribution.uniform(game.n, game.d)
-    direct = sum_rate(pi, e_star(box), ch)
-    if not abs(direct - value) <= PT_CROSS_CHECK_TOL:
-        raise PseudoTelepathyHypothesisError(
-            f"closed form {value} disagrees with direct sum rate {direct}"
-        )
-    return CapacityResult(
-        value=value,
-        kind="exact",
-        resource=resource or _box_resource(box),
-        argmax_pi=pi,
-        argmax_encoder=f"e*({box.name})",
-        diagnostics={"direct_sum_rate": direct, "win_deviation": win_deviation},
-    )
+    return _prepare_perfect_box(box, ch.game, resource)(ch)[0]
+
+
+def _check_chsh(game: NonlocalGame) -> None:
+    if game.name != "chsh":
+        raise ValueError(f"quantum lower bound is defined for CHSH channels, got {game.name}")
 
 
 def quantum_lower_bound_chsh(ch: MacChannel, cfg: OptimizerConfig | None = None) -> CapacityResult:
     """Lower bound on the quantum sum-capacity via the Tsirelson-box encoder."""
-    if ch.game.name != "chsh":
-        raise ValueError(f"quantum lower bound is defined for CHSH channels, got {ch.game.name}")
+    _check_chsh(ch.game)
     enc = e_star(tsirelson_box())
     val, pi, diag = maximize_over_pi(sum_rate_objective(enc, ch), ch.game.n, ch.game.d, cfg)
     return CapacityResult(
@@ -587,12 +594,9 @@ def quantum_lower_bound_chsh(ch: MacChannel, cfg: OptimizerConfig | None = None)
     )
 
 
-def _vertex_file_encoders(vertex_csv_path, game: NonlocalGame) -> list[Encoder]:
-    """E* encoders of the boxes in a vertex file.
-
-    Raises unless every box matches the game's scenario and is
-    no-signaling within NO_SIGNALING_TOL.  Depends on the game only, not
-    on the channel."""
+def _prepare_vertex_file(vertex_csv_path, game: NonlocalGame, cfg: OptimizerConfig | None) -> Solve:
+    """Read and check a vertex file's boxes against game and build their E*
+    encoders; return the Solve of vertex_file_bound for a channel of game."""
     boxes = boxes_from_csv(vertex_csv_path)
     for i, box in enumerate(boxes):
         if (box.n, box.d, box.D) != (game.n, game.d, game.D):
@@ -605,25 +609,23 @@ def _vertex_file_encoders(vertex_csv_path, game: NonlocalGame) -> list[Encoder]:
             raise ValueError(
                 f"vertex {i} signals: no-signaling error {signaling:.3g} exceeds {NO_SIGNALING_TOL:g}"
             )
-    return [e_star(box) for box in boxes]
+    encoders = [e_star(box) for box in boxes]
 
+    def solve(ch: MacChannel) -> tuple[CapacityResult, str]:
+        kernels = np.stack([message_output_kernel(enc, ch) for enc in encoders])
+        val, pi, diag = maximize_over_pi(
+            _kernel_mi_objective(kernels), game.n, game.d, cfg, groups=len(encoders)
+        )
+        return _row(CapacityResult(
+            value=val,
+            kind="lower-bound",
+            resource="file",
+            argmax_pi=pi,
+            argmax_encoder=f"vertex-file:{diag['group']}",
+            diagnostics=dict(diag, boxes=len(encoders)),
+        ))
 
-def _vertex_encoders_bound(
-    ch: MacChannel, encoders: list[Encoder], cfg: OptimizerConfig | None
-) -> CapacityResult:
-    """Best E* sum rate over checked vertex-file encoders, one grouped ascent."""
-    kernels = np.stack([message_output_kernel(enc, ch) for enc in encoders])
-    val, pi, diag = maximize_over_pi(
-        _kernel_mi_objective(kernels), ch.game.n, ch.game.d, cfg, groups=len(encoders)
-    )
-    return CapacityResult(
-        value=val,
-        kind="lower-bound",
-        resource="file",
-        argmax_pi=pi,
-        argmax_encoder=f"vertex-file:{diag['group']}",
-        diagnostics=dict(diag, boxes=len(encoders)),
-    )
+    return solve
 
 
 def vertex_file_bound(
@@ -634,11 +636,10 @@ def vertex_file_bound(
     Every box must match the channel's scenario and be no-signaling
     within NO_SIGNALING_TOL.  All boxes share one grouped ascent; each
     box's rate is a local-search maximum over pi, achieved by its E*
-    encoder, so the value is a lower bound.  `sweep` reads and checks a
+    encoder, so the value is a lower bound.  A sweep reads and checks a
     file once for all its η.
     """
-    encoders = _vertex_file_encoders(vertex_csv_path, ch.game)
-    return _vertex_encoders_bound(ch, encoders, cfg)
+    return _prepare_vertex_file(vertex_csv_path, ch.game, cfg)(ch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +656,7 @@ def pseudo_telepathy_box(game: NonlocalGame) -> CorrelationBox:
     built-in box named after the game (magic-square, mpp:<n>)."""
     try:
         return builtin_box("pr" if game.name == "chsh" else game.name)
-    except ValueError:
+    except UnknownBoxError:
         raise ValueError(f"no built-in pseudo-telepathy box for {game.name}") from None
 
 
@@ -683,11 +684,45 @@ class SweepRow:
     diagnostic: str = ""
 
 
+def _prepare_q_lower(game: NonlocalGame, cfg: OptimizerConfig) -> Solve:
+    _check_chsh(game)
+    return lambda ch: _row(quantum_lower_bound_chsh(ch, cfg))
+
+
+@functools.lru_cache(maxsize=1)
+def _builtin_perfect_box(game: NonlocalGame) -> tuple[CorrelationBox, Solve]:
+    """The game's built-in perfect box and its checked closed form; kept
+    for the last game, so a sweep's NS-exact and Q-exact share one check."""
+    box = pseudo_telepathy_box(game)
+    return box, _prepare_perfect_box(box, game)
+
+
+def _prepare_builtin_box(game: NonlocalGame, quantum: bool) -> Solve:
+    box, solve = _builtin_perfect_box(game)
+    if quantum and _box_resource(box) != "Q":
+        raise ValueError(f"{game.name} has no built-in quantum pseudo-telepathy box")
+    return solve
+
+
+# The sweep resources but vertex-file:<path>: name -> prepare(game, cfg),
+# which does the game-level work and checks once and returns the Solve.
+# Entries call the capacity functions by their module-global names when
+# they run, so a rebound function is the one a sweep calls.
+_RESOURCES: dict[str, Callable[[NonlocalGame, OptimizerConfig], Solve]] = {
+    "L-exact": lambda game, cfg: lambda ch: _row(classical_capacity_exact(ch, cfg)),
+    "L-bound": lambda game, cfg: lambda ch: _row(
+        classical_upper_bound(ch, cfg), "omega*={omega_star:.10g}"
+    ),
+    "Q-lower": _prepare_q_lower,
+    "Q-exact": lambda game, cfg: _prepare_builtin_box(game, quantum=True),
+    "NS-exact": lambda game, cfg: _prepare_builtin_box(game, quantum=False),
+}
+
+
 def _check_resources(resources: list[str]) -> None:
     """Raise ValueError, listing the valid names, unless resources is a
     non-empty list of distinct ones."""
-    names = ("L-exact", "L-bound", "Q-lower", "Q-exact", "NS-exact")
-    valid = f"expected one or more of {', '.join(names)}, vertex-file:<path>"
+    valid = f"expected one or more of {', '.join(_RESOURCES)}, vertex-file:<path>"
     if not resources:
         raise ValueError(f"no resource given; {valid}")
     for i, res in enumerate(resources):
@@ -698,7 +733,7 @@ def _check_resources(resources: list[str]) -> None:
                 "resource 'vertex-file' needs a box CSV path: vertex-file:<path>, "
                 f"or --vertex-file on the command line; {valid}"
             )
-        if res not in names and not res.startswith("vertex-file:"):
+        if res not in _RESOURCES and not res.startswith("vertex-file:"):
             raise ValueError(f"unknown resource {res!r}; {valid}")
 
 
@@ -710,42 +745,20 @@ def sweep(
     cfg: OptimizerConfig | None = None,
 ) -> list[SweepRow]:
     """Capacity table over an η grid; one row per (η, resource).  The
-    resource list is checked before any row is computed."""
+    resource list is checked, and every resource prepared with its
+    game-level checks, before any row is computed."""
     _check_resources(resources)
     cfg = cfg or OptimizerConfig()
+    solves = [
+        _prepare_vertex_file(res[len("vertex-file:"):], game, cfg)
+        if res.startswith("vertex-file:") else _RESOURCES[res](game, cfg)
+        for res in resources
+    ]
     rows: list[SweepRow] = []
-    pt_box: CorrelationBox | None = None
-    pt_deviation = 0.0
-    vertex_encoders: dict[str, list[Encoder]] = {}
     for eta in etas:
         ch = channel_for(game, channel_type, float(eta))
-        for res in resources:
-            if res == "L-exact":
-                r = classical_capacity_exact(ch, cfg)
-                diag = r.argmax_encoder or ""
-            elif res == "L-bound":
-                r = classical_upper_bound(ch, cfg)
-                diag = f"omega*={r.diagnostics['omega_star']:.10g}"
-            elif res == "Q-lower":
-                r = quantum_lower_bound_chsh(ch, cfg)
-                diag = r.argmax_encoder or ""
-            elif res in ("Q-exact", "NS-exact"):
-                if pt_box is None:
-                    pt_box = pseudo_telepathy_box(game)
-                    pt_deviation = _check_perfect_box(pt_box, game)  # game-only: once per sweep
-                if res == "Q-exact" and _box_resource(pt_box) != "Q":
-                    raise ValueError(
-                        f"{game.name} has no built-in quantum pseudo-telepathy box"
-                    )
-                label = "Q" if res == "Q-exact" else "NS"
-                r = pseudo_telepathy_capacity(ch, pt_box, label, win_deviation=pt_deviation)
-                diag = r.argmax_encoder or ""
-            else:  # vertex-file:<path>
-                path = res.split(":", 1)[1]
-                if path not in vertex_encoders:  # game-only: once per sweep
-                    vertex_encoders[path] = _vertex_file_encoders(path, game)
-                r = _vertex_encoders_bound(ch, vertex_encoders[path], cfg)
-                diag = r.argmax_encoder or ""
+        for res, solve in zip(resources, solves):
+            r, diag = solve(ch)
             rows.append(
                 SweepRow(eta=float(eta), resource=res, kind=r.kind, value=r.value, diagnostic=diag)
             )

@@ -78,14 +78,10 @@ class MacChannel:
         branch 0 losing and 1 winning."""
         return circulants(np.stack([self.lose_profile, self.win_profile]))
 
-    @property
-    def _input_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        return _input_maps(self.game)
-
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         """Dense P(y | x), shape ((d*D)^n, Δ), read-only; built on first use."""
-        matrix = self._circulants[self._input_maps]
+        matrix = self._circulants[input_maps(self.game)]
         matrix.setflags(write=False)
         return matrix
 
@@ -94,7 +90,7 @@ class MacChannel:
         correlations.Encoder), without the dense matrix: the support is
         summed onto (row, win bit, question index), then multiplied by the
         two Δ x Δ circulants."""
-        win, questions = self._input_maps
+        win, questions = input_maps(self.game)
         if cols.shape != probs.shape or cols.ndim != 2:
             raise ValueError(f"support shapes {cols.shape} and {probs.shape} differ or are not 2-D")
         if cols.size and (cols.min() < 0 or cols.max() >= win.size):
@@ -107,13 +103,13 @@ class MacChannel:
     def branch_entropy_error(self) -> float:
         """Max |H(Y|X=x) - f_branch| over the rows of the dense matrix."""
         ent = entropy(self.matrix, axis=1)
-        return float(np.abs(ent - np.where(self._input_maps[0], self.f_w, self.f_l)).max())
+        return float(np.abs(ent - np.where(input_maps(self.game)[0], self.f_w, self.f_l)).max())
 
 
 @functools.lru_cache(maxsize=1)
-def _input_maps(game: NonlocalGame) -> tuple[np.ndarray, np.ndarray]:
+def input_maps(game: NonlocalGame) -> tuple[np.ndarray, np.ndarray]:
     """Win bit and question index of every channel input, read-only; kept
-    for the last game, so channels of one game share them."""
+    for the last game, so its channels and their callers share them."""
     maps = input_win_mask(game).astype(np.intp), question_indices(game)
     for m in maps:
         m.setflags(write=False)

@@ -35,8 +35,9 @@ def _fmt(x: float) -> str:
 
 def load_config(path: str) -> dict[str, str]:
     """Flat `key = value` config; '#' starts a comment.  A key outside
-    _CONFIG_KEYS is an error that names its `file:line`."""
+    _CONFIG_KEYS, or one set twice, is an error that names its `file:line`."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -49,7 +50,11 @@ def load_config(path: str) -> dict[str, str]:
                 raise click.ClickException(
                     f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}"
                 )
-            out[key] = value
+            if key in out:
+                raise click.ClickException(
+                    f"{path}:{lineno}: key {key!r} is already set on line {first_line[key]}"
+                )
+            out[key], first_line[key] = value, lineno
     return out
 
 
@@ -156,6 +161,8 @@ def cmd_sweep(game_name, channel_type, eta_grid, resources, seed, out, config_pa
     etas = parse_eta_grid(values["eta-grid"])
     res_list = [r.strip() for r in values["resources"].split(",") if r.strip()]
     if vertex_file:
+        if "vertex-file" not in res_list:
+            raise click.ClickException("--vertex-file needs a bare 'vertex-file' resource")
         res_list = [
             f"vertex-file:{vertex_file}" if r == "vertex-file" else r for r in res_list
         ]

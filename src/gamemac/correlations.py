@@ -29,6 +29,10 @@ class EnumerationCapExceeded(RuntimeError):
     """Raised instead of silently truncating a vertex enumeration."""
 
 
+class UnknownBoxError(ValueError):
+    """builtin_box has no box of the given name."""
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationBox:
     n: int
@@ -211,13 +215,14 @@ def mpp_box(n: int) -> CorrelationBox:
 
 
 def builtin_box(name: str) -> CorrelationBox:
-    """Built-in box pr, tsirelson, magic-square or mpp:<n>; ValueError otherwise."""
+    """Built-in box pr, tsirelson, magic-square or mpp:<n>; UnknownBoxError
+    for any other name."""
     builders = {"pr": pr_box, "tsirelson": tsirelson_box, "magic-square": magic_square_box}
     if name in builders:
         return builders[name]()
     if name.startswith("mpp:"):
         return mpp_box(game_by_name(name).n)
-    raise ValueError(f"unknown box {name!r}")
+    raise UnknownBoxError(f"unknown box {name!r}")
 
 
 def e_star(box: CorrelationBox) -> Encoder:

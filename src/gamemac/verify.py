@@ -9,12 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity
+from .capacity import PT_TOL
 from .channels import (
     MacChannel,
     check_branch_order,
     circulants,
     depolarizing_mac,
     depolarizing_profiles,
+    input_maps,
 )
 from .correlations import (
     CorrelationBox,
@@ -28,17 +30,14 @@ from .correlations import (
 from .games import (
     NonlocalGame,
     chsh_game,
-    input_win_mask,
     local_map_indices,
     magic_square_game,
     mpp_game,
-    question_indices,
 )
 from .infotheory import ProductDistribution, entropy, product_joint
 
 IDENTITY_TOL = 1e-10
 CEILING_TOL = 1e-9
-PT_TOL = 1e-10
 
 
 # Vertex parts of a mixture encoder; a mixture may also hold the box's E*.
@@ -154,12 +153,11 @@ def _triple_quantities(triples: _Triples) -> np.ndarray:
     box = _box_support(triples.box_encoder)
     width = _MIXTURE_VERTICES + box[0].shape[1]
     step = max(1, _CHUNK_ELEMENTS // (M * width * Y))
-    maps = input_win_mask(game).astype(np.intp), question_indices(game)
     count = triples.parts.size
     out = np.empty((5, count))
     for lo in range(0, count, step):
         chunk = range(lo, min(lo + step, count))
-        out[:, lo : chunk.stop] = _chunk_quantities(triples, chunk, box, maps)
+        out[:, lo : chunk.stop] = _chunk_quantities(triples, chunk, box)
     return out
 
 
@@ -198,14 +196,14 @@ def _merged_support(triples: _Triples, chunk: range, box, inputs: int):
     return *np.divmod(keys, inputs), np.bincount(merged, probs[mass])
 
 
-def _chunk_quantities(triples: _Triples, chunk: range, box, maps):
+def _chunk_quantities(triples: _Triples, chunk: range, box):
     """The rows of _triple_quantities for the triples in `chunk`.
 
     The joint p(m) P(x|m) P(y|x) is held as one row over y per (triple,
     m, x) with mass, and every entropy is that of a marginal summed from
     these rows by triple.  No entropy uses the Markov chain M -> X -> Y:
     that is what is checked."""
-    win, questions = maps
+    win, questions = input_maps(triples.game)
     B, X = len(chunk), win.size
     M = Y = box[0].shape[0]
     tm, x, p_x_given_m = _merged_support(triples, chunk, box, X)

@@ -1,5 +1,7 @@
+import re
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -660,6 +662,44 @@ def test_sweep_rows_and_errors():
         sweep(chsh_game(), 2, [0.5], ["Q-exact"], CFG)
     with pytest.raises(ValueError):
         sweep(chsh_game(), 2, [0.5], ["bogus"], CFG)
+
+
+@pytest.mark.parametrize(
+    "game, resources, message",
+    [
+        (chsh_game(), "L-exact,Q-exact", "chsh has no built-in quantum pseudo-telepathy box"),
+        (mpp_game(3), "L-exact,Q-lower", "quantum lower bound is defined for CHSH channels, got mpp:3"),
+        (mpp_game(3), "L-exact,vertex-file:{pr}", "vertex 0 has scenario (2,2,2), channel needs (3,2,2)"),
+    ],
+    ids=["Q-exact-on-chsh", "Q-lower-on-mpp3", "vertex-file-on-mpp3"],
+)
+def test_sweep_refuses_a_game_mismatch_before_any_row(tmp_path, monkeypatch, game, resources, message):
+    calls = []
+    monkeypatch.setattr(capacity, "classical_capacity_exact", lambda *args: calls.append(args))
+    box_to_csv(pr_box(), tmp_path / "pr.csv")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep(game, 2, [0.5], resources.format(pr=tmp_path / "pr.csv").split(","), CFG)
+    assert calls == []
+
+
+def test_every_sweep_resource_is_documented_and_listed():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("Resources understood by `sweep`:")[1].split("\n\n")[0]
+    with pytest.raises(ValueError, match="no resource given") as refused:
+        sweep(chsh_game(), 2, [0.5], [], CFG)
+    listed = str(refused.value).split("expected one or more of ")[1].split(", ")
+    for name in [*capacity._RESOURCES, "vertex-file:<path>"]:
+        assert f"`{name}`" in paragraph, name
+        assert name in listed, name
+
+
+def test_pseudo_telepathy_box_refuses_only_unknown_names():
+    # mpp:60 has a built-in box, too large to allocate: numpy's own error
+    with pytest.raises(ValueError, match="array is too big"):
+        pseudo_telepathy_box(mpp_game(60))
+    game = NonlocalGame("foo", 2, 2, 2, lambda q, a: (a[0] ^ a[1]) == (q[0] & q[1]))
+    with pytest.raises(ValueError, match="no built-in pseudo-telepathy box for foo"):
+        pseudo_telepathy_box(game)
 
 
 @pytest.mark.parametrize("resources", [["L-exact", "L-exact"], ["NS-exact", "L-bound", "NS-exact"]])

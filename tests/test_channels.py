@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gamemac.channels import (
     MacChannel,
     depolarizing_mac,
+    input_maps,
     noise_f,
     two_branch_mac,
     type_i,
@@ -305,7 +306,7 @@ def test_channels_of_one_game_share_read_only_input_maps():
     ch, other = type_ii(game, 0.5), depolarizing_mac(game, 0.9, 0.2)
     assert ch.f_w == entropy(ch.win_profile) and ch.f_l == 2.0
     assert ch.f_w == pytest.approx(noise_f(4, 0.5), abs=1e-12)
-    for mine, theirs in zip(ch._input_maps, other._input_maps):
+    for mine, theirs in zip(input_maps(ch.game), input_maps(other.game)):
         assert mine is theirs and not mine.flags.writeable
 
 

@@ -240,6 +240,16 @@ def test_l_bound_is_the_papers_expression_not_an_upper_bound():
     assert float(exact) > float(bound)
 
 
+@pytest.mark.parametrize("resources", ["NS-exact", "vertex-file:{box}"])
+def test_sweep_refuses_a_vertex_file_no_resource_reads(tmp_path, resources):
+    box = tmp_path / "pr.csv"
+    run("box-export", "pr", "--out", str(box))
+    result = run("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "0.5:0.5:1",
+                 "--resources", resources.format(box=box), "--vertex-file", str(box))
+    _assert_error_line(result, "--vertex-file needs a bare 'vertex-file' resource")
+    assert "eta,resource" not in result.output
+
+
 def test_vertex_bound_empty_file(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -305,6 +315,12 @@ def test_sweep_config_rejects_unknown_key(tmp_path, line):
     assert result.exit_code == 1, result.output
     key = line.split(" =")[0]
     assert f"sweep.cfg:6: unknown key '{key}'" in result.output
+
+
+def test_sweep_config_refuses_a_repeated_key(tmp_path):
+    result = _sweep_with_config(tmp_path, "seed = 1\ngame = mpp:3\n")
+    _assert_error_line(result, "sweep.cfg:6: key 'game' is already set on line 1")
+    assert "eta,resource" not in result.output
 
 
 def test_import_does_not_load_scipy():
@@ -378,11 +394,14 @@ def _assert_error_line(result, fragment=""):
         # a 2 EiB noise profile: larger than any address space, refused
         # before any memory is touched
         (("sweep", "--game", "mpp:58", "--channel-type", "2", "--eta-grid", "0.5:1:1",
-          "--resources", "NS-exact"), "Unable to allocate"),
+          "--resources", "L-exact"), "Unable to allocate"),
         (("box-export", "mpp:58", "--out", "mpp58.csv"), "too big"),
         # 2^5000 outputs: the noise function overflows a float
+        (("sweep", "--game", "mpp:5000", "--channel-type", "2", "--eta-grid", "0.5:1:1",
+          "--resources", "L-exact"), "too large"),
+        # the file's boxes are checked against the game before any channel
         (("vertex-bound", "--game", "mpp:5000", "--channel-type", "2", "--eta", "0.5",
-          "--vertex-file", "pr.csv"), "too large"),
+          "--vertex-file", "pr.csv"), "needs (5000,2,2)"),
     ],
     ids=lambda x: x[0] if isinstance(x, tuple) else None,
 )
