@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import MacChannel, input_maps, type_i, type_ii
+from .channels import MacChannel, echo_slots, type_i, type_ii
 from .correlations import (
     NO_SIGNALING_TOL,
     CorrelationBox,
@@ -30,7 +30,7 @@ from .correlations import (
     tsirelson_box,
 )
 from .games import NonlocalGame, local_map_indices, local_maps
-from .infotheory import ProductDistribution, entropy, message_output_kernel, product_joint, sum_rate
+from .infotheory import ProductDistribution, entropy, message_output_kernel, product_joint
 
 # Ascent steps after which a start of `maximize_over_pi` stops regardless of
 # its gap; also the step cap of the vertex pruning in `classical_capacity_exact`.
@@ -208,7 +208,7 @@ def _block_average(x: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
     return np.einsum(*operands, [n, k])
 
 
-def _kernel_mi_objective(kernels: np.ndarray) -> AscentObjective:
+def _kernel_mi_objective(kernels: np.ndarray, slots: np.ndarray | None = None) -> AscentObjective:
     """I(M;Y) for P(y|m) = kernel, with an extrapolated Blahut-Arimoto step.
 
     With q = pi @ kernel and D_m = D(kernel[m] || q), block k's score is
@@ -225,17 +225,24 @@ def _kernel_mi_objective(kernels: np.ndarray) -> AscentObjective:
     never lower I, so I(returned) >= I(F1) >= I(F0), and the values
     compared are those the second and third sweeps compute anyway.
 
-    kernels is one kernel (Δ, Y) or a stack (G, Δ, Y), one per group.  Every
-    product is taken row by row, with the row's own kernel, and alpha is
-    chosen per row, so a row's result does not depend on the other rows.
+    kernels is a basis of rows (B, Y) and group g's kernel is
+    kernels[slots[g]], with slots (G, Δ): the vertex kernels of
+    `classical_capacity_exact` index the channel's 2Δ circulant rows.
+    Without slots, kernels is one kernel (Δ, Y) or a stack (G, Δ, Y), one
+    per group, and each kernel's rows are its own basis.  Every product is
+    taken row by row, with the row's own kernel, and alpha is chosen per
+    row, so a row's result does not depend on the other rows.
     """
-    kernels = kernels.reshape((-1,) + kernels.shape[-2:])
-    h_rows = entropy(kernels, axis=-1)  # H(Y | M = m), shape (G, Δ)
+    if slots is None:
+        slots = np.arange(kernels.size // kernels.shape[-1]).reshape(-1, kernels.shape[-2])
+        kernels = kernels.reshape(-1, kernels.shape[-1])
+    h_rows = entropy(kernels, axis=-1)  # H(Y | M = m) of each basis row
 
     def objective(batch: tuple[np.ndarray, np.ndarray]):
         F0, group = batch
         n = F0.shape[1]
-        K, h = kernels[group], h_rows[group]
+        rows = np.take(slots, group, axis=0)
+        K, h = np.take(kernels, rows, axis=0), np.take(h_rows, rows)  # take: faster than [rows]
 
         def divergences(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             q = np.matmul(pm[:, None, :], K)[:, 0]
@@ -274,18 +281,21 @@ def _kernel_mi_objective(kernels: np.ndarray) -> AscentObjective:
 
 
 def sum_rate_objective(enc: Encoder, ch: MacChannel) -> AscentObjective:
-    """I(M;Y) as an ascent objective, with the x axis pre-summed."""
+    """I(M;Y) as an ascent objective of enc's dense kernel P(y | m)."""
     return _kernel_mi_objective(message_output_kernel(enc, ch))
 
 
-def _kernel_rates(kernels: np.ndarray, pms: np.ndarray) -> np.ndarray:
-    """I(M;Y) = H(Y) - H(Y|M) for each kernel (..., Δ, Y) at each message
-    distribution pms (G, Δ): shape (..., G).  Each kernel's H(Y|M=m)
-    rides along as one more column, so every kernel takes one product of
-    the same shape and its rates do not depend on how many are stacked."""
-    rows = entropy(kernels, axis=-1)[..., None]
-    out = pms @ np.concatenate([kernels, rows], axis=-1)
-    return entropy(out[..., :-1], axis=-1) - out[..., -1]
+def _kernel_rates(basis: np.ndarray, slots: np.ndarray, pms: np.ndarray) -> np.ndarray:
+    """I(M;Y) = H(Y) - H(Y|M) of each kernel basis[slots[r]] (slots (R, Δ),
+    basis (B, Y)) at each message distribution pms (G, Δ): shape (R, G).
+    Each pm is summed onto the basis rows, so no kernel is formed."""
+    R, B = len(slots), len(basis)
+    flat = (np.arange(R)[:, None] * B + slots).ravel()
+    h_y = [
+        entropy(np.bincount(flat, np.tile(pm, R), minlength=R * B).reshape(R, B) @ basis, axis=-1)
+        for pm in pms
+    ]
+    return np.stack(h_y, axis=-1) - entropy(basis, axis=-1)[slots] @ pms.T
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +309,14 @@ def vertex_count(game: NonlocalGame) -> int:
 
 def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
     """One vertex per message-relabelling orbit and distinct kernel: their
-    indices in `local_maps(n, d, dD)` order (R,), ascending, and kernels
-    P(y|m) (R, Δ, Δ).  Relabelling a sender's messages changes no rate, and
-    the vertex with non-decreasing per-sender maps is its orbit's lowest
-    index.  A channel row depends on x only through (win bit, question
-    index), so of vertices sending every message to the same such pair
-    the first is kept.  Raises EnumerationCapExceeded over
-    DEFAULT_ENUMERATION_CAP vertices."""
+    indices in `local_maps(n, d, dD)` order (R,), ascending, and the slot
+    (see channels.echo_slots) of each message's input (R, Δ), so that
+    `ch._circulants[slots[r]]` is vertex r's kernel P(y|m).  Relabelling a
+    sender's messages changes no rate, and the vertex with non-decreasing
+    per-sender maps is its orbit's lowest index.  A channel row depends on
+    x only through its slot, so of vertices with the same slots the first
+    is kept.  Raises EnumerationCapExceeded over DEFAULT_ENUMERATION_CAP
+    vertices."""
     game = ch.game
     refuse_over_cap(
         vertex_count(game),
@@ -316,13 +327,9 @@ def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
     dD = game.d * game.D
     maps = local_maps(game.n, game.d, dD)
     canonical = np.flatnonzero((np.diff(maps, axis=-1) >= 0).all(axis=(1, 2)))
-    cols = local_map_indices(maps[canonical], dD)
-    win, questions = input_maps(game)
-    keys = win[cols] * ch.delta + questions[cols]
-    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
-    cols = cols[first].reshape(-1, 1)
-    kernels = ch.kernel(cols, np.ones(cols.shape)).reshape(len(first), ch.delta, ch.delta)
-    return canonical[first], kernels
+    slots = echo_slots(game, local_map_indices(maps[canonical], dD))
+    first = np.sort(np.unique(slots, axis=0, return_index=True)[1])
+    return canonical[first], slots[first]
 
 
 def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None) -> CapacityResult:
@@ -341,11 +348,12 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     within rounding of the best.
     """
     cfg = cfg or OptimizerConfig()
-    vertices, kernels = _representatives(ch)
-    floor = _kernel_rates(kernels, np.full((1, ch.delta), 1.0 / ch.delta)).max() - _VALUE_ROUNDING
-    objective = _kernel_mi_objective(kernels)
-    F = np.full((len(kernels), 1, ch.delta), 1.0 / ch.delta)  # one sender, Δ messages
-    active, kept = np.arange(len(kernels)), []
+    vertices, slots = _representatives(ch)
+    basis = ch._circulants
+    floor = _kernel_rates(basis, slots, np.full((1, ch.delta), 1.0 / ch.delta)).max() - _VALUE_ROUNDING
+    objective = _kernel_mi_objective(basis, slots)
+    F = np.full((len(slots), 1, ch.delta), 1.0 / ch.delta)  # one sender, Δ messages
+    active, kept = np.arange(len(slots)), []
     for _ in range(MAX_ITERATIONS):
         values, gaps, F[active] = objective((F[active], active))
         kept.append(active[values >= floor])
@@ -354,7 +362,7 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
             break
     survivors = np.sort(np.concatenate([*kept, active]))
     val, pi, diag = maximize_over_pi(
-        _kernel_mi_objective(kernels[survivors]), ch.game.n, ch.game.d, cfg, groups=len(survivors)
+        _kernel_mi_objective(basis, slots[survivors]), ch.game.n, ch.game.d, cfg, groups=len(survivors)
     )
     diag = dict(diag, vertices=vertex_count(ch.game), representatives=len(vertices), candidates=len(survivors))
     return CapacityResult(
@@ -373,7 +381,7 @@ def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution) -> float:
     orders = np.array(list(permutations(range(pi.d))))
     per_sender = orders[local_maps(pi.n, 1, len(orders))[..., 0]]  # (d!^n, n, d)
     relabelled = np.stack(pi.factors)[np.arange(pi.n)[:, None], per_sender]
-    return float(_kernel_rates(_representatives(ch)[1], product_joint(relabelled)).max())
+    return float(_kernel_rates(ch._circulants, _representatives(ch)[1], product_joint(relabelled)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +527,39 @@ class PseudoTelepathyHypothesisError(ValueError):
     """The supplied box fails a hypothesis of the exact-capacity formula."""
 
 
+def _echo_rows(enc: Encoder, game: NonlocalGame) -> tuple[np.ndarray, np.ndarray]:
+    """The question index q(m) and t_m = P(win | m) of every message of
+    enc, each shape (Δ,).  On every channel of game, kernel row m is then
+    t_m C_w[q(m)] + (1 - t_m) C_l[q(m)], with C_b the circulant rows of
+    branch b.  Raises ValueError if a message's support spans two
+    questions."""
+    win, questions = np.divmod(echo_slots(game, enc.cols), game.d**game.n)
+    spanning = np.flatnonzero((questions != questions[:, :1]).any(axis=1))
+    if spanning.size:
+        raise ValueError(f"message {spanning[0]} of {enc.name} spans two questions")
+    return questions[:, 0], (enc.probs * win).sum(axis=1)
+
+
+def _echo_rate(ch: MacChannel, pm: np.ndarray, questions: np.ndarray, t: np.ndarray) -> float:
+    """I(M;Y) at the message distribution pm (Δ,) of the echo rows
+    (questions, t) of `_echo_rows`: H(u_w C_w + u_l C_l) minus
+    sum_m pm_m H(t_m P_w + (1 - t_m) P_l), with u_b summing pm_m P(b | m)
+    by question and P_b the profiles; a kernel row is a cyclic shift of
+    its profile mix, so both have one entropy."""
+    u = np.concatenate([np.bincount(questions, pm * p_b, ch.delta) for p_b in (1 - t, t)])
+    mixes, which = np.unique(t, return_inverse=True)
+    h_rows = entropy(np.outer(mixes, ch.win_profile) + np.outer(1 - mixes, ch.lose_profile), axis=1)
+    return entropy(u @ ch._circulants) - float(pm @ h_rows[which])
+
+
 def _prepare_perfect_box(
     box: CorrelationBox, game: NonlocalGame, resource: str | None = None
 ) -> Solve:
     """Check box's two hypotheses on game, which no channel changes: it
     wins every question tuple (`win_deviation`, the largest deviation of a
     win probability from 1) and its output marginals are uniform over their
-    support.  Return the Solve of pseudo_telepathy_capacity on game."""
+    support; and derive its E* encoder's echo rows.  Return the Solve of
+    pseudo_telepathy_capacity on game."""
     win_deviation = float(np.abs(box_win_probabilities(box, game) - 1.0).max())
     if not win_deviation <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
@@ -539,11 +573,12 @@ def _prepare_perfect_box(
             f"by {uni_err}"
         )
     encoder = e_star(box)
+    questions, t = _echo_rows(encoder, game)
 
     def solve(ch: MacChannel) -> tuple[CapacityResult, str]:
         value = float(np.log2(ch.delta)) - ch.f_w
         pi = ProductDistribution.uniform(game.n, game.d)
-        direct = sum_rate(pi, encoder, ch)
+        direct = _echo_rate(ch, pi.joint(), questions, t)
         if not abs(direct - value) <= PT_CROSS_CHECK_TOL:
             raise PseudoTelepathyHypothesisError(
                 f"closed form {value} disagrees with direct sum rate {direct}"
@@ -567,9 +602,11 @@ def pseudo_telepathy_capacity(
 
     Verifies both hypotheses (win probability 1 on every question tuple,
     output marginals uniform over their support) and cross-checks the
-    closed form against the direct sum rate at uniform messages.  Both
-    hypotheses depend on the game only: a sweep checks them once and
-    cross-checks every row.
+    closed form against the E* encoder's sum rate at uniform messages
+    (`direct_sum_rate`), computed from its echo rows (see `_echo_rate`)
+    in O(Δ^2), with no Δ x Δ kernel.  Both hypotheses and the echo rows
+    depend on the game only: a sweep derives them once and cross-checks
+    every row.
     """
     return _prepare_perfect_box(box, ch.game, resource)(ch)[0]
 

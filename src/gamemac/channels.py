@@ -74,31 +74,33 @@ class MacChannel:
 
     @functools.cached_property
     def _circulants(self) -> np.ndarray:
-        """Shape (2, Δ, Δ): [branch, q, y] = profile_branch[(y - q) mod Δ],
-        branch 0 losing and 1 winning."""
-        return circulants(np.stack([self.lose_profile, self.win_profile]))
+        """Shape (2Δ, Δ): row b*Δ + q is profile_b[(y - q) mod Δ], the row
+        P(y | x) of every input x with win bit b (0 losing, 1 winning) and
+        echoed question index q, that is of slot b*Δ + q (see echo_slots)."""
+        return circulants(np.stack([self.lose_profile, self.win_profile])).reshape(-1, self.delta)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         """Dense P(y | x), shape ((d*D)^n, Δ), read-only; built on first use."""
-        matrix = self._circulants[input_maps(self.game)]
+        matrix = self._circulants[echo_slots(self.game, ...)]
         matrix.setflags(write=False)
         return matrix
 
     def kernel(self, cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """P(y | m) of the encoder with support (cols, probs) (see
-        correlations.Encoder), without the dense matrix: the support is
-        summed onto (row, win bit, question index), then multiplied by the
-        two Δ x Δ circulants."""
-        win, questions = input_maps(self.game)
+        correlations.Encoder), without the dense matrix.  Row m is the mix
+        of the 2Δ circulant rows with weight probs[m, j] on the slot of
+        cols[m, j], so the support is summed onto (row, slot) and multiplied
+        by `_circulants`."""
+        inputs = input_maps(self.game)[0].size
         if cols.shape != probs.shape or cols.ndim != 2:
             raise ValueError(f"support shapes {cols.shape} and {probs.shape} differ or are not 2-D")
-        if cols.size and (cols.min() < 0 or cols.max() >= win.size):
-            raise ValueError(f"support inputs must lie in [0, {win.size}), the channel's inputs")
+        if cols.size and (cols.min() < 0 or cols.max() >= inputs):
+            raise ValueError(f"support inputs must lie in [0, {inputs}), the channel's inputs")
         rows = cols.shape[0]
-        slots = (np.arange(rows)[:, None] * 2 + win[cols]) * self.delta + questions[cols]
+        slots = np.arange(rows)[:, None] * 2 * self.delta + echo_slots(self.game, cols)
         sums = np.bincount(slots.ravel(), probs.ravel(), minlength=rows * 2 * self.delta)
-        return sums.reshape(rows, -1) @ self._circulants.reshape(-1, self.delta)
+        return sums.reshape(rows, -1) @ self._circulants
 
     def branch_entropy_error(self) -> float:
         """Max |H(Y|X=x) - f_branch| over the rows of the dense matrix."""
@@ -106,14 +108,23 @@ class MacChannel:
         return float(np.abs(ent - np.where(input_maps(self.game)[0], self.f_w, self.f_l)).max())
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=8)
 def input_maps(game: NonlocalGame) -> tuple[np.ndarray, np.ndarray]:
     """Win bit and question index of every channel input, read-only; kept
-    for the last game, so its channels and their callers share them."""
+    for the last few games, so a game's channels and their callers share
+    them, also when a caller visits its games twice."""
     maps = input_win_mask(game).astype(np.intp), question_indices(game)
     for m in maps:
         m.setflags(write=False)
     return maps
+
+
+def echo_slots(game: NonlocalGame, inputs) -> np.ndarray:
+    """Slot b*Δ + q of each channel input in inputs (an index into the
+    input axis), with b its win bit and q its question index: the row of
+    `MacChannel._circulants` that is its row P(y | x)."""
+    win, questions = input_maps(game)
+    return win[inputs] * game.d**game.n + questions[inputs]
 
 
 def two_branch_mac(game: NonlocalGame, win_profile, lose_profile) -> MacChannel:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from gamemac import capacity
 from gamemac.capacity import (
     _ascend,
+    _echo_rate,
+    _echo_rows,
     _kernel_mi_objective,
     _representatives,
     _subset_bound_objective,
@@ -32,10 +34,12 @@ from gamemac.capacity import (
     vertex_count,
     vertex_file_bound,
 )
-from gamemac.channels import noise_f, two_branch_mac, type_ii
+from gamemac.channels import MacChannel, noise_f, two_branch_mac, type_i, type_ii
 from gamemac.correlations import (
     EnumerationCapExceeded,
+    Encoder,
     box_to_csv,
+    builtin_box,
     e_star,
     local_deterministic_boxes,
     pr_box,
@@ -45,6 +49,9 @@ from gamemac.games import (
     NonlocalGame,
     chsh_game,
     game_by_name,
+    input_indices,
+    local_map_indices,
+    local_maps,
     magic_square_game,
     mpp_game,
     pack_tuple,
@@ -113,12 +120,12 @@ def _vertex_rows(name):
 def test_representatives_one_per_orbit(name, count):
     game = game_by_name(name)
     ch = type_ii(game, 0.6)
-    vertices, kernels = _representatives(ch)
+    vertices, slots = _representatives(ch)
     assert len(vertices) == count
     assert (np.diff(vertices) > 0).all()
     if name != "mpp:4":
         # each kernel is its vertex's rows of the dense matrix, bit for bit
-        assert np.array_equal(kernels, ch.matrix[_vertex_rows(name)[vertices]])
+        assert np.array_equal(ch._circulants[slots], ch.matrix[_vertex_rows(name)[vertices]])
 
 
 @PROPERTY
@@ -431,9 +438,9 @@ SOUNDNESS_CHANNELS = [
 def test_pruning_keeps_the_unpruned_maximum(name, eta, seed):
     # reference: one grouped ascent over every representative, none pruned
     ch = type_ii(game_by_name(name), eta) if seed is None else _random_channel(name, seed)
-    vertices, kernels = _representatives(ch)
+    vertices, slots = _representatives(ch)
     value, _, diag = maximize_over_pi(
-        _kernel_mi_objective(kernels), ch.game.n, ch.game.d, CFG, groups=len(vertices)
+        _kernel_mi_objective(ch._circulants, slots), ch.game.n, ch.game.d, CFG, groups=len(vertices)
     )
     result = classical_capacity_exact(ch, CFG)
     assert abs(result.value - value) <= 1e-12
@@ -456,6 +463,13 @@ def test_classical_exact_mpp4_without_the_dense_matrix():
     assert abs(result.value - 3.379605076705) <= 1e-9
     assert result.diagnostics["vertices"] == 65536
     assert "matrix" not in vars(ch)
+
+
+def test_vertex_kernels_are_never_formed(monkeypatch):
+    monkeypatch.setattr(MacChannel, "kernel", lambda *args: pytest.fail("a vertex kernel was formed"))
+    ch = type_ii(mpp_game(3), 0.5)
+    result = classical_capacity_exact(ch, CFG)
+    assert abs(best_vertex_rate_at_pi(ch, result.argmax_pi) - result.value) <= 1e-12
 
 
 def test_resource_bound_with_perfect_resource_hits_ceiling():
@@ -718,7 +732,7 @@ def test_sweep_checks_the_box_once_and_cross_checks_every_row(monkeypatch):
         original = getattr(capacity, name)
         monkeypatch.setattr(capacity, name, lambda *a: calls.append(name) or original(*a))
 
-    for name in ("box_win_probabilities", "support_marginal_uniformity_error", "sum_rate"):
+    for name in ("box_win_probabilities", "support_marginal_uniformity_error", "_echo_rows", "_echo_rate"):
         counted(name)
     game = mpp_game(3)
     etas = (0.4, 0.7, 1.0)
@@ -727,11 +741,54 @@ def test_sweep_checks_the_box_once_and_cross_checks_every_row(monkeypatch):
     assert [r.value for r in rows] == pytest.approx([3 - noise_f(8, eta) for eta in etas for _ in "NQ"], abs=1e-12)
     assert calls.count("box_win_probabilities") == 1
     assert calls.count("support_marginal_uniformity_error") == 1
-    assert calls.count("sum_rate") == 6
+    assert calls.count("_echo_rows") == 1
+    # one direct cross-check per (eta, resource) row
+    assert calls.count("_echo_rate") == 6
     # a direct call runs every check
     calls.clear()
     pseudo_telepathy_capacity(type_ii(game, 0.7), pseudo_telepathy_box(game))
-    assert sorted(calls) == ["box_win_probabilities", "sum_rate", "support_marginal_uniformity_error"]
+    assert sorted(calls) == [
+        "_echo_rate", "_echo_rows", "box_win_probabilities", "support_marginal_uniformity_error"
+    ]
+
+
+ECHO_CHANNELS = {
+    "type-I": lambda game: type_i(game, 0.4),
+    "type-II": lambda game: type_ii(game, 0.7),
+    "random": lambda game: _random_channel(game.name, 3),
+}
+
+
+@pytest.mark.parametrize("channel", list(ECHO_CHANNELS))
+@pytest.mark.parametrize("box_name", ["pr", "tsirelson", "magic-square", *(f"mpp:{n}" for n in range(2, 7))])
+def test_echo_rate_matches_the_dense_sum_rate(box_name, channel):
+    # reference: I(M;Y) of the E* encoder's kernel P(y|m), one Δ x Δ product
+    box = builtin_box(box_name)
+    game = game_by_name("chsh" if box_name in ("pr", "tsirelson") else box_name)
+    ch, enc = ECHO_CHANNELS[channel](game), e_star(box)
+    questions, t = _echo_rows(enc, game)
+    rng = np.random.default_rng(11)
+    random_pi = ProductDistribution(tuple(rng.dirichlet(np.ones(game.d)) for _ in range(game.n)))
+    for pi in (ProductDistribution.uniform(game.n, game.d), random_pi):
+        assert abs(_echo_rate(ch, pi.joint(), questions, t) - sum_rate(pi, enc, ch)) <= 1e-12
+
+
+def test_echo_rows_refuse_a_message_spanning_two_questions():
+    cols = input_indices(2, 2, 2).copy()  # row m: every input echoing question m
+    cols[1, 0] = cols[2, 0]
+    enc = Encoder(2, 2, 2, cols, np.full(cols.shape, 0.25), name="spread")
+    with pytest.raises(ValueError, match="message 1 of spread spans two questions"):
+        _echo_rows(enc, chsh_game())
+
+
+@pytest.mark.parametrize("name", ["chsh", "mpp:3", "mpp:4", "random mpp:3"])
+def test_circulant_rows_are_the_vertex_kernels(name):
+    ch = _random_channel("mpp:3", 7) if name.startswith("random") else type_ii(game_by_name(name), 0.6)
+    game, dD = ch.game, ch.game.d * ch.game.D
+    vertices, slots = _representatives(ch)
+    cols = local_map_indices(local_maps(game.n, game.d, dD)[vertices], dD).reshape(-1, 1)
+    kernels = ch.kernel(cols, np.ones(cols.shape)).reshape(len(vertices), ch.delta, ch.delta)
+    assert np.array_equal(ch._circulants[slots], kernels)
 
 
 def test_sweep_q_exact_for_magic_square():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gamemac import capacity, verify
+from gamemac import capacity, channels, verify
 from gamemac.channels import depolarizing_mac, type_ii
 from gamemac.correlations import e_star, tsirelson_box
 from gamemac.games import chsh_game, input_win_mask, magic_square_game, mpp_game, pack_tuple, unpack_index
@@ -272,6 +272,20 @@ def test_run_verification_all_pass():
     checks = verify.run_verification(seed=0, count=20)
     assert len(checks) == 27
     assert all(c.passed for c in checks)
+
+
+def test_run_verification_builds_each_games_input_maps_once(monkeypatch):
+    # the suite visits its three games twice: propositions, then boxes
+    built = []
+    original = channels.input_win_mask
+    monkeypatch.setattr(channels, "input_win_mask", lambda game: built.append(game.name) or original(game))
+    channels.input_maps.cache_clear()
+    checks = verify.run_verification(seed=0, count=20)
+    assert built == ["chsh", "magic-square", "mpp:3"]
+    # report order: four identities per game, then five checks per box
+    prefixes = ["chsh:"] * 4 + ["magic-square:"] * 4 + ["mpp:3:"] * 4
+    prefixes += ["pr:"] * 4 + ["chsh:"] + ["magic-square:"] * 5 + ["mpp:3:"] * 5
+    assert [c.name[: len(p)] for c, p in zip(checks, prefixes)] == prefixes and len(checks) == 27
 
 
 def test_format_report():
