@@ -524,7 +524,9 @@ def _box_resource(box: CorrelationBox) -> str:
 
 
 class PseudoTelepathyHypothesisError(ValueError):
-    """The supplied box fails a hypothesis of the exact-capacity formula."""
+    """The supplied box or encoder fails a hypothesis of a closed-form
+    capacity: the pseudo-telepathy formula's, or that of a symmetric E*
+    kernel (see `_prepare_symmetric_encoder`)."""
 
 
 def _echo_rows(enc: Encoder, game: NonlocalGame) -> tuple[np.ndarray, np.ndarray]:
@@ -552,14 +554,70 @@ def _echo_rate(ch: MacChannel, pm: np.ndarray, questions: np.ndarray, t: np.ndar
     return entropy(u @ ch._circulants) - float(pm @ h_rows[which])
 
 
+def _prepare_symmetric_encoder(
+    encoder: Encoder,
+    game: NonlocalGame,
+    kind: str,
+    resource: str,
+    omega: float | None = None,
+    **diagnostics,
+) -> Solve:
+    """Check that encoder's kernel is a symmetric channel on every channel
+    of game; return the Solve of its capacity in closed form.
+
+    The echo rows (see `_echo_rows`) must put one message on each question
+    tuple and share one win probability t_m = omega (by default t_0)
+    within PT_TOL.  Every kernel row is then a cyclic shift of
+    r = omega P_w + (1 - omega) P_l, with P_b the branch profiles, so the
+    capacity over all message distributions is log2 Δ - H(r), reached at
+    uniform messages (Cover & Thomas, Elements of Information Theory,
+    Thm 7.2.1), a product distribution.  With omega = 1, r is P_w, and the
+    value is log2 Δ - f_w bit for bit.  Each row cross-checks the closed form
+    against `_echo_rate` at uniform messages (`direct_sum_rate`) within
+    PT_CROSS_CHECK_TOL.  Failures raise PseudoTelepathyHypothesisError."""
+    questions, t = _echo_rows(encoder, game)
+    if not np.array_equal(np.sort(questions), np.arange(game.d**game.n)):
+        raise PseudoTelepathyHypothesisError(
+            f"the messages of {encoder.name} do not echo each question tuple once"
+        )
+    omega = float(t[0]) if omega is None else omega
+    spread = float(np.abs(t - omega).max())
+    if not spread <= PT_TOL:
+        raise PseudoTelepathyHypothesisError(
+            f"the messages of {encoder.name} win with probabilities up to {spread} "
+            f"apart from {omega}"
+        )
+    pi = ProductDistribution.uniform(game.n, game.d)
+    pm = pi.joint()
+
+    def solve(ch: MacChannel) -> tuple[CapacityResult, str]:
+        row = omega * ch.win_profile + (1 - omega) * ch.lose_profile
+        value = float(np.log2(ch.delta)) - entropy(row)
+        direct = _echo_rate(ch, pm, questions, t)
+        if not abs(direct - value) <= PT_CROSS_CHECK_TOL:
+            raise PseudoTelepathyHypothesisError(
+                f"closed form {value} disagrees with direct sum rate {direct}"
+            )
+        return _row(CapacityResult(
+            value=value,
+            kind=kind,
+            resource=resource,
+            argmax_pi=pi,
+            argmax_encoder=encoder.name,
+            diagnostics=dict(diagnostics, direct_sum_rate=direct),
+        ))
+
+    return solve
+
+
 def _prepare_perfect_box(
     box: CorrelationBox, game: NonlocalGame, resource: str | None = None
 ) -> Solve:
     """Check box's two hypotheses on game, which no channel changes: it
     wins every question tuple (`win_deviation`, the largest deviation of a
     win probability from 1) and its output marginals are uniform over their
-    support; and derive its E* encoder's echo rows.  Return the Solve of
-    pseudo_telepathy_capacity on game."""
+    support.  Return the Solve of pseudo_telepathy_capacity on game: its
+    E* encoder is a symmetric kernel that always wins."""
     win_deviation = float(np.abs(box_win_probabilities(box, game) - 1.0).max())
     if not win_deviation <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
@@ -572,27 +630,9 @@ def _prepare_perfect_box(
             f"box {box.name!r} output marginals deviate from uniform-over-support "
             f"by {uni_err}"
         )
-    encoder = e_star(box)
-    questions, t = _echo_rows(encoder, game)
-
-    def solve(ch: MacChannel) -> tuple[CapacityResult, str]:
-        value = float(np.log2(ch.delta)) - ch.f_w
-        pi = ProductDistribution.uniform(game.n, game.d)
-        direct = _echo_rate(ch, pi.joint(), questions, t)
-        if not abs(direct - value) <= PT_CROSS_CHECK_TOL:
-            raise PseudoTelepathyHypothesisError(
-                f"closed form {value} disagrees with direct sum rate {direct}"
-            )
-        return _row(CapacityResult(
-            value=value,
-            kind="exact",
-            resource=resource or _box_resource(box),
-            argmax_pi=pi,
-            argmax_encoder=encoder.name,
-            diagnostics={"direct_sum_rate": direct, "win_deviation": win_deviation},
-        ))
-
-    return solve
+    return _prepare_symmetric_encoder(
+        e_star(box), game, "exact", resource or _box_resource(box), 1.0, win_deviation=win_deviation
+    )
 
 
 def pseudo_telepathy_capacity(
@@ -611,24 +651,31 @@ def pseudo_telepathy_capacity(
     return _prepare_perfect_box(box, ch.game, resource)(ch)[0]
 
 
-def _check_chsh(game: NonlocalGame) -> None:
+def _prepare_q_lower(game: NonlocalGame, cfg: OptimizerConfig | None = None) -> Solve:
+    """The Solve of quantum_lower_bound_chsh on game, with its checks done
+    once; cfg is unused, as the closed form needs no ascent."""
     if game.name != "chsh":
         raise ValueError(f"quantum lower bound is defined for CHSH channels, got {game.name}")
+    return _prepare_symmetric_encoder(e_star(tsirelson_box()), game, "lower-bound", "Q")
 
 
-def quantum_lower_bound_chsh(ch: MacChannel, cfg: OptimizerConfig | None = None) -> CapacityResult:
-    """Lower bound on the quantum sum-capacity via the Tsirelson-box encoder."""
-    _check_chsh(ch.game)
-    enc = e_star(tsirelson_box())
-    val, pi, diag = maximize_over_pi(sum_rate_objective(enc, ch), ch.game.n, ch.game.d, cfg)
-    return CapacityResult(
-        value=val,
-        kind="lower-bound",
-        resource="Q",
-        argmax_pi=pi,
-        argmax_encoder=enc.name,
-        diagnostics=diag,
-    )
+def quantum_lower_bound_chsh(ch: MacChannel) -> CapacityResult:
+    """Lower bound on the quantum sum-capacity: the capacity of the
+    Tsirelson-box encoder E*(tsirelson), log2 Δ - H(ω_Q P_w + (1 - ω_Q) P_l)
+    at uniform messages.
+
+    Each message of E*(tsirelson) echoes its own question tuple and wins
+    with probability ω_Q = cos²(π/8) (Tsirelson 1980), so its kernel is a
+    symmetric channel (see `_prepare_symmetric_encoder`), and the closed
+    form is its exact maximum over all message distributions, product or
+    not: no local search runs.  On depolarizing channels it is
+    log2 Δ - f(Δ, ω_Q η_w + (1 - ω_Q) η_l).
+
+    It is a lower bound because E*(tsirelson) is one quantum encoder among
+    many, and it can sit below `L-exact`: at type-II η = 0.1 it is 0.014986
+    against 0.015319.
+    """
+    return _prepare_q_lower(ch.game)(ch)[0]
 
 
 def _prepare_vertex_file(vertex_csv_path, game: NonlocalGame, cfg: OptimizerConfig | None) -> Solve:
@@ -719,11 +766,6 @@ class SweepRow:
     kind: str
     value: float
     diagnostic: str = ""
-
-
-def _prepare_q_lower(game: NonlocalGame, cfg: OptimizerConfig) -> Solve:
-    _check_chsh(game)
-    return lambda ch: _row(quantum_lower_bound_chsh(ch, cfg))
 
 
 @functools.lru_cache(maxsize=1)

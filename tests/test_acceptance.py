@@ -145,7 +145,7 @@ def chsh_type2_curves():
     for eta in ETA_GRID_HIGH:
         ch = type_ii(chsh_game(), float(eta))
         ns = pseudo_telepathy_capacity(ch, pseudo_telepathy_box(chsh_game())).value
-        q = quantum_lower_bound_chsh(ch, CFG)
+        q = quantum_lower_bound_chsh(ch)
         det_at_q_pi = best_vertex_rate_at_pi(ch, q.argmax_pi)
         l_exact = classical_capacity_exact(ch, CFG).value
         rows[float(eta)] = (ns, q.value, det_at_q_pi, l_exact)

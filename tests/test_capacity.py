@@ -15,9 +15,11 @@ from gamemac.capacity import (
     _echo_rate,
     _echo_rows,
     _kernel_mi_objective,
+    _prepare_symmetric_encoder,
     _representatives,
     _subset_bound_objective,
     OptimizerConfig,
+    PT_CROSS_CHECK_TOL,
     PseudoTelepathyHypothesisError,
     best_vertex_rate_at_pi,
     bruteforce_classical_game_value,
@@ -34,7 +36,7 @@ from gamemac.capacity import (
     vertex_count,
     vertex_file_bound,
 )
-from gamemac.channels import MacChannel, noise_f, two_branch_mac, type_i, type_ii
+from gamemac.channels import MacChannel, depolarizing_mac, noise_f, two_branch_mac, type_i, type_ii
 from gamemac.correlations import (
     EnumerationCapExceeded,
     Encoder,
@@ -296,7 +298,7 @@ def test_chsh_optima_beat_random_pi(eta, seed):
     pi = ProductDistribution(tuple(rng.dirichlet(np.ones(2)) for _ in range(2)))
     assert classical_capacity_exact(ch, CFG).value >= best_vertex_rate_at_pi(ch, pi) - 1e-12
     q_rate = sum_rate(pi, e_star(tsirelson_box()), ch)
-    assert quantum_lower_bound_chsh(ch, CFG).value >= q_rate - 1e-12
+    assert quantum_lower_bound_chsh(ch).value >= q_rate - 1e-12
 
 
 @PROPERTY
@@ -404,15 +406,15 @@ FORMER_ASCENT = {
 def test_ascent_matches_former_values(name, eta):
     value, vertex, q_value = FORMER_ASCENT[name, eta]
     ch = type_ii(game_by_name(name), eta)
-    results = [classical_capacity_exact(ch, CFG)]
-    assert abs(results[0].value - value) <= 1e-10
-    assert results[0].argmax_encoder == vertex
+    result = classical_capacity_exact(ch, CFG)
+    assert abs(result.value - value) <= 1e-10
+    assert result.argmax_encoder == vertex
+    assert result.diagnostics["capped"] == 0
+    assert result.diagnostics["gap"] <= CFG.tolerance
     if q_value is not None:
-        results.append(quantum_lower_bound_chsh(ch, CFG))
-        assert abs(results[1].value - q_value) <= 1e-10
-    for result in results:
-        assert result.diagnostics["capped"] == 0
-        assert result.diagnostics["gap"] <= CFG.tolerance
+        q = quantum_lower_bound_chsh(ch)
+        assert abs(q.value - q_value) <= 1e-10
+        assert abs(q.diagnostics["direct_sum_rate"] - q.value) <= PT_CROSS_CHECK_TOL
 
 
 def _random_channel(name, seed):
@@ -540,20 +542,83 @@ def test_pseudo_telepathy_rejects_nonuniform_support():
 
 
 def test_quantum_lower_bound_chsh():
-    result = quantum_lower_bound_chsh(type_ii(chsh_game(), 1.0), CFG)
+    result = quantum_lower_bound_chsh(type_ii(chsh_game(), 1.0))
     assert result.kind == "lower-bound"
     assert result.resource == "Q"
     # noiseless winning branch: rate = 2 - f(4, cos^2(pi/8)) at uniform pi
     expected = 2.0 - noise_f(4, np.cos(np.pi / 8) ** 2)
-    assert result.value == pytest.approx(expected, abs=1e-6)
+    assert result.value == pytest.approx(expected, abs=1e-12)
+
+
+@PROPERTY
+@given(
+    profiles=st.tuples(*(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4) for _ in "wl")),
+    channel_type=st.sampled_from([1, 2]),
+    eta=st.floats(0.05, 0.95),
+)
+def test_quantum_lower_bound_matches_the_ascent(profiles, channel_type, eta):
+    # the closed form is the ascent's maximum over pi for E*(tsirelson)
+    a, b = (np.array(p) / sum(p) for p in profiles)
+    channels = [channel_for(chsh_game(), channel_type, eta)]
+    if entropy(a) != entropy(b):
+        channels.append(two_branch_mac(chsh_game(), *sorted((a, b), key=entropy)))
+    for ch in channels:
+        ascent, _, _ = maximize_over_pi(sum_rate_objective(e_star(tsirelson_box()), ch), 2, 2, CFG)
+        value = quantum_lower_bound_chsh(ch).value
+        assert ascent - 1e-12 <= value <= ascent + 1e-9
+
+
+@pytest.mark.parametrize("eta_w, eta_l", [(1.0, 0.0), (0.8, 0.0), (1.0, 0.4), (0.7, 0.2)])
+def test_quantum_lower_bound_is_the_effective_depolarizing_value(eta_w, eta_l):
+    # mixing two depolarizing profiles gives one, of eta_eff = w eta_w + (1 - w) eta_l
+    w = np.cos(np.pi / 8) ** 2
+    ch = depolarizing_mac(chsh_game(), eta_w, eta_l)
+    value = quantum_lower_bound_chsh(ch).value
+    assert abs(value - (2.0 - noise_f(4, w * eta_w + (1 - w) * eta_l))) <= 1e-12
+
+
+def test_q_lower_sweep_runs_no_ascent_and_checks_the_box_once(monkeypatch):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("Q-lower ran maximize_over_pi")
+
+    calls = []
+
+    def counted(name):
+        original = getattr(capacity, name)
+        monkeypatch.setattr(capacity, name, lambda *a: calls.append(name) or original(*a))
+
+    monkeypatch.setattr(capacity, "maximize_over_pi", no_ascent)
+    for name in ("e_star", "_echo_rows", "_echo_rate"):
+        counted(name)
+    etas = (0.2, 0.6, 1.0)
+    rows = sweep(chsh_game(), 2, etas, ["Q-lower"], CFG)
+    assert [(r.kind, r.diagnostic) for r in rows] == [("lower-bound", "e*(tsirelson)")] * 3
+    assert calls.count("e_star") == 1
+    assert calls.count("_echo_rows") == 1
+    # one direct cross-check per (eta, Q-lower) row
+    assert calls.count("_echo_rate") == 3
+
+
+def test_symmetric_encoder_refuses_a_repeated_question_or_unequal_wins():
+    game = chsh_game()
+    enc = e_star(tsirelson_box())
+    # messages 0 and 1 both echo question tuple 0
+    repeated = Encoder(2, 2, 2, np.vstack([enc.cols[:1], enc.cols[:1], enc.cols[2:]]), enc.probs)
+    with pytest.raises(PseudoTelepathyHypothesisError, match="each question tuple once"):
+        _prepare_symmetric_encoder(repeated, game, "lower-bound", "Q")
+    # a local deterministic box wins three question tuples of four
+    local = e_star(next(local_deterministic_boxes(2, 2, 2)))
+    with pytest.raises(PseudoTelepathyHypothesisError, match="win with probabilities"):
+        _prepare_symmetric_encoder(local, game, "lower-bound", "L")
 
 
 def test_maximize_over_pi_reports_best_certified_winner():
-    # CHSH Q-lower at eta = 0.95: starts tie up to rounding, and the winner
+    # CHSH E*(tsirelson) at eta = 0.95: starts tie up to rounding, and the winner
     # once was an earlier iterate with gap 1.2e-8 against a 1e-10 tolerance
-    result = quantum_lower_bound_chsh(type_ii(chsh_game(), 0.95), CFG)
-    assert result.diagnostics["gap"] <= CFG.tolerance
-    assert abs(result.value - 1.1861381026252487) <= 1e-12
+    objective = sum_rate_objective(e_star(tsirelson_box()), type_ii(chsh_game(), 0.95))
+    value, _, diag = maximize_over_pi(objective, 2, 2, CFG)
+    assert diag["gap"] <= CFG.tolerance
+    assert abs(value - 1.1861381026252487) <= 1e-12
 
 
 def test_sum_rate_objective_refuses_a_scenario_mismatch():
@@ -563,7 +628,7 @@ def test_sum_rate_objective_refuses_a_scenario_mismatch():
 
 def test_quantum_lower_bound_requires_chsh():
     with pytest.raises(ValueError):
-        quantum_lower_bound_chsh(type_ii(mpp_game(3), 1.0), CFG)
+        quantum_lower_bound_chsh(type_ii(mpp_game(3), 1.0))
 
 
 def test_vertex_file_bound_matches_exact_for_local_vertices(tmp_path, chsh_type2_full):
