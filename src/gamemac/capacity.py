@@ -14,14 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import MacChannel, echo_slots, type_i, type_ii
+from .channels import MacChannel, echo_slots, input_maps, type_i, type_ii
 from .correlations import (
     NO_SIGNALING_TOL,
     CorrelationBox,
     Encoder,
     UnknownBoxError,
     boxes_from_csv,
-    box_win_probabilities,
     builtin_box,
     e_star,
     local_deterministic_count,
@@ -529,62 +528,51 @@ class PseudoTelepathyHypothesisError(ValueError):
     kernel (see `_prepare_symmetric_encoder`)."""
 
 
-def _echo_rows(enc: Encoder, game: NonlocalGame) -> tuple[np.ndarray, np.ndarray]:
-    """The question index q(m) and t_m = P(win | m) of every message of
-    enc, each shape (Δ,).  On every channel of game, kernel row m is then
-    t_m C_w[q(m)] + (1 - t_m) C_l[q(m)], with C_b the circulant rows of
-    branch b.  Raises ValueError if a message's support spans two
-    questions."""
-    win, questions = np.divmod(echo_slots(game, enc.cols), game.d**game.n)
-    spanning = np.flatnonzero((questions != questions[:, :1]).any(axis=1))
-    if spanning.size:
-        raise ValueError(f"message {spanning[0]} of {enc.name} spans two questions")
-    return questions[:, 0], (enc.probs * win).sum(axis=1)
+def _win_masses(enc: Encoder, game: NonlocalGame) -> np.ndarray:
+    """t_m = P(win | m) of every message of enc = e_star(box) on game, shape
+    (Δ,), read off enc's support.  E* puts message m on the inputs (m, a),
+    so on every channel of game kernel row m is t_m C_w[m] + (1 - t_m) C_l[m],
+    with C_b the circulant rows of branch b: a box reaches a rate only
+    through t."""
+    if (enc.n, enc.d, enc.D) != (game.n, game.d, game.D):
+        raise ValueError("box and game scenarios differ")
+    return (enc.probs * input_maps(game)[0][enc.cols]).sum(axis=1)
 
 
-def _echo_rate(ch: MacChannel, pm: np.ndarray, questions: np.ndarray, t: np.ndarray) -> float:
-    """I(M;Y) at the message distribution pm (Δ,) of the echo rows
-    (questions, t) of `_echo_rows`: H(u_w C_w + u_l C_l) minus
-    sum_m pm_m H(t_m P_w + (1 - t_m) P_l), with u_b summing pm_m P(b | m)
-    by question and P_b the profiles; a kernel row is a cyclic shift of
-    its profile mix, so both have one entropy."""
-    u = np.concatenate([np.bincount(questions, pm * p_b, ch.delta) for p_b in (1 - t, t)])
+def _echo_rate(ch: MacChannel, pm: np.ndarray, t: np.ndarray) -> float:
+    """I(M;Y) of an E* encoder of win masses t (see `_win_masses`) at the
+    message distribution pm (Δ,): H(u @ [C_l; C_w]) with u = [pm (1 - t), pm t],
+    minus sum_m pm_m H(t_m P_w + (1 - t_m) P_l), with P_b the profiles; a
+    kernel row is a cyclic shift of its profile mix, so both have one entropy."""
+    u = np.concatenate([pm * (1 - t), pm * t])
     mixes, which = np.unique(t, return_inverse=True)
     h_rows = entropy(np.outer(mixes, ch.win_profile) + np.outer(1 - mixes, ch.lose_profile), axis=1)
     return entropy(u @ ch._circulants) - float(pm @ h_rows[which])
 
 
 def _prepare_symmetric_encoder(
-    encoder: Encoder,
-    game: NonlocalGame,
-    kind: str,
-    resource: str,
-    omega: float | None = None,
-    **diagnostics,
+    box: CorrelationBox, game: NonlocalGame, kind: str, resource: str, omega: float | None = None
 ) -> Solve:
-    """Check that encoder's kernel is a symmetric channel on every channel
-    of game; return the Solve of its capacity in closed form.
+    """Check that the kernel of E*(box) is a symmetric channel on every
+    channel of game; return the Solve of its capacity in closed form.
 
-    The echo rows (see `_echo_rows`) must put one message on each question
-    tuple and share one win probability t_m = omega (by default t_0)
-    within PT_TOL.  Every kernel row is then a cyclic shift of
-    r = omega P_w + (1 - omega) P_l, with P_b the branch profiles, so the
-    capacity over all message distributions is log2 Δ - H(r), reached at
-    uniform messages (Cover & Thomas, Elements of Information Theory,
-    Thm 7.2.1), a product distribution.  With omega = 1, r is P_w, and the
-    value is log2 Δ - f_w bit for bit.  Each row cross-checks the closed form
-    against `_echo_rate` at uniform messages (`direct_sum_rate`) within
-    PT_CROSS_CHECK_TOL.  Failures raise PseudoTelepathyHypothesisError."""
-    questions, t = _echo_rows(encoder, game)
-    if not np.array_equal(np.sort(questions), np.arange(game.d**game.n)):
-        raise PseudoTelepathyHypothesisError(
-            f"the messages of {encoder.name} do not echo each question tuple once"
-        )
+    Every win mass t_m (see `_win_masses`) must lie within PT_TOL of omega
+    (by default t_0); diagnostic `win_deviation` is the largest |t_m - omega|.
+    Every kernel row is then a cyclic shift of r = omega P_w + (1 - omega) P_l,
+    with P_b the branch profiles, so the capacity over all message
+    distributions is log2 Δ - H(r), reached at uniform messages (Cover &
+    Thomas, Elements of Information Theory, Thm 7.2.1), a product
+    distribution.  With omega = 1, r is P_w, and the value is log2 Δ - f_w
+    bit for bit.  Each row cross-checks the closed form against `_echo_rate`
+    at uniform messages (`direct_sum_rate`) within PT_CROSS_CHECK_TOL.
+    Failures raise PseudoTelepathyHypothesisError."""
+    encoder = e_star(box)
+    t = _win_masses(encoder, game)
     omega = float(t[0]) if omega is None else omega
-    spread = float(np.abs(t - omega).max())
-    if not spread <= PT_TOL:
+    win_deviation = float(np.abs(t - omega).max())
+    if not win_deviation <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
-            f"the messages of {encoder.name} win with probabilities up to {spread} "
+            f"the messages of {encoder.name} win with probabilities up to {win_deviation} "
             f"apart from {omega}"
         )
     pi = ProductDistribution.uniform(game.n, game.d)
@@ -593,7 +581,7 @@ def _prepare_symmetric_encoder(
     def solve(ch: MacChannel) -> tuple[CapacityResult, str]:
         row = omega * ch.win_profile + (1 - omega) * ch.lose_profile
         value = float(np.log2(ch.delta)) - entropy(row)
-        direct = _echo_rate(ch, pm, questions, t)
+        direct = _echo_rate(ch, pm, t)
         if not abs(direct - value) <= PT_CROSS_CHECK_TOL:
             raise PseudoTelepathyHypothesisError(
                 f"closed form {value} disagrees with direct sum rate {direct}"
@@ -604,7 +592,7 @@ def _prepare_symmetric_encoder(
             resource=resource,
             argmax_pi=pi,
             argmax_encoder=encoder.name,
-            diagnostics=dict(diagnostics, direct_sum_rate=direct),
+            diagnostics=dict(win_deviation=win_deviation, direct_sum_rate=direct),
         ))
 
     return solve
@@ -614,25 +602,18 @@ def _prepare_perfect_box(
     box: CorrelationBox, game: NonlocalGame, resource: str | None = None
 ) -> Solve:
     """Check box's two hypotheses on game, which no channel changes: it
-    wins every question tuple (`win_deviation`, the largest deviation of a
-    win probability from 1) and its output marginals are uniform over their
-    support.  Return the Solve of pseudo_telepathy_capacity on game: its
-    E* encoder is a symmetric kernel that always wins."""
-    win_deviation = float(np.abs(box_win_probabilities(box, game) - 1.0).max())
-    if not win_deviation <= PT_TOL:
-        raise PseudoTelepathyHypothesisError(
-            f"box {box.name!r} does not win {game.name} on every question tuple "
-            f"(max deviation {win_deviation})"
-        )
+    wins every question tuple (omega = 1 for `_prepare_symmetric_encoder`)
+    and its output marginals are uniform over their support.  Return the
+    Solve of pseudo_telepathy_capacity on game: its E* encoder is a
+    symmetric kernel that always wins."""
+    solve = _prepare_symmetric_encoder(box, game, "exact", resource or _box_resource(box), 1.0)
     uni_err = support_marginal_uniformity_error(box)
     if not uni_err <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
             f"box {box.name!r} output marginals deviate from uniform-over-support "
             f"by {uni_err}"
         )
-    return _prepare_symmetric_encoder(
-        e_star(box), game, "exact", resource or _box_resource(box), 1.0, win_deviation=win_deviation
-    )
+    return solve
 
 
 def pseudo_telepathy_capacity(
@@ -643,8 +624,8 @@ def pseudo_telepathy_capacity(
     Verifies both hypotheses (win probability 1 on every question tuple,
     output marginals uniform over their support) and cross-checks the
     closed form against the E* encoder's sum rate at uniform messages
-    (`direct_sum_rate`), computed from its echo rows (see `_echo_rate`)
-    in O(Δ^2), with no Δ x Δ kernel.  Both hypotheses and the echo rows
+    (`direct_sum_rate`), computed from its win masses (see `_echo_rate`)
+    in O(Δ^2), with no Δ x Δ kernel.  Both hypotheses and the win masses
     depend on the game only: a sweep derives them once and cross-checks
     every row.
     """
@@ -656,7 +637,7 @@ def _prepare_q_lower(game: NonlocalGame, cfg: OptimizerConfig | None = None) -> 
     once; cfg is unused, as the closed form needs no ascent."""
     if game.name != "chsh":
         raise ValueError(f"quantum lower bound is defined for CHSH channels, got {game.name}")
-    return _prepare_symmetric_encoder(e_star(tsirelson_box()), game, "lower-bound", "Q")
+    return _prepare_symmetric_encoder(tsirelson_box(), game, "lower-bound", "Q")
 
 
 def quantum_lower_bound_chsh(ch: MacChannel) -> CapacityResult:
@@ -693,12 +674,13 @@ def _prepare_vertex_file(vertex_csv_path, game: NonlocalGame, cfg: OptimizerConf
             raise ValueError(
                 f"vertex {i} signals: no-signaling error {signaling:.3g} exceeds {NO_SIGNALING_TOL:g}"
             )
-    encoders = [e_star(box) for box in boxes]
+    t = np.stack([_win_masses(e_star(box), game) for box in boxes])[..., None]
 
     def solve(ch: MacChannel) -> tuple[CapacityResult, str]:
-        kernels = np.stack([message_output_kernel(enc, ch) for enc in encoders])
+        lose, win = ch._circulants.reshape(2, ch.delta, ch.delta)
+        kernels = t * win + (1 - t) * lose
         val, pi, diag = maximize_over_pi(
-            _kernel_mi_objective(kernels), game.n, game.d, cfg, groups=len(encoders)
+            _kernel_mi_objective(kernels), game.n, game.d, cfg, groups=len(boxes)
         )
         return _row(CapacityResult(
             value=val,
@@ -706,7 +688,7 @@ def _prepare_vertex_file(vertex_csv_path, game: NonlocalGame, cfg: OptimizerConf
             resource="file",
             argmax_pi=pi,
             argmax_encoder=f"vertex-file:{diag['group']}",
-            diagnostics=dict(diag, boxes=len(encoders)),
+            diagnostics=dict(diag, boxes=len(boxes)),
         ))
 
     return solve

@@ -43,9 +43,11 @@ class CorrelationBox:
 
     def __post_init__(self):
         expected = (self.d**self.n, self.D**self.n)
-        if self.table.shape != expected:
-            raise ValueError(f"box table shape {self.table.shape}, expected {expected}")
-        self.table.setflags(write=False)
+        table = np.array(self.table, dtype=float)
+        if table.shape != expected:
+            raise ValueError(f"box table shape {table.shape}, expected {expected}")
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
 
     def normalization_error(self) -> float:
         """Largest negative entry or row-sum deviation from 1; NaN if the
@@ -56,19 +58,15 @@ class CorrelationBox:
     def no_signaling_error(self) -> float:
         """Max deviation of any party's answer marginal across other questions.
 
-        For each party k, the marginal P(a_k | q) must not depend on the
-        other parties' questions.  NaN if the table holds a NaN.
+        For each party k, the marginal P(a_k | q) (see answer_marginals)
+        must not depend on the other parties' questions.  NaN if the table
+        holds a NaN.
         """
-        shape_q = (self.d,) * self.n
-        shape_a = (self.D,) * self.n
-        t = self.table.reshape(shape_q + shape_a)
+        marg = answer_marginals(self).reshape((self.d,) * self.n + (self.n, self.D))
         worst = 0.0
         for k in range(self.n):
-            other_a = tuple(self.n + j for j in range(self.n) if j != k)
-            marg = t.sum(axis=other_a)  # (d,)*n + (D,) with party k's answer last
-            other_q = tuple(j for j in range(self.n) if j != k)
-            spread = marg.max(axis=other_q) - marg.min(axis=other_q)
-            worst = np.maximum(worst, spread.max())
+            by_q_k = np.moveaxis(marg[..., k, :], k, 0).reshape(self.d, -1, self.D)
+            worst = np.maximum(worst, (by_q_k.max(axis=1) - by_q_k.min(axis=1)).max())
         return float(worst)
 
 
@@ -85,8 +83,8 @@ class Encoder:
     name: str = "encoder"
 
     def __post_init__(self):
-        cols = np.asarray(self.cols, dtype=np.intp)
-        probs = np.asarray(self.probs, dtype=float)
+        cols = np.array(self.cols, dtype=np.intp)
+        probs = np.array(self.probs, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != self.d**self.n or probs.shape != cols.shape:
             raise ValueError(
                 f"encoder support shapes {cols.shape} and {probs.shape}, "
@@ -242,22 +240,25 @@ def box_win_probabilities(box: CorrelationBox, game: NonlocalGame) -> np.ndarray
     return (box.table * game.win_table()).sum(axis=1)
 
 
+def answer_marginals(box: CorrelationBox) -> np.ndarray:
+    """P(a_k = v | q) of every question tuple q, party k and answer v, shape
+    (d^n, n, D): the table times the indicator of each answer tuple's
+    digits, one matrix product for every party."""
+    digits = np.indices((box.D,) * box.n).reshape(box.n, -1, 1)  # digit k of answer tuple a
+    indicator = (digits == np.arange(box.D)).transpose(1, 0, 2).reshape(box.D**box.n, -1)
+    return (box.table @ indicator.astype(float)).reshape(-1, box.n, box.D)
+
+
 def support_marginal_uniformity_error(box: CorrelationBox) -> float:
     """Max deviation of each party's answer marginal from uniform-over-support.
 
     The support is taken per (party, question tuple); entries below 1e-12
     are treated as impossible answers.
     """
-    worst = 0.0
-    t = box.table.reshape((box.d,) * box.n + (box.D,) * box.n)
-    for k in range(box.n):
-        other_a = tuple(box.n + j for j in range(box.n) if j != k)
-        marg = t.sum(axis=other_a)  # question axes + party k answer axis
-        rows = marg.reshape(-1, box.D)
-        support = rows > 1e-12
-        target = 1.0 / np.maximum(support.sum(axis=1, keepdims=True), 1)
-        worst = max(worst, float(np.abs(rows - target)[support].max(initial=0.0)))
-    return worst
+    rows = answer_marginals(box).reshape(-1, box.D)
+    support = rows > 1e-12
+    target = 1.0 / np.maximum(support.sum(axis=1, keepdims=True), 1)
+    return float(np.abs(rows - target)[support].max(initial=0.0))
 
 
 def box_to_csv(box: CorrelationBox, path) -> None:
@@ -272,7 +273,8 @@ def box_to_csv(box: CorrelationBox, path) -> None:
 
 
 def boxes_from_csv(path) -> list[CorrelationBox]:
-    """Read one or more boxes; each block starts with its own `n,d,D` header.
+    """Read one or more boxes; each block starts with its own `n,d,D` header,
+    with n >= 2.
 
     Question digits must lie in [0, d), answer digits in [0, D),
     probabilities must be finite, and no (q, a) pair may repeat within a
@@ -318,6 +320,8 @@ def boxes_from_csv(path) -> list[CorrelationBox]:
                 n, d, D = current
                 if min(current) < 1:
                     raise ValueError(f"{where}: n, d, D must be positive, got {current}")
+                if n < 2:
+                    raise ValueError(f"{where}: a box needs n >= 2 parties, got n={n}")
                 table = np.zeros((d**n, D**n))
                 seen = set()
                 continue

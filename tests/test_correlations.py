@@ -10,6 +10,7 @@ from gamemac.correlations import (
     CorrelationBox,
     Encoder,
     EnumerationCapExceeded,
+    answer_marginals,
     box_to_csv,
     box_win_probabilities,
     boxes_from_csv,
@@ -240,6 +241,23 @@ def test_encoder_table_is_lazy_and_frozen():
     assert enc.table is enc.table
 
 
+def test_encoder_copies_the_callers_support():
+    cols = np.zeros((4, 1), dtype=np.intp)
+    probs = np.ones((4, 1))
+    enc = Encoder(2, 2, 2, cols, probs)
+    assert cols.flags.writeable and probs.flags.writeable
+    assert not np.shares_memory(enc.cols, cols) and not np.shares_memory(enc.probs, probs)
+    assert not enc.cols.flags.writeable and not enc.probs.flags.writeable
+
+
+def test_box_copies_the_callers_table_as_float():
+    table = np.ones((4, 4), dtype=np.int64) * np.eye(4, dtype=np.int64)
+    box = CorrelationBox(2, 2, 2, table)
+    assert table.flags.writeable and not np.shares_memory(box.table, table)
+    assert box.table.dtype == float and not box.table.flags.writeable
+    assert (box.table == table).all()
+
+
 def test_box_csv_roundtrip(tmp_path):
     for box in (pr_box(), tsirelson_box(), magic_square_box(), mpp_box(5)):
         path = tmp_path / f"{box.name}.csv"
@@ -359,6 +377,15 @@ def test_csv_rejects_empty_scenario_header(tmp_path):
         boxes_from_csv(path)
 
 
+def test_csv_rejects_a_one_party_box_at_its_header(tmp_path):
+    # a one-party data row has 3 cells, so it used to be read as a new header
+    # and the block reported as `:1: box rows are not distributions`
+    path = tmp_path / "one.csv"
+    path.write_text("1,2,2\n0,0,1\n1,1,1\n")
+    with pytest.raises(ValueError, match=r"one\.csv:1: a box needs n >= 2 parties, got n=1"):
+        boxes_from_csv(path)
+
+
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 SCENARIOS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 3, 3), (3, 2, 3)]
 
@@ -411,3 +438,64 @@ def test_support_uniformity_matches_per_row_loop(scenario, seed):
             if support.any():
                 worst = max(worst, float(np.abs(row[support] - 1.0 / support.sum()).max()))
     assert support_marginal_uniformity_error(box) == worst
+
+
+def _reference_no_signaling_error(box):
+    # the per-party loop that answer_marginals replaced
+    t = box.table.reshape((box.d,) * box.n + (box.D,) * box.n)
+    worst = 0.0
+    for k in range(box.n):
+        other_a = tuple(box.n + j for j in range(box.n) if j != k)
+        marg = t.sum(axis=other_a)
+        other_q = tuple(j for j in range(box.n) if j != k)
+        spread = marg.max(axis=other_q) - marg.min(axis=other_q)
+        worst = np.maximum(worst, spread.max())
+    return float(worst)
+
+
+def _reference_uniformity_error(box):
+    # the per-party loop that answer_marginals replaced
+    worst = 0.0
+    t = box.table.reshape((box.d,) * box.n + (box.D,) * box.n)
+    for k in range(box.n):
+        other_a = tuple(box.n + j for j in range(box.n) if j != k)
+        rows = t.sum(axis=other_a).reshape(-1, box.D)
+        support = rows > 1e-12
+        target = 1.0 / np.maximum(support.sum(axis=1, keepdims=True), 1)
+        worst = max(worst, float(np.abs(rows - target)[support].max(initial=0.0)))
+    return worst
+
+
+def _assert_box_checks_match_references(box):
+    assert abs(box.no_signaling_error() - _reference_no_signaling_error(box)) <= 1e-15
+    assert abs(support_marginal_uniformity_error(box) - _reference_uniformity_error(box)) <= 1e-15
+
+
+@PROPERTY
+@given(
+    scenario=st.sampled_from([(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    signaling=st.booleans(),
+    zeros=st.booleans(),
+)
+def test_box_checks_match_per_party_loops(scenario, seed, signaling, zeros):
+    n, d, D = scenario
+    rng = np.random.default_rng(seed)
+    if signaling:  # independent random rows
+        table = rng.dirichlet(np.full(D**n, 0.5), size=d**n)
+    else:  # a mixture of local deterministic boxes
+        boxes = list(local_deterministic_boxes(n, d, D))
+        weights = rng.dirichlet(np.ones(len(boxes)))
+        table = sum(w * b.table for w, b in zip(weights, boxes))
+    if zeros:
+        table[rng.random(table.shape) < 0.3] = 0.0
+        table[table.sum(axis=1) == 0, 0] = 1.0
+        table /= table.sum(axis=1, keepdims=True)
+    _assert_box_checks_match_references(CorrelationBox(n, d, D, table))
+
+
+@pytest.mark.parametrize("name", ["pr", "tsirelson", "magic-square", *(f"mpp:{n}" for n in range(2, 9))])
+def test_builtin_box_checks_match_per_party_loops(name):
+    box = builtin_box(name)
+    assert answer_marginals(box).shape == (box.d**box.n, box.n, box.D)
+    _assert_box_checks_match_references(box)

@@ -20,7 +20,8 @@ from click.testing import CliRunner
 
 from gamemac.cli import main
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 
 GOLDENS = {
     "sweep_chsh_type2.csv": (
@@ -31,6 +32,11 @@ GOLDENS = {
         "--game", "mpp:3", "--channel-type", "2", "--eta-grid", "0.1:1:4",
         "--resources", "L-exact", "--seed", "0",
     ),
+    # the resource column prints the box file's path, so it runs from the repo root
+    "sweep_chsh_type1_vertex_file.csv": (
+        "--game", "chsh", "--channel-type", "1", "--eta-grid", "0:0.9:4", "--resources",
+        "vertex-file:tests/data/pr_tsirelson_boxes.csv,Q-lower,NS-exact", "--seed", "0",
+    ),
 }
 
 
@@ -39,7 +45,8 @@ def _rows(text):
 
 
 @pytest.mark.parametrize("golden", list(GOLDENS))
-def test_sweep_matches_golden(golden):
+def test_sweep_matches_golden(golden, monkeypatch):
+    monkeypatch.chdir(ROOT)
     result = CliRunner().invoke(main, ["sweep", *GOLDENS[golden]])
     assert result.exit_code == 0, result.output
     got, want = _rows(result.output), _rows((DATA / golden).read_text())
