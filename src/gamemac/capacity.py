@@ -14,12 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import MacChannel, echo_slots, input_maps, type_i, type_ii
+from .channels import MacChannel, echo_slots, type_i, type_ii
 from .correlations import (
     NO_SIGNALING_TOL,
     CorrelationBox,
     Encoder,
     UnknownBoxError,
+    box_win_probabilities,
     boxes_from_csv,
     builtin_box,
     e_star,
@@ -528,22 +529,14 @@ class PseudoTelepathyHypothesisError(ValueError):
     kernel (see `_prepare_symmetric_encoder`)."""
 
 
-def _win_masses(enc: Encoder, game: NonlocalGame) -> np.ndarray:
-    """t_m = P(win | m) of every message of enc = e_star(box) on game, shape
-    (Δ,), read off enc's support.  E* puts message m on the inputs (m, a),
-    so on every channel of game kernel row m is t_m C_w[m] + (1 - t_m) C_l[m],
-    with C_b the circulant rows of branch b: a box reaches a rate only
-    through t."""
-    if (enc.n, enc.d, enc.D) != (game.n, game.d, game.D):
-        raise ValueError("box and game scenarios differ")
-    return (enc.probs * input_maps(game)[0][enc.cols]).sum(axis=1)
-
-
 def _echo_rate(ch: MacChannel, pm: np.ndarray, t: np.ndarray) -> float:
-    """I(M;Y) of an E* encoder of win masses t (see `_win_masses`) at the
-    message distribution pm (Δ,): H(u @ [C_l; C_w]) with u = [pm (1 - t), pm t],
-    minus sum_m pm_m H(t_m P_w + (1 - t_m) P_l), with P_b the profiles; a
-    kernel row is a cyclic shift of its profile mix, so both have one entropy."""
+    """I(M;Y) of E*(box) at the message distribution pm (Δ,), with t =
+    box_win_probabilities(box, game).  E* puts message m on the inputs
+    (m, a), so kernel row m is t_m C_w[m] + (1 - t_m) C_l[m], with C_b the
+    circulant rows of branch b: a box reaches a rate only through t.  I(M;Y)
+    is H(u @ [C_l; C_w]) with u = [pm (1 - t), pm t], minus
+    sum_m pm_m H(t_m P_w + (1 - t_m) P_l), with P_b the profiles; a kernel
+    row is a cyclic shift of its profile mix, so both have one entropy."""
     u = np.concatenate([pm * (1 - t), pm * t])
     mixes, which = np.unique(t, return_inverse=True)
     h_rows = entropy(np.outer(mixes, ch.win_profile) + np.outer(1 - mixes, ch.lose_profile), axis=1)
@@ -556,24 +549,31 @@ def _prepare_symmetric_encoder(
     """Check that the kernel of E*(box) is a symmetric channel on every
     channel of game; return the Solve of its capacity in closed form.
 
-    Every win mass t_m (see `_win_masses`) must lie within PT_TOL of omega
-    (by default t_0); diagnostic `win_deviation` is the largest |t_m - omega|.
-    Every kernel row is then a cyclic shift of r = omega P_w + (1 - omega) P_l,
-    with P_b the branch profiles, so the capacity over all message
-    distributions is log2 Δ - H(r), reached at uniform messages (Cover &
-    Thomas, Elements of Information Theory, Thm 7.2.1), a product
-    distribution.  With omega = 1, r is P_w, and the value is log2 Δ - f_w
-    bit for bit.  Each row cross-checks the closed form against `_echo_rate`
-    at uniform messages (`direct_sum_rate`) within PT_CROSS_CHECK_TOL.
-    Failures raise PseudoTelepathyHypothesisError."""
+    Every win probability t_q = box_win_probabilities(box, game)[q] must lie
+    within PT_TOL of omega (by default t_0); diagnostic `win_deviation` is
+    the largest |t_q - omega|; an explicit omega = 1 is refused as box not
+    winning every question tuple.  Every kernel row is then a cyclic shift
+    of r = omega P_w + (1 - omega) P_l, with P_b the branch profiles, so
+    the capacity over all message distributions is log2 Δ - H(r), reached
+    at uniform messages (Cover & Thomas, Elements of Information Theory,
+    Thm 7.2.1), a product distribution.  With omega = 1, r is P_w, and the
+    value is log2 Δ - f_w bit for bit.  Each row cross-checks the closed
+    form against `_echo_rate` at uniform messages (`direct_sum_rate`)
+    within PT_CROSS_CHECK_TOL.  Failures raise
+    PseudoTelepathyHypothesisError.  E*(box) itself is built only for the
+    rows' `argmax_encoder` name."""
     encoder = e_star(box)
-    t = _win_masses(encoder, game)
+    t = box_win_probabilities(box, game)
+    perfect = omega == 1.0
     omega = float(t[0]) if omega is None else omega
     win_deviation = float(np.abs(t - omega).max())
     if not win_deviation <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
-            f"the messages of {encoder.name} win with probabilities up to {win_deviation} "
-            f"apart from {omega}"
+            f"box {box.name!r} does not win {game.name} on every question tuple "
+            f"(max deviation {win_deviation})"
+            if perfect
+            else f"box {box.name!r} wins {game.name} with probabilities up to "
+            f"{win_deviation} apart from {omega}"
         )
     pi = ProductDistribution.uniform(game.n, game.d)
     pm = pi.joint()
@@ -624,10 +624,10 @@ def pseudo_telepathy_capacity(
     Verifies both hypotheses (win probability 1 on every question tuple,
     output marginals uniform over their support) and cross-checks the
     closed form against the E* encoder's sum rate at uniform messages
-    (`direct_sum_rate`), computed from its win masses (see `_echo_rate`)
-    in O(Δ^2), with no Δ x Δ kernel.  Both hypotheses and the win masses
-    depend on the game only: a sweep derives them once and cross-checks
-    every row.
+    (`direct_sum_rate`), computed from its win probabilities (see
+    `_echo_rate`) in O(Δ^2), with no Δ x Δ kernel.  Both hypotheses and the
+    win probabilities depend on the game only: a sweep derives them once
+    and cross-checks every row.
     """
     return _prepare_perfect_box(box, ch.game, resource)(ch)[0]
 
@@ -660,8 +660,9 @@ def quantum_lower_bound_chsh(ch: MacChannel) -> CapacityResult:
 
 
 def _prepare_vertex_file(vertex_csv_path, game: NonlocalGame, cfg: OptimizerConfig | None) -> Solve:
-    """Read and check a vertex file's boxes against game and build their E*
-    encoders; return the Solve of vertex_file_bound for a channel of game."""
+    """Read and check a vertex file's boxes against game and read their win
+    probabilities; return the Solve of vertex_file_bound for a channel of
+    game, whose E* kernels are t C_w + (1 - t) C_l (see `_echo_rate`)."""
     boxes = boxes_from_csv(vertex_csv_path)
     for i, box in enumerate(boxes):
         if (box.n, box.d, box.D) != (game.n, game.d, game.D):
@@ -674,7 +675,7 @@ def _prepare_vertex_file(vertex_csv_path, game: NonlocalGame, cfg: OptimizerConf
             raise ValueError(
                 f"vertex {i} signals: no-signaling error {signaling:.3g} exceeds {NO_SIGNALING_TOL:g}"
             )
-    t = np.stack([_win_masses(e_star(box), game) for box in boxes])[..., None]
+    t = np.stack([box_win_probabilities(box, game) for box in boxes])[..., None]
 
     def solve(ch: MacChannel) -> tuple[CapacityResult, str]:
         lose, win = ch._circulants.reshape(2, ch.delta, ch.delta)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamemac import capacity, correlations
+from gamemac import capacity
 from gamemac.capacity import (
     _ascend,
     _echo_rate,
@@ -17,7 +17,6 @@ from gamemac.capacity import (
     _prepare_symmetric_encoder,
     _representatives,
     _subset_bound_objective,
-    _win_masses,
     OptimizerConfig,
     PT_CROSS_CHECK_TOL,
     PseudoTelepathyHypothesisError,
@@ -40,6 +39,7 @@ from gamemac.channels import MacChannel, depolarizing_mac, noise_f, two_branch_m
 from gamemac.correlations import (
     EnumerationCapExceeded,
     box_to_csv,
+    box_win_probabilities,
     builtin_box,
     e_star,
     local_deterministic_boxes,
@@ -518,7 +518,10 @@ def test_pseudo_telepathy_resources():
 
 def test_pseudo_telepathy_rejects_imperfect_box():
     ch = type_ii(chsh_game(), 0.8)
-    with pytest.raises(PseudoTelepathyHypothesisError):
+    with pytest.raises(
+        PseudoTelepathyHypothesisError,
+        match=r"box 'tsirelson' does not win chsh on every question tuple \(max deviation 0\.14",
+    ):
         pseudo_telepathy_capacity(ch, tsirelson_box())
     with pytest.raises(ValueError, match="box and game scenarios differ"):
         pseudo_telepathy_capacity(type_ii(mpp_game(3), 0.8), pr_box())
@@ -588,13 +591,13 @@ def test_q_lower_sweep_runs_no_ascent_and_checks_the_box_once(monkeypatch):
         monkeypatch.setattr(capacity, name, lambda *a: calls.append(name) or original(*a))
 
     monkeypatch.setattr(capacity, "maximize_over_pi", no_ascent)
-    for name in ("e_star", "_win_masses", "_echo_rate"):
+    for name in ("e_star", "box_win_probabilities", "_echo_rate"):
         counted(name)
     etas = (0.2, 0.6, 1.0)
     rows = sweep(chsh_game(), 2, etas, ["Q-lower"], CFG)
     assert [(r.kind, r.diagnostic) for r in rows] == [("lower-bound", "e*(tsirelson)")] * 3
     assert calls.count("e_star") == 1
-    assert calls.count("_win_masses") == 1
+    assert calls.count("box_win_probabilities") == 1
     # one direct cross-check per (eta, Q-lower) row
     assert calls.count("_echo_rate") == 3
 
@@ -602,7 +605,9 @@ def test_q_lower_sweep_runs_no_ascent_and_checks_the_box_once(monkeypatch):
 def test_symmetric_encoder_refuses_unequal_wins():
     # a local deterministic box wins three question tuples of four
     local = next(local_deterministic_boxes(2, 2, 2))
-    with pytest.raises(PseudoTelepathyHypothesisError, match="win with probabilities"):
+    with pytest.raises(
+        PseudoTelepathyHypothesisError, match="box 'deterministic' wins chsh with probabilities up to"
+    ):
         _prepare_symmetric_encoder(local, chsh_game(), "lower-bound", "L")
 
 
@@ -791,27 +796,21 @@ def test_sweep_checks_the_box_once_and_cross_checks_every_row(monkeypatch):
         original = getattr(capacity, name)
         monkeypatch.setattr(capacity, name, lambda *a: calls.append(name) or original(*a))
 
-    for name in ("support_marginal_uniformity_error", "_win_masses", "_echo_rate"):
+    for name in ("box_win_probabilities", "support_marginal_uniformity_error", "_echo_rate"):
         counted(name)
-    # the win check reads the win masses; capacity no longer holds box_win_probabilities
-    assert not hasattr(capacity, "box_win_probabilities")
-    monkeypatch.setattr(
-        correlations, "box_win_probabilities", lambda *a: calls.append("box_win_probabilities")
-    )
     game = mpp_game(3)
     etas = (0.4, 0.7, 1.0)
     rows = sweep(game, 2, etas, ["NS-exact", "Q-exact"], CFG)
     assert [r.value for r in rows] == [np.log2(8) - type_ii(game, eta).f_w for eta in etas for _ in "NQ"]
     assert [r.value for r in rows] == pytest.approx([3 - noise_f(8, eta) for eta in etas for _ in "NQ"], abs=1e-12)
-    assert calls.count("box_win_probabilities") == 0
+    assert calls.count("box_win_probabilities") == 1
     assert calls.count("support_marginal_uniformity_error") == 1
-    assert calls.count("_win_masses") == 1
     # one direct cross-check per (eta, resource) row
     assert calls.count("_echo_rate") == 6
     # a direct call runs every check
     calls.clear()
     pseudo_telepathy_capacity(type_ii(game, 0.7), pseudo_telepathy_box(game))
-    assert sorted(calls) == ["_echo_rate", "_win_masses", "support_marginal_uniformity_error"]
+    assert sorted(calls) == ["_echo_rate", "box_win_probabilities", "support_marginal_uniformity_error"]
 
 
 ECHO_CHANNELS = {
@@ -828,7 +827,7 @@ def test_echo_rate_matches_the_dense_sum_rate(box_name, channel):
     box = builtin_box(box_name)
     game = game_by_name("chsh" if box_name in ("pr", "tsirelson") else box_name)
     ch, enc = ECHO_CHANNELS[channel](game), e_star(box)
-    t = _win_masses(enc, game)
+    t = box_win_probabilities(box, game)
     rng = np.random.default_rng(11)
     random_pi = ProductDistribution(tuple(rng.dirichlet(np.ones(game.d)) for _ in range(game.n)))
     for pi in (ProductDistribution.uniform(game.n, game.d), random_pi):
