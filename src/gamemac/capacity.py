@@ -28,8 +28,9 @@ from .correlations import (
     refuse_over_cap,
     support_marginal_uniformity_error,
     tsirelson_box,
+    uniform_over_wins,
 )
-from .games import NonlocalGame, local_map_indices, local_maps
+from .games import NonlocalGame, is_builtin, local_map_indices, local_maps
 from .infotheory import ProductDistribution, entropy, message_output_kernel, product_joint
 
 # Ascent steps after which a start of `maximize_over_pi` stops regardless of
@@ -720,9 +721,15 @@ _ETA_CLAMP = 1e-6
 
 def pseudo_telepathy_box(game: NonlocalGame) -> CorrelationBox:
     """The built-in perfect box for a game: the PR box for CHSH, else the
-    built-in box named after the game (magic-square, mpp:<n>)."""
+    built-in box named after the game (magic-square, mpp:<n>).  Each is
+    uniform over its game's winning answers, so a built-in game (see
+    games.is_builtin) lends the box its own win table, and a sweep
+    evaluates the game's predicate once."""
+    name = "pr" if game.name == "chsh" else game.name
+    if is_builtin(game):
+        return uniform_over_wins(game, name)
     try:
-        return builtin_box("pr" if game.name == "chsh" else game.name)
+        return builtin_box(name)
     except UnknownBoxError:
         raise ValueError(f"no built-in pseudo-telepathy box for {game.name}") from None
 

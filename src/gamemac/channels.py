@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .games import NonlocalGame, input_win_mask, question_indices
 from .infotheory import entropy
@@ -76,8 +77,11 @@ class MacChannel:
     def _circulants(self) -> np.ndarray:
         """Shape (2Δ, Δ): row b*Δ + q is profile_b[(y - q) mod Δ], the row
         P(y | x) of every input x with win bit b (0 losing, 1 winning) and
-        echoed question index q, that is of slot b*Δ + q (see echo_slots)."""
-        return circulants(np.stack([self.lose_profile, self.win_profile])).reshape(-1, self.delta)
+        echoed question index q, that is of slot b*Δ + q (see echo_slots).
+        C-contiguous and read-only."""
+        rows = circulants(np.stack([self.lose_profile, self.win_profile])).reshape(-1, self.delta)
+        rows.setflags(write=False)
+        return rows
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -158,9 +162,17 @@ def depolarizing_profiles(delta: int, eta_w, eta_l) -> np.ndarray:
 def circulants(profiles: np.ndarray) -> np.ndarray:
     """Echo-offset rows of profiles (..., Δ): shape (..., Δ, Δ) with
     [..., q, y] = profiles[..., (y - q) mod Δ], the row P(y | x) of an
-    input x with echoed question index q."""
-    steps = np.arange(profiles.shape[-1])
-    return np.take(profiles, (steps[None, :] - steps[:, None]) % steps.size, axis=-1)
+    input x with echoed question index q.  Row q is the window
+    [Δ - q, 2Δ - q) of the doubled profile [p, p]: one strided copy of a
+    view that starts at [p, p][Δ] and steps back one entry per row, so
+    the rows cost O(Δ^2) memory and O(Δ) index work."""
+    delta = profiles.shape[-1]
+    doubled = np.concatenate([profiles, profiles], axis=-1)[..., delta:]
+    step = doubled.strides[-1]
+    rows = as_strided(
+        doubled, profiles.shape + (delta,), doubled.strides[:-1] + (-step, step), writeable=False
+    )
+    return rows.copy()
 
 
 def check_branch_order(f_w, f_l) -> None:

@@ -43,10 +43,9 @@ class CorrelationBox:
 
     def __post_init__(self):
         expected = (self.d**self.n, self.D**self.n)
-        table = np.array(self.table, dtype=float)
+        table = _frozen(self.table, float)
         if table.shape != expected:
             raise ValueError(f"box table shape {table.shape}, expected {expected}")
-        table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
     def normalization_error(self) -> float:
@@ -83,17 +82,15 @@ class Encoder:
     name: str = "encoder"
 
     def __post_init__(self):
-        cols = np.array(self.cols, dtype=np.intp)
-        probs = np.array(self.probs, dtype=float)
+        cols, probs = _frozen(self.cols, np.intp), _frozen(self.probs, float)
         if cols.ndim != 2 or cols.shape[0] != self.d**self.n or probs.shape != cols.shape:
             raise ValueError(
                 f"encoder support shapes {cols.shape} and {probs.shape}, "
                 f"expected two equal (d^n, k) = ({self.d**self.n}, k)"
             )
         check_encoder_support(cols, probs, self.inputs)
-        for name, arr in (("cols", cols), ("probs", probs)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "probs", probs)
 
     @property
     def inputs(self) -> int:
@@ -110,6 +107,22 @@ class Encoder:
         table = table.reshape(rows, self.inputs)
         table.setflags(write=False)
         return table
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype: values itself when it is one
+    already and owns its data, else a read-only copy.  A writable array, a
+    view and an array of another dtype are copied, so a later write to the
+    caller's array never reaches the result; a writable view the caller took
+    before freezing its own array is the one handle numpy cannot see."""
+    if (
+        type(values) is np.ndarray and values.dtype == dtype
+        and values.flags.owndata and not values.flags.writeable
+    ):
+        return values
+    values = np.array(values, dtype=dtype)
+    values.setflags(write=False)
+    return values
 
 
 def check_encoder_support(cols: np.ndarray, probs: np.ndarray, inputs: int) -> None:
@@ -169,7 +182,7 @@ def local_deterministic_boxes(n: int, d: int, D: int):
         yield deterministic_box(n, d, D, strategies)
 
 
-def _uniform_over_wins(game: NonlocalGame, name: str) -> CorrelationBox:
+def uniform_over_wins(game: NonlocalGame, name: str) -> CorrelationBox:
     """Box answering each question uniformly over the game's winning
     answers: the win table divided by its row sums."""
     win = game.win_table()
@@ -179,7 +192,7 @@ def _uniform_over_wins(game: NonlocalGame, name: str) -> CorrelationBox:
 def pr_box() -> CorrelationBox:
     """The extremal no-signaling (2,2,2) box: uniform over the answers that
     win CHSH, a1 XOR a2 = q1 AND q2."""
-    return _uniform_over_wins(chsh_game(), "pr")
+    return uniform_over_wins(chsh_game(), "pr")
 
 
 def tsirelson_box() -> CorrelationBox:
@@ -199,7 +212,7 @@ def magic_square_box() -> CorrelationBox:
     uniform over the 8 winning answer pairs of each question, the
     statistics of the Mermin-Peres strategy on two shared Bell pairs
     (Brassard, Broadbent & Tapp, "Quantum pseudo-telepathy", 2005)."""
-    return _uniform_over_wins(magic_square_game(), "magic-square")
+    return uniform_over_wins(magic_square_game(), "magic-square")
 
 
 def mpp_box(n: int) -> CorrelationBox:
@@ -209,7 +222,7 @@ def mpp_box(n: int) -> CorrelationBox:
     measures; Brassard, Broadbent & Tapp 2005)."""
     if n < 2:
         raise ValueError(f"mpp box needs n >= 2, got {n}")
-    return _uniform_over_wins(mpp_game(n), f"mpp:{n}")
+    return uniform_over_wins(mpp_game(n), f"mpp:{n}")
 
 
 def builtin_box(name: str) -> CorrelationBox:

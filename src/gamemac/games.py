@@ -76,13 +76,21 @@ class NonlocalGame:
         return f"NonlocalGame({self.name!r}, n={self.n}, d={self.d}, D={self.D})"
 
 
+def _chsh_wins(q, a):
+    return (a[0] ^ a[1]) == (q[0] & q[1])
+
+
 def chsh_game() -> NonlocalGame:
     """CHSH: win iff a1 XOR a2 = q1 AND q2."""
+    return NonlocalGame("chsh", n=2, d=2, D=2, wins=_chsh_wins)
 
-    def wins(q, a):
-        return (a[0] ^ a[1]) == (q[0] & q[1])
 
-    return NonlocalGame("chsh", n=2, d=2, D=2, wins=wins)
+def _magic_square_wins(q, a):
+    def parity(x):
+        return (x ^ (x >> 1) ^ (x >> 2)) & 1
+
+    overlap = ((a[0] >> q[1]) ^ (a[1] >> q[0])) & 1
+    return (parity(a[0]) ^ 1) & parity(a[1]) & (overlap ^ 1)
 
 
 def magic_square_game() -> NonlocalGame:
@@ -93,15 +101,13 @@ def magic_square_game() -> NonlocalGame:
     bit at position q2 equals player 2's bit at position q1.  Answers are
     packed with bit j = j-th entry of the row/column.
     """
+    return NonlocalGame("magic-square", n=2, d=3, D=8, wins=_magic_square_wins)
 
-    def parity(x):
-        return (x ^ (x >> 1) ^ (x >> 2)) & 1
 
-    def wins(q, a):
-        overlap = ((a[0] >> q[1]) ^ (a[1] >> q[0])) & 1
-        return (parity(a[0]) ^ 1) & parity(a[1]) & (overlap ^ 1)
-
-    return NonlocalGame("magic-square", n=2, d=3, D=8, wins=wins)
+def _mpp_wins(q, a):
+    # even sq needs sum(a) = sq/2 (mod 2): 0 when 4 | sq, else 1
+    sq = sum(q)
+    return (sq & 1) | ((sum(a) ^ (sq >> 1) ^ 1) & 1)
 
 
 def mpp_game(n: int) -> NonlocalGame:
@@ -112,13 +118,7 @@ def mpp_game(n: int) -> NonlocalGame:
     """
     if n < 2:
         raise ValueError(f"mpp game needs n >= 2, got {n}")
-
-    def wins(q, a):
-        # even sq needs sum(a) = sq/2 (mod 2): 0 when 4 | sq, else 1
-        sq = sum(q)
-        return (sq & 1) | ((sum(a) ^ (sq >> 1) ^ 1) & 1)
-
-    return NonlocalGame(f"mpp:{n}", n=n, d=2, D=2, wins=wins)
+    return NonlocalGame(f"mpp:{n}", n=n, d=2, D=2, wins=_mpp_wins)
 
 
 def game_by_name(name: str) -> NonlocalGame:
@@ -134,6 +134,16 @@ def game_by_name(name: str) -> NonlocalGame:
             raise ValueError(f"{name!r}: expected mpp:<n> with an integer n") from None
         return mpp_game(n)
     raise ValueError(f"unknown game {name!r}")
+
+
+def is_builtin(game: NonlocalGame) -> bool:
+    """Whether game is the game game_by_name(game.name) builds: the same
+    dimensions and the same predicate function, so the same win table."""
+    try:
+        ref = game_by_name(game.name)
+    except ValueError:
+        return False
+    return (ref.n, ref.d, ref.D, ref._wins) == (game.n, game.d, game.D, game._wins)
 
 
 def input_indices(n: int, d: int, D: int) -> np.ndarray:

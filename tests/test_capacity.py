@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamemac import capacity
+from gamemac import capacity, games
 from gamemac.capacity import (
     _ascend,
     _echo_rate,
@@ -778,6 +778,30 @@ def test_pseudo_telepathy_box_refuses_only_unknown_names():
     game = NonlocalGame("foo", 2, 2, 2, lambda q, a: (a[0] ^ a[1]) == (q[0] & q[1]))
     with pytest.raises(ValueError, match="no built-in pseudo-telepathy box for foo"):
         pseudo_telepathy_box(game)
+
+
+@pytest.mark.parametrize("name, predicate", [("mpp:5", "_mpp_wins"), ("magic-square", "_magic_square_wins")])
+def test_sweep_evaluates_the_game_predicate_once(monkeypatch, name, predicate):
+    # the built-in box is built from the sweep's own win table
+    calls = []
+    original = getattr(games, predicate)
+    monkeypatch.setattr(games, predicate, lambda q, a: calls.append(name) or original(q, a))
+    rows = sweep(game_by_name(name), 2, (0.4, 1.0), ["NS-exact", "Q-exact"], CFG)
+    assert [r.kind for r in rows] == ["exact"] * 4
+    assert calls == [name]
+
+
+@pytest.mark.parametrize("name", ["chsh", "magic-square", *(f"mpp:{n}" for n in range(2, 7))])
+def test_pseudo_telepathy_box_of_a_built_in_game_is_the_built_in_box(name):
+    box, expected = pseudo_telepathy_box(game_by_name(name)), builtin_box("pr" if name == "chsh" else name)
+    assert box.name == expected.name and box.table.tobytes() == expected.table.tobytes()
+
+
+def test_pseudo_telepathy_box_ignores_a_game_that_only_borrows_a_built_in_name():
+    fake = NonlocalGame("mpp:3", 3, 2, 2, lambda q, a: (sum(a) & 1) == 0)
+    assert pseudo_telepathy_box(fake).table.tobytes() == builtin_box("mpp:3").table.tobytes()
+    with pytest.raises(PseudoTelepathyHypothesisError, match="box 'mpp:3' does not win mpp:3"):
+        sweep(fake, 2, [0.5], ["NS-exact"], CFG)
 
 
 @pytest.mark.parametrize("resources", [["L-exact", "L-exact"], ["NS-exact", "L-bound", "NS-exact"]])

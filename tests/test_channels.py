@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gamemac.channels import (
     MacChannel,
+    circulants,
     depolarizing_mac,
     input_maps,
     noise_f,
@@ -266,6 +267,23 @@ def test_kernel_of_support_matches_dense_encoder(scenario, seed):
     assert np.abs(mixture.table - expected).max() <= 1e-15
     for enc in (star, vertex, mixture):
         assert np.abs(ch.kernel(enc.cols, enc.probs) - enc.table @ ch.matrix).max() <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(4,), (8,), (9,), (256,), (2, 5, 8)])
+def test_circulants_match_the_index_definition(shape):
+    # (2, B, Δ) is how verify stacks the profiles of B channels
+    profiles = np.random.default_rng(shape[-1]).random(shape)
+    steps = np.arange(shape[-1])
+    expected = profiles[..., (steps[None, :] - steps[:, None]) % shape[-1]]
+    rows = circulants(profiles)
+    assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+
+
+def test_channel_circulants_are_contiguous_and_read_only():
+    rows = type_ii(mpp_game(3), 0.7)._circulants
+    assert rows.shape == (16, 8) and rows.flags.c_contiguous and not rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0.0
 
 
 def test_kernel_rejects_wrong_width():

@@ -258,6 +258,45 @@ def test_box_copies_the_callers_table_as_float():
     assert (box.table == table).all()
 
 
+def _read_only_view(values):
+    view = values[:]
+    view.setflags(write=False)
+    return view
+
+
+@pytest.mark.parametrize("handed", [np.asarray, _read_only_view], ids=["writable", "read-only view"])
+def test_box_and_encoder_copy_what_the_caller_can_still_write(handed):
+    table, cols, probs = np.eye(4), np.arange(4, dtype=np.intp)[:, None], np.ones((4, 1))
+    box = CorrelationBox(2, 2, 2, handed(table))
+    enc = Encoder(2, 2, 2, handed(cols), handed(probs))
+    table[0], cols[0], probs[0] = 0.5, 3, 0.5
+    assert np.array_equal(box.table, np.eye(4))
+    assert np.array_equal(enc.cols, np.arange(4)[:, None]) and np.array_equal(enc.probs, np.ones((4, 1)))
+
+
+def test_box_copies_an_int_table_even_when_frozen():
+    for frozen in (False, True):
+        table = np.eye(4, dtype=np.int64)
+        table.setflags(write=not frozen)
+        box = CorrelationBox(2, 2, 2, table)
+        assert box.table.dtype == float and not np.shares_memory(box.table, table)
+        if not frozen:
+            table[0, 0] = 0
+            assert box.table[0, 0] == 1.0
+
+
+def test_box_and_encoder_keep_frozen_arrays_that_own_their_data():
+    table, cols, probs = np.eye(4), np.array([[0], [1], [2], [3]], dtype=np.intp), np.ones((4, 1))
+    for values in (table, cols, probs):
+        values.setflags(write=False)
+    box = CorrelationBox(2, 2, 2, table)
+    enc = Encoder(2, 2, 2, cols, probs)
+    assert np.shares_memory(box.table, table)
+    assert np.shares_memory(enc.cols, cols) and np.shares_memory(enc.probs, probs)
+    # e_star hands the box's frozen table to its encoder as is
+    assert np.shares_memory(e_star(box).probs, box.table)
+
+
 def test_box_csv_roundtrip(tmp_path):
     for box in (pr_box(), tsirelson_box(), magic_square_box(), mpp_box(5)):
         path = tmp_path / f"{box.name}.csv"
