@@ -7,6 +7,7 @@ and η sweeps.
 from __future__ import annotations
 
 import functools
+import random
 import warnings
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -46,7 +47,8 @@ class OptimizerConfig:
         restarts - 1 seeded Dirichlet draws.
     tolerance: a start stops once its certified block gap (the most any
         single sender's factor could still add) is at most this, in bits.
-    seed: seeds the Dirichlet starts.
+    seed: seeds the Dirichlet starts, drawn from Python's
+        random.Random(seed) (see _Draws).
 
     A start also stops after MAX_ITERATIONS ascent steps, a module
     constant.  One step of the I(M;Y) objective is an extrapolated
@@ -99,6 +101,50 @@ AscentObjective = Callable[
 _VALUE_ROUNDING = 1e-12
 
 
+class _Draws:
+    """Seeded numbers read in turn from a block of integers k in [0, 2^53).
+
+    `seeded(rng, size)` makes the block with one rng.getrandbits call: k is
+    the top 53 bits of each little-endian 64-bit word.  A uniform in
+    [lo, hi) is lo + (hi - lo) u with u = k 2^-53 in [0, 1), numpy's own
+    `random()` construction; the sum can round up to hi when u is near 1
+    (about half of all lo in [0.1, 0.8) with hi = 1 at the top k), so it
+    is capped at the float below hi.  An exponential is -log1p(-u), always
+    finite; an integer below m is (k m) >> 53, in integer arithmetic.  A
+    Python random.Random drives the draws because `import gamemac.cli`
+    loads `random` anyway, while numpy.random adds about 10 ms of imports."""
+
+    def __init__(self, k: np.ndarray):
+        self._k, self._used = k, 0
+
+    @classmethod
+    def seeded(cls, rng: random.Random, size: int) -> "_Draws":
+        words = rng.getrandbits(64 * size).to_bytes(8 * size, "little")
+        return cls(np.frombuffer(words, "<u8") >> 11)
+
+    def _take(self, shape) -> np.ndarray:
+        size = int(np.prod(shape))  # a block too short fails the reshape
+        self._used += size
+        return self._k[self._used - size : self._used].reshape(shape)
+
+    def uniform(self, shape, lo=0.0, hi=1.0) -> np.ndarray:
+        u = self._take(shape) * 2.0**-53
+        return np.minimum(lo + (hi - lo) * u, np.nextafter(hi, -np.inf))
+
+    def exponential(self, shape) -> np.ndarray:
+        return -np.log1p(-self.uniform(shape))
+
+    def dirichlet(self, shape) -> np.ndarray:
+        """Dirichlet(1) draws over the last axis: normalised exponentials."""
+        e = self.exponential(shape)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    def integers(self, m: int, shape) -> np.ndarray:
+        if not 1 <= m <= 2**11:
+            raise ValueError(f"integers below m need 1 <= m <= 2048, so k m fits 64 bits; got {m}")
+        return ((self._take(shape) * np.uint64(m)) >> 53).astype(np.int64)
+
+
 def _ascend(
     objective: AscentObjective, groups: int, n: int, d: int, cfg: OptimizerConfig
 ) -> list[tuple[float, ProductDistribution, dict]]:
@@ -108,10 +154,10 @@ def _ascend(
     the same R = cfg.restarts starts, so its result is the one a
     one-candidate call returns."""
     R = cfg.restarts
-    rng = np.random.default_rng(cfg.seed)
     starts = np.empty((R, n, d))
     starts[0] = 1.0 / d
-    starts[1:] = rng.dirichlet(np.ones(d), size=(R - 1, n))
+    draws = _Draws.seeded(random.Random(cfg.seed), (R - 1) * n * d)
+    starts[1:] = draws.dirichlet((R - 1, n, d))
     F = np.tile(starts, (groups, 1, 1))
     best = np.full(groups * R, -np.inf)
     best_F = F.copy()
@@ -308,16 +354,28 @@ def vertex_count(game: NonlocalGame) -> int:
     return local_deterministic_count(game.n, game.d, game.d * game.D)
 
 
+def _canonical_maps(n: int, d: int, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `local_maps(n, d, base)` whose per-player maps are all
+    non-decreasing: their indices (R,), ascending, and the rows (R, n, d).
+    They are the non-decreasing maps of `local_maps(1, d, base)` combined
+    over players in product order, so the base^(nd) rows are never formed;
+    a row's index reads its n d entries as base-`base` digits."""
+    per = local_maps(1, d, base)[:, 0]
+    per = per[(np.diff(per, axis=-1) >= 0).all(axis=-1)]
+    maps = per[np.indices((len(per),) * n).reshape(n, -1).T]
+    return np.ravel_multi_index(tuple(maps.reshape(len(maps), n * d).T), (base,) * (n * d)), maps
+
+
 def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
     """One vertex per message-relabelling orbit and distinct kernel: their
     indices in `local_maps(n, d, dD)` order (R,), ascending, and the slot
     (see channels.echo_slots) of each message's input (R, Δ), so that
     `ch._circulants[slots[r]]` is vertex r's kernel P(y|m).  Relabelling a
     sender's messages changes no rate, and the vertex with non-decreasing
-    per-sender maps is its orbit's lowest index.  A channel row depends on
-    x only through its slot, so of vertices with the same slots the first
-    is kept.  Raises EnumerationCapExceeded over DEFAULT_ENUMERATION_CAP
-    vertices."""
+    per-sender maps (see `_canonical_maps`) is its orbit's lowest index.
+    A channel row depends on x only through its slot, so of vertices with
+    the same slots the first is kept.  Raises EnumerationCapExceeded over
+    DEFAULT_ENUMERATION_CAP vertices."""
     game = ch.game
     refuse_over_cap(
         vertex_count(game),
@@ -326,10 +384,13 @@ def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
         "; use classical_upper_bound instead",
     )
     dD = game.d * game.D
-    maps = local_maps(game.n, game.d, dD)
-    canonical = np.flatnonzero((np.diff(maps, axis=-1) >= 0).all(axis=(1, 2)))
-    slots = echo_slots(game, local_map_indices(maps[canonical], dD))
-    first = np.sort(np.unique(slots, axis=0, return_index=True)[1])
+    canonical, maps = _canonical_maps(game.n, game.d, dD)
+    slots = echo_slots(game, local_map_indices(maps, dD))
+    # rows compared as raw bytes: np.unique(axis=0) compares them field by
+    # field, about 15x slower at mpp:5
+    rows = slots.astype(np.min_scalar_type(2 * ch.delta - 1))
+    rows = rows.view(np.dtype((np.void, rows.strides[0])))
+    first = np.sort(np.unique(rows, return_index=True)[1])
     return canonical[first], slots[first]
 
 

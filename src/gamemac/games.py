@@ -184,9 +184,13 @@ def local_maps(n: int, d: int, base: int) -> np.ndarray:
 def local_map_indices(maps, base: int) -> np.ndarray:
     """Index of (maps[0][i_0], ..., maps[n-1][i_{n-1}]) in base `base`, for
     every input tuple i in big-endian order; maps has shape (..., n, d)
-    and the result (..., d^n)."""
+    and the result (..., d^n).  The digits are added in one player at a
+    time, so no (..., n, d^n) array of symbols is formed."""
     maps = np.asarray(maps)
     n, d = maps.shape[-2:]
     digits = np.indices((d,) * n).reshape(n, -1)
-    symbols = maps[..., np.arange(n)[:, None], digits]
-    return np.ravel_multi_index(tuple(np.moveaxis(symbols, -2, 0)), (base,) * n)
+    index = np.zeros(maps.shape[:-2] + (d**n,), dtype=np.intp)
+    for k in range(n):
+        index *= base
+        index += maps[..., k, digits[k]]
+    return index

@@ -4,6 +4,7 @@ acceptance tests."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,24 +117,29 @@ class _Triples:
 
 
 def _draw_triples(
-    game: NonlocalGame, rng: np.random.Generator, count: int, box_encoder: Encoder
+    game: NonlocalGame, rng: random.Random, count: int, box_encoder: Encoder
 ) -> _Triples:
     """The triples of proposition_residuals: triple i uses one vertex when
     i % 3 == 0 and otherwise a mixture of four vertices, which holds the
-    box encoder as a fifth part with probability 0.3.  Each array is one
-    generator call for all triples, so the number of calls does not
-    depend on count; the public random_* helpers draw independently."""
+    box encoder as a fifth part with probability 0.3.  Every array is read
+    from one block of draws (see capacity._Draws), one rng call for all
+    triples, so the number of calls does not depend on count; the public
+    random_* helpers draw independently, from a numpy Generator."""
     n, d, dD = game.n, game.d, game.d * game.D
-    factors = rng.dirichlet(np.ones(d), size=(count, n))
-    maps = rng.integers(0, dD, size=(count, _MIXTURE_VERTICES, n, d))
-    with_box = rng.random(count) < 0.3
+    parts_max = _MIXTURE_VERTICES + 1
+    # per triple: n d factor entries, 4 n d map entries, a box coin, 5 weights, 2 etas
+    per_triple = (1 + _MIXTURE_VERTICES) * n * d + 1 + parts_max + 2
+    draws = capacity._Draws.seeded(rng, count * per_triple)
+    factors = draws.dirichlet((count, n, d))
+    maps = draws.integers(dD, (count, _MIXTURE_VERTICES, n, d))
+    with_box = draws.uniform(count) < 0.3
     parts = np.where(np.arange(count) % 3 == 0, 1, _MIXTURE_VERTICES + with_box)
     # Dirichlet(1) over each triple's parts: normalised exponentials
-    weights = rng.standard_exponential((count, _MIXTURE_VERTICES + 1))
-    weights *= np.arange(_MIXTURE_VERTICES + 1) < parts[:, None]
+    weights = draws.exponential((count, parts_max))
+    weights *= np.arange(parts_max) < parts[:, None]
     weights /= weights.sum(axis=1, keepdims=True)
-    eta_l = rng.uniform(0.0, 0.7, count)
-    etas = np.stack([rng.uniform(eta_l + 0.1, 1.0), eta_l], axis=1)
+    eta_l = draws.uniform(count, 0.0, 0.7)
+    etas = np.stack([draws.uniform(count, eta_l + 0.1, 1.0), eta_l], axis=1)
     vertex_cols = local_map_indices(maps, dD)
     return _Triples(game, box_encoder, factors, vertex_cols, weights, parts, etas)
 
@@ -266,8 +272,8 @@ def proposition_residuals(
         raise ValueError(f"count must be at least 1, got {count}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    triples = _draw_triples(game, rng, count, e_star(capacity.pseudo_telepathy_box(game)))
+    box_encoder = e_star(capacity.pseudo_telepathy_box(game))
+    triples = _draw_triples(game, random.Random(seed), count, box_encoder)
     i_xy, i_my, i_xy_m, rate, ceiling = _triple_quantities(triples)
 
     def worst(values):

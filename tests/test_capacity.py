@@ -1,3 +1,4 @@
+import random
 import re
 from functools import lru_cache
 from itertools import combinations, product
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from gamemac import capacity, games
 from gamemac.capacity import (
     _ascend,
+    _canonical_maps,
+    _Draws,
     _echo_rate,
     _kernel_mi_objective,
     _prepare_symmetric_encoder,
@@ -35,7 +38,9 @@ from gamemac.capacity import (
     vertex_count,
     vertex_file_bound,
 )
-from gamemac.channels import MacChannel, depolarizing_mac, noise_f, two_branch_mac, type_i, type_ii
+from gamemac.channels import (
+    MacChannel, depolarizing_mac, echo_slots, noise_f, two_branch_mac, type_i, type_ii,
+)
 from gamemac.correlations import (
     EnumerationCapExceeded,
     box_to_csv,
@@ -89,6 +94,75 @@ def test_maximize_over_pi_deterministic_across_runs():
     assert a[2] == b[2]
 
 
+def _draws(seed, size):
+    return _Draws.seeded(random.Random(seed), size)
+
+
+def test_draws_repeat_under_one_seed_and_differ_across_seeds():
+    def block(seed):
+        draws = _draws(seed, 40)
+        return draws.uniform(10), draws.exponential(10), draws.dirichlet((2, 5)), draws.integers(7, 10)
+
+    for a, b in zip(block(3), block(3)):
+        assert np.array_equal(a, b)
+    assert not any(np.array_equal(a, b) for a, b in zip(block(3), block(4)))
+
+
+def test_draws_stay_in_range_at_the_top_edge():
+    top = np.full(8, 2**53 - 1, dtype=np.uint64)
+    for m in (1, 2, 3, 12, 2048):
+        assert (_Draws(top).integers(m, 8) == m - 1).all()
+        assert np.array_equal(_Draws(top * 0).integers(m, 8), np.zeros(8))
+    assert np.isfinite(_Draws(top).exponential(8)).all()
+    # verify's ranges: [0, 0.7), and [eta_l + 0.1, 1) for eta_l across [0, 0.7)
+    lo = np.linspace(0.1, 0.8, 4001)[:-1]
+    edge = _Draws(np.full(lo.size, 2**53 - 1, dtype=np.uint64)).uniform(lo.size, lo, 1.0)
+    assert (edge < 1.0).all() and (edge >= lo).all()
+    assert (lo + (1.0 - lo) * (1 - 2.0**-53) >= 1.0).any()  # the rounding the cap removes
+    assert (_Draws(top).uniform(8, 0.0, 0.7) < 0.7).all()
+    assert (_Draws(top * 0).uniform(8, 0.2, 1.0) == 0.2).all()
+    with pytest.raises(ValueError, match="2048"):
+        _Draws(top).integers(2049, 8)
+    with pytest.raises(ValueError):  # more draws than the block holds
+        _Draws(top).uniform(9)
+
+
+def _ascent_starts(n, d, cfg):
+    """The starts _ascend hands its objective in the first step."""
+    seen = []
+
+    def objective(batch):
+        F, _ = batch
+        seen.append(F.copy())
+        zeros = np.zeros(len(F))
+        return zeros, zeros, F
+
+    _ascend(objective, 1, n, d, cfg)
+    return seen[0]
+
+
+def test_ascent_starts_are_product_distributions():
+    starts = _ascent_starts(3, 4, OptimizerConfig(restarts=50, seed=5))
+    assert starts.shape == (50, 3, 4)
+    assert np.isfinite(starts).all() and (starts >= 0).all()
+    assert np.allclose(starts.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert (starts[0] == 0.25).all()
+    assert np.array_equal(starts, _ascent_starts(3, 4, OptimizerConfig(restarts=50, seed=5)))
+    assert not np.array_equal(starts, _ascent_starts(3, 4, OptimizerConfig(restarts=50, seed=6)))
+    assert _ascent_starts(2, 3, OptimizerConfig(restarts=1)).shape == (1, 2, 3)
+
+
+def test_ascent_starts_follow_the_dirichlet_law():
+    # each entry of a Dirichlet(1) factor over d values is Beta(1, d - 1):
+    # E[x^k] = k! / (d (d + 1) ... (d + k - 1)).  Any exchangeable law has
+    # mean 1/d, so the second moment is checked too.  The seed is fixed.
+    n, d, R = 2, 3, 2001
+    draws = _ascent_starts(n, d, OptimizerConfig(restarts=R, seed=0))[1:].reshape(-1, d)
+    m2, m4 = 2 / (d * (d + 1)), 24 / (d * (d + 1) * (d + 2) * (d + 3))
+    for x, mean, var in ((draws, 1 / d, m2 - 1 / d**2), (draws**2, m2, m4 - m2**2)):
+        assert (np.abs(x.mean(axis=0) - mean) <= 5 * np.sqrt(var / len(draws))).all()
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0.0)
@@ -126,6 +200,32 @@ def test_representatives_one_per_orbit(name, count):
     if name != "mpp:4":
         # each kernel is its vertex's rows of the dense matrix, bit for bit
         assert np.array_equal(ch._circulants[slots], ch.matrix[_vertex_rows(name)[vertices]])
+
+
+@pytest.mark.parametrize(
+    "n, d, base", [(2, 2, 4), (3, 2, 4), (4, 2, 4), (1, 3, 4), (2, 3, 2), (3, 1, 5), (2, 1, 6), (3, 2, 3)]
+)
+def test_canonical_maps_match_the_filtered_local_maps(n, d, base):
+    # reference: every local_maps row, kept when each player's map is non-decreasing
+    maps = local_maps(n, d, base)
+    kept = np.flatnonzero((np.diff(maps, axis=-1) >= 0).all(axis=(1, 2)))
+    indices, rows = _canonical_maps(n, d, base)
+    assert np.array_equal(indices, kept)
+    assert np.array_equal(rows, maps[kept])
+
+
+@pytest.mark.parametrize("name", ["chsh", "mpp:2", "mpp:3", "mpp:4"])
+def test_representatives_match_the_filtered_local_maps(name):
+    # reference: the canonical rows filtered from the full enumeration, first of equal slots
+    game = game_by_name(name)
+    ch, dD = type_ii(game, 0.6), game.d * game.D
+    maps = local_maps(game.n, game.d, dD)
+    canonical = np.flatnonzero((np.diff(maps, axis=-1) >= 0).all(axis=(1, 2)))
+    slots = echo_slots(game, local_map_indices(maps[canonical], dD))
+    first = np.sort(np.unique(slots, axis=0, return_index=True)[1])
+    vertices, got = _representatives(ch)
+    assert np.array_equal(vertices, canonical[first])
+    assert np.array_equal(got, slots[first])
 
 
 @PROPERTY

@@ -331,6 +331,29 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_sweep_and_verify_do_not_load_numpy_random():
+    # the ascent starts and verify's triples come from Python's random module
+    code = """if True:
+        import sys
+        from gamemac.cli import main
+        for args in (
+            "sweep --game chsh --channel-type 2 --eta-grid 0.5:1:2 "
+            "--resources L-exact,Q-lower,NS-exact,L-bound",
+            "verify --count 3",
+        ):
+            try:
+                main(args.split(), standalone_mode=False)
+            except SystemExit as exc:
+                assert not exc.code, (args, exc.code)
+        print("numpy.random" in sys.modules, file=sys.stderr)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "eta,resource" in out.stdout and "27/27 checks passed" in out.stdout
+    assert out.stderr.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "resources, message",
     [

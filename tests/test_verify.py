@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ GAMES = [chsh_game(), magic_square_game(), mpp_game(3)]
 
 def _triples(game, seed, count):
     box_encoder = e_star(capacity.pseudo_telepathy_box(game))
-    return verify._draw_triples(game, np.random.default_rng(seed), count, box_encoder)
+    return verify._draw_triples(game, random.Random(seed), count, box_encoder)
 
 
 def _encoder(triples, i):
@@ -222,7 +224,7 @@ def test_draw_triples_calls_do_not_grow_with_count():
     box_encoder = e_star(capacity.pseudo_telepathy_box(chsh_game()))
     calls = []
     for count in (1, 10, 1000):
-        rng = Counting(np.random.default_rng(0))
+        rng = Counting(random.Random(0))
         verify._draw_triples(chsh_game(), rng, count, box_encoder)
         calls.append(rng.calls)
     assert calls[0] == calls[1] == calls[2]
