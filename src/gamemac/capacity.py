@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import MacChannel, echo_slots, type_i, type_ii
+from .channels import MacChannel, circulant_view, echo_slots, type_i, type_ii
 from .correlations import (
     NO_SIGNALING_TOL,
     CorrelationBox,
@@ -596,13 +596,14 @@ def _echo_rate(ch: MacChannel, pm: np.ndarray, t: np.ndarray) -> float:
     box_win_probabilities(box, game).  E* puts message m on the inputs
     (m, a), so kernel row m is t_m C_w[m] + (1 - t_m) C_l[m], with C_b the
     circulant rows of branch b: a box reaches a rate only through t.  I(M;Y)
-    is H(u @ [C_l; C_w]) with u = [pm (1 - t), pm t], minus
-    sum_m pm_m H(t_m P_w + (1 - t_m) P_l), with P_b the profiles; a kernel
-    row is a cyclic shift of its profile mix, so both have one entropy."""
-    u = np.concatenate([pm * (1 - t), pm * t])
+    is H(pm (1 - t) @ C_l + pm t @ C_w), minus sum_m pm_m H(t_m P_w +
+    (1 - t_m) P_l), with P_b the profiles; a kernel row is a cyclic shift of
+    its profile mix, so both have one entropy.  C_l and C_w are read through
+    `circulant_view`, so the products take O(Δ) memory, with no Δ x Δ copy."""
+    lose, win = circulant_view(np.stack([ch.lose_profile, ch.win_profile]))
     mixes, which = np.unique(t, return_inverse=True)
     h_rows = entropy(np.outer(mixes, ch.win_profile) + np.outer(1 - mixes, ch.lose_profile), axis=1)
-    return entropy(u @ ch._circulants) - float(pm @ h_rows[which])
+    return entropy(pm * (1 - t) @ lose + pm * t @ win) - float(pm @ h_rows[which])
 
 
 def _prepare_symmetric_encoder(
@@ -687,9 +688,9 @@ def pseudo_telepathy_capacity(
     output marginals uniform over their support) and cross-checks the
     closed form against the E* encoder's sum rate at uniform messages
     (`direct_sum_rate`), computed from its win probabilities (see
-    `_echo_rate`) in O(Δ^2), with no Δ x Δ kernel.  Both hypotheses and the
-    win probabilities depend on the game only: a sweep derives them once
-    and cross-checks every row.
+    `_echo_rate`) in O(Δ^2) time and O(Δ) memory, with no Δ x Δ array.
+    Both hypotheses and the win probabilities depend on the game only: a
+    sweep derives them once and cross-checks every row.
     """
     return _prepare_perfect_box(box, ch.game, resource)(ch)[0]
 

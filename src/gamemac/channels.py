@@ -159,20 +159,25 @@ def depolarizing_profiles(delta: int, eta_w, eta_l) -> np.ndarray:
     return profiles
 
 
-def circulants(profiles: np.ndarray) -> np.ndarray:
-    """Echo-offset rows of profiles (..., Δ): shape (..., Δ, Δ) with
-    [..., q, y] = profiles[..., (y - q) mod Δ], the row P(y | x) of an
-    input x with echoed question index q.  Row q is the window
-    [Δ - q, 2Δ - q) of the doubled profile [p, p]: one strided copy of a
-    view that starts at [p, p][Δ] and steps back one entry per row, so
-    the rows cost O(Δ^2) memory and O(Δ) index work."""
+def circulant_view(profiles: np.ndarray) -> np.ndarray:
+    """Echo-offset rows of profiles (..., Δ) as a read-only view, shape
+    (..., Δ, Δ), with [..., q, y] = profiles[..., (y - q) mod Δ], the row
+    P(y | x) of an input x with echoed question index q.  Row q is the
+    window [Δ - q, 2Δ - q) of the doubled profile [p, p]: the view starts
+    at [p, p][Δ] and steps back one entry per row, so it costs O(Δ)
+    memory and index work."""
     delta = profiles.shape[-1]
     doubled = np.concatenate([profiles, profiles], axis=-1)[..., delta:]
     step = doubled.strides[-1]
-    rows = as_strided(
+    return as_strided(
         doubled, profiles.shape + (delta,), doubled.strides[:-1] + (-step, step), writeable=False
     )
-    return rows.copy()
+
+
+def circulants(profiles: np.ndarray) -> np.ndarray:
+    """The rows of circulant_view(profiles) as one C-contiguous copy:
+    O(Δ^2) memory."""
+    return circulant_view(profiles).copy()
 
 
 def check_branch_order(f_w, f_l) -> None:

@@ -186,7 +186,9 @@ def uniform_over_wins(game: NonlocalGame, name: str) -> CorrelationBox:
     """Box answering each question uniformly over the game's winning
     answers: the win table divided by its row sums."""
     win = game.win_table()
-    return CorrelationBox(game.n, game.d, game.D, win / win.sum(axis=1, keepdims=True), name=name)
+    table = win / win.sum(axis=1, keepdims=True)
+    table.setflags(write=False)  # owned and frozen, so the box keeps it uncopied
+    return CorrelationBox(game.n, game.d, game.D, table, name=name)
 
 
 def pr_box() -> CorrelationBox:
@@ -247,10 +249,11 @@ def e_star(box: CorrelationBox) -> Encoder:
 
 
 def box_win_probabilities(box: CorrelationBox, game: NonlocalGame) -> np.ndarray:
-    """Per-question win probability of the box's answers."""
+    """Per-question win probability of the box's answers: each table row
+    summed over its winning answers, with no masked copy of the table."""
     if (box.n, box.d, box.D) != (game.n, game.d, game.D):
         raise ValueError("box and game scenarios differ")
-    return (box.table * game.win_table()).sum(axis=1)
+    return np.add.reduce(box.table, axis=1, where=game.win_table())
 
 
 def answer_marginals(box: CorrelationBox) -> np.ndarray:

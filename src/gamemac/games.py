@@ -149,11 +149,18 @@ def is_builtin(game: NonlocalGame) -> bool:
 def input_indices(n: int, d: int, D: int) -> np.ndarray:
     """Channel-input index x of every (question, answer) tuple pair.
 
-    Returns shape (d^n, D^n): entry [q_idx, a_idx] is x flattened
-    big-endian over the per-player symbols q_k*D + a_k.
+    Returns shape (d^n, D^n), read-only and owning its data: entry [q_idx,
+    a_idx] is x flattened big-endian over the per-player symbols
+    q_k*D + a_k, that is the question part's offset plus the answer part's,
+    one outer sum of two per-tuple offset vectors.
     """
-    x = np.arange((d * D) ** n).reshape((d, D) * n)
-    return x.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d**n, D**n)
+    questions = answers = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        questions = (questions[:, None] * (d * D) + np.arange(0, d * D, D)).ravel()
+        answers = (answers[:, None] * (d * D) + np.arange(D)).ravel()
+    x = np.add.outer(questions, answers)
+    x.setflags(write=False)
+    return x
 
 
 def input_win_mask(game: NonlocalGame) -> np.ndarray:

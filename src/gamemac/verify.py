@@ -97,9 +97,12 @@ def random_mixture_encoder(
 
 
 def random_channel(game: NonlocalGame, rng: np.random.Generator) -> MacChannel:
-    """Depolarizing MAC with eta_l in [0, 0.7) and eta_w in [eta_l + 0.1, 1)."""
+    """Depolarizing MAC with eta_l in [0, 0.7) and eta_w in [eta_l + 0.1, 1).
+    rng.uniform(lo, 1) can round up to 1 near its top draw, so eta_w is
+    capped at the float below 1, as capacity._Draws.uniform caps its draws."""
     eta_l = rng.uniform(0.0, 0.7)
-    return depolarizing_mac(game, rng.uniform(eta_l + 0.1, 1.0), eta_l)
+    eta_w = min(rng.uniform(eta_l + 0.1, 1.0), np.nextafter(1.0, 0.0))
+    return depolarizing_mac(game, eta_w, eta_l)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
@@ -889,6 +890,38 @@ def test_sweep_evaluates_the_game_predicate_once(monkeypatch, name, predicate):
     rows = sweep(game_by_name(name), 2, (0.4, 1.0), ["NS-exact", "Q-exact"], CFG)
     assert [r.kind for r in rows] == ["exact"] * 4
     assert calls == [name]
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_perfect_box_sweep_peak_memory_stays_near_one_box_table(n):
+    # the box table holds Δ·D^n floats; E*'s support indices take as many
+    # again, and no Δ²-sized temporary or copy may come on top of the two
+    capacity._builtin_perfect_box.cache_clear()
+    tracemalloc.start()
+    try:
+        sweep(mpp_game(n), 2, [0.5, 0.75, 1], ["NS-exact", "Q-exact"], CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**n * 2**n * 8
+
+
+@pytest.mark.parametrize(
+    "name, resources",
+    [
+        ("chsh", ["NS-exact", "Q-lower"]),
+        ("magic-square", ["NS-exact", "Q-exact"]),
+        ("mpp:3", ["NS-exact", "Q-exact"]),
+        ("mpp:8", ["NS-exact", "Q-exact"]),
+    ],
+)
+def test_perfect_box_sweeps_build_no_circulants_or_matrix(monkeypatch, name, resources):
+    for dense in ("_circulants", "matrix"):
+        monkeypatch.setattr(
+            MacChannel, dense, property(lambda ch, dense=dense: pytest.fail(f"{dense} was built"))
+        )
+    rows = sweep(game_by_name(name), 1, [0.0, 0.6], resources, CFG)
+    assert len(rows) == 4 and all(np.isfinite(r.value) for r in rows)
 
 
 @pytest.mark.parametrize("name", ["chsh", "magic-square", *(f"mpp:{n}" for n in range(2, 7))])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gamemac.channels import (
     MacChannel,
+    circulant_view,
     circulants,
     depolarizing_mac,
     input_maps,
@@ -275,8 +276,12 @@ def test_circulants_match_the_index_definition(shape):
     profiles = np.random.default_rng(shape[-1]).random(shape)
     steps = np.arange(shape[-1])
     expected = profiles[..., (steps[None, :] - steps[:, None]) % shape[-1]]
-    rows = circulants(profiles)
+    rows, view = circulants(profiles), circulant_view(profiles)
     assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+    assert view.shape == expected.shape and view.tobytes() == expected.tobytes()
+    assert not view.flags.writeable and not np.shares_memory(view, profiles)
+    with pytest.raises(ValueError, match="read-only"):
+        view[..., 0, 0] = 0.0
 
 
 def test_channel_circulants_are_contiguous_and_read_only():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamemac import qkernel
+from gamemac import correlations, qkernel
 from gamemac.correlations import (
     CorrelationBox,
     Encoder,
@@ -27,7 +27,7 @@ from gamemac.correlations import (
     validate_box,
 )
 from gamemac.games import (
-    chsh_game, game_by_name, magic_square_game, mpp_game, pack_tuple, unpack_index
+    chsh_game, game_by_name, input_indices, magic_square_game, mpp_game, pack_tuple, unpack_index
 )
 
 
@@ -195,6 +195,42 @@ def test_pseudo_telepathy_boxes_are_uniform_over_wins(name):
 def test_box_game_scenario_mismatch():
     with pytest.raises(ValueError):
         box_win_probabilities(pr_box(), magic_square_game())
+
+
+@pytest.mark.parametrize(
+    "name", ["pr", "tsirelson", "magic-square", *(f"mpp:{n}" for n in range(3, 9))]
+)
+def test_box_win_probabilities_match_the_product_form(name):
+    # bit for bit: the masked sum adds the entries that the sum of table * win adds
+    box = builtin_box(name)
+    game = game_by_name("chsh" if name in ("pr", "tsirelson") else name)
+    expected = (box.table * game.win_table()).sum(axis=1)
+    assert box_win_probabilities(box, game).tobytes() == expected.tobytes()
+
+
+def test_uniform_over_wins_keeps_the_divided_table(monkeypatch):
+    passed = []
+
+    class RecordingBox(CorrelationBox):
+        def __post_init__(self):
+            passed.append(self.table)
+            super().__post_init__()
+
+    monkeypatch.setattr(correlations, "CorrelationBox", RecordingBox)
+    box = correlations.uniform_over_wins(mpp_game(3), "mpp:3")
+    assert box.table is passed[0] and not box.table.flags.writeable
+
+
+def test_e_star_passes_its_input_indices_through(monkeypatch):
+    made = []
+
+    def recording(n, d, D):
+        made.append(input_indices(n, d, D))
+        return made[-1]
+
+    monkeypatch.setattr(correlations, "input_indices", recording)
+    enc = e_star(mpp_box(4))
+    assert len(made) == 1 and np.shares_memory(enc.cols, made[0])
 
 
 def test_e_star_echoes_message_in_question_slot():

@@ -7,6 +7,7 @@ from gamemac.games import (
     NonlocalGame,
     chsh_game,
     game_by_name,
+    input_indices,
     input_win_mask,
     is_builtin,
     local_map_indices,
@@ -207,3 +208,13 @@ def test_win_table_matches_per_tuple_loop(game, former):
     table = game.win_table()
     assert table.dtype == bool and not table.flags.writeable
     assert (table == expected).all()
+
+
+@pytest.mark.parametrize("n, d, D", [(2, 2, 2), (2, 3, 8), (3, 2, 2), (4, 3, 2), (8, 2, 2)])
+def test_input_indices_match_the_transpose_definition(n, d, D):
+    # x = ((q_1, a_1), ..., (q_n, a_n)) flattened big-endian, regrouped as (q, a)
+    x = np.arange((d * D) ** n).reshape((d, D) * n)
+    expected = x.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(d**n, D**n)
+    got = input_indices(n, d, D)
+    assert got.dtype == np.intp and got.shape == expected.shape and (got == expected).all()
+    assert got.flags.owndata and not got.flags.writeable

@@ -36,6 +36,35 @@ def test_random_vertex_encoder_applies_its_maps(game):
         assert table[mi, xi] == 1.0
 
 
+class _TopUniform:
+    """A generator stub whose uniform(lo, hi) returns numpy's formula at the
+    top draw u = 1 - 2^-53, and records its arguments."""
+
+    def __init__(self):
+        self.calls = []
+
+    def uniform(self, lo, hi):
+        self.calls.append((lo, hi))
+        return lo + (hi - lo) * (1 - 2.0**-53)
+
+
+def test_random_channel_keeps_eta_w_below_one(monkeypatch):
+    etas = []
+
+    def record(game, eta_w, eta_l):
+        etas.append((eta_w, eta_l))
+        return depolarizing_mac(game, eta_w, eta_l)
+
+    monkeypatch.setattr(verify, "depolarizing_mac", record)
+    rng = _TopUniform()
+    verify.random_channel(chsh_game(), rng)
+    (eta_w, eta_l), = etas
+    assert rng.calls == [(0.0, 0.7), (eta_l + 0.1, 1.0)]  # the same two generator calls
+    assert rng.uniform(eta_l + 0.1, 1.0) == 1.0  # the uncapped draw reaches the top edge
+    assert eta_l < 0.7 and eta_l + 0.1 <= eta_w < 1.0
+    assert eta_w == np.nextafter(1.0, 0.0)
+
+
 def test_random_mixture_encoder_is_stochastic():
     rng = np.random.default_rng(2)
     box_encoder = e_star(capacity.pseudo_telepathy_box(chsh_game()))
