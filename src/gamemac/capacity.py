@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import MacChannel, circulant_view, echo_slots, type_i, type_ii
+from .channels import MacChannel, circulant_view, input_slots, type_i, type_ii
 from .correlations import (
     NO_SIGNALING_TOL,
     CorrelationBox,
@@ -332,19 +332,6 @@ def sum_rate_objective(enc: Encoder, ch: MacChannel) -> AscentObjective:
     return _kernel_mi_objective(message_output_kernel(enc, ch))
 
 
-def _kernel_rates(basis: np.ndarray, slots: np.ndarray, pms: np.ndarray) -> np.ndarray:
-    """I(M;Y) = H(Y) - H(Y|M) of each kernel basis[slots[r]] (slots (R, Δ),
-    basis (B, Y)) at each message distribution pms (G, Δ): shape (R, G).
-    Each pm is summed onto the basis rows, so no kernel is formed."""
-    R, B = len(slots), len(basis)
-    flat = (np.arange(R)[:, None] * B + slots).ravel()
-    h_y = [
-        entropy(np.bincount(flat, np.tile(pm, R), minlength=R * B).reshape(R, B) @ basis, axis=-1)
-        for pm in pms
-    ]
-    return np.stack(h_y, axis=-1) - entropy(basis, axis=-1)[slots] @ pms.T
-
-
 # ---------------------------------------------------------------------------
 # classical capacity (exact, via local polytope vertices)
 # ---------------------------------------------------------------------------
@@ -369,7 +356,7 @@ def _canonical_maps(n: int, d: int, base: int) -> tuple[np.ndarray, np.ndarray]:
 def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
     """One vertex per message-relabelling orbit and distinct kernel: their
     indices in `local_maps(n, d, dD)` order (R,), ascending, and the slot
-    (see channels.echo_slots) of each message's input (R, Δ), so that
+    (see channels.input_slots) of each message's input (R, Δ), so that
     `ch._circulants[slots[r]]` is vertex r's kernel P(y|m).  Relabelling a
     sender's messages changes no rate, and the vertex with non-decreasing
     per-sender maps (see `_canonical_maps`) is its orbit's lowest index.
@@ -385,7 +372,7 @@ def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
     )
     dD = game.d * game.D
     canonical, maps = _canonical_maps(game.n, game.d, dD)
-    slots = echo_slots(game, local_map_indices(maps, dD))
+    slots = input_slots(game)[local_map_indices(maps, dD)]
     # rows compared as raw bytes: np.unique(axis=0) compares them field by
     # field, about 15x slower at mpp:5
     rows = slots.astype(np.min_scalar_type(2 * ch.delta - 1))
@@ -412,12 +399,13 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     cfg = cfg or OptimizerConfig()
     vertices, slots = _representatives(ch)
     basis = ch._circulants
-    floor = _kernel_rates(basis, slots, np.full((1, ch.delta), 1.0 / ch.delta)).max() - _VALUE_ROUNDING
     objective = _kernel_mi_objective(basis, slots)
     F = np.full((len(slots), 1, ch.delta), 1.0 / ch.delta)  # one sender, Δ messages
     active, kept = np.arange(len(slots)), []
-    for _ in range(MAX_ITERATIONS):
+    for step in range(MAX_ITERATIONS):
         values, gaps, F[active] = objective((F[active], active))
+        if not step:  # every representative at uniform messages
+            floor = values.max() - _VALUE_ROUNDING
         kept.append(active[values >= floor])
         active = active[(values < floor) & (values + gaps >= floor)]
         if not active.size:
@@ -443,7 +431,12 @@ def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution) -> float:
     orders = np.array(list(permutations(range(pi.d))))
     per_sender = orders[local_maps(pi.n, 1, len(orders))[..., 0]]  # (d!^n, n, d)
     relabelled = np.stack(pi.factors)[np.arange(pi.n)[:, None], per_sender]
-    return float(_kernel_rates(ch._circulants, _representatives(ch)[1], product_joint(relabelled)).max())
+    slots = _representatives(ch)[1]
+    objective, everyone = _kernel_mi_objective(ch._circulants, slots), np.arange(len(slots))
+    return max(
+        float(objective((np.broadcast_to(F, (len(slots), *F.shape)), everyone))[0].max())
+        for F in relabelled
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +654,13 @@ def _prepare_symmetric_encoder(
     return solve
 
 
-def _prepare_perfect_box(
-    box: CorrelationBox, game: NonlocalGame, resource: str | None = None
-) -> Solve:
+def _prepare_perfect_box(box: CorrelationBox, game: NonlocalGame) -> Solve:
     """Check box's two hypotheses on game, which no channel changes: it
     wins every question tuple (omega = 1 for `_prepare_symmetric_encoder`)
     and its output marginals are uniform over their support.  Return the
     Solve of pseudo_telepathy_capacity on game: its E* encoder is a
     symmetric kernel that always wins."""
-    solve = _prepare_symmetric_encoder(box, game, "exact", resource or _box_resource(box), 1.0)
+    solve = _prepare_symmetric_encoder(box, game, "exact", _box_resource(box), 1.0)
     uni_err = support_marginal_uniformity_error(box)
     if not uni_err <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
@@ -679,9 +670,7 @@ def _prepare_perfect_box(
     return solve
 
 
-def pseudo_telepathy_capacity(
-    ch: MacChannel, box: CorrelationBox, resource: str | None = None
-) -> CapacityResult:
+def pseudo_telepathy_capacity(ch: MacChannel, box: CorrelationBox) -> CapacityResult:
     """Exact sum-capacity log2(Δ) - f_w for a perfect, output-uniform box.
 
     Verifies both hypotheses (win probability 1 on every question tuple,
@@ -692,7 +681,7 @@ def pseudo_telepathy_capacity(
     Both hypotheses and the win probabilities depend on the game only: a
     sweep derives them once and cross-checks every row.
     """
-    return _prepare_perfect_box(box, ch.game, resource)(ch)[0]
+    return _prepare_perfect_box(box, ch.game)(ch)[0]
 
 
 def _prepare_q_lower(game: NonlocalGame, cfg: OptimizerConfig | None = None) -> Solve:
@@ -741,7 +730,7 @@ def _prepare_vertex_file(vertex_csv_path, game: NonlocalGame, cfg: OptimizerConf
     t = np.stack([box_win_probabilities(box, game) for box in boxes])[..., None]
 
     def solve(ch: MacChannel) -> tuple[CapacityResult, str]:
-        lose, win = ch._circulants.reshape(2, ch.delta, ch.delta)
+        lose, win = circulant_view(np.stack([ch.lose_profile, ch.win_profile]))
         kernels = t * win + (1 - t) * lose
         val, pi, diag = maximize_over_pi(
             _kernel_mi_objective(kernels), game.n, game.d, cfg, groups=len(boxes)
@@ -797,14 +786,16 @@ def pseudo_telepathy_box(game: NonlocalGame) -> CorrelationBox:
 
 
 def channel_for(game: NonlocalGame, channel_type: int, eta: float) -> MacChannel:
-    """Type-I/II constructor with degenerate endpoints clamped."""
+    """Type-I/II constructor with the degenerate endpoint clamped: type-I
+    eta = 1 and type-II eta = 0 (f_w = f_l).  type_i and type_ii refuse
+    every other eta outside their range."""
     if channel_type == 1:
-        if eta >= 1.0:
+        if eta == 1.0:
             warnings.warn(f"type-I eta={eta} clamped below 1 (degenerate f_w = f_l)")
             eta = 1.0 - _ETA_CLAMP
         return type_i(game, eta)
     if channel_type == 2:
-        if eta <= 0.0:
+        if eta == 0.0:
             warnings.warn(f"type-II eta={eta} clamped above 0 (degenerate f_w = f_l)")
             eta = _ETA_CLAMP
         return type_ii(game, eta)

@@ -77,16 +77,16 @@ class MacChannel:
     def _circulants(self) -> np.ndarray:
         """Shape (2Δ, Δ): row b*Δ + q is profile_b[(y - q) mod Δ], the row
         P(y | x) of every input x with win bit b (0 losing, 1 winning) and
-        echoed question index q, that is of slot b*Δ + q (see echo_slots).
-        C-contiguous and read-only."""
-        rows = circulants(np.stack([self.lose_profile, self.win_profile])).reshape(-1, self.delta)
+        echoed question index q, that is of slot b*Δ + q (see input_slots).
+        C-contiguous (the reshape copies the view) and read-only."""
+        rows = circulant_view(np.stack([self.lose_profile, self.win_profile])).reshape(-1, self.delta)
         rows.setflags(write=False)
         return rows
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         """Dense P(y | x), shape ((d*D)^n, Δ), read-only; built on first use."""
-        matrix = self._circulants[echo_slots(self.game, ...)]
+        matrix = self._circulants[input_slots(self.game)]
         matrix.setflags(write=False)
         return matrix
 
@@ -96,39 +96,26 @@ class MacChannel:
         of the 2Δ circulant rows with weight probs[m, j] on the slot of
         cols[m, j], so the support is summed onto (row, slot) and multiplied
         by `_circulants`."""
-        inputs = input_maps(self.game)[0].size
+        slots = input_slots(self.game)
         if cols.shape != probs.shape or cols.ndim != 2:
             raise ValueError(f"support shapes {cols.shape} and {probs.shape} differ or are not 2-D")
-        if cols.size and (cols.min() < 0 or cols.max() >= inputs):
-            raise ValueError(f"support inputs must lie in [0, {inputs}), the channel's inputs")
+        if cols.size and (cols.min() < 0 or cols.max() >= slots.size):
+            raise ValueError(f"support inputs must lie in [0, {slots.size}), the channel's inputs")
         rows = cols.shape[0]
-        slots = np.arange(rows)[:, None] * 2 * self.delta + echo_slots(self.game, cols)
-        sums = np.bincount(slots.ravel(), probs.ravel(), minlength=rows * 2 * self.delta)
+        flat = np.arange(rows)[:, None] * 2 * self.delta + slots[cols]
+        sums = np.bincount(flat.ravel(), probs.ravel(), minlength=rows * 2 * self.delta)
         return sums.reshape(rows, -1) @ self._circulants
-
-    def branch_entropy_error(self) -> float:
-        """Max |H(Y|X=x) - f_branch| over the rows of the dense matrix."""
-        ent = entropy(self.matrix, axis=1)
-        return float(np.abs(ent - np.where(input_maps(self.game)[0], self.f_w, self.f_l)).max())
 
 
 @functools.lru_cache(maxsize=8)
-def input_maps(game: NonlocalGame) -> tuple[np.ndarray, np.ndarray]:
-    """Win bit and question index of every channel input, read-only; kept
-    for the last few games, so a game's channels and their callers share
-    them, also when a caller visits its games twice."""
-    maps = input_win_mask(game).astype(np.intp), question_indices(game)
-    for m in maps:
-        m.setflags(write=False)
-    return maps
-
-
-def echo_slots(game: NonlocalGame, inputs) -> np.ndarray:
-    """Slot b*Δ + q of each channel input in inputs (an index into the
-    input axis), with b its win bit and q its question index: the row of
-    `MacChannel._circulants` that is its row P(y | x)."""
-    win, questions = input_maps(game)
-    return win[inputs] * game.d**game.n + questions[inputs]
+def input_slots(game: NonlocalGame) -> np.ndarray:
+    """Slot b*Δ + q of every channel input, with b its win bit and q its
+    question index: the row of `MacChannel._circulants` that is its row
+    P(y | x).  Read-only; kept for the last few games, so a game's channels
+    and their callers share it, also when a caller visits its games twice."""
+    slots = input_win_mask(game) * game.d**game.n + question_indices(game)
+    slots.setflags(write=False)
+    return slots
 
 
 def two_branch_mac(game: NonlocalGame, win_profile, lose_profile) -> MacChannel:
@@ -172,12 +159,6 @@ def circulant_view(profiles: np.ndarray) -> np.ndarray:
     return as_strided(
         doubled, profiles.shape + (delta,), doubled.strides[:-1] + (-step, step), writeable=False
     )
-
-
-def circulants(profiles: np.ndarray) -> np.ndarray:
-    """The rows of circulant_view(profiles) as one C-contiguous copy:
-    O(Δ^2) memory."""
-    return circulant_view(profiles).copy()
 
 
 def check_branch_order(f_w, f_l) -> None:

@@ -14,10 +14,10 @@ from .capacity import PT_TOL
 from .channels import (
     MacChannel,
     check_branch_order,
-    circulants,
+    circulant_view,
     depolarizing_mac,
     depolarizing_profiles,
-    input_maps,
+    input_slots,
 )
 from .correlations import (
     CorrelationBox,
@@ -212,8 +212,8 @@ def _chunk_quantities(triples: _Triples, chunk: range, box):
     m, x) with mass, and every entropy is that of a marginal summed from
     these rows by triple.  No entropy uses the Markov chain M -> X -> Y:
     that is what is checked."""
-    win, questions = input_maps(triples.game)
-    B, X = len(chunk), win.size
+    slots = input_slots(triples.game)
+    B, X = len(chunk), slots.size
     M = Y = box[0].shape[0]
     tm, x, p_x_given_m = _merged_support(triples, chunk, box, X)
     t = tm // M
@@ -221,7 +221,8 @@ def _chunk_quantities(triples: _Triples, chunk: range, box):
     profiles = depolarizing_profiles(M, *triples.etas[chunk.start : chunk.stop].T)
     f_l, f_w = entropy(profiles, axis=2)
     check_branch_order(f_w, f_l)
-    joint = (messages[tm] * p_x_given_m)[:, None] * circulants(profiles)[win[x], t, questions[x]]
+    win, question = np.divmod(slots[x], M)
+    joint = (messages[tm] * p_x_given_m)[:, None] * circulant_view(profiles)[win, t, question]
 
     def summed(groups, size):
         """Rows of the joint added by group: one row over y per group."""
@@ -240,7 +241,7 @@ def _chunk_quantities(triples: _Triples, chunk: range, box):
     h_m, h_y, h_my = entropy(p_m, axis=1), entropy(p_y, axis=1), entropy(p_my, axis=(1, 2))
     h_x, h_xy = by_triple(t_tx, p_x[:, None]), by_triple(t_tx, p_xy)
     h_mx, h_mxy = by_triple(t, p_mx[:, None]), by_triple(t, joint)
-    omega = np.bincount(t_tx, p_x * win[tx % X], minlength=B)
+    omega = np.bincount(t_tx, p_x * (slots[tx % X] >= M), minlength=B)
     return (
         h_x + h_y - h_xy,
         h_m + h_y - h_my,
@@ -317,8 +318,9 @@ def pseudo_telepathy_checks(game: NonlocalGame, box: CorrelationBox) -> list[Che
 
 
 def constant_noise_residual(ch: MacChannel) -> float:
-    """Max |H(Y|X=x) - f_branch| over the channel's rows."""
-    return ch.branch_entropy_error()
+    """Max |H(Y|X=x) - f_branch| over the rows of the channel's dense matrix."""
+    ent = entropy(ch.matrix, axis=1)
+    return float(np.abs(ent - np.where(input_slots(ch.game) >= ch.delta, ch.f_w, ch.f_l)).max())
 
 
 def run_verification(seed: int = 0, count: int = 1000) -> list[Check]:

@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+import warnings
 from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
@@ -40,7 +41,7 @@ from gamemac.capacity import (
     vertex_file_bound,
 )
 from gamemac.channels import (
-    MacChannel, depolarizing_mac, echo_slots, noise_f, two_branch_mac, type_i, type_ii,
+    MacChannel, depolarizing_mac, input_slots, noise_f, two_branch_mac, type_i, type_ii,
 )
 from gamemac.correlations import (
     EnumerationCapExceeded,
@@ -65,6 +66,7 @@ from gamemac.games import (
 from gamemac.infotheory import ProductDistribution, entropy, sum_rate
 
 CFG = OptimizerConfig(seed=0)
+DATA = Path(__file__).parent / "data"
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
 
 
@@ -222,7 +224,7 @@ def test_representatives_match_the_filtered_local_maps(name):
     ch, dD = type_ii(game, 0.6), game.d * game.D
     maps = local_maps(game.n, game.d, dD)
     canonical = np.flatnonzero((np.diff(maps, axis=-1) >= 0).all(axis=(1, 2)))
-    slots = echo_slots(game, local_map_indices(maps[canonical], dD))
+    slots = input_slots(game)[local_map_indices(maps[canonical], dD)]
     first = np.sort(np.unique(slots, axis=0, return_index=True)[1])
     vertices, got = _representatives(ch)
     assert np.array_equal(vertices, canonical[first])
@@ -827,6 +829,12 @@ def test_channel_for_clamps_degenerate_eta():
             ch = channel_for(game_by_name(name), channel_type, eta)
         assert ch.f_w < ch.f_l, (name, channel_type)
         assert ch.f_w == entropy(ch.win_profile) and ch.f_l == entropy(ch.lose_profile)
+    # only the degenerate endpoint is clamped: type_i and type_ii refuse the rest
+    for channel_type, eta in ((1, 1.5), (2, -0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="type-I+ needs"):
+                channel_for(chsh_game(), channel_type, eta)
     with pytest.raises(ValueError):
         channel_for(chsh_game(), 3, 0.5)
 
@@ -913,6 +921,8 @@ def test_perfect_box_sweep_peak_memory_stays_near_one_box_table(n):
         ("magic-square", ["NS-exact", "Q-exact"]),
         ("mpp:3", ["NS-exact", "Q-exact"]),
         ("mpp:8", ["NS-exact", "Q-exact"]),
+        # E* kernels of a vertex file are read from the circulant view too
+        ("chsh", [f"vertex-file:{DATA / 'pr_tsirelson_boxes.csv'}", "NS-exact"]),
     ],
 )
 def test_perfect_box_sweeps_build_no_circulants_or_matrix(monkeypatch, name, resources):

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from gamemac.channels import (
     MacChannel,
     circulant_view,
-    circulants,
     depolarizing_mac,
-    input_maps,
+    input_slots,
     noise_f,
     two_branch_mac,
     type_i,
     type_ii,
 )
 from gamemac.capacity import pseudo_telepathy_capacity
+from gamemac.verify import constant_noise_residual
 from gamemac.correlations import CorrelationBox, Encoder, e_star, mpp_box, pr_box
 from gamemac.games import (
     NonlocalGame,
@@ -75,7 +75,7 @@ def test_depolarizing_branch_entropies():
     ch = depolarizing_mac(chsh_game(), 0.9, 0.1)
     assert ch.f_w == pytest.approx(noise_f(4, 0.9))
     assert ch.f_l == pytest.approx(noise_f(4, 0.1))
-    assert ch.branch_entropy_error() <= 1e-12
+    assert constant_noise_residual(ch) <= 1e-12
     assert ch.delta == 4
 
 
@@ -110,7 +110,7 @@ def test_two_branch_accepts_non_depolarizing_noise():
     ch = two_branch_mac(game, win_profile, lose_profile)
     assert ch.f_w == pytest.approx(entropy(win_profile))
     assert ch.f_l == pytest.approx(entropy(lose_profile))
-    assert ch.branch_entropy_error() <= 1e-12
+    assert constant_noise_residual(ch) <= 1e-12
     # the profile is anchored at the echoed question tuple
     win = input_win_mask(game)
     xi = int(np.flatnonzero(win)[3])
@@ -193,13 +193,15 @@ def test_index_maps_match_tuple_definitions(scenario, seed):
     ch, _ = _random_channel(scenario, seed)
     game = ch.game
     n, d, D = scenario
-    win, questions = input_win_mask(game), question_indices(game)
-    assert win.shape == questions.shape == ((d * D) ** n,)
+    win, questions, slots = input_win_mask(game), question_indices(game), input_slots(game)
+    assert win.shape == questions.shape == slots.shape == ((d * D) ** n,)
     for xi in range(win.size):
         syms = unpack_index(xi, d * D, n)
         q = tuple(s // D for s in syms)
-        assert win[xi] == game.wins(q, tuple(s % D for s in syms))
+        wins = game.wins(q, tuple(s % D for s in syms))
+        assert win[xi] == wins
         assert questions[xi] == pack_tuple(q, d)
+        assert slots[xi] == wins * d**n + pack_tuple(q, d)
 
 
 @PROPERTY
@@ -276,8 +278,7 @@ def test_circulants_match_the_index_definition(shape):
     profiles = np.random.default_rng(shape[-1]).random(shape)
     steps = np.arange(shape[-1])
     expected = profiles[..., (steps[None, :] - steps[:, None]) % shape[-1]]
-    rows, view = circulants(profiles), circulant_view(profiles)
-    assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+    view = circulant_view(profiles)
     assert view.shape == expected.shape and view.tobytes() == expected.tobytes()
     assert not view.flags.writeable and not np.shares_memory(view, profiles)
     with pytest.raises(ValueError, match="read-only"):
@@ -285,8 +286,12 @@ def test_circulants_match_the_index_definition(shape):
 
 
 def test_channel_circulants_are_contiguous_and_read_only():
-    rows = type_ii(mpp_game(3), 0.7)._circulants
+    ch = type_ii(mpp_game(3), 0.7)
+    rows, steps = ch._circulants, np.arange(8)
     assert rows.shape == (16, 8) and rows.flags.c_contiguous and not rows.flags.writeable
+    # row b*Δ + q is profile_b[(y - q) mod Δ], losing rows first
+    expected = np.stack([ch.lose_profile, ch.win_profile])[:, (steps[None, :] - steps[:, None]) % 8]
+    assert rows.tobytes() == expected.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 0.0
 
@@ -329,8 +334,8 @@ def test_channels_of_one_game_share_read_only_input_maps():
     ch, other = type_ii(game, 0.5), depolarizing_mac(game, 0.9, 0.2)
     assert ch.f_w == entropy(ch.win_profile) and ch.f_l == 2.0
     assert ch.f_w == pytest.approx(noise_f(4, 0.5), abs=1e-12)
-    for mine, theirs in zip(input_maps(ch.game), input_maps(other.game)):
-        assert mine is theirs and not mine.flags.writeable
+    mine, theirs = input_slots(ch.game), input_slots(other.game)
+    assert mine is theirs and not mine.flags.writeable
 
 
 def test_profiles_are_copied_and_frozen():

@@ -310,7 +310,7 @@ def test_run_verification_builds_each_games_input_maps_once(monkeypatch):
     built = []
     original = channels.input_win_mask
     monkeypatch.setattr(channels, "input_win_mask", lambda game: built.append(game.name) or original(game))
-    channels.input_maps.cache_clear()
+    channels.input_slots.cache_clear()
     checks = verify.run_verification(seed=0, count=20)
     assert built == ["chsh", "magic-square", "mpp:3"]
     # report order: four identities per game, then five checks per box
