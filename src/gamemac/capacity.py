@@ -348,7 +348,7 @@ def _canonical_maps(n: int, d: int, base: int) -> tuple[np.ndarray, np.ndarray]:
     over players in product order, so the base^(nd) rows are never formed;
     a row's index reads its n d entries as base-`base` digits."""
     per = local_maps(1, d, base)[:, 0]
-    per = per[(np.diff(per, axis=-1) >= 0).all(axis=-1)]
+    per = per[(np.diff(per, axis=-1) >= 0).all(axis=-1)].astype(np.min_scalar_type(base - 1))
     maps = per[np.indices((len(per),) * n).reshape(n, -1).T]
     return np.ravel_multi_index(tuple(maps.reshape(len(maps), n * d).T), (base,) * (n * d)), maps
 
@@ -356,7 +356,8 @@ def _canonical_maps(n: int, d: int, base: int) -> tuple[np.ndarray, np.ndarray]:
 def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
     """One vertex per message-relabelling orbit and distinct kernel: their
     indices in `local_maps(n, d, dD)` order (R,), ascending, and the slot
-    (see channels.input_slots) of each message's input (R, Δ), so that
+    (see channels.input_slots) of each message's input (R, Δ), in the
+    smallest unsigned dtype that holds 2Δ - 1, so that
     `ch._circulants[slots[r]]` is vertex r's kernel P(y|m).  Relabelling a
     sender's messages changes no rate, and the vertex with non-decreasing
     per-sender maps (see `_canonical_maps`) is its orbit's lowest index.
@@ -372,13 +373,54 @@ def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
     )
     dD = game.d * game.D
     canonical, maps = _canonical_maps(game.n, game.d, dD)
-    slots = input_slots(game)[local_map_indices(maps, dD)]
+    slots = input_slots(game).astype(np.min_scalar_type(2 * ch.delta - 1))[local_map_indices(maps, dD)]
     # rows compared as raw bytes: np.unique(axis=0) compares them field by
     # field, about 15x slower at mpp:5
-    rows = slots.astype(np.min_scalar_type(2 * ch.delta - 1))
-    rows = rows.view(np.dtype((np.void, rows.strides[0])))
+    rows = slots.view(np.dtype((np.void, slots.strides[0])))
     first = np.sort(np.unique(rows, return_index=True)[1])
     return canonical[first], slots[first]
+
+
+def _message_relabellings(n: int, d: int) -> np.ndarray:
+    """Every tuple of per-sender message relabellings, shape (d!^n, n, d)."""
+    orders = np.array(list(permutations(range(d))))
+    return orders[local_maps(n, 1, len(orders))[..., 0]]
+
+
+def _patterns(slots: np.ndarray, delta: int) -> np.ndarray:
+    """Each row of slots (..., Δ) with its question replaced by the first
+    message with that question: b(m) Δ + f(m), same shape and dtype."""
+    question = slots % delta
+    rows = question.reshape(-1, delta)
+    first = np.full(rows.shape, delta)  # [r, q]: the first message of row r with question q
+    np.minimum.at(first, (np.arange(len(rows))[:, None], rows), np.arange(delta))
+    return (slots - question + np.take_along_axis(first, rows, -1).reshape(slots.shape)).astype(slots.dtype)
+
+
+def _orbit_firsts(ch: MacChannel, slots: np.ndarray) -> np.ndarray:
+    """Index of the first row of slots (S, Δ) in each orbit, ascending.
+
+    On a depolarizing channel, each profile constant off offset 0, the row
+    of slot b Δ + q is c_b + e_b [y = q], so relabelling the outputs keeps
+    every rate, and a row's rates depend on it only through its pattern
+    (see `_patterns`).  Relabelling messages within senders and permuting
+    senders keeps every product law, so a row whose pattern is one of the
+    d!^n n! relabelled patterns of an earlier first row has that row's
+    maximum over product laws.  Any other channel keeps every row."""
+    game, delta = ch.game, ch.delta
+    off_peak = np.stack([ch.lose_profile, ch.win_profile])[:, 1:]
+    if (off_peak != off_peak[:, :1]).any():
+        return np.arange(len(slots))
+    grid = np.arange(delta).reshape((game.d,) * game.n)
+    senders = np.stack([grid.transpose(order).ravel() for order in permutations(range(game.n))])
+    # moves[g, m]: the message that relabelling g sends in place of m
+    moves = senders[:, local_map_indices(_message_relabellings(game.n, game.d), game.d)].reshape(-1, delta)
+    seen, firsts = set(), []
+    for i, pattern in enumerate(_patterns(slots, delta)):
+        if pattern.tobytes() not in seen:
+            firsts.append(i)
+            seen.update(map(bytes, _patterns(slots[i][moves], delta)))
+    return np.array(firsts)
 
 
 def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None) -> CapacityResult:
@@ -392,9 +434,14 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     messages (Blahut 1972, Arimoto 1972), which holds at every step, is
     below the floor: the best rate at uniform messages.  It is kept once
     its BA value reaches the floor, or after MAX_ITERATIONS steps.
-    The survivors (`candidates`, of `representatives` and `vertices`)
-    share one grouped ascent; `vertex:N` names the lowest-index one
-    within rounding of the best.
+    On a depolarizing channel the survivors (`candidates`, of
+    `representatives` and `vertices`) fall into orbits of equal maxima
+    under output, message and sender relabellings (see `_orbit_firsts`);
+    on any other channel each survivor is its own orbit.  The lowest-index
+    survivor of each orbit (`orbits` of them) joins one grouped ascent, and
+    `vertex:N` names the lowest-index one within rounding of the best.  As
+    an orbit's members share one maximum, an ascent over every survivor
+    gives the same value and label.
     """
     cfg = cfg or OptimizerConfig()
     vertices, slots = _representatives(ch)
@@ -411,16 +458,18 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
         if not active.size:
             break
     survivors = np.sort(np.concatenate([*kept, active]))
+    orbits = survivors[_orbit_firsts(ch, slots[survivors])]
     val, pi, diag = maximize_over_pi(
-        _kernel_mi_objective(basis, slots[survivors]), ch.game.n, ch.game.d, cfg, groups=len(survivors)
+        _kernel_mi_objective(basis, slots[orbits]), ch.game.n, ch.game.d, cfg, groups=len(orbits)
     )
     diag = dict(diag, vertices=vertex_count(ch.game), representatives=len(vertices), candidates=len(survivors))
+    diag["orbits"] = len(orbits)
     return CapacityResult(
         value=val,
         kind="exact",
         resource="L",
         argmax_pi=pi,
-        argmax_encoder=f"vertex:{vertices[survivors[diag['group']]]}",
+        argmax_encoder=f"vertex:{vertices[orbits[diag['group']]]}",
         diagnostics=diag,
     )
 
@@ -428,8 +477,7 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
 def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution) -> float:
     """Best deterministic-encoder sum rate at a fixed message distribution:
     every representative at every per-sender relabelling of pi."""
-    orders = np.array(list(permutations(range(pi.d))))
-    per_sender = orders[local_maps(pi.n, 1, len(orders))[..., 0]]  # (d!^n, n, d)
+    per_sender = _message_relabellings(pi.n, pi.d)
     relabelled = np.stack(pi.factors)[np.arange(pi.n)[:, None], per_sender]
     slots = _representatives(ch)[1]
     objective, everyone = _kernel_mi_objective(ch._circulants, slots), np.arange(len(slots))

@@ -3,7 +3,7 @@ import re
 import tracemalloc
 import warnings
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 from unittest.mock import patch
 
@@ -573,6 +573,116 @@ def test_vertex_kernels_are_never_formed(monkeypatch):
     ch = type_ii(mpp_game(3), 0.5)
     result = classical_capacity_exact(ch, CFG)
     assert abs(best_vertex_rate_at_pi(ch, result.argmax_pi) - result.value) <= 1e-12
+
+
+def _survivor_reference(monkeypatch, ch):
+    """classical_capacity_exact(ch) and, as reference, the value and label of
+    one grouped ascent over every survivor of its pruning, none deduped."""
+    seen = []
+    real = capacity._orbit_firsts
+    monkeypatch.setattr(capacity, "_orbit_firsts", lambda ch, slots: seen.append(slots) or real(ch, slots))
+    result = classical_capacity_exact(ch, CFG)
+    [slots] = seen
+    value, _, diag = maximize_over_pi(
+        _kernel_mi_objective(ch._circulants, slots), ch.game.n, ch.game.d, CFG, groups=len(slots)
+    )
+    vertex_of = {row.tobytes(): v for v, row in zip(*_representatives(ch))}
+    return result, value, f"vertex:{vertex_of[slots[diag['group']].tobytes()]}"
+
+
+# (survivors of pruning, orbits ascended)
+PINNED_ORBITS = {("chsh", 2, 0.5): (4, 1), ("mpp:4", 2, 0.1): (112, 5)}
+
+
+@pytest.mark.filterwarnings("ignore:type-I eta=1.0 clamped")
+@pytest.mark.parametrize("channel_type", [1, 2])
+@pytest.mark.parametrize("eta", [0.1, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("name", ["chsh", "mpp:2", "mpp:3", "mpp:4"])
+def test_orbit_dedupe_keeps_the_survivors_maximum(monkeypatch, name, eta, channel_type):
+    ch = channel_for(game_by_name(name), channel_type, eta)
+    result, value, label = _survivor_reference(monkeypatch, ch)
+    assert abs(result.value - value) <= 1e-12
+    assert result.argmax_encoder == label
+    counts = result.diagnostics["candidates"], result.diagnostics["orbits"]
+    assert 1 <= counts[1] <= counts[0]
+    assert counts == PINNED_ORBITS.get((name, channel_type, eta), counts)
+
+
+def _off_peak_pair(name, shift):
+    """Depolarizing type-II profiles at η = 0.6, with `shift` moved between
+    two off-peak offsets of the winning one: not depolarizing."""
+    game = game_by_name(name)
+    ch = type_ii(game, 0.6)
+    win = ch.win_profile.copy()
+    win[1:3] += shift, -shift
+    return two_branch_mac(game, win, ch.lose_profile)
+
+
+@pytest.mark.parametrize(
+    "make, name, arg",
+    [(_random_channel, "chsh", 1), (_random_channel, "mpp:3", 2), (_off_peak_pair, "chsh", 0.01),
+     (_off_peak_pair, "mpp:3", 0.01)],
+)
+def test_orbit_dedupe_falls_back_off_depolarizing_channels(monkeypatch, make, name, arg):
+    # the reference is the former L-exact: every survivor ascended
+    result, value, label = _survivor_reference(monkeypatch, make(name, arg))
+    assert result.diagnostics["orbits"] == result.diagnostics["candidates"] > 1
+    assert result.value == value
+    assert result.argmax_encoder == label
+
+
+def _relabelled(slots, game, senders, orders, outputs):
+    """slots (Δ,) after a sender permutation, a relabelling of each sender's
+    messages and a relabelling of the echoed questions, from tuples."""
+    delta = game.d**game.n
+    out = []
+    for m in product(range(game.d), repeat=game.n):
+        moved = pack_tuple([orders[k][m[senders[k]]] for k in range(game.n)], game.d)
+        win, question = divmod(int(slots[moved]), delta)
+        out.append(win * delta + outputs[question])
+    return np.array(out, dtype=slots.dtype)
+
+
+@PROPERTY
+@given(data=st.data())
+@pytest.mark.parametrize("name", ["chsh", "mpp:3", "mpp:4"])
+def test_orbit_firsts_ignore_relabellings(name, data):
+    game = game_by_name(name)
+    n, d, delta, dD = game.n, game.d, game.d**game.n, game.d * game.D
+    ch = type_ii(game, data.draw(st.floats(0.05, 1.0)))
+    maps = np.reshape(data.draw(st.lists(st.integers(0, dD - 1), min_size=n * d, max_size=n * d)), (n, d))
+    slots = input_slots(game)[local_map_indices(maps, dD)]
+    senders = data.draw(st.permutations(range(n)))
+    orders = [data.draw(st.permutations(range(d))) for _ in range(n)]
+    outputs = data.draw(st.permutations(range(delta)))
+    other = _relabelled(slots, game, senders, orders, outputs)
+    assert np.array_equal(capacity._orbit_firsts(ch, np.stack([slots, other])), [0])
+    assert np.array_equal(capacity._orbit_firsts(ch, np.stack([other, slots])), [0])
+
+
+@pytest.mark.parametrize("name", ["chsh", "mpp:3"])
+def test_orbit_firsts_match_the_least_relabelled_pattern(name):
+    # reference: a row's key is the lexicographically least first-occurrence
+    # pattern over every tuple-built relabelling; the first row of each key is kept
+    game = game_by_name(name)
+    delta = game.d**game.n
+    ch = type_ii(game, 0.6)
+    slots = _representatives(ch)[1]
+
+    def pattern(row):
+        first = {}
+        return tuple(s // delta * delta + first.setdefault(s % delta, m) for m, s in enumerate(row.tolist()))
+
+    relabellings = [
+        (senders, orders)
+        for senders in permutations(range(game.n))
+        for orders in product(permutations(range(game.d)), repeat=game.n)
+    ]
+    identity = tuple(range(delta))
+    keys = [min(pattern(_relabelled(row, game, s, o, identity)) for s, o in relabellings) for row in slots]
+    firsts = [i for i, key in enumerate(keys) if keys.index(key) == i]
+    assert np.array_equal(capacity._orbit_firsts(ch, slots), firsts)
+    assert len(firsts) < len(slots)
 
 
 def test_resource_bound_with_perfect_resource_hits_ceiling():
