@@ -246,13 +246,14 @@ def maximize_over_pi(
 def _block_average(x: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
     """E over m_-k ~ p_-k of x(m), as a function of m_k: shape (R, d).
 
-    x has shape (R, d^n) over the joint message index."""
+    x has shape (R, d^n) over the joint message index; each sender j != k
+    is summed out by one stacked matmul, each row with its own p_j."""
     R, n, d = F.shape
-    operands = [x.reshape((R,) + (d,) * n), [n, *range(n)]]
-    for j in range(n):
-        if j != k:
-            operands += [F[:, j], [n, j]]
-    return np.einsum(*operands, [n, k])
+    for j in range(n - 1, k, -1):
+        x = np.matmul(x.reshape(R, -1, d), F[:, j, :, None])
+    for j in range(k):
+        x = np.matmul(F[:, j, None, :], x.reshape(R, d, -1))
+    return x.reshape(R, d)
 
 
 def _kernel_mi_objective(kernels: np.ndarray, slots: np.ndarray | None = None) -> AscentObjective:
@@ -289,19 +290,19 @@ def _kernel_mi_objective(kernels: np.ndarray, slots: np.ndarray | None = None) -
         F0, group = batch
         n = F0.shape[1]
         rows = np.take(slots, group, axis=0)
-        K, h = np.take(kernels, rows, axis=0), np.take(h_rows, rows)  # take: faster than [rows]
+        K, neg_h = np.take(kernels, rows, axis=0), -np.take(h_rows, rows)  # take: faster than [rows]
 
-        def divergences(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def divergences(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             q = np.matmul(pm[:, None, :], K)[:, 0]
             log_q = np.log2(np.where(q > 0, q, 1.0))
-            return -h - np.matmul(K, log_q[..., None])[..., 0], q
+            return neg_h - np.matmul(K, log_q[..., None])[..., 0], q, log_q
 
         def sweep(F: np.ndarray, certify: bool = False):
             """I at F, its block gap if certify, and S(F)."""
             F = F.copy()
             pm = product_joint(F)
-            div, q = divergences(pm)
-            values = entropy(q, axis=-1) - (pm * h).sum(-1)
+            div, q, log_q = divergences(pm)
+            values = (pm * neg_h).sum(-1) - (q * log_q).sum(-1)  # H(q) - H(Y | M)
             scores = [_block_average(div, F, k) for k in range(n if certify else 1)]
             gaps = np.max([g.max(axis=-1) for g in scores], axis=0) - values if certify else None
             for k in range(n):
@@ -313,7 +314,7 @@ def _kernel_mi_objective(kernels: np.ndarray, slots: np.ndarray | None = None) -
         values, gaps, F1 = sweep(F0, certify=True)
         value1, _, F2 = sweep(F1)
         r, v = F1 - F0, F2 - 2.0 * F1 + F0
-        r_norm, v_norm = (np.linalg.norm(x, axis=(1, 2)) for x in (r, v))
+        r_norm, v_norm = (np.sqrt((x * x).sum(axis=(1, 2))) for x in (r, v))
         alpha = -np.maximum(r_norm / np.where(v_norm > 0, v_norm, np.inf), 1.0)
         a = alpha[:, None, None]
         F_ext = F0 - 2.0 * a * r + a * a * v
@@ -423,6 +424,12 @@ def _orbit_firsts(ch: MacChannel, slots: np.ndarray) -> np.ndarray:
     return np.array(firsts)
 
 
+# Kernel entries (rows x Δ x outputs) one objective call of the L-exact
+# pruning gathers at most: rows are independent, so the chunks change no
+# value, and mpp:5's first step never holds all 7,776 kernels at once.
+_PRUNE_CHUNK_ELEMENTS = 2**18
+
+
 def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None) -> CapacityResult:
     """Classical d-message sum-capacity: the best I(M;Y) = I(X;Y) over
     deterministic encoders, each sender sending each of its d messages as
@@ -449,8 +456,12 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     objective = _kernel_mi_objective(basis, slots)
     F = np.full((len(slots), 1, ch.delta), 1.0 / ch.delta)  # one sender, Δ messages
     active, kept = np.arange(len(slots)), []
+    chunk = max(1, _PRUNE_CHUNK_ELEMENTS // (ch.delta * basis.shape[-1]))  # rows per call
     for step in range(MAX_ITERATIONS):
-        values, gaps, F[active] = objective((F[active], active))
+        values, gaps = np.empty(len(active)), np.empty(len(active))
+        for lo in range(0, len(active), chunk):
+            rows = active[lo : lo + chunk]
+            values[lo : lo + chunk], gaps[lo : lo + chunk], F[rows] = objective((F[rows], rows))
         if not step:  # every representative at uniform messages
             floor = values.max() - _VALUE_ROUNDING
         kept.append(active[values >= floor])
@@ -553,28 +564,27 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
     """
     spread = ch.f_l - ch.f_w
 
-    def top_set(F: np.ndarray) -> np.ndarray:
+    def top_set(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The 0/1 mask of the top-r_max set of F's joint, and the joint."""
         pm = product_joint(F)
-        top = np.argsort(-pm, axis=-1, kind="stable")[:, :r_max]
         mask = np.zeros(pm.shape)
-        np.put_along_axis(mask, top, 1.0, axis=-1)
-        return mask
+        mask[np.arange(len(pm))[:, None], np.argsort(-pm, axis=-1, kind="stable")[:, :r_max]] = 1.0
+        return mask, pm
 
     def objective(batch: tuple[np.ndarray, np.ndarray]):
         F = batch[0].copy()  # one candidate: every row's group is 0
         n = F.shape[1]
-        mask = top_set(F)
+        mask, pm = top_set(F)
         h = entropy(F, axis=-1)  # (R, n)
-        values = h.sum(axis=-1) + spread * (mask * product_joint(F)).sum(axis=-1) - ch.f_l
+        values = h.sum(axis=-1) + spread * (mask * pm).sum(axis=-1) - ch.f_l
+        averages = [_block_average(mask, F, k) for k in range(n)]
         gaps = np.zeros(F.shape[0])
-        for k in range(n):
-            a = _block_average(mask, F, k)
+        for k, a in enumerate(averages):
             block = h[:, k] + spread * (F[:, k] * a).sum(axis=-1)
             gaps = np.maximum(gaps, np.logaddexp2.reduce(spread * a, axis=-1) - block)
         for k in range(n):
-            if k:
-                mask = top_set(F)
-            w = np.exp2(spread * _block_average(mask, F, k))
+            a = averages[0] if k == 0 else _block_average(top_set(F)[0], F, k)
+            w = np.exp2(spread * a)
             F[:, k] = w / w.sum(axis=-1, keepdims=True)
         return values, gaps, F
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gamemac import capacity, games
 from gamemac.capacity import (
     _ascend,
+    _block_average,
     _canonical_maps,
     _Draws,
     _echo_rate,
@@ -63,7 +64,7 @@ from gamemac.games import (
     mpp_game,
     pack_tuple,
 )
-from gamemac.infotheory import ProductDistribution, entropy, sum_rate
+from gamemac.infotheory import ProductDistribution, entropy, product_joint, sum_rate
 
 CFG = OptimizerConfig(seed=0)
 DATA = Path(__file__).parent / "data"
@@ -487,6 +488,183 @@ def test_capped_counts_starts_that_ran_out_of_steps():
         _, _, diag = maximize_over_pi(_kernel_mi_objective(kernels), 2, 2, cfg, groups=3)
     assert diag["capped"] == 5 * 3
     assert diag["iterations"] == 5 * 3
+
+
+# ---------------------------------------------------------------------------
+# the objectives' inner step against the form it replaced
+# ---------------------------------------------------------------------------
+
+
+def _einsum_block_average(x, F, k):
+    """The einsum form of `_block_average`, kept as its reference."""
+    R, n, d = F.shape
+    operands = [x.reshape((R,) + (d,) * n), [n, *range(n)]]
+    for j in range(n):
+        if j != k:
+            operands += [F[:, j], [n, j]]
+    return np.einsum(*operands, [n, k])
+
+
+def _frozen_kernel_mi_objective(kernels, slots=None):
+    """`_kernel_mi_objective` as it stood before its matmul block averages:
+    einsum block averages, H(q) by `entropy`, SQUAREM norms by
+    np.linalg.norm."""
+    if slots is None:
+        slots = np.arange(kernels.size // kernels.shape[-1]).reshape(-1, kernels.shape[-2])
+        kernels = kernels.reshape(-1, kernels.shape[-1])
+    h_rows = entropy(kernels, axis=-1)
+
+    def objective(batch):
+        F0, group = batch
+        n = F0.shape[1]
+        rows = slots[group]
+        K, h = kernels[rows], h_rows[rows]
+
+        def divergences(pm):
+            q = np.matmul(pm[:, None, :], K)[:, 0]
+            log_q = np.log2(np.where(q > 0, q, 1.0))
+            return -h - np.matmul(K, log_q[..., None])[..., 0], q
+
+        def sweep(F, certify=False):
+            F = F.copy()
+            pm = product_joint(F)
+            div, q = divergences(pm)
+            values = entropy(q, axis=-1) - (pm * h).sum(-1)
+            scores = [_einsum_block_average(div, F, k) for k in range(n if certify else 1)]
+            gaps = np.max([g.max(axis=-1) for g in scores], axis=0) - values if certify else None
+            for k in range(n):
+                score = scores[0] if k == 0 else _einsum_block_average(divergences(product_joint(F))[0], F, k)
+                w = F[:, k] * np.exp2(score - score.max(axis=-1, keepdims=True))
+                F[:, k] = w / w.sum(axis=-1, keepdims=True)
+            return values, gaps, F
+
+        values, gaps, F1 = sweep(F0, certify=True)
+        value1, _, F2 = sweep(F1)
+        r, v = F1 - F0, F2 - 2.0 * F1 + F0
+        r_norm, v_norm = (np.linalg.norm(x, axis=(1, 2)) for x in (r, v))
+        alpha = -np.maximum(r_norm / np.where(v_norm > 0, v_norm, np.inf), 1.0)
+        a = alpha[:, None, None]
+        F_ext = F0 - 2.0 * a * r + a * a * v
+        take = (alpha < -1.0) & (F_ext > 0).all(axis=(1, 2))
+        F_ext[~take] = F2[~take]
+        F_ext[take] /= F_ext[take].sum(axis=-1, keepdims=True)
+        value_ext, _, F3 = sweep(F_ext)
+        return values, gaps, np.where((value_ext >= value1)[:, None, None], F3, F2)
+
+    return objective
+
+
+def _frozen_subset_bound_objective(ch, r_max):
+    """`_subset_bound_objective` as it stood before: einsum block averages,
+    the top set by np.put_along_axis, each joint formed anew."""
+    spread = ch.f_l - ch.f_w
+
+    def top_set(F):
+        pm = product_joint(F)
+        top = np.argsort(-pm, axis=-1, kind="stable")[:, :r_max]
+        mask = np.zeros(pm.shape)
+        np.put_along_axis(mask, top, 1.0, axis=-1)
+        return mask
+
+    def objective(batch):
+        F = batch[0].copy()
+        n = F.shape[1]
+        mask = top_set(F)
+        h = entropy(F, axis=-1)
+        values = h.sum(axis=-1) + spread * (mask * product_joint(F)).sum(axis=-1) - ch.f_l
+        gaps = np.zeros(F.shape[0])
+        for k in range(n):
+            a = _einsum_block_average(mask, F, k)
+            block = h[:, k] + spread * (F[:, k] * a).sum(axis=-1)
+            gaps = np.maximum(gaps, np.logaddexp2.reduce(spread * a, axis=-1) - block)
+        for k in range(n):
+            if k:
+                mask = top_set(F)
+            w = np.exp2(spread * _einsum_block_average(mask, F, k))
+            F[:, k] = w / w.sum(axis=-1, keepdims=True)
+        return values, gaps, F
+
+    return objective
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), d=st.integers(2, 3), rows=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_block_average_matches_einsum_and_keeps_rows_independent(n, d, rows, seed):
+    # n = 1 is the pruning shape (one sender of Δ messages): nothing is summed out
+    rng = np.random.default_rng(seed)
+    F = rng.dirichlet(np.ones(d), size=(rows, n))
+    x = rng.random((rows, d**n))
+    for k in range(n):
+        batch = _block_average(x, F, k)
+        assert batch.shape == (rows, d)
+        assert np.abs(batch - _einsum_block_average(x, F, k)).max() <= 1e-15
+        for r in range(rows):
+            assert np.array_equal(_block_average(x[r : r + 1], F[r : r + 1], k)[0], batch[r])
+
+
+def _assert_steps_match(objective, frozen, F, group, steps=3):
+    """Both objectives from the same F, `steps` times, each from the new F."""
+    for _ in range(steps):
+        new, old = objective((F, group)), frozen((F, group))
+        for a, b in zip(new, old):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        F = new[2]
+
+
+STEP_GAMES = ["chsh", "magic-square", "mpp:3", "mpp:4"]
+
+
+@pytest.mark.parametrize("shape", ["grouped", "stacked", "pruning"])
+@pytest.mark.parametrize("name", STEP_GAMES)
+def test_mi_step_matches_the_frozen_step(name, shape):
+    # grouped: the L-exact ascent's basis rows and slots; stacked: one (Δ, Y)
+    # kernel per group, as vertex files pass; pruning: one sender of Δ messages
+    game = game_by_name(name)
+    ch = type_ii(game, 0.3)
+    rng = np.random.default_rng(STEP_GAMES.index(name))
+    slots = rng.integers(0, 2 * ch.delta, size=(24 if shape == "pruning" else 3, ch.delta))
+    args = (ch._circulants[slots],) if shape == "stacked" else (ch._circulants, slots)
+    n, d = (1, ch.delta) if shape == "pruning" else (game.n, game.d)
+    group = np.arange(24) if shape == "pruning" else np.repeat(np.arange(3), 8)
+    F = rng.dirichlet(np.ones(d), size=(24, n))
+    _assert_steps_match(_kernel_mi_objective(*args), _frozen_kernel_mi_objective(*args), F, group)
+
+
+@pytest.mark.parametrize("name", STEP_GAMES)
+def test_subset_step_matches_the_frozen_step(name):
+    game = game_by_name(name)
+    ch = type_ii(game, 0.6)
+    rng = np.random.default_rng(STEP_GAMES.index(name))
+    group = np.zeros(20, dtype=int)
+    for r_max in (0, 1, round(bruteforce_classical_game_value(game)[0] * ch.delta), ch.delta):
+        F = rng.dirichlet(np.ones(game.d), size=(20, game.n))
+        _assert_steps_match(_subset_bound_objective(ch, r_max), _frozen_subset_bound_objective(ch, r_max), F, group)
+
+
+@pytest.mark.parametrize("name", ["chsh", "mpp:3", "mpp:4"])
+def test_pruning_chunks_change_no_result(monkeypatch, name):
+    ch = type_ii(game_by_name(name), 0.5)
+    results = []
+    for budget in (1, 10**9):  # one row per objective call; every row in one call
+        monkeypatch.setattr(capacity, "_PRUNE_CHUNK_ELEMENTS", budget)
+        r = classical_capacity_exact(ch, CFG)
+        results.append((r.value, r.argmax_encoder, r.diagnostics, [f.tobytes() for f in r.argmax_pi.factors]))
+    assert results[0] == results[1]
+
+
+def test_pruning_never_gathers_every_kernel_at_once():
+    # mpp:5's first pruning step once gathered all 7,776 representatives'
+    # (32, 32) kernels, 63.7 MB, for a tracemalloc peak of 92.8 MB
+    ch = type_ii(mpp_game(5), 1.0)
+    ch._circulants
+    tracemalloc.start()
+    try:
+        result = classical_capacity_exact(ch, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.argmax_encoder == "vertex:139814"
+    assert peak < 7776 * 32 * 32 * 8
 
 
 # Values of the plain Blahut-Arimoto ascent this step replaced, seed 0:
