@@ -654,7 +654,9 @@ def _echo_rate(ch: MacChannel, pm: np.ndarray, t: np.ndarray) -> float:
     lose, win = circulant_view(np.stack([ch.lose_profile, ch.win_profile]))
     mixes, which = np.unique(t, return_inverse=True)
     h_rows = entropy(np.outer(mixes, ch.win_profile) + np.outer(1 - mixes, ch.lose_profile), axis=1)
-    return entropy(pm * (1 - t) @ lose + pm * t @ win) - float(pm @ h_rows[which])
+    # a branch of all-zero weight adds a zero vector: a perfect box reads only C_w
+    q = sum(w @ rows for w, rows in ((pm * (1 - t), lose), (pm * t, win)) if w.any())
+    return entropy(q) - float(pm @ h_rows[which])
 
 
 def _prepare_symmetric_encoder(
@@ -671,8 +673,8 @@ def _prepare_symmetric_encoder(
     the capacity over all message distributions is log2 Δ - H(r), reached
     at uniform messages (Cover & Thomas, Elements of Information Theory,
     Thm 7.2.1), a product distribution.  With omega = 1, r is P_w, and the
-    value is log2 Δ - f_w bit for bit.  Each row cross-checks the closed
-    form against `_echo_rate` at uniform messages (`direct_sum_rate`)
+    value is log2 Δ - f_w bit for bit.  Each channel cross-checks the
+    closed form against `_echo_rate` at uniform messages (`direct_sum_rate`)
     within PT_CROSS_CHECK_TOL.  Failures raise
     PseudoTelepathyHypothesisError.  E*(box) itself is built only for the
     rows' `argmax_encoder` name."""
@@ -737,7 +739,8 @@ def pseudo_telepathy_capacity(ch: MacChannel, box: CorrelationBox) -> CapacityRe
     (`direct_sum_rate`), computed from its win probabilities (see
     `_echo_rate`) in O(Δ^2) time and O(Δ) memory, with no Δ x Δ array.
     Both hypotheses and the win probabilities depend on the game only: a
-    sweep derives them once and cross-checks every row.
+    sweep derives them once, and cross-checks once per channel for the
+    rows that share a box.
     """
     return _prepare_perfect_box(box, ch.game)(ch)[0]
 
@@ -926,7 +929,8 @@ def sweep(
 ) -> list[SweepRow]:
     """Capacity table over an η grid; one row per (η, resource).  The
     resource list is checked, and every resource prepared with its
-    game-level checks, before any row is computed."""
+    game-level checks, before any row is computed; resources that share a
+    Solve (NS-exact and Q-exact of one box) share its result per channel."""
     _check_resources(resources)
     cfg = cfg or OptimizerConfig()
     solves = [
@@ -937,8 +941,9 @@ def sweep(
     rows: list[SweepRow] = []
     for eta in etas:
         ch = channel_for(game, channel_type, float(eta))
+        solved = {solve: solve(ch) for solve in dict.fromkeys(solves)}
         for res, solve in zip(resources, solves):
-            r, diag = solve(ch)
+            r, diag = solved[solve]
             rows.append(
                 SweepRow(eta=float(eta), resource=res, kind=r.kind, value=r.value, diagnostic=diag)
             )

@@ -105,9 +105,10 @@ def magic_square_game() -> NonlocalGame:
 
 
 def _mpp_wins(q, a):
-    # even sq needs sum(a) = sq/2 (mod 2): 0 when 4 | sq, else 1
+    # even sq needs sum(a) = sq/2 (mod 2): 0 when 4 | sq, else 1; only the
+    # bool comparisons broadcast, so win_table forms no (d^n, D^n) integers
     sq = sum(q)
-    return (sq & 1) | ((sum(a) ^ (sq >> 1) ^ 1) & 1)
+    return ((sq & 1) == 1) | ((sum(a) & 1) == ((sq >> 1) & 1))
 
 
 def mpp_game(n: int) -> NonlocalGame:
@@ -191,13 +192,14 @@ def local_maps(n: int, d: int, base: int) -> np.ndarray:
 def local_map_indices(maps, base: int) -> np.ndarray:
     """Index of (maps[0][i_0], ..., maps[n-1][i_{n-1}]) in base `base`, for
     every input tuple i in big-endian order; maps has shape (..., n, d)
-    and the result (..., d^n).  The digits are added in one player at a
-    time, so no (..., n, d^n) array of symbols is formed."""
+    and the result (..., d^n), in the smallest unsigned dtype that holds
+    base^n - 1 and base.  The digits are added in one player at a time,
+    so no (..., n, d^n) array of symbols is formed."""
     maps = np.asarray(maps)
     n, d = maps.shape[-2:]
     digits = np.indices((d,) * n).reshape(n, -1)
-    index = np.zeros(maps.shape[:-2] + (d**n,), dtype=np.intp)
+    index = np.zeros(maps.shape[:-2] + (d**n,), dtype=np.min_scalar_type(max(base**n - 1, base)))
     for k in range(n):
         index *= base
-        index += maps[..., k, digits[k]]
+        np.add(index, maps[..., k, digits[k]], out=index, casting="unsafe")  # digits < base
     return index

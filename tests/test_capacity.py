@@ -42,7 +42,7 @@ from gamemac.capacity import (
     vertex_file_bound,
 )
 from gamemac.channels import (
-    MacChannel, depolarizing_mac, input_slots, noise_f, two_branch_mac, type_i, type_ii,
+    MacChannel, circulant_view, depolarizing_mac, input_slots, noise_f, two_branch_mac, type_i, type_ii,
 )
 from gamemac.correlations import (
     EnumerationCapExceeded,
@@ -216,6 +216,21 @@ def test_canonical_maps_match_the_filtered_local_maps(n, d, base):
     indices, rows = _canonical_maps(n, d, base)
     assert np.array_equal(indices, kept)
     assert np.array_equal(rows, maps[kept])
+
+
+def test_representatives_form_no_intp_map_index():
+    # mpp:5's (100,000, 32) map index, once intp, set a 29.2 MiB peak; it
+    # now holds (dD)^n - 1 = 1,023 in uint16, and the slots fit uint8
+    ch = type_ii(mpp_game(5), 1.0)
+    input_slots(ch.game)
+    tracemalloc.start()
+    try:
+        vertices, slots = _representatives(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slots.dtype == np.uint8 and len(vertices) == 7776
+    assert peak <= 16 * 2**20
 
 
 @pytest.mark.parametrize("name", ["chsh", "mpp:2", "mpp:3", "mpp:4"])
@@ -1260,12 +1275,37 @@ def test_sweep_checks_the_box_once_and_cross_checks_every_row(monkeypatch):
     assert [r.value for r in rows] == pytest.approx([3 - noise_f(8, eta) for eta in etas for _ in "NQ"], abs=1e-12)
     assert calls.count("box_win_probabilities") == 1
     assert calls.count("support_marginal_uniformity_error") == 1
-    # one direct cross-check per (eta, resource) row
-    assert calls.count("_echo_rate") == 6
+    # one direct cross-check per (eta, prepared solve)
+    assert calls.count("_echo_rate") == 3
     # a direct call runs every check
     calls.clear()
     pseudo_telepathy_capacity(type_ii(game, 0.7), pseudo_telepathy_box(game))
     assert sorted(calls) == ["_echo_rate", "box_win_probabilities", "support_marginal_uniformity_error"]
+
+
+@pytest.mark.parametrize(
+    "name, channel_type, etas",
+    [("mpp:3", 1, (0.0, 0.3, 0.6, 0.9)), ("magic-square", 2, (0.1, 0.4, 0.7, 1.0))],
+)
+def test_resources_sharing_a_box_share_one_solve_per_channel(monkeypatch, name, channel_type, etas):
+    calls = []
+    original = capacity._echo_rate
+    monkeypatch.setattr(capacity, "_echo_rate", lambda *a: calls.append(a) or original(*a))
+    rows = sweep(game_by_name(name), channel_type, etas, ["NS-exact", "Q-exact"], CFG)
+    assert len(calls) == len(etas)
+    assert [(r.eta, r.resource) for r in rows] == [(eta, res) for eta in etas for res in ("NS-exact", "Q-exact")]
+    for ns, q in zip(rows[::2], rows[1::2]):
+        assert (ns.value, ns.kind, ns.diagnostic) == (q.value, q.kind, q.diagnostic)
+
+
+def test_resources_with_different_boxes_each_cross_check(monkeypatch):
+    # NS-exact reads the PR box, Q-lower the Tsirelson box: two solves per eta
+    calls = []
+    original = capacity._echo_rate
+    monkeypatch.setattr(capacity, "_echo_rate", lambda *a: calls.append(a) or original(*a))
+    rows = sweep(chsh_game(), 2, (0.2, 0.6, 1.0), ["NS-exact", "Q-lower"], CFG)
+    assert len(calls) == 6
+    assert [r.kind for r in rows] == ["exact", "lower-bound"] * 3
 
 
 ECHO_CHANNELS = {
@@ -1286,7 +1326,14 @@ def test_echo_rate_matches_the_dense_sum_rate(box_name, channel):
     rng = np.random.default_rng(11)
     random_pi = ProductDistribution(tuple(rng.dirichlet(np.ones(game.d)) for _ in range(game.n)))
     for pi in (ProductDistribution.uniform(game.n, game.d), random_pi):
-        assert abs(_echo_rate(ch, pi.joint(), t) - sum_rate(pi, enc, ch)) <= 1e-12
+        pm = pi.joint()
+        assert abs(_echo_rate(ch, pm, t) - sum_rate(pi, enc, ch)) <= 1e-12
+        # reference: both branch products, also the one of all-zero weight
+        lose, win = circulant_view(np.stack([ch.lose_profile, ch.win_profile]))
+        mixes, which = np.unique(t, return_inverse=True)
+        h_rows = entropy(np.outer(mixes, ch.win_profile) + np.outer(1 - mixes, ch.lose_profile), axis=1)
+        two_products = entropy(pm * (1 - t) @ lose + pm * t @ win) - float(pm @ h_rows[which])
+        assert _echo_rate(ch, pm, t) == two_products
 
 
 @pytest.mark.parametrize("name", ["chsh", "mpp:3", "mpp:4", "random mpp:3"])

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -159,7 +160,7 @@ def test_win_table_is_cached():
 def test_local_map_indices_batches_over_leading_axes():
     maps = np.random.default_rng(3).integers(0, 4, size=(5, 3, 2))
     batched = local_map_indices(maps, 4)
-    assert batched.shape == (5, 2**3)
+    assert batched.shape == (5, 2**3) and batched.dtype == np.uint8  # holds 4^3 - 1
     for one, expected in zip(maps, batched):
         assert (local_map_indices(one, 4) == expected).all()
         # input tuple i = (i_1, i_2, i_3) maps to (one[0][i_1], one[1][i_2], one[2][i_3])
@@ -208,6 +209,36 @@ def test_win_table_matches_per_tuple_loop(game, former):
     table = game.win_table()
     assert table.dtype == bool and not table.flags.writeable
     assert (table == expected).all()
+
+
+def _integer_mpp(q, a):
+    # the mpp predicate as it was when it returned integers: on win_table's
+    # broadcast digits it formed (d^n, D^n) int64 temporaries
+    sq = sum(q)
+    return (sq & 1) | ((sum(a) ^ (sq >> 1) ^ 1) & 1)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_mpp_win_table_matches_the_integer_predicate(n):
+    game = mpp_game(n)
+    reference = NonlocalGame("reference", n, 2, 2, _integer_mpp)
+    assert np.array_equal(game.win_table(), reference.win_table())
+    if n <= 4:
+        for q in product(range(2), repeat=n):
+            for a in product(range(2), repeat=n):
+                assert game.wins(q, a) is bool(_integer_mpp(q, a))
+
+
+def test_mpp_win_table_broadcasts_only_bools():
+    # the integer predicate peaked at 16 bool tables' worth at mpp:11
+    game = mpp_game(11)
+    tracemalloc.start()
+    try:
+        table = game.win_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table.nbytes
 
 
 @pytest.mark.parametrize("n, d, D", [(2, 2, 2), (2, 3, 8), (3, 2, 2), (4, 3, 2), (8, 2, 2)])
