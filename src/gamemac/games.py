@@ -45,6 +45,10 @@ class NonlocalGame:
     result that broadcasts to (d^n, D^n) and is nonzero where the tuple
     wins.  Integer arithmetic (`+ & ^ | >> %`, `==`) and numpy indexing
     meet this; `if`, `and`/`or` and indexing a Python list by a digit do not.
+    A result that is already an owned, writeable bool array of shape
+    (d^n, D^n), as the built-in chsh and mpp predicates return, becomes
+    the table itself, frozen read-only, not copied; any other result is
+    copied into a new bool table.
     """
 
     def __init__(self, name: str, n: int, d: int, D: int, wins: Predicate):
@@ -67,7 +71,10 @@ class NonlocalGame:
             shape = (self.d**self.n, self.D**self.n)
             q = np.indices((self.d,) * self.n).reshape(self.n, -1, 1)
             a = np.indices((self.D,) * self.n).reshape(self.n, 1, -1)
-            table = np.broadcast_to(self._wins(tuple(q), tuple(a)), shape).astype(bool)
+            table = self._wins(tuple(q), tuple(a))
+            owned = isinstance(table, np.ndarray) and table.flags.owndata and table.flags.writeable
+            if not (owned and table.dtype == bool and table.shape == shape):
+                table = np.broadcast_to(table, shape).astype(bool)
             table.setflags(write=False)
             self._table = table
         return self._table
@@ -105,10 +112,12 @@ def magic_square_game() -> NonlocalGame:
 
 
 def _mpp_wins(q, a):
-    # even sq needs sum(a) = sq/2 (mod 2): 0 when 4 | sq, else 1; only the
-    # bool comparisons broadcast, so win_table forms no (d^n, D^n) integers
+    # even sq needs sum(a) = sq/2 (mod 2), so the losing answer parity is
+    # (sq/2 mod 2) ^ 1; odd sq has none (2 or 3, never a parity).  One
+    # comparison broadcasts, so win_table forms a single (d^n, D^n) array.
     sq = sum(q)
-    return ((sq & 1) == 1) | ((sum(a) & 1) == ((sq >> 1) & 1))
+    lose = (((sq >> 1) & 1) ^ 1) + 2 * (sq & 1)
+    return (sum(a) & 1) != lose
 
 
 def mpp_game(n: int) -> NonlocalGame:

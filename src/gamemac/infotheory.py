@@ -69,15 +69,22 @@ def entropy(dist: np.ndarray, axis=None):
     With axis=None the whole array is one distribution and a float is
     returned; otherwise `axis` (an int or a tuple) holds the outcomes and
     an array of entropies, one per remaining index, is returned.
-    Nonpositive entries contribute nothing.
+    Nonpositive and NaN entries contribute nothing.
+
+    Along an axis, p log p is formed in place, without compacting the
+    support: entries off it are read as 1 (1 log 1 is exactly 0), and the
+    products land in a C-ordered array, so each sum adds the same values in
+    the same order as a zero array holding the support's products.
+    axis=None keeps the compaction: a compacted array sums in a different
+    pairwise order, and closed-form values would move in their last bits.
     """
     p = np.asarray(dist, dtype=float)
-    support = p > 0
-    nz = p[support]
     if axis is None:
+        nz = p[p > 0]
         return float(-(nz * np.log2(nz)).sum())
-    plogp = np.zeros(p.shape)
-    plogp[support] = nz * np.log2(nz)
+    q = np.where(p > 0, p, 1.0)
+    plogp = np.log2(q, out=np.empty(p.shape))
+    plogp *= q
     return -plogp.sum(axis=axis)
 
 

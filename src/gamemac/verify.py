@@ -151,22 +151,33 @@ def _triple_quantities(triples: _Triples) -> np.ndarray:
     """Rows I(X;Y), I(M;Y), I(X;Y|M), the Prop-3 rate and the ceiling
     log(delta) - f_w, one column per triple.
 
-    Consecutive triples form a chunk, evaluated on their encoders'
-    supports (see _chunk_quantities).  A triple's support is its four
-    vertex parts plus the box part, at most `width` inputs per message, so
-    its joint rows hold at most M * width * Y elements; a chunk has as
-    many triples as fit _CHUNK_ELEMENTS, and at least one.
+    The message laws, the depolarizing profiles and their entropies
+    f_l, f_w are built once for all triples, O(count * Delta) like the
+    triples themselves, and f_w < f_l is checked on all of them before
+    any chunk.  Consecutive triples then form a chunk, evaluated on their
+    encoders' supports (see _chunk_quantities).  A triple's support is
+    its four vertex parts plus the box part, at most `width` inputs per
+    message, so its joint rows hold at most M * width * Y elements; a
+    chunk has as many triples as fit _CHUNK_ELEMENTS, and at least one.
     """
     game = triples.game
     M = Y = game.d**game.n
     box = _box_support(triples.box_encoder)
     width = _MIXTURE_VERTICES + box[0].shape[1]
     step = max(1, _CHUNK_ELEMENTS // (M * width * Y))
+    messages = product_joint(triples.factors)
+    profiles = depolarizing_profiles(M, *triples.etas.T)
+    f_l, f_w = entropy(profiles, axis=2)
+    check_branch_order(f_w, f_l)
     count = triples.parts.size
     out = np.empty((5, count))
     for lo in range(0, count, step):
-        chunk = range(lo, min(lo + step, count))
-        out[:, lo : chunk.stop] = _chunk_quantities(triples, chunk, box)
+        hi = min(lo + step, count)
+        out[:, lo:hi] = _chunk_quantities(
+            triples, range(lo, hi), box, messages[lo:hi], profiles[:, lo:hi]
+        )
+    h_y, omega = out[3:]
+    out[3:] = h_y - f_l + omega * (f_l - f_w), np.log2(M) - f_w
     return out
 
 
@@ -205,8 +216,10 @@ def _merged_support(triples: _Triples, chunk: range, box, inputs: int):
     return *np.divmod(keys, inputs), np.bincount(merged, probs[mass])
 
 
-def _chunk_quantities(triples: _Triples, chunk: range, box):
-    """The rows of _triple_quantities for the triples in `chunk`.
+def _chunk_quantities(triples: _Triples, chunk: range, box, messages, profiles):
+    """Rows I(X;Y), I(M;Y), I(X;Y|M), H(Y) and the win probability omega
+    for the triples in `chunk`, given their message laws (B, M) and their
+    channels' depolarizing profiles (2, B, Y).
 
     The joint p(m) P(x|m) P(y|x) is held as one row over y per (triple,
     m, x) with mass, and every entropy is that of a marginal summed from
@@ -217,12 +230,9 @@ def _chunk_quantities(triples: _Triples, chunk: range, box):
     M = Y = box[0].shape[0]
     tm, x, p_x_given_m = _merged_support(triples, chunk, box, X)
     t = tm // M
-    messages = product_joint(triples.factors[chunk.start : chunk.stop]).ravel()
-    profiles = depolarizing_profiles(M, *triples.etas[chunk.start : chunk.stop].T)
-    f_l, f_w = entropy(profiles, axis=2)
-    check_branch_order(f_w, f_l)
     win, question = np.divmod(slots[x], M)
-    joint = (messages[tm] * p_x_given_m)[:, None] * circulant_view(profiles)[win, t, question]
+    weight = messages.ravel()[tm] * p_x_given_m
+    joint = weight[:, None] * circulant_view(profiles)[win, t, question]
 
     def summed(groups, size):
         """Rows of the joint added by group: one row over y per group."""
@@ -242,13 +252,7 @@ def _chunk_quantities(triples: _Triples, chunk: range, box):
     h_x, h_xy = by_triple(t_tx, p_x[:, None]), by_triple(t_tx, p_xy)
     h_mx, h_mxy = by_triple(t, p_mx[:, None]), by_triple(t, joint)
     omega = np.bincount(t_tx, p_x * (slots[tx % X] >= M), minlength=B)
-    return (
-        h_x + h_y - h_xy,
-        h_m + h_y - h_my,
-        h_mx + h_my - h_mxy - h_m,
-        h_y - f_l + omega * (f_l - f_w),
-        np.log2(M) - f_w,
-    )
+    return h_x + h_y - h_xy, h_m + h_y - h_my, h_mx + h_my - h_mxy - h_m, h_y, omega
 
 
 @dataclass

@@ -241,6 +241,44 @@ def test_mpp_win_table_broadcasts_only_bools():
     assert peak <= 3 * table.nbytes
 
 
+def test_mpp_win_table_peaks_near_one_table():
+    # one broadcast comparison, kept as the table: no second (d^n, D^n) array
+    game = mpp_game(11)
+    tracemalloc.start()
+    try:
+        table = game.win_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * table.nbytes
+
+
+def test_win_table_keeps_an_owned_bool_result_and_copies_the_rest():
+    owned = np.zeros((4, 4), dtype=bool)
+    game = NonlocalGame("owned", 2, 2, 2, lambda q, a: owned)
+    assert game.win_table() is owned and not owned.flags.writeable
+    # a view, a non-bool array, a broadcast result and a read-only array are copied
+    base = np.ones((4, 8), dtype=bool)
+    frozen = np.ones((4, 4), dtype=bool)
+    frozen.setflags(write=False)
+    for result in (base[:, :4], np.ones((4, 4), dtype=np.int64), np.ones((4, 1), dtype=bool), frozen):
+        table = NonlocalGame("copied", 2, 2, 2, lambda q, a: result).win_table()
+        assert table is not result and not np.shares_memory(table, result)
+        assert table.dtype == bool and table.shape == (4, 4) and table.all()
+        assert not table.flags.writeable
+    assert base.flags.writeable
+
+
+@pytest.mark.parametrize("make", [chsh_game, lambda: mpp_game(3)], ids=["chsh", "mpp:3"])
+def test_builtin_predicates_hand_their_table_over(make):
+    # chsh and mpp return an owned, writeable bool array, which becomes the table
+    game = make()
+    results = []
+    predicate = game._wins
+    game._wins = lambda q, a: results.append(predicate(q, a)) or results[-1]
+    assert game.win_table() is results[0]
+
+
 @pytest.mark.parametrize("n, d, D", [(2, 2, 2), (2, 3, 8), (3, 2, 2), (4, 3, 2), (8, 2, 2)])
 def test_input_indices_match_the_transpose_definition(n, d, D):
     # x = ((q_1, a_1), ..., (q_n, a_n)) flattened big-endian, regrouped as (q, a)

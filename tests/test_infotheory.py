@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import warnings
 from itertools import product
 
-from gamemac.channels import depolarizing_mac, noise_f, type_ii
+from gamemac.channels import circulant_view, depolarizing_mac, noise_f, type_ii
 from gamemac.correlations import Encoder, deterministic_box, e_star, pr_box, tsirelson_box
 from gamemac.games import chsh_game, input_win_mask
 from gamemac.infotheory import (
@@ -43,6 +44,54 @@ def test_entropy_known_values():
     assert entropy(np.array([0.25, 0.75])) == pytest.approx(
         -(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75)), abs=1e-15
     )
+
+
+def _compacted_entropy(p, axis):
+    """Entropies along axis as the kernel formed them before its in-place
+    form: p log p of the support scattered into a zero array, then summed."""
+    p = np.asarray(p, dtype=float)
+    support = p > 0
+    nz = p[support]
+    plogp = np.zeros(p.shape)
+    plogp[support] = nz * np.log2(nz)
+    return -plogp.sum(axis=axis)
+
+
+def _assert_same_entropies(p, axis):
+    got, expected = entropy(p, axis=axis), _compacted_entropy(p, axis)
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_entropy_along_axes_matches_the_compacted_form(seed):
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(9), size=(6, 40))
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[rng.random(p.shape) < 0.05] = -0.25
+    p[rng.random(p.shape) < 0.05] = np.nan
+    p[0, 0] = 0.0
+    # C-ordered, permuted (not C-ordered) and strided layouts
+    for arr in (p, p.transpose(2, 1, 0), p[:, ::-3]):
+        for axis in (0, 1, 2, -1, (1, 2), (0, 2)):
+            _assert_same_entropies(arr, axis)
+
+
+def test_entropy_of_a_read_only_circulant_view_matches_the_compacted_form():
+    profiles = np.random.default_rng(9).dirichlet(np.ones(8), size=(2, 5))
+    profiles[1, :, 3] = 0.0
+    view = circulant_view(profiles)
+    assert not view.flags.writeable
+    for axis in (3, (2, 3)):
+        _assert_same_entropies(view, axis)
+
+
+def test_entropy_of_zero_rows_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(entropy(np.zeros((3, 4)), axis=1), np.zeros(3))
+        rows = np.array([[0.0, -1.0, np.nan, 0.0], [0.0, 0.5, 0.5, 0.0]])
+        assert np.array_equal(entropy(rows, axis=1), [0.0, 1.0])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))

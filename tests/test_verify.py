@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -278,6 +279,24 @@ def test_chunk_budget_does_not_change_residuals(game, monkeypatch):
         for a, b in zip(checks, default):
             assert a.name == b.name
             assert abs(a.residual - b.residual) <= 1e-14
+
+
+@pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
+def test_chunks_give_equal_residuals_and_check_the_last_triple(game, monkeypatch):
+    count, residuals = 60, []
+    for budget in (1, verify._CHUNK_ELEMENTS, 10**9):
+        monkeypatch.setattr(verify, "_CHUNK_ELEMENTS", budget)
+        residuals.append([c.residual for c in verify.proposition_residuals(game, 4, count)])
+        triples = _triples(game, 4, count)
+        etas = triples.etas.copy()
+        etas[-1] = (0.5, 0.5)
+        with pytest.raises(ValueError, match="eta_l < eta_w"):
+            verify._triple_quantities(dataclasses.replace(triples, etas=etas))
+        weights = triples.weights.copy()
+        weights[-1, 0] += 0.01  # every row of the last triple sums to 1.01
+        with pytest.raises(ValueError, match="not stochastic"):
+            verify._triple_quantities(dataclasses.replace(triples, weights=weights))
+    assert residuals[0] == residuals[1] == residuals[2]
 
 
 def test_constant_noise_residual_flags_uneven_rows():
