@@ -145,62 +145,6 @@ class _Draws:
         return ((self._take(shape) * np.uint64(m)) >> 53).astype(np.int64)
 
 
-def _ascend(
-    objective: AscentObjective, groups: int, n: int, d: int, cfg: OptimizerConfig
-) -> list[tuple[float, ProductDistribution, dict]]:
-    """The multi-start ascent of `maximize_over_pi`, one result per candidate.
-
-    Row g*R + r of the batch is start r of candidate g; every candidate gets
-    the same R = cfg.restarts starts, so its result is the one a
-    one-candidate call returns."""
-    R = cfg.restarts
-    starts = np.empty((R, n, d))
-    starts[0] = 1.0 / d
-    draws = _Draws.seeded(random.Random(cfg.seed), (R - 1) * n * d)
-    starts[1:] = draws.dirichlet((R - 1, n, d))
-    F = np.tile(starts, (groups, 1, 1))
-    best = np.full(groups * R, -np.inf)
-    best_F = F.copy()
-    best_gap = np.full(groups * R, np.inf)
-    active = np.arange(groups * R)
-    group = active // R
-    stepped_rows = []
-    for _ in range(MAX_ITERATIONS):
-        stepped_rows.append(active)
-        values, gaps, stepped = objective((F[active], group))
-        better = values >= best[active]
-        idx = active[better]
-        best[idx] = values[better]
-        best_F[idx] = F[idx]
-        best_gap[idx] = gaps[better]
-        F[active] = stepped
-        keep = gaps > cfg.tolerance
-        active, group = active[keep], group[keep]
-        if not active.size:
-            break
-    steps = np.bincount(np.concatenate(stepped_rows), minlength=groups * R)
-    # starts still active ran out of steps with their last gap above tolerance
-    capped = np.bincount(active // R, minlength=groups)
-    results = []
-    for g in range(groups):
-        rows = slice(g * R, (g + 1) * R)
-        value, gap = best[rows], best_gap[rows]
-        # converged starts differ by rounding: of those, report the best-certified one
-        close = np.flatnonzero(value >= value.max() - _VALUE_ROUNDING)
-        winner = int(close[np.argmin(gap[close])])
-        diagnostics = {
-            "grid_points": 0,
-            "restarts": R,
-            "iterations": int(steps[rows].sum()),
-            "capped": int(capped[g]),
-            "winner": winner,
-            "gap": float(gap[winner]),
-        }
-        pi = ProductDistribution(tuple(best_F[rows][winner]))
-        results.append((float(value[winner]), pi, diagnostics))
-    return results
-
-
 def maximize_over_pi(
     objective: AscentObjective,
     n: int,
@@ -221,26 +165,64 @@ def maximize_over_pi(
     gap) and `group`.
 
     With groups = G > 1 the objective scores G candidates in the same
-    batch, and each candidate runs the starts a one-candidate call gives
-    it.  The result is the best candidate's, `group` its index: in index
-    order, a later candidate replaces the best only if it is better by
-    more than rounding.  `iterations` and `capped` then sum over every
-    candidate.
+    batch: row g*R + r of the batch is start r of candidate g, and every
+    candidate gets the same R = cfg.restarts starts, so a candidate's
+    value, winner and gap are those a one-candidate call returns.  The
+    result is the best candidate's, `group` its index: in index order, a
+    later candidate replaces the best only if it is better by more than
+    rounding.  `iterations` and `capped` then sum over every candidate.
 
     A small gap certifies a block-wise optimum, not the global maximum:
     the value is a local-search result, a lower bound on the true maximum.
     Deterministic under a fixed cfg.seed.
     """
-    results = _ascend(objective, groups, n, d, cfg or OptimizerConfig())
-    group = 0
-    for g, (value, _, _) in enumerate(results):
-        if value > results[group][0] + _VALUE_ROUNDING:
-            group = g
-    value, pi, diagnostics = results[group]
-    totals = {
-        key: sum(diag[key] for _, _, diag in results) for key in ("iterations", "capped")
+    cfg = cfg or OptimizerConfig()
+    R = cfg.restarts
+    starts = np.empty((R, n, d))
+    starts[0] = 1.0 / d
+    draws = _Draws.seeded(random.Random(cfg.seed), (R - 1) * n * d)
+    starts[1:] = draws.dirichlet((R - 1, n, d))
+    F = np.tile(starts, (groups, 1, 1))
+    best = np.full(groups * R, -np.inf)
+    best_F = F.copy()
+    best_gap = np.full(groups * R, np.inf)
+    active = np.arange(groups * R)
+    group = active // R
+    iterations = 0
+    for _ in range(MAX_ITERATIONS):
+        iterations += active.size
+        values, gaps, stepped = objective((F[active], group))
+        better = values >= best[active]
+        idx = active[better]
+        best[idx] = values[better]
+        best_F[idx] = F[idx]
+        best_gap[idx] = gaps[better]
+        F[active] = stepped
+        keep = gaps > cfg.tolerance
+        active, group = active[keep], group[keep]
+        if not active.size:
+            break
+    value, gap = best.reshape(groups, R), best_gap.reshape(groups, R)
+    # converged starts differ by rounding: of those, report the best-certified one
+    close = value >= value.max(axis=1, keepdims=True) - _VALUE_ROUNDING
+    winners = np.where(close, gap, np.inf).argmin(axis=1)
+    tops = value[np.arange(groups), winners].tolist()
+    pick = 0
+    for g, top in enumerate(tops):
+        if top > tops[pick] + _VALUE_ROUNDING:
+            pick = g
+    winner = int(winners[pick])
+    diagnostics = {
+        "grid_points": 0,
+        "restarts": R,
+        "iterations": iterations,
+        # starts still active ran out of steps with their last gap above tolerance
+        "capped": active.size,
+        "winner": winner,
+        "gap": float(gap[pick, winner]),
+        "group": pick,
     }
-    return value, pi, dict(diagnostics, **totals, group=group)
+    return tops[pick], ProductDistribution(tuple(best_F[pick * R + winner])), diagnostics
 
 
 def _block_average(x: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
@@ -370,7 +352,7 @@ def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
         vertex_count(game),
         f"{game.name} encoding scenario",
         "deterministic encoder vertices",
-        "; use classical_upper_bound instead",
+        "; use the L-bound resource (classical_upper_bound) instead",
     )
     dD = game.d * game.D
     canonical, maps = _canonical_maps(game.n, game.d, dD)
@@ -677,8 +659,8 @@ def _prepare_symmetric_encoder(
     closed form against `_echo_rate` at uniform messages (`direct_sum_rate`)
     within PT_CROSS_CHECK_TOL.  Failures raise
     PseudoTelepathyHypothesisError.  E*(box) itself is built only for the
-    rows' `argmax_encoder` name."""
-    encoder = e_star(box)
+    rows' `argmax_encoder` name, and only the name is kept."""
+    encoder_name = e_star(box).name
     t = box_win_probabilities(box, game)
     perfect = omega == 1.0
     omega = float(t[0]) if omega is None else omega
@@ -707,7 +689,7 @@ def _prepare_symmetric_encoder(
             kind=kind,
             resource=resource,
             argmax_pi=pi,
-            argmax_encoder=encoder.name,
+            argmax_encoder=encoder_name,
             diagnostics=dict(win_deviation=win_deviation, direct_sum_rate=direct),
         ))
 
@@ -873,16 +855,17 @@ class SweepRow:
 
 
 @functools.lru_cache(maxsize=1)
-def _builtin_perfect_box(game: NonlocalGame) -> tuple[CorrelationBox, Solve]:
-    """The game's built-in perfect box and its checked closed form; kept
-    for the last game, so a sweep's NS-exact and Q-exact share one check."""
+def _builtin_perfect_box(game: NonlocalGame) -> tuple[str, Solve]:
+    """The resource label of the game's built-in perfect box and its
+    checked closed form; kept for the last game, so a sweep's NS-exact and
+    Q-exact share one check.  The box itself is not kept."""
     box = pseudo_telepathy_box(game)
-    return box, _prepare_perfect_box(box, game)
+    return _box_resource(box), _prepare_perfect_box(box, game)
 
 
 def _prepare_builtin_box(game: NonlocalGame, quantum: bool) -> Solve:
-    box, solve = _builtin_perfect_box(game)
-    if quantum and _box_resource(box) != "Q":
+    resource, solve = _builtin_perfect_box(game)
+    if quantum and resource != "Q":
         raise ValueError(f"{game.name} has no built-in quantum pseudo-telepathy box")
     return solve
 

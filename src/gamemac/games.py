@@ -23,15 +23,6 @@ def pack_tuple(values: Sequence[int], base: int) -> int:
     return idx
 
 
-def unpack_index(idx: int, base: int, n: int) -> tuple[int, ...]:
-    """Inverse of pack_tuple."""
-    out = []
-    for _ in range(n):
-        out.append(idx % base)
-        idx //= base
-    return tuple(reversed(out))
-
-
 class NonlocalGame:
     """An (n, d, D) nonlocal game with a total winning predicate.
 

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import tracemalloc
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from gamemac import capacity, games
 from gamemac.capacity import (
-    _ascend,
     _block_average,
     _canonical_maps,
     _Draws,
@@ -132,7 +132,7 @@ def test_draws_stay_in_range_at_the_top_edge():
 
 
 def _ascent_starts(n, d, cfg):
-    """The starts _ascend hands its objective in the first step."""
+    """The starts maximize_over_pi hands its objective in the first step."""
     seen = []
 
     def objective(batch):
@@ -141,7 +141,7 @@ def _ascent_starts(n, d, cfg):
         zeros = np.zeros(len(F))
         return zeros, zeros, F
 
-    _ascend(objective, 1, n, d, cfg)
+    maximize_over_pi(objective, n, d, cfg)
     return seen[0]
 
 
@@ -463,22 +463,42 @@ def test_grouped_ascent_matches_one_kernel_runs(n, groups, seed):
     cfg = OptimizerConfig(restarts=6, seed=int(rng.integers(0, 1000)))
     with patch.object(capacity, "MAX_ITERATIONS", 100):
         alone = [maximize_over_pi(_kernel_mi_objective(k), n, 2, cfg) for k in kernels]
-        grouped = _ascend(_kernel_mi_objective(kernels), groups, n, 2, cfg)
-        best, _, best_diag = maximize_over_pi(_kernel_mi_objective(kernels), n, 2, cfg, groups=groups)
-    for (value, pi, diag), (value1, pi1, diag1) in zip(grouped, alone):
-        assert abs(value - value1) <= 1e-12
-        assert all(np.array_equal(a, b) for a, b in zip(pi.factors, pi1.factors))
-        assert (diag["gap"], diag["winner"], diag["iterations"]) == (
-            diag1["gap"], diag1["winner"], diag1["iterations"]
-        )
+        best, pi, diag = maximize_over_pi(_kernel_mi_objective(kernels), n, 2, cfg, groups=groups)
     # the per-candidate loop a grouped call replaces: later wins only beyond rounding
     pick = 0
     for g, (value1, _, _) in enumerate(alone):
         if value1 > alone[pick][0] + 1e-12:
             pick = g
-    assert best_diag["group"] == pick
-    assert best == alone[pick][0]
-    assert best_diag["iterations"] == sum(a[2]["iterations"] for a in alone)
+    value1, pi1, diag1 = alone[pick]
+    assert diag["group"] == pick
+    assert best == value1
+    assert all(np.array_equal(a, b) for a, b in zip(pi.factors, pi1.factors))
+    assert (diag["gap"], diag["winner"]) == (diag1["gap"], diag1["winner"])
+    for key in ("iterations", "capped"):
+        assert diag[key] == sum(a[2][key] for a in alone)
+
+
+def test_grouped_ascent_over_copies_of_one_kernel_picks_the_first():
+    kernel = np.random.default_rng(3).dirichlet(np.ones(8), size=8)
+    value1, pi1, diag1 = maximize_over_pi(_kernel_mi_objective(kernel), 3, 2, CFG)
+    copies = 5
+    value, pi, diag = maximize_over_pi(
+        _kernel_mi_objective(np.stack([kernel] * copies)), 3, 2, CFG, groups=copies
+    )
+    assert diag["group"] == 0
+    assert value == value1
+    assert all(np.array_equal(a, b) for a, b in zip(pi.factors, pi1.factors))
+    assert (diag["gap"], diag["winner"]) == (diag1["gap"], diag1["winner"])
+    assert diag["iterations"] == copies * diag1["iterations"]
+
+
+def test_grouped_ascent_builds_one_product_distribution(monkeypatch):
+    built = []
+    original = capacity.ProductDistribution
+    monkeypatch.setattr(capacity, "ProductDistribution", lambda *a: built.append(a) or original(*a))
+    kernels = np.random.default_rng(5).dirichlet(np.ones(4), size=(8, 4))
+    maximize_over_pi(_kernel_mi_objective(kernels), 2, 2, CFG, groups=8)
+    assert len(built) == 1
 
 
 @PROPERTY
@@ -1038,16 +1058,14 @@ def test_quantum_lower_bound_requires_chsh():
 
 def test_vertex_file_bound_matches_exact_for_local_vertices(tmp_path, chsh_type2_full):
     # all 16 local vertices through E* reproduce the exact classical value
-    from gamemac.games import unpack_index
-
     path = tmp_path / "local.csv"
     with open(path, "w") as fh:
         for box in local_deterministic_boxes(2, 2, 2):
             fh.write(f"{box.n},{box.d},{box.D}\n")
             for qi in range(4):
                 ai = int(np.argmax(box.table[qi]))
-                q = unpack_index(qi, 2, 2)
-                a = unpack_index(ai, 2, 2)
+                q = np.unravel_index(qi, (2, 2))
+                a = np.unravel_index(ai, (2, 2))
                 fh.write(f"{q[0]},{q[1]},{a[0]},{a[1]},1\n")
     ch = type_ii(chsh_game(), 1.0)
     result = vertex_file_bound(ch, path, CFG)
@@ -1215,6 +1233,21 @@ def test_perfect_box_sweep_peak_memory_stays_near_one_box_table(n):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 2**n * 2**n * 8
+
+
+def test_perfect_box_sweep_keeps_no_box_once_it_returns():
+    # the cache of the last game's closed form keeps its resource label and
+    # E*'s name, not the Δ x D^n box table (8 MB at mpp:10) or E*'s support;
+    # what stays is the game's own 1 MB bool win table, the cache's key
+    capacity._builtin_perfect_box.cache_clear()
+    tracemalloc.start()
+    try:
+        sweep(mpp_game(10), 2, [0.5, 1], ["NS-exact", "Q-exact"], CFG)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 2 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from gamemac.games import (
     mpp_game,
     pack_tuple,
     question_indices,
-    unpack_index,
 )
 from gamemac.infotheory import ProductDistribution, entropy, sum_rate
 
@@ -196,7 +195,7 @@ def test_index_maps_match_tuple_definitions(scenario, seed):
     win, questions, slots = input_win_mask(game), question_indices(game), input_slots(game)
     assert win.shape == questions.shape == slots.shape == ((d * D) ** n,)
     for xi in range(win.size):
-        syms = unpack_index(xi, d * D, n)
+        syms = np.unravel_index(xi, (d * D,) * n)
         q = tuple(s // D for s in syms)
         wins = game.wins(q, tuple(s % D for s in syms))
         assert win[xi] == wins

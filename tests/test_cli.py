@@ -97,6 +97,12 @@ def test_sweep_refuses_magic_square_exact():
     )
     assert result.exit_code != 0
     assert "classical_upper_bound" in result.output
+    # the advice names the sweep resource a command line can ask for
+    assert result.output.splitlines()[-1] == (
+        "Error: magic-square encoding scenario has 191102976 deterministic encoder "
+        "vertices, over the cap of 10000000; use the L-bound resource "
+        "(classical_upper_bound) instead"
+    )
 
 
 def test_verify_command_passes():

@@ -27,7 +27,7 @@ from gamemac.correlations import (
     validate_box,
 )
 from gamemac.games import (
-    chsh_game, game_by_name, input_indices, magic_square_game, mpp_game, pack_tuple, unpack_index
+    chsh_game, game_by_name, input_indices, magic_square_game, mpp_game, pack_tuple
 )
 
 
@@ -238,9 +238,9 @@ def test_e_star_echoes_message_in_question_slot():
     assert isinstance(enc, Encoder)
     assert enc.table.shape == (4, 16)
     for mi in range(4):
-        m = unpack_index(mi, 2, 2)
+        m = np.unravel_index(mi, (2, 2))
         for xi in np.flatnonzero(enc.table[mi]):
-            s1, s2 = unpack_index(int(xi), 4, 2)
+            s1, s2 = np.unravel_index(int(xi), (4, 4))
             assert (s1 // 2, s2 // 2) == m
 
 
@@ -349,7 +349,7 @@ def test_box_to_csv_matches_per_entry_loop(tmp_path, box):
     for qi in range(box.d**box.n):
         for ai in range(box.D**box.n):
             if box.table[qi, ai] != 0.0:
-                digits = unpack_index(qi, box.d, box.n) + unpack_index(ai, box.D, box.n)
+                digits = np.unravel_index(qi, (box.d,) * box.n) + np.unravel_index(ai, (box.D,) * box.n)
                 lines.append(",".join(map(str, digits)) + f",{box.table[qi, ai]:.17g}")
     path = tmp_path / "box.csv"
     box_to_csv(box, path)
@@ -364,8 +364,8 @@ def test_multi_block_csv(tmp_path):
             for qi in range(4):
                 for ai in range(4):
                     if box.table[qi, ai]:
-                        q = unpack_index(qi, 2, 2)
-                        a = unpack_index(ai, 2, 2)
+                        q = np.unravel_index(qi, (2, 2))
+                        a = np.unravel_index(ai, (2, 2))
                         fh.write(f"{q[0]},{q[1]},{a[0]},{a[1]},{box.table[qi, ai]}\n")
     boxes = boxes_from_csv(path)
     assert len(boxes) == 2
@@ -477,9 +477,9 @@ def test_e_star_matches_per_entry_lift(scenario, seed):
     box = CorrelationBox(n, d, D, table)
     expected = np.zeros((d**n, (d * D) ** n))
     for mi in range(d**n):
-        m = unpack_index(mi, d, n)
+        m = np.unravel_index(mi, (d,) * n)
         for ai in range(D**n):
-            a = unpack_index(ai, D, n)
+            a = np.unravel_index(ai, (D,) * n)
             expected[mi, pack_tuple([m[k] * D + a[k] for k in range(n)], d * D)] = table[mi, ai]
     assert (e_star(box).table == expected).all()
 

@@ -17,14 +17,13 @@ from gamemac.games import (
     mpp_game,
     pack_tuple,
     question_indices,
-    unpack_index,
 )
 
 
 def test_pack_unpack_roundtrip():
     for base, n in [(2, 2), (3, 2), (4, 3), (6, 2)]:
         for idx in range(base**n):
-            assert pack_tuple(unpack_index(idx, base, n), base) == idx
+            assert pack_tuple(np.unravel_index(idx, (base,) * n), base) == idx
 
 
 def test_pack_is_big_endian():
@@ -137,7 +136,7 @@ def test_input_win_mask_matches_predicate():
     mask = input_win_mask(g)
     assert mask.shape == (16,)
     for xi in range(16):
-        s1, s2 = unpack_index(xi, 4, 2)
+        s1, s2 = np.unravel_index(xi, (4, 4))
         q = (s1 // 2, s2 // 2)
         a = (s1 % 2, s2 % 2)
         assert mask[xi] == g.wins(q, a)

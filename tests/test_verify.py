@@ -7,7 +7,7 @@ import pytest
 from gamemac import capacity, channels, verify
 from gamemac.channels import depolarizing_mac, type_ii
 from gamemac.correlations import e_star, tsirelson_box
-from gamemac.games import chsh_game, input_win_mask, magic_square_game, mpp_game, pack_tuple, unpack_index
+from gamemac.games import chsh_game, input_win_mask, magic_square_game, mpp_game, pack_tuple
 from gamemac.infotheory import (
     ProductDistribution,
     compose,
@@ -32,7 +32,7 @@ def test_random_vertex_encoder_applies_its_maps(game):
     maps = np.random.default_rng(4).integers(0, dD, size=(n, d))
     table = verify.random_vertex_encoder(game, np.random.default_rng(4)).table
     for mi in range(d**n):
-        m = unpack_index(mi, d, n)
+        m = np.unravel_index(mi, (d,) * n)
         xi = pack_tuple([int(maps[k][m[k]]) for k in range(n)], dD)
         assert table[mi, xi] == 1.0
 
