@@ -73,7 +73,7 @@ class OptimizerConfig:
 class CapacityResult:
     value: float
     kind: str  # exact | lower-bound | paper-bound
-    resource: str  # L | Q | NS | any | user label
+    resource: str  # L | Q | NS | file
     argmax_pi: ProductDistribution | None = None
     argmax_encoder: str | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -641,29 +641,28 @@ def _echo_rate(ch: MacChannel, pm: np.ndarray, t: np.ndarray) -> float:
     return entropy(q) - float(pm @ h_rows[which])
 
 
-def _prepare_symmetric_encoder(
-    box: CorrelationBox, game: NonlocalGame, kind: str, resource: str, omega: float | None = None
-) -> Solve:
+def _prepare_symmetric_encoder(box: CorrelationBox, game: NonlocalGame, perfect: bool = False) -> Solve:
     """Check that the kernel of E*(box) is a symmetric channel on every
     channel of game; return the Solve of its capacity in closed form.
 
     Every win probability t_q = box_win_probabilities(box, game)[q] must lie
-    within PT_TOL of omega (by default t_0); diagnostic `win_deviation` is
-    the largest |t_q - omega|; an explicit omega = 1 is refused as box not
-    winning every question tuple.  Every kernel row is then a cyclic shift
-    of r = omega P_w + (1 - omega) P_l, with P_b the branch profiles, so
-    the capacity over all message distributions is log2 Δ - H(r), reached
-    at uniform messages (Cover & Thomas, Elements of Information Theory,
-    Thm 7.2.1), a product distribution.  With omega = 1, r is P_w, and the
-    value is log2 Δ - f_w bit for bit.  Each channel cross-checks the
-    closed form against `_echo_rate` at uniform messages (`direct_sum_rate`)
-    within PT_CROSS_CHECK_TOL.  Failures raise
-    PseudoTelepathyHypothesisError.  E*(box) itself is built only for the
-    rows' `argmax_encoder` name, and only the name is kept."""
+    within PT_TOL of omega: t_0, or 1 if perfect; diagnostic `win_deviation`
+    is the largest |t_q - omega|.  A perfect box must also have output
+    marginals uniform over their support within PT_TOL.  Every kernel row is
+    then a cyclic shift of r = omega P_w + (1 - omega) P_l, with P_b the
+    branch profiles, so the capacity over all message distributions is
+    log2 Δ - H(r), reached at uniform messages (Cover & Thomas, Elements of
+    Information Theory, Thm 7.2.1), a product distribution.  A perfect box's
+    r is P_w, its value log2 Δ - f_w bit for bit and its row `exact`; any
+    other box's row is a `lower-bound` on the capacity of its resource,
+    `_box_resource(box)`.  Each channel cross-checks the closed form against
+    `_echo_rate` at uniform messages (`direct_sum_rate`) within
+    PT_CROSS_CHECK_TOL.  Failures raise PseudoTelepathyHypothesisError.
+    E*(box) itself is built only for the rows' `argmax_encoder` name, and
+    the Solve keeps neither it nor the box."""
     encoder_name = e_star(box).name
     t = box_win_probabilities(box, game)
-    perfect = omega == 1.0
-    omega = float(t[0]) if omega is None else omega
+    omega = 1.0 if perfect else float(t[0])
     win_deviation = float(np.abs(t - omega).max())
     if not win_deviation <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
@@ -673,6 +672,12 @@ def _prepare_symmetric_encoder(
             else f"box {box.name!r} wins {game.name} with probabilities up to "
             f"{win_deviation} apart from {omega}"
         )
+    if perfect and not (uni_err := support_marginal_uniformity_error(box)) <= PT_TOL:
+        raise PseudoTelepathyHypothesisError(
+            f"box {box.name!r} output marginals deviate from uniform-over-support "
+            f"by {uni_err}"
+        )
+    kind, resource = "exact" if perfect else "lower-bound", _box_resource(box)
     pi = ProductDistribution.uniform(game.n, game.d)
     pm = pi.joint()
 
@@ -696,22 +701,6 @@ def _prepare_symmetric_encoder(
     return solve
 
 
-def _prepare_perfect_box(box: CorrelationBox, game: NonlocalGame) -> Solve:
-    """Check box's two hypotheses on game, which no channel changes: it
-    wins every question tuple (omega = 1 for `_prepare_symmetric_encoder`)
-    and its output marginals are uniform over their support.  Return the
-    Solve of pseudo_telepathy_capacity on game: its E* encoder is a
-    symmetric kernel that always wins."""
-    solve = _prepare_symmetric_encoder(box, game, "exact", _box_resource(box), 1.0)
-    uni_err = support_marginal_uniformity_error(box)
-    if not uni_err <= PT_TOL:
-        raise PseudoTelepathyHypothesisError(
-            f"box {box.name!r} output marginals deviate from uniform-over-support "
-            f"by {uni_err}"
-        )
-    return solve
-
-
 def pseudo_telepathy_capacity(ch: MacChannel, box: CorrelationBox) -> CapacityResult:
     """Exact sum-capacity log2(Δ) - f_w for a perfect, output-uniform box.
 
@@ -724,15 +713,15 @@ def pseudo_telepathy_capacity(ch: MacChannel, box: CorrelationBox) -> CapacityRe
     sweep derives them once, and cross-checks once per channel for the
     rows that share a box.
     """
-    return _prepare_perfect_box(box, ch.game)(ch)[0]
+    return _prepare_symmetric_encoder(box, ch.game, perfect=True)(ch)[0]
 
 
-def _prepare_q_lower(game: NonlocalGame, cfg: OptimizerConfig | None = None) -> Solve:
+def _prepare_q_lower(game: NonlocalGame) -> Solve:
     """The Solve of quantum_lower_bound_chsh on game, with its checks done
-    once; cfg is unused, as the closed form needs no ascent."""
+    once."""
     if game.name != "chsh":
         raise ValueError(f"quantum lower bound is defined for CHSH channels, got {game.name}")
-    return _prepare_symmetric_encoder(tsirelson_box(), game, "lower-bound", "Q")
+    return _prepare_symmetric_encoder(tsirelson_box(), game)
 
 
 def quantum_lower_bound_chsh(ch: MacChannel) -> CapacityResult:
@@ -860,7 +849,7 @@ def _builtin_perfect_box(game: NonlocalGame) -> tuple[str, Solve]:
     checked closed form; kept for the last game, so a sweep's NS-exact and
     Q-exact share one check.  The box itself is not kept."""
     box = pseudo_telepathy_box(game)
-    return _box_resource(box), _prepare_perfect_box(box, game)
+    return _box_resource(box), _prepare_symmetric_encoder(box, game, perfect=True)
 
 
 def _prepare_builtin_box(game: NonlocalGame, quantum: bool) -> Solve:
@@ -879,7 +868,7 @@ _RESOURCES: dict[str, Callable[[NonlocalGame, OptimizerConfig], Solve]] = {
     "L-bound": lambda game, cfg: lambda ch: _row(
         classical_upper_bound(ch, cfg), "omega*={omega_star:.10g}"
     ),
-    "Q-lower": _prepare_q_lower,
+    "Q-lower": lambda game, cfg: _prepare_q_lower(game),
     "Q-exact": lambda game, cfg: _prepare_builtin_box(game, quantum=True),
     "NS-exact": lambda game, cfg: _prepare_builtin_box(game, quantum=False),
 }

@@ -7,11 +7,20 @@ load fails there with a bare KeyError, a missing attribute with a bare
 AttributeError, and only in a traced benchmark run.  This test names the
 missing target instead.
 
-It is also why two targets stay in src/ that gamemac itself no longer
-needs: the `qkernel` module, which the built-in boxes no longer simulate
-with (`gamemac/__init__.py` imports it, so it is loaded), and
-`capacity.resource_dependent_bound`.  They can go once the benchmark stops
-wrapping them.
+It is also why code stays in src/ that gamemac itself no longer needs,
+because the benchmark wraps or counts it:
+- the `qkernel` module, which the built-in boxes no longer simulate with
+  (`gamemac/__init__.py` imports it, so it is loaded);
+- `capacity.resource_dependent_bound`, `capacity.sum_rate_objective` and
+  `capacity.best_vertex_rate_at_pi`;
+- `verify.random_product_distribution`, `random_vertex_encoder`,
+  `random_mixture_encoder` and `random_channel`, with their `_mixture`;
+- the always-zero `grid_points` diagnostic of `maximize_over_pi`, which the
+  tracer sums;
+- the `e_star(box)` call that `capacity._prepare_symmetric_encoder` makes
+  only for the rows' `argmax_encoder` name, whose one call per `NS-exact`
+  sweep perfbench/test_perfbench.py pins.
+They can go once the benchmark stops wrapping or counting them.
 """
 
 import json

@@ -986,15 +986,21 @@ def test_quantum_lower_bound_chsh():
     eta=st.floats(0.05, 0.95),
 )
 def test_quantum_lower_bound_matches_the_ascent(profiles, channel_type, eta):
-    # the closed form is the ascent's maximum over pi for E*(tsirelson)
+    # each closed form is the ascent's maximum over pi for its E* encoder:
+    # E*(tsirelson) for Q-lower, E*(pr) for the PR box's pseudo-telepathy row
     a, b = (np.array(p) / sum(p) for p in profiles)
     channels = [channel_for(chsh_game(), channel_type, eta)]
     if entropy(a) != entropy(b):
         channels.append(two_branch_mac(chsh_game(), *sorted((a, b), key=entropy)))
     for ch in channels:
-        ascent, _, _ = maximize_over_pi(sum_rate_objective(e_star(tsirelson_box()), ch), 2, 2, CFG)
-        value = quantum_lower_bound_chsh(ch).value
-        assert ascent - 1e-12 <= value <= ascent + 1e-9
+        q_lower, perfect = quantum_lower_bound_chsh(ch), pseudo_telepathy_capacity(ch, pr_box())
+        for result, box in ((q_lower, tsirelson_box()), (perfect, pr_box())):
+            ascent, _, _ = maximize_over_pi(sum_rate_objective(e_star(box), ch), 2, 2, CFG)
+            assert ascent - 1e-12 <= result.value <= ascent + 1e-9
+        assert perfect.value == np.log2(ch.delta) - ch.f_w
+        # the prepare derives each row's kind and resource from its box
+        assert (perfect.kind, perfect.resource) == ("exact", "NS")
+        assert (q_lower.kind, q_lower.resource) == ("lower-bound", "Q")
 
 
 @pytest.mark.parametrize("eta_w, eta_l", [(1.0, 0.0), (0.8, 0.0), (1.0, 0.4), (0.7, 0.2)])
@@ -1034,7 +1040,27 @@ def test_symmetric_encoder_refuses_unequal_wins():
     with pytest.raises(
         PseudoTelepathyHypothesisError, match="box 'deterministic' wins chsh with probabilities up to"
     ):
-        _prepare_symmetric_encoder(local, chsh_game(), "lower-bound", "L")
+        _prepare_symmetric_encoder(local, chsh_game())
+
+
+def test_closed_form_refuses_a_direct_rate_that_disagrees(monkeypatch):
+    # one cross-check serves NS-exact, Q-exact and Q-lower: a direct rate
+    # 1e-6 off the closed form, far past PT_CROSS_CHECK_TOL, is refused
+    closed = []
+
+    def off_by_a_micro_bit(ch, pm, t):
+        row = t[0] * ch.win_profile + (1 - t[0]) * ch.lose_profile
+        closed.append(float(np.log2(ch.delta)) - entropy(row))
+        return closed[-1] + 1e-6
+
+    monkeypatch.setattr(capacity, "_echo_rate", off_by_a_micro_bit)
+    for resource in ("NS-exact", "Q-lower"):
+        closed.clear()
+        with pytest.raises(PseudoTelepathyHypothesisError) as refused:
+            sweep(chsh_game(), 2, [0.6], [resource], CFG)
+        assert str(refused.value) == (
+            f"closed form {closed[0]} disagrees with direct sum rate {closed[0] + 1e-6}"
+        )
 
 
 def test_maximize_over_pi_reports_best_certified_winner():

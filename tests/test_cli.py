@@ -137,6 +137,14 @@ def test_negative_seed_is_refused_by_name(args):
     assert f"seed must be >= 0, got {args[args.index('--seed') + 1]}" in result.output
 
 
+def test_verify_exits_1_when_a_check_fails(monkeypatch):
+    failing = verify.Check("planted residual", residual=1.0, tolerance=1e-9)
+    monkeypatch.setattr(verify, "run_verification", lambda seed, count: [failing])
+    result = run("verify", "--count", "3")
+    assert result.exit_code == 1, result.output
+    assert result.output == "FAIL  planted residual: residual 1.000e+00 (tol 1.0e-09)\n0/1 checks passed\n"
+
+
 def test_verify_deterministic_output():
     a = run("verify", "--seed", "5", "--count", "5")
     b = run("verify", "--seed", "5", "--count", "5")
@@ -321,6 +329,15 @@ def test_sweep_config_rejects_unknown_key(tmp_path, line):
     assert result.exit_code == 1, result.output
     key = line.split(" =")[0]
     assert f"sweep.cfg:6: unknown key '{key}'" in result.output
+
+
+def test_sweep_config_refuses_channel_type_3(tmp_path):
+    # the --channel-type flag is a click Choice: only a config value reaches this check
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("game = chsh\nchannel-type = 3\neta-grid = 1:1:1\nresources = NS-exact\n")
+    result = run("sweep", "--config", str(cfg))
+    _assert_error_line(result, "Error: channel-type must be 1 or 2, got 3")
+    assert "eta,resource" not in result.output
 
 
 def test_sweep_config_refuses_a_repeated_key(tmp_path):
