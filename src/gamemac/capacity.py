@@ -61,6 +61,11 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # random.Random refuses numpy integers
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.restarts < 1:
@@ -432,7 +437,6 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     an orbit's members share one maximum, an ascent over every survivor
     gives the same value and label.
     """
-    cfg = cfg or OptimizerConfig()
     vertices, slots = _representatives(ch)
     basis = ch._circulants
     objective = _kernel_mi_objective(basis, slots)
@@ -878,6 +882,8 @@ def _check_resources(resources: list[str]) -> None:
     """Raise ValueError, listing the valid names, unless resources is a
     non-empty list of distinct ones."""
     valid = f"expected one or more of {', '.join(_RESOURCES)}, vertex-file:<path>"
+    if isinstance(resources, str):
+        raise ValueError(f"resources must be a list of names, got the string {resources!r}; {valid}")
     if not resources:
         raise ValueError(f"no resource given; {valid}")
     for i, res in enumerate(resources):
@@ -904,7 +910,6 @@ def sweep(
     game-level checks, before any row is computed; resources that share a
     Solve (NS-exact and Q-exact of one box) share its result per channel."""
     _check_resources(resources)
-    cfg = cfg or OptimizerConfig()
     solves = [
         _prepare_vertex_file(res[len("vertex-file:"):], game, cfg)
         if res.startswith("vertex-file:") else _RESOURCES[res](game, cfg)

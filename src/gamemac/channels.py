@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .games import NonlocalGame, input_win_mask, question_indices
+from .games import NonlocalGame, input_indices, input_win_mask
 from .infotheory import entropy
 
 _ROW_TOL = 1e-12
@@ -113,7 +113,8 @@ def input_slots(game: NonlocalGame) -> np.ndarray:
     question index: the row of `MacChannel._circulants` that is its row
     P(y | x).  Read-only; kept for the last few games, so a game's channels
     and their callers share it, also when a caller visits its games twice."""
-    slots = input_win_mask(game) * game.d**game.n + question_indices(game)
+    slots = input_win_mask(game) * game.d**game.n
+    slots[input_indices(game.n, game.d, game.D)] += np.arange(game.d**game.n)[:, None]
     slots.setflags(write=False)
     return slots
 

@@ -174,14 +174,6 @@ def input_win_mask(game: NonlocalGame) -> np.ndarray:
     return mask
 
 
-def question_indices(game: NonlocalGame) -> np.ndarray:
-    """Flattened question-tuple index carried by every channel input x."""
-    n, d = game.n, game.d
-    out = np.empty((d * game.D) ** n, dtype=np.intp)
-    out[input_indices(n, d, game.D)] = np.arange(d**n)[:, None]
-    return out
-
-
 def local_maps(n: int, d: int, base: int) -> np.ndarray:
     """Every tuple of per-player maps {0..d-1} -> {0..base-1}, shape
     (base^(d n), n, d), in the order of

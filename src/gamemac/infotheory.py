@@ -71,21 +71,17 @@ def entropy(dist: np.ndarray, axis=None):
     an array of entropies, one per remaining index, is returned.
     Nonpositive and NaN entries contribute nothing.
 
-    Along an axis, p log p is formed in place, without compacting the
-    support: entries off it are read as 1 (1 log 1 is exactly 0), and the
-    products land in a C-ordered array, so each sum adds the same values in
-    the same order as a zero array holding the support's products.
-    axis=None keeps the compaction: a compacted array sums in a different
-    pairwise order, and closed-form values would move in their last bits.
+    p log p is formed in place, without compacting the support: entries
+    off it are read as 1 (1 log 1 is exactly 0), and the products land in a
+    C-ordered array, so each sum adds the same values in the same order as
+    a zero array holding the support's products.
     """
     p = np.asarray(dist, dtype=float)
-    if axis is None:
-        nz = p[p > 0]
-        return float(-(nz * np.log2(nz)).sum())
     q = np.where(p > 0, p, 1.0)
     plogp = np.log2(q, out=np.empty(p.shape))
     plogp *= q
-    return -plogp.sum(axis=axis)
+    h = -plogp.sum(axis=axis)
+    return float(h) if axis is None else h
 
 
 def _marginal(joint: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:

@@ -176,6 +176,19 @@ def test_optimizer_config_validation():
         OptimizerConfig(seed=-1)
 
 
+@pytest.mark.parametrize("field", ["restarts", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3", None])
+def test_optimizer_config_refuses_a_non_integer_count(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        OptimizerConfig(**{field: value})
+
+
+def test_optimizer_config_accepts_numpy_integers():
+    cfg = OptimizerConfig(restarts=np.int64(3), seed=np.uint8(7))
+    assert (type(cfg.restarts), type(cfg.seed)) == (int, int)
+    assert np.array_equal(_ascent_starts(2, 2, cfg), _ascent_starts(2, 2, OptimizerConfig(restarts=3, seed=7)))
+
+
 def test_vertex_counts():
     assert vertex_count(chsh_game()) == 256
     assert vertex_count(magic_square_game()) == 24**3 * 24**3
@@ -1196,6 +1209,14 @@ def test_sweep_rows_and_errors():
         sweep(chsh_game(), 2, [0.5], ["Q-exact"], CFG)
     with pytest.raises(ValueError):
         sweep(chsh_game(), 2, [0.5], ["bogus"], CFG)
+
+
+def test_sweep_refuses_a_bare_string_of_resources(monkeypatch):
+    calls = []
+    monkeypatch.setattr(capacity, "channel_for", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^resources must be a list of names, got the string 'NS-exact'; expected"):
+        sweep(chsh_game(), 2, [0.5], "NS-exact", CFG)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from gamemac.games import (
     local_map_indices,
     mpp_game,
     pack_tuple,
-    question_indices,
 )
 from gamemac.infotheory import ProductDistribution, entropy, sum_rate
 
@@ -62,7 +61,7 @@ def test_depolarizing_rows():
     game = chsh_game()
     ch = depolarizing_mac(game, 0.8, 0.2)
     win = input_win_mask(game)
-    questions = question_indices(game)
+    questions = input_slots(game) % 4
     for xi in (0, 5, 11):
         eta = 0.8 if win[xi] else 0.2
         expected = np.full(4, (1 - eta) / 4)
@@ -113,7 +112,7 @@ def test_two_branch_accepts_non_depolarizing_noise():
     # the profile is anchored at the echoed question tuple
     win = input_win_mask(game)
     xi = int(np.flatnonzero(win)[3])
-    peak = question_indices(game)[xi]
+    peak = input_slots(game)[xi] % 4
     assert ch.matrix[xi, peak] == pytest.approx(0.9)
 
 
@@ -192,14 +191,13 @@ def test_index_maps_match_tuple_definitions(scenario, seed):
     ch, _ = _random_channel(scenario, seed)
     game = ch.game
     n, d, D = scenario
-    win, questions, slots = input_win_mask(game), question_indices(game), input_slots(game)
-    assert win.shape == questions.shape == slots.shape == ((d * D) ** n,)
+    win, slots = input_win_mask(game), input_slots(game)
+    assert win.shape == slots.shape == ((d * D) ** n,)
     for xi in range(win.size):
         syms = np.unravel_index(xi, (d * D,) * n)
         q = tuple(s // D for s in syms)
         wins = game.wins(q, tuple(s % D for s in syms))
         assert win[xi] == wins
-        assert questions[xi] == pack_tuple(q, d)
         assert slots[xi] == wins * d**n + pack_tuple(q, d)
 
 
@@ -207,7 +205,7 @@ def test_index_maps_match_tuple_definitions(scenario, seed):
 @given(scenario=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**32 - 1))
 def test_matrix_rows_are_shifted_profiles(scenario, seed):
     ch, _ = _random_channel(scenario, seed)
-    win, questions = input_win_mask(ch.game), question_indices(ch.game)
+    win, questions = input_win_mask(ch.game), input_slots(ch.game) % ch.delta
     for xi in range(win.size):
         profile = ch.win_profile if win[xi] else ch.lose_profile
         assert (ch.matrix[xi] == np.roll(profile, questions[xi])).all()

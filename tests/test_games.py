@@ -16,8 +16,8 @@ from gamemac.games import (
     magic_square_game,
     mpp_game,
     pack_tuple,
-    question_indices,
 )
+from gamemac.channels import input_slots
 
 
 def test_pack_unpack_roundtrip():
@@ -142,9 +142,9 @@ def test_input_win_mask_matches_predicate():
         assert mask[xi] == g.wins(q, a)
 
 
-def test_question_indices():
+def test_input_slots_carry_the_question_index():
     g = magic_square_game()
-    questions = question_indices(g)
+    questions = input_slots(g) % 9  # slot = win * 9 + question index
     assert questions.shape == (24**2,)
     # symbol = q*8 + a per player, base 24
     xi = pack_tuple((2 * 8 + 5, 1 * 8 + 3), 24)

@@ -40,6 +40,7 @@ def test_product_distribution_rejects_off_simplex():
 
 def test_entropy_known_values():
     assert entropy(np.array([1.0, 0.0])) == 0.0
+    assert type(entropy(np.array([0.5, 0.5]))) is float  # axis=None: one float
     assert entropy(np.full(8, 0.125)) == pytest.approx(3.0, abs=1e-12)
     assert entropy(np.array([0.25, 0.75])) == pytest.approx(
         -(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75)), abs=1e-15
@@ -58,7 +59,7 @@ def _compacted_entropy(p, axis):
 
 
 def _assert_same_entropies(p, axis):
-    got, expected = entropy(p, axis=axis), _compacted_entropy(p, axis)
+    got, expected = np.asarray(entropy(p, axis=axis)), _compacted_entropy(p, axis)
     assert np.array_equal(got, expected)
     assert got.tobytes() == expected.tobytes()  # signed zeros too
 
@@ -73,7 +74,7 @@ def test_entropy_along_axes_matches_the_compacted_form(seed):
     p[0, 0] = 0.0
     # C-ordered, permuted (not C-ordered) and strided layouts
     for arr in (p, p.transpose(2, 1, 0), p[:, ::-3]):
-        for axis in (0, 1, 2, -1, (1, 2), (0, 2)):
+        for axis in (0, 1, 2, -1, (1, 2), (0, 2), None):
             _assert_same_entropies(arr, axis)
 
 
@@ -82,7 +83,7 @@ def test_entropy_of_a_read_only_circulant_view_matches_the_compacted_form():
     profiles[1, :, 3] = 0.0
     view = circulant_view(profiles)
     assert not view.flags.writeable
-    for axis in (3, (2, 3)):
+    for axis in (3, (2, 3), None):
         _assert_same_entropies(view, axis)
 
 
