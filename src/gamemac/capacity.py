@@ -20,10 +20,8 @@ from .correlations import (
     NO_SIGNALING_TOL,
     CorrelationBox,
     Encoder,
-    UnknownBoxError,
     box_win_probabilities,
     boxes_from_csv,
-    builtin_box,
     e_star,
     local_deterministic_count,
     refuse_over_cap,
@@ -31,7 +29,7 @@ from .correlations import (
     tsirelson_box,
     uniform_over_wins,
 )
-from .games import NonlocalGame, is_builtin, local_map_indices, local_maps
+from .games import NonlocalGame, game_by_name, local_map_indices, local_maps
 from .infotheory import ProductDistribution, entropy, message_output_kernel, product_joint
 
 # Ascent steps after which a start of `maximize_over_pi` stops regardless of
@@ -807,18 +805,17 @@ _ETA_CLAMP = 1e-6
 
 
 def pseudo_telepathy_box(game: NonlocalGame) -> CorrelationBox:
-    """The built-in perfect box for a game: the PR box for CHSH, else the
-    built-in box named after the game (magic-square, mpp:<n>).  Each is
-    uniform over its game's winning answers, so a built-in game (see
-    games.is_builtin) lends the box its own win table, and a sweep
-    evaluates the game's predicate once."""
-    name = "pr" if game.name == "chsh" else game.name
-    if is_builtin(game):
-        return uniform_over_wins(game, name)
+    """The built-in perfect box for a game: uniform over the winning answers
+    of the built-in game of its name (game_by_name), named pr for CHSH.  A
+    game with that game's dimensions and predicate function lends the box
+    its own win table, so a sweep evaluates the game's predicate once."""
     try:
-        return builtin_box(name)
-    except UnknownBoxError:
+        ref = game_by_name(game.name)
+    except ValueError:
         raise ValueError(f"no built-in pseudo-telepathy box for {game.name}") from None
+    if (ref.n, ref.d, ref.D, ref._wins) == (game.n, game.d, game.D, game._wins):
+        ref = game
+    return uniform_over_wins(ref, "pr" if ref.name == "chsh" else ref.name)
 
 
 def channel_for(game: NonlocalGame, channel_type: int, eta: float) -> MacChannel:
@@ -889,9 +886,9 @@ def _check_resources(resources: list[str]) -> None:
     for i, res in enumerate(resources):
         if res in resources[:i]:
             raise ValueError(f"resource {res!r} given twice; {valid}")
-        if res == "vertex-file":
+        if res in ("vertex-file", "vertex-file:"):
             raise ValueError(
-                "resource 'vertex-file' needs a box CSV path: vertex-file:<path>, "
+                f"resource {res!r} needs a box CSV path: vertex-file:<path>, "
                 f"or --vertex-file on the command line; {valid}"
             )
         if res not in _RESOURCES and not res.startswith("vertex-file:"):

@@ -29,10 +29,6 @@ class EnumerationCapExceeded(RuntimeError):
     """Raised instead of silently truncating a vertex enumeration."""
 
 
-class UnknownBoxError(ValueError):
-    """builtin_box has no box of the given name."""
-
-
 @dataclass(frozen=True, eq=False)
 class CorrelationBox:
     n: int
@@ -228,14 +224,14 @@ def mpp_box(n: int) -> CorrelationBox:
 
 
 def builtin_box(name: str) -> CorrelationBox:
-    """Built-in box pr, tsirelson, magic-square or mpp:<n>; UnknownBoxError
+    """Built-in box pr, tsirelson, magic-square or mpp:<n>; ValueError
     for any other name."""
     builders = {"pr": pr_box, "tsirelson": tsirelson_box, "magic-square": magic_square_box}
     if name in builders:
         return builders[name]()
     if name.startswith("mpp:"):
         return mpp_box(game_by_name(name).n)
-    raise UnknownBoxError(f"unknown box {name!r}")
+    raise ValueError(f"unknown box {name!r}")
 
 
 def e_star(box: CorrelationBox) -> Encoder:

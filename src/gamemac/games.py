@@ -137,16 +137,6 @@ def game_by_name(name: str) -> NonlocalGame:
     raise ValueError(f"unknown game {name!r}")
 
 
-def is_builtin(game: NonlocalGame) -> bool:
-    """Whether game is the game game_by_name(game.name) builds: the same
-    dimensions and the same predicate function, so the same win table."""
-    try:
-        ref = game_by_name(game.name)
-    except ValueError:
-        return False
-    return (ref.n, ref.d, ref.D, ref._wins) == (game.n, game.d, game.D, game._wins)
-
-
 def input_indices(n: int, d: int, D: int) -> np.ndarray:
     """Channel-input index x of every (question, answer) tuple pair.
 

@@ -1225,8 +1225,10 @@ def test_sweep_refuses_a_bare_string_of_resources(monkeypatch):
         (chsh_game(), "L-exact,Q-exact", "chsh has no built-in quantum pseudo-telepathy box"),
         (mpp_game(3), "L-exact,Q-lower", "quantum lower bound is defined for CHSH channels, got mpp:3"),
         (mpp_game(3), "L-exact,vertex-file:{pr}", "vertex 0 has scenario (2,2,2), channel needs (3,2,2)"),
+        # a 4-player game named mpp:3 gets the 3-player built-in box
+        (NonlocalGame("mpp:3", 4, 2, 2, mpp_game(3)._wins), "L-exact,NS-exact", "box and game scenarios differ"),
     ],
-    ids=["Q-exact-on-chsh", "Q-lower-on-mpp3", "vertex-file-on-mpp3"],
+    ids=["Q-exact-on-chsh", "Q-lower-on-mpp3", "vertex-file-on-mpp3", "NS-exact-on-a-4-player-mpp3"],
 )
 def test_sweep_refuses_a_game_mismatch_before_any_row(tmp_path, monkeypatch, game, resources, message):
     calls = []
@@ -1317,6 +1319,18 @@ def test_perfect_box_sweeps_build_no_circulants_or_matrix(monkeypatch, name, res
     assert len(rows) == 4 and all(np.isfinite(r.value) for r in rows)
 
 
+@pytest.mark.parametrize(
+    "name, resources",
+    [("chsh", ["L-exact", "L-bound"]), ("mpp:3", ["L-exact", "L-bound"]), ("magic-square", ["L-bound"])],
+)
+@pytest.mark.parametrize("channel_type", [1, 2])
+def test_classical_sweeps_build_no_matrix(monkeypatch, name, resources, channel_type):
+    # L-exact reads the circulants; neither row builds the dense matrix
+    monkeypatch.setattr(MacChannel, "matrix", property(lambda ch: pytest.fail("matrix was built")))
+    rows = sweep(game_by_name(name), channel_type, [0.6], resources, CFG)
+    assert len(rows) == len(resources) and all(np.isfinite(r.value) for r in rows)
+
+
 @pytest.mark.parametrize("name", ["chsh", "magic-square", *(f"mpp:{n}" for n in range(2, 7))])
 def test_pseudo_telepathy_box_of_a_built_in_game_is_the_built_in_box(name):
     box, expected = pseudo_telepathy_box(game_by_name(name)), builtin_box("pr" if name == "chsh" else name)
@@ -1328,6 +1342,29 @@ def test_pseudo_telepathy_box_ignores_a_game_that_only_borrows_a_built_in_name()
     assert pseudo_telepathy_box(fake).table.tobytes() == builtin_box("mpp:3").table.tobytes()
     with pytest.raises(PseudoTelepathyHypothesisError, match="box 'mpp:3' does not win mpp:3"):
         sweep(fake, 2, [0.5], ["NS-exact"], CFG)
+
+
+@pytest.mark.parametrize("name", ["chsh", "magic-square", "mpp:2", "mpp:3", "mpp:7"])
+def test_pseudo_telepathy_box_reads_the_built_in_win_table_once(name):
+    # the built-in game object lends its own win table; a same-named game
+    # whose predicate is a copy of the built-in one leaves its table unbuilt
+    # and gets the built-in box bit for bit, from the built-in game's table
+    game = game_by_name(name)
+    box = pseudo_telepathy_box(game)
+    assert game._table is not None
+    copy = NonlocalGame(name, game.n, game.d, game.D, lambda q, a: game._wins(q, a))
+    copied, expected = pseudo_telepathy_box(copy), builtin_box(box.name)
+    assert copy._table is None
+    for b in (box, copied):
+        assert b.name == expected.name and b.table.tobytes() == expected.table.tobytes()
+
+
+@pytest.mark.parametrize("name", ["foo", "mpp:x", "mpp:1", "pr", "tsirelson"])
+def test_pseudo_telepathy_box_refuses_every_name_game_by_name_refuses(name):
+    # pr and tsirelson are built-in boxes, not games: no perfect box of theirs
+    game = NonlocalGame(name, 2, 2, 2, chsh_game()._wins)
+    with pytest.raises(ValueError, match=f"^no built-in pseudo-telepathy box for {re.escape(name)}$"):
+        pseudo_telepathy_box(game)
 
 
 @pytest.mark.parametrize("resources", [["L-exact", "L-exact"], ["NS-exact", "L-bound", "NS-exact"]])

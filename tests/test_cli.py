@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from gamemac import capacity, verify
-from gamemac.channels import noise_f
+from gamemac.channels import MacChannel, noise_f
 from gamemac.cli import main, parse_eta_grid
 from gamemac.games import mpp_game
 
@@ -164,6 +164,15 @@ def test_game_value_command():
     )
 
 
+def test_table_builds_no_dense_channel_matrix(monkeypatch):
+    # its L-exact and L-bound rows read slots and circulants, never the
+    # (dD)^n x Δ matrix; the perfect-box rows read the slots alone
+    monkeypatch.setattr(MacChannel, "matrix", property(lambda ch: pytest.fail("matrix was built")))
+    result = run("table", "--seed", "0")
+    assert result.exit_code == 0, result.output
+    assert len(result.output.splitlines()) == 7
+
+
 def test_table_stdout():
     result = run("table", "--seed", "0")
     assert result.exit_code == 0, result.output
@@ -186,7 +195,10 @@ def test_box_export_roundtrip(tmp_path):
     assert result.exit_code == 0
     (box,) = boxes_from_csv(out)
     assert np.allclose(box.table, pr_box().table)
-    assert run("box-export", "nope", "--out", str(tmp_path / "x.csv")).exit_code != 0
+    nope = tmp_path / "nope.csv"
+    result = run("box-export", "nope", "--out", str(nope))
+    assert (result.exit_code, result.output) == (1, "Error: unknown box 'nope'\n")
+    assert not nope.exists()
 
 
 def test_box_export_writes_only_winning_rows(tmp_path):
@@ -383,8 +395,9 @@ def test_sweep_and_verify_do_not_load_numpy_random():
         ("L-exact,bogus", "unknown resource 'bogus'"),
         (",", "no resource given"),
         ("vertex-file", "resource 'vertex-file' needs a box CSV path"),
+        ("vertex-file:", "resource 'vertex-file:' needs a box CSV path"),
     ],
-    ids=["unknown", "empty", "vertex-file-without-path"],
+    ids=["unknown", "empty", "vertex-file-without-path", "vertex-file-with-an-empty-path"],
 )
 def test_sweep_refuses_bad_resources_before_any_row(monkeypatch, resources, message):
     calls = []

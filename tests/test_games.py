@@ -10,7 +10,6 @@ from gamemac.games import (
     game_by_name,
     input_indices,
     input_win_mask,
-    is_builtin,
     local_map_indices,
     local_maps,
     magic_square_game,
@@ -114,16 +113,6 @@ def test_game_by_name():
     assert (g.n, g.d, g.D) == (4, 2, 2)
     with pytest.raises(ValueError):
         game_by_name("ghz")
-
-
-def test_is_builtin_needs_the_name_dimensions_and_predicate():
-    for name in ("chsh", "magic-square", "mpp:2", "mpp:7"):
-        assert is_builtin(game_by_name(name))
-    chsh = chsh_game()
-    assert not is_builtin(NonlocalGame("chsh", 2, 2, 2, lambda q, a: chsh.wins(q, a)))
-    assert not is_builtin(NonlocalGame("mpp:3", 4, 2, 2, mpp_game(3)._wins))
-    assert not is_builtin(NonlocalGame("foo", 2, 2, 2, chsh._wins))
-    assert not is_builtin(NonlocalGame("mpp:x", 2, 2, 2, chsh._wins))
 
 
 def test_invalid_dimensions_rejected():
