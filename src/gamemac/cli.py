@@ -18,7 +18,7 @@ import numpy as np
 
 from . import capacity, verify
 from .capacity import OptimizerConfig
-from .correlations import EnumerationCapExceeded, box_to_csv, builtin_box
+from .correlations import EnumerationCapExceeded, box_to_csv, builtin_box, utf8_lines
 from .games import game_by_name
 
 REFERENCE_TABLE = {
@@ -34,27 +34,27 @@ def _fmt(x: float) -> str:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Flat `key = value` config; '#' starts a comment.  A key outside
-    _CONFIG_KEYS, or one set twice, is an error that names its `file:line`."""
+    """Flat `key = value` config, read as UTF-8; '#' starts a comment.  A key
+    outside _CONFIG_KEYS, a key set twice or a line that is not UTF-8 is an
+    error that names its `file:line`."""
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise click.ClickException(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise click.ClickException(
-                    f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}"
-                )
-            if key in out:
-                raise click.ClickException(
-                    f"{path}:{lineno}: key {key!r} is already set on line {first_line[key]}"
-                )
-            out[key], first_line[key] = value, lineno
+    for lineno, raw in utf8_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise click.ClickException(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise click.ClickException(
+                f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}"
+            )
+        if key in out:
+            raise click.ClickException(
+                f"{path}:{lineno}: key {key!r} is already set on line {first_line[key]}"
+            )
+        out[key], first_line[key] = value, lineno
     return out
 
 
@@ -70,14 +70,6 @@ def parse_eta_grid(spec: str) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def _merged(config_path, **flags):
-    values = load_config(config_path) if config_path else {}
-    for key, val in flags.items():
-        if val is not None:
-            values[key.replace("_", "-")] = val
-    return values
-
-
 def _parsed(values, key: str, convert):
     """values[key] through int or float; a bad value names its key."""
     try:
@@ -87,22 +79,10 @@ def _parsed(values, key: str, convert):
         raise click.ClickException(f"{key} must be {kind}, got {values[key]!r}") from None
 
 
-# config key -> OptimizerConfig field and its type
-_OPTIMIZER_KEYS = {
-    "restarts": ("restarts", int),
-    "tolerance": ("tolerance", float),
-    "seed": ("seed", int),
-}
+# config key, which is also its OptimizerConfig field -> the field's type
+_OPTIMIZER_KEYS = {"restarts": int, "tolerance": float, "seed": int}
 
 _CONFIG_KEYS = ("game", "channel-type", "eta-grid", "resources", "out", *_OPTIMIZER_KEYS)
-
-
-def _build_cfg(values) -> OptimizerConfig:
-    return OptimizerConfig(**{
-        name: _parsed(values, key, convert)
-        for key, (name, convert) in _OPTIMIZER_KEYS.items()
-        if key in values
-    })
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -132,25 +112,23 @@ def main():
 
 
 @main.command("sweep")
-@click.option("--game", "game_name", default=None)
-@click.option("--channel-type", type=click.Choice(["1", "2"]), default=None)
-@click.option("--eta-grid", default=None, help="a:b:n linspace over eta")
-@click.option("--resources", default=None, help="comma-separated resource list")
-@click.option("--seed", default=None)
-@click.option("--out", default=None, help="output CSV path (default stdout)")
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True))
-@click.option("--vertex-file", default=None, type=click.Path(exists=True))
-def cmd_sweep(game_name, channel_type, eta_grid, resources, seed, out, config_path, vertex_file):
+@click.option("--game")
+@click.option("--channel-type", type=click.Choice(["1", "2"]))
+@click.option("--eta-grid", help="a:b:n linspace over eta")
+@click.option("--resources", help="comma-separated resource list")
+@click.option("--seed")
+@click.option("--out", help="output CSV path (default stdout)")
+@click.option(
+    "--config", "config_path", type=click.Path(exists=True),
+    help=f"key = value file; keys {', '.join(_CONFIG_KEYS)}; flags override it",
+)
+@click.option("--vertex-file", type=click.Path(exists=True))
+def cmd_sweep(config_path, vertex_file, **flags):
     """Capacity sweep over an eta grid; emits CSV."""
-    values = _merged(
-        config_path,
-        game=game_name,
-        channel_type=channel_type,
-        eta_grid=eta_grid,
-        resources=resources,
-        seed=seed,
-        out=out,
-    )
+    values = {
+        **(load_config(config_path) if config_path else {}),
+        **{key.replace("_", "-"): val for key, val in flags.items() if val is not None},
+    }
     for required in ("game", "channel-type", "eta-grid", "resources"):
         if required not in values:
             raise click.ClickException(f"missing required field: {required}")
@@ -166,7 +144,12 @@ def cmd_sweep(game_name, channel_type, eta_grid, resources, seed, out, config_pa
         res_list = [
             f"vertex-file:{vertex_file}" if r == "vertex-file" else r for r in res_list
         ]
-    rows = capacity.sweep(game, ctype, etas, res_list, _build_cfg(values))
+    cfg = OptimizerConfig(**{
+        key: _parsed(values, key, convert)
+        for key, convert in _OPTIMIZER_KEYS.items()
+        if key in values
+    })
+    rows = capacity.sweep(game, ctype, etas, res_list, cfg)
     lines = ["eta,resource,kind,value,diagnostic"]
     for r in rows:
         lines.append(f"{_fmt(r.eta)},{r.resource},{r.kind},{_fmt(r.value)},{r.diagnostic}")
@@ -184,7 +167,7 @@ def cmd_sweep(game_name, channel_type, eta_grid, resources, seed, out, config_pa
 @click.option("--count", default=1000, show_default=True, help="random triples per game")
 def cmd_verify(seed, count):
     """Run the randomized identity suite and pseudo-telepathy checks."""
-    checks = verify.run_verification(seed=int(seed), count=int(count))
+    checks = verify.run_verification(seed=seed, count=count)
     click.echo(verify.format_report(checks), nl=False)
     if any(not c.passed for c in checks):
         sys.exit(1)
@@ -197,7 +180,7 @@ def cmd_table(seed):
 
     Its L-exact row is the d-message capacity over deterministic encoders,
     not the product-input sum-capacity of the MAC."""
-    cfg = OptimizerConfig(seed=int(seed))
+    cfg = OptimizerConfig(seed=seed)
     click.echo("game          resource  computed      reference  delta")
     for name, refs in REFERENCE_TABLE.items():
         for r in capacity.sweep(game_by_name(name), 2, [1.0], list(refs), cfg):
@@ -238,7 +221,7 @@ def cmd_box_export(box_name, out):
 def cmd_vertex_bound(game_name, channel_type, eta, vertex_file, seed, resource_label):
     """Lower-bound the sum-capacity by the best E* rate over a box CSV: the
     one row of a `vertex-file:` sweep at eta, labelled resource-label."""
-    cfg = OptimizerConfig(seed=int(seed))
+    cfg = OptimizerConfig(seed=seed)
     (row,) = capacity.sweep(
         game_by_name(game_name), int(channel_type), [eta], [f"vertex-file:{vertex_file}"], cfg
     )

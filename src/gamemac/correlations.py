@@ -284,15 +284,29 @@ def box_to_csv(box: CorrelationBox, path) -> None:
             fh.write(",".join(map(str, digits)) + f",{t[digits]:.17g}\n")
 
 
+def utf8_lines(path):
+    """Yield (line number, line) of a UTF-8 text file, read with universal
+    newlines; a line that is not UTF-8 is a ValueError at its `file:line`."""
+    # undecodable bytes become lone surrogates, which no valid line encodes
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+            yield lineno, line
+
+
 def boxes_from_csv(path) -> list[CorrelationBox]:
     """Read one or more boxes; each block starts with its own `n,d,D` header,
     with n >= 2.
 
     Question digits must lie in [0, d), answer digits in [0, D),
     probabilities must be finite, and no (q, a) pair may repeat within a
-    block; a violation is reported with its `file:line`.  Every question
-    row of a block must be a distribution within NORMALIZATION_TOL; a
-    block that is not is reported with the `file:line` of its header.
+    block; a violation, or a line that is not UTF-8, is reported with its
+    `file:line`.  Every question row of a block must be a distribution
+    within NORMALIZATION_TOL; a block that is not is reported with the
+    `file:line` of its header.
     """
     boxes: list[CorrelationBox] = []
     current: tuple[int, int, int] | None = None
@@ -311,49 +325,46 @@ def boxes_from_csv(path) -> list[CorrelationBox]:
             boxes.append(box)
         table = None
 
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            cells = line.split(",")
-            is_header = len(cells) == 3
-            try:
-                digits = tuple(int(c) for c in (cells if is_header else cells[:-1]))
-                p = None if is_header else float(cells[-1])
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric cell in {line!r}") from None
-            if not (is_header or math.isfinite(p)):
-                raise ValueError(f"{where}: probability {cells[-1].strip()!r} is not finite")
-            if is_header:
-                flush()
-                current, header = digits, where
-                n, d, D = current
-                if min(current) < 1:
-                    raise ValueError(f"{where}: n, d, D must be positive, got {current}")
-                if n < 2:
-                    raise ValueError(f"{where}: a box needs n >= 2 parties, got n={n}")
-                table = np.zeros((d**n, D**n))
-                seen = set()
-                continue
-            if current is None:
-                raise ValueError(f"{where}: data row before n,d,D header")
+    for lineno, raw in utf8_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        cells = line.split(",")
+        is_header = len(cells) == 3
+        try:
+            digits = tuple(int(c) for c in (cells if is_header else cells[:-1]))
+            p = None if is_header else float(cells[-1])
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric cell in {line!r}") from None
+        if not (is_header or math.isfinite(p)):
+            raise ValueError(f"{where}: probability {cells[-1].strip()!r} is not finite")
+        if is_header:
+            flush()
+            current, header = digits, where
             n, d, D = current
-            if len(cells) != 2 * n + 1:
-                raise ValueError(
-                    f"{where}: expected {2 * n + 1} cells for n={n}, got {len(cells)}"
-                )
-            q, a = digits[:n], digits[n:]
-            if not all(0 <= x < d for x in q):
-                raise ValueError(f"{where}: question {q} has a digit outside [0, {d})")
-            if not all(0 <= x < D for x in a):
-                raise ValueError(f"{where}: answer {a} has a digit outside [0, {D})")
-            key = (pack_tuple(q, d), pack_tuple(a, D))
-            if key in seen:
-                raise ValueError(f"{where}: repeated row for question {q}, answer {a}")
-            seen.add(key)
-            table[key] = p
+            if min(current) < 1:
+                raise ValueError(f"{where}: n, d, D must be positive, got {current}")
+            if n < 2:
+                raise ValueError(f"{where}: a box needs n >= 2 parties, got n={n}")
+            table = np.zeros((d**n, D**n))
+            seen = set()
+            continue
+        if current is None:
+            raise ValueError(f"{where}: data row before n,d,D header")
+        n, d, D = current
+        if len(cells) != 2 * n + 1:
+            raise ValueError(f"{where}: expected {2 * n + 1} cells for n={n}, got {len(cells)}")
+        q, a = digits[:n], digits[n:]
+        if not all(0 <= x < d for x in q):
+            raise ValueError(f"{where}: question {q} has a digit outside [0, {d})")
+        if not all(0 <= x < D for x in a):
+            raise ValueError(f"{where}: answer {a} has a digit outside [0, {D})")
+        key = (pack_tuple(q, d), pack_tuple(a, D))
+        if key in seen:
+            raise ValueError(f"{where}: repeated row for question {q}, answer {a}")
+        seen.add(key)
+        table[key] = p
     flush()
     if not boxes:
         raise ValueError(f"{path}: no boxes found")

@@ -20,6 +20,11 @@ def run(*args, **kwargs):
     return result
 
 
+BOXES = str(Path(__file__).parent / "data" / "pr_tsirelson_boxes.csv")
+VERTEX_BOUND = ("vertex-bound", "--game", "chsh", "--channel-type", "2", "--eta", "1",
+                "--vertex-file", BOXES)
+
+
 def test_parse_eta_grid():
     grid = parse_eta_grid("0.2:0.8:4")
     assert np.allclose(grid, [0.2, 0.4, 0.6, 0.8])
@@ -79,6 +84,39 @@ def test_sweep_flag_overrides_config(tmp_path):
     assert result.output.strip().split("\n")[1].startswith("1,")
 
 
+# every setting that is both a flag and a config key -> a config value that
+# would end the run in an error, or write elsewhere, if it won over the flag
+LOSING_CONFIG_VALUES = {
+    "game": "nope", "channel-type": "3", "eta-grid": "0:2:3",
+    "resources": "bogus", "seed": "-1", "out": "lost.csv",
+}
+
+
+@pytest.mark.parametrize("key", LOSING_CONFIG_VALUES)
+def test_sweep_setting_as_flag_or_config_key(tmp_path, key):
+    out = tmp_path / "sweep.csv"
+    settings = {"game": "chsh", "channel-type": "1", "eta-grid": "0.5:1:2",
+                "resources": "L-exact,NS-exact", "seed": "3", "out": str(out)}
+    losing = LOSING_CONFIG_VALUES[key]
+    if key == "out":
+        losing = str(tmp_path / losing)
+
+    def sweep(config, flags):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+        out.unlink(missing_ok=True)
+        args = [arg for k, v in flags.items() for arg in (f"--{k}", v)]
+        result = run("sweep", "--config", str(cfg), *args)
+        assert result.exit_code == 0, result.output
+        return result.output, out.read_bytes()
+
+    rest = {k: v for k, v in settings.items() if k != key}
+    from_config = sweep(settings, {})
+    assert sweep(rest, {key: settings[key]}) == from_config
+    assert sweep({**rest, key: losing}, {key: settings[key]}) == from_config
+    assert not (tmp_path / "lost.csv").exists()
+
+
 def test_sweep_missing_field_and_bad_config(tmp_path):
     result = run("sweep", "--game", "chsh", "--channel-type", "2")
     assert result.exit_code != 0
@@ -88,6 +126,27 @@ def test_sweep_missing_field_and_bad_config(tmp_path):
     result = run("sweep", "--config", str(bad))
     assert result.exit_code != 0
     assert "key = value" in result.output
+
+
+@pytest.mark.parametrize("reader", ["config", "vertex-file"])
+def test_a_file_that_is_not_utf8_is_refused_at_its_line(tmp_path, reader):
+    cfg, boxes = tmp_path / "sweep.cfg", tmp_path / "boxes.csv"
+    # CRLF endings and a UTF-8 comment read as before; the stray byte does not
+    cfg.write_bytes(
+        "game = chsh\r\nchannel-type = 2  # type II, \u03b7 below\r\n"
+        "eta-grid = 1:1:1\r\nresources = vertex-file\r\n".encode()
+    )
+    boxes.write_bytes(Path(BOXES).read_bytes().replace(b"\n", b"\r\n"))
+    args = ("sweep", "--config", str(cfg), "--vertex-file", str(boxes))
+    crlf = run(*args)
+    assert crlf.exit_code == 0, crlf.output
+    assert crlf.output.replace(str(boxes), BOXES) == run(*args[:3], "--vertex-file", BOXES).output
+    path = cfg if reader == "config" else boxes
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    result = run(*args)
+    assert (result.exit_code, result.output) == (1, f"Error: {path}:3: not UTF-8 text\n")
 
 
 def test_sweep_refuses_magic_square_exact():
@@ -127,6 +186,7 @@ def test_verify_refuses_count_below_one(count):
         ("verify", "--seed", "-4", "--count", "3"),
         ("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "1:1:1",
          "--resources", "L-exact", "--seed", "-1"),
+        (*VERTEX_BOUND, "--seed", "-1"),
     ],
     ids=lambda args: args[0],
 )
@@ -135,6 +195,18 @@ def test_negative_seed_is_refused_by_name(args):
     assert result.exit_code == 1, result.output
     assert not isinstance(result.exception, ValueError)
     assert f"seed must be >= 0, got {args[args.index('--seed') + 1]}" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("verify", "--seed", "2.5"), ("table", "--seed", "x"), (*VERTEX_BOUND, "--seed", "x")],
+    ids=lambda args: args[0],
+)
+def test_a_seed_that_is_not_an_integer_is_a_usage_error(args):
+    # click types --seed for these commands; sweep's --seed is typed with its config key
+    result = run(*args)
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '--seed': {args[-1]!r} is not a valid integer" in result.output
 
 
 def test_verify_exits_1_when_a_check_fails(monkeypatch):

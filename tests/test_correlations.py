@@ -461,6 +461,23 @@ def test_csv_rejects_a_one_party_box_at_its_header(tmp_path):
         boxes_from_csv(path)
 
 
+def test_csv_reads_utf8_and_refuses_other_bytes_at_their_line(tmp_path):
+    path = tmp_path / "pr.csv"
+    box_to_csv(pr_box(), path)
+    lf = path.read_bytes()
+    (box,) = boxes_from_csv(path)
+    # CRLF endings read as before
+    path.write_bytes(lf.replace(b"\n", b"\r\n"))
+    (back,) = boxes_from_csv(path)
+    assert np.array_equal(back.table, box.table)
+    lines = lf.split(b"\n")
+    lines[4] = b"\xff" + lines[4]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError) as err:
+        boxes_from_csv(path)
+    assert str(err.value) == f"{path}:5: not UTF-8 text"
+
+
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 SCENARIOS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 3, 3), (3, 2, 3)]
 
