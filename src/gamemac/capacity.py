@@ -887,10 +887,7 @@ def _check_resources(resources: list[str]) -> None:
         if res in resources[:i]:
             raise ValueError(f"resource {res!r} given twice; {valid}")
         if res in ("vertex-file", "vertex-file:"):
-            raise ValueError(
-                f"resource {res!r} needs a box CSV path: vertex-file:<path>, "
-                f"or --vertex-file on the command line; {valid}"
-            )
+            raise ValueError(f"resource {res!r} needs a box CSV path: vertex-file:<path>; {valid}")
         if res not in _RESOURCES and not res.startswith("vertex-file:"):
             raise ValueError(f"unknown resource {res!r}; {valid}")
 

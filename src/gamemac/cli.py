@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 A thin shell over the capacity module: every capacity it prints, in
-`sweep`, `table` and `vertex-bound`, is a row of `capacity.sweep`.  This
+`sweep` and `table`, is a row of `capacity.sweep`.  This
 layer parses configuration, formats output and sets exit codes.  One error
 boundary, the `main` group, turns library errors into a one-line `Error:`
 and exit code 1, never a traceback.  Floating-point output uses 10
@@ -115,15 +115,14 @@ def main():
 @click.option("--game")
 @click.option("--channel-type", type=click.Choice(["1", "2"]))
 @click.option("--eta-grid", help="a:b:n linspace over eta")
-@click.option("--resources", help="comma-separated resource list")
-@click.option("--seed")
+@click.option("--resources", help="comma-separated, e.g. NS-exact,vertex-file:<path>")
+@click.option("--seed", type=int)
 @click.option("--out", help="output CSV path (default stdout)")
 @click.option(
     "--config", "config_path", type=click.Path(exists=True),
     help=f"key = value file; keys {', '.join(_CONFIG_KEYS)}; flags override it",
 )
-@click.option("--vertex-file", type=click.Path(exists=True))
-def cmd_sweep(config_path, vertex_file, **flags):
+def cmd_sweep(config_path, **flags):
     """Capacity sweep over an eta grid; emits CSV."""
     values = {
         **(load_config(config_path) if config_path else {}),
@@ -138,12 +137,6 @@ def cmd_sweep(config_path, vertex_file, **flags):
         raise click.ClickException(f"channel-type must be 1 or 2, got {ctype}")
     etas = parse_eta_grid(values["eta-grid"])
     res_list = [r.strip() for r in values["resources"].split(",") if r.strip()]
-    if vertex_file:
-        if "vertex-file" not in res_list:
-            raise click.ClickException("--vertex-file needs a bare 'vertex-file' resource")
-        res_list = [
-            f"vertex-file:{vertex_file}" if r == "vertex-file" else r for r in res_list
-        ]
     cfg = OptimizerConfig(**{
         key: _parsed(values, key, convert)
         for key, convert in _OPTIMIZER_KEYS.items()
@@ -209,23 +202,6 @@ def cmd_box_export(box_name, out):
     box = builtin_box(box_name)
     box_to_csv(box, out)
     click.echo(f"wrote {box.name} box to {out}")
-
-
-@main.command("vertex-bound")
-@click.option("--game", "game_name", required=True)
-@click.option("--channel-type", type=click.Choice(["1", "2"]), required=True)
-@click.option("--eta", type=float, required=True)
-@click.option("--vertex-file", required=True, type=click.Path(exists=True))
-@click.option("--seed", default=0, show_default=True)
-@click.option("--resource-label", default="file", show_default=True)
-def cmd_vertex_bound(game_name, channel_type, eta, vertex_file, seed, resource_label):
-    """Lower-bound the sum-capacity by the best E* rate over a box CSV: the
-    one row of a `vertex-file:` sweep at eta, labelled resource-label."""
-    cfg = OptimizerConfig(seed=seed)
-    (row,) = capacity.sweep(
-        game_by_name(game_name), int(channel_type), [eta], [f"vertex-file:{vertex_file}"], cfg
-    )
-    click.echo(f"{row.kind} ({resource_label}): {_fmt(row.value)} via {row.diagnostic}")
 
 
 if __name__ == "__main__":

@@ -21,8 +21,6 @@ def run(*args, **kwargs):
 
 
 BOXES = str(Path(__file__).parent / "data" / "pr_tsirelson_boxes.csv")
-VERTEX_BOUND = ("vertex-bound", "--game", "chsh", "--channel-type", "2", "--eta", "1",
-                "--vertex-file", BOXES)
 
 
 def test_parse_eta_grid():
@@ -131,16 +129,23 @@ def test_sweep_missing_field_and_bad_config(tmp_path):
 @pytest.mark.parametrize("reader", ["config", "vertex-file"])
 def test_a_file_that_is_not_utf8_is_refused_at_its_line(tmp_path, reader):
     cfg, boxes = tmp_path / "sweep.cfg", tmp_path / "boxes.csv"
+
+    def write_config(path, newline):
+        cfg.write_bytes(newline.join([
+            "game = chsh", "channel-type = 2  # type II, \u03b7 below",
+            "eta-grid = 1:1:1", f"resources = vertex-file:{path}", "",
+        ]).encode())
+
     # CRLF endings and a UTF-8 comment read as before; the stray byte does not
-    cfg.write_bytes(
-        "game = chsh\r\nchannel-type = 2  # type II, \u03b7 below\r\n"
-        "eta-grid = 1:1:1\r\nresources = vertex-file\r\n".encode()
-    )
+    args = ("sweep", "--config", str(cfg))
+    write_config(BOXES, "\n")
+    lf = run(*args)
+    assert lf.exit_code == 0, lf.output
+    write_config(boxes, "\r\n")
     boxes.write_bytes(Path(BOXES).read_bytes().replace(b"\n", b"\r\n"))
-    args = ("sweep", "--config", str(cfg), "--vertex-file", str(boxes))
     crlf = run(*args)
     assert crlf.exit_code == 0, crlf.output
-    assert crlf.output.replace(str(boxes), BOXES) == run(*args[:3], "--vertex-file", BOXES).output
+    assert crlf.output.replace(str(boxes), BOXES) == lf.output
     path = cfg if reader == "config" else boxes
     lines = path.read_bytes().split(b"\n")
     lines[2] = b"\xff" + lines[2]
@@ -186,7 +191,6 @@ def test_verify_refuses_count_below_one(count):
         ("verify", "--seed", "-4", "--count", "3"),
         ("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "1:1:1",
          "--resources", "L-exact", "--seed", "-1"),
-        (*VERTEX_BOUND, "--seed", "-1"),
     ],
     ids=lambda args: args[0],
 )
@@ -199,14 +203,25 @@ def test_negative_seed_is_refused_by_name(args):
 
 @pytest.mark.parametrize(
     "args",
-    [("verify", "--seed", "2.5"), ("table", "--seed", "x"), (*VERTEX_BOUND, "--seed", "x")],
+    [
+        ("verify", "--seed", "2.5"),
+        ("table", "--seed", "x"),
+        ("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "1:1:1",
+         "--resources", "NS-exact", "--seed", "x"),
+    ],
     ids=lambda args: args[0],
 )
 def test_a_seed_that_is_not_an_integer_is_a_usage_error(args):
-    # click types --seed for these commands; sweep's --seed is typed with its config key
     result = run(*args)
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '--seed': {args[-1]!r} is not a valid integer" in result.output
+    assert "--seed INTEGER" in run(args[0], "--help").output
+
+
+def test_a_seed_in_a_config_file_that_is_not_an_integer_is_refused_by_its_key(tmp_path):
+    # a config value is read after click's parsing: an error line, not a usage error
+    result = _sweep_with_config(tmp_path, "seed = x\n")
+    assert (result.exit_code, result.output) == (1, "Error: seed must be an integer, got 'x'\n")
 
 
 def test_verify_exits_1_when_a_check_fails(monkeypatch):
@@ -297,17 +312,20 @@ def test_box_export_bad_mpp_name(tmp_path, name):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_vertex_bound_command(tmp_path):
+def _sweep_vertex_file(path, eta):
+    """`sweep` of chsh type II at one eta over the box file path."""
+    return run("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", f"{eta}:{eta}:1",
+               "--resources", f"vertex-file:{path}")
+
+
+def test_vertex_bound_of_the_pr_box(tmp_path):
+    # the E* rate of the PR box is the NS-exact closed form
     out = tmp_path / "pr.csv"
     run("box-export", "pr", "--out", str(out))
-    result = run(
-        "vertex-bound", "--game", "chsh", "--channel-type", "2",
-        "--eta", "0.9", "--vertex-file", str(out), "--resource-label", "NS",
-    )
+    result = _sweep_vertex_file(out, 0.9)
     assert result.exit_code == 0, result.output
-    value = float(result.output.split(":")[1].split()[0])
+    value = float(result.output.splitlines()[1].split(",")[3])
     assert abs(value - (2.0 - noise_f(4, 0.9))) < 1e-5
-    assert "(NS)" in result.output
 
 
 def test_vertex_bound_reports_a_lower_bound(tmp_path):
@@ -315,12 +333,11 @@ def test_vertex_bound_reports_a_lower_bound(tmp_path):
     # classical capacity (1.435281 at this eta) lies above it
     out = tmp_path / "tsirelson.csv"
     run("box-export", "tsirelson", "--out", str(out))
-    result = run(
-        "vertex-bound", "--game", "chsh", "--channel-type", "2",
-        "--eta", "1", "--vertex-file", str(out), "--resource-label", "Q",
-    )
+    result = _sweep_vertex_file(out, 1)
     assert result.exit_code == 0, result.output
-    assert result.output == "lower-bound (Q): 1.326497774 via vertex-file:0\n"
+    assert result.output.splitlines()[1] == (
+        f"1,vertex-file:{out},lower-bound,1.326497774,vertex-file:0"
+    )
 
 
 def test_l_bound_is_the_papers_expression_not_an_upper_bound():
@@ -338,46 +355,45 @@ def test_l_bound_is_the_papers_expression_not_an_upper_bound():
     assert float(exact) > float(bound)
 
 
-@pytest.mark.parametrize("resources", ["NS-exact", "vertex-file:{box}"])
-def test_sweep_refuses_a_vertex_file_no_resource_reads(tmp_path, resources):
-    box = tmp_path / "pr.csv"
-    run("box-export", "pr", "--out", str(box))
-    result = run("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "0.5:0.5:1",
-                 "--resources", resources.format(box=box), "--vertex-file", str(box))
-    _assert_error_line(result, "--vertex-file needs a bare 'vertex-file' resource")
-    assert "eta,resource" not in result.output
+@pytest.mark.parametrize(
+    "box, eta, value",
+    [("pr", 0.9, "1.496816268"), ("pr", 0.5, "0.4512050593"),
+     ("tsirelson", 0.9, "1.058012046"), ("tsirelson", 0.5, "0.3328154563")],
+)
+def test_vertex_bound_values_of_the_built_in_boxes(tmp_path, box, eta, value):
+    out = tmp_path / f"{box}.csv"
+    run("box-export", box, "--out", str(out))
+    result = _sweep_vertex_file(out, eta)
+    assert result.output == (
+        "eta,resource,kind,value,diagnostic\n"
+        f"{eta},vertex-file:{out},lower-bound,{value},vertex-file:0\n"
+    )
 
 
 def test_vertex_bound_empty_file(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    result = run(
-        "vertex-bound", "--game", "chsh", "--channel-type", "2",
-        "--eta", "0.9", "--vertex-file", str(empty),
-    )
+    result = _sweep_vertex_file(empty, 0.9)
     assert result.exit_code != 0
-    assert "no boxes" in result.output
+    assert "no boxes found" in result.output
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("vertex-bound", "--game", "chsh", "--channel-type", "2", "--eta", "0.9"),
-        ("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "0.9:0.9:1",
-         "--resources", "vertex-file"),
-    ],
-    ids=lambda args: args[0],
-)
-def test_vertex_file_with_nan_is_refused(tmp_path, args):
+@pytest.mark.parametrize("spelling", ["sweep", "config"])
+def test_vertex_file_with_nan_is_refused(tmp_path, spelling):
     # one nan probability in a PR box used to print a negative lower bound
     path = tmp_path / "pr.csv"
     run("box-export", "pr", "--out", str(path))
     lines = path.read_text().splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
     path.write_text("\n".join(lines) + "\n")
-    result = run(*args, "--vertex-file", str(path))
-    assert result.exit_code == 1, result.output
-    assert f"{path}:2: probability 'nan' is not finite" in result.output
+    if spelling == "sweep":
+        result = _sweep_vertex_file(path, 0.9)
+    else:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"game = chsh\nchannel-type = 2\neta-grid = 0.9:0.9:1\n"
+                       f"resources = vertex-file:{path}\n")
+        result = run("sweep", "--config", str(cfg))
+    _assert_error_line(result, f"{path}:2: probability 'nan' is not finite")
     assert "bound" not in result.output
 
 
@@ -531,8 +547,8 @@ def _assert_error_line(result, fragment=""):
         (("sweep", "--game", "mpp:5000", "--channel-type", "2", "--eta-grid", "0.5:1:1",
           "--resources", "L-exact"), "too large"),
         # the file's boxes are checked against the game before any channel
-        (("vertex-bound", "--game", "mpp:5000", "--channel-type", "2", "--eta", "0.5",
-          "--vertex-file", "pr.csv"), "needs (5000,2,2)"),
+        (("sweep", "--game", "mpp:5000", "--channel-type", "2", "--eta-grid", "0.5:1:1",
+          "--resources", "vertex-file:pr.csv"), "needs (5000,2,2)"),
     ],
     ids=lambda x: x[0] if isinstance(x, tuple) else None,
 )
@@ -577,7 +593,8 @@ _SWEEP_CHSH = ("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "
 def test_error_boundary_names_the_path_of_an_os_error(tmp_path, args, path):
     result = run(*(arg.format(tmp=tmp_path) for arg in args))
     _assert_error_line(result, repr(path.format(tmp=tmp_path)))
-    assert "Traceback" not in result.output
+    # one line: no CSV header before the error, and no traceback
+    assert result.output.count("\n") == 1, result.output
 
 
 def _readme_block(after: str, fence: str) -> str:
