@@ -29,7 +29,7 @@ from .correlations import (
     tsirelson_box,
     uniform_over_wins,
 )
-from .games import NonlocalGame, game_by_name, local_map_indices, local_maps
+from .games import NonlocalGame, _mpp_wins, game_by_name, local_map_indices, local_maps
 from .infotheory import ProductDistribution, entropy, message_output_kernel, product_joint
 
 # Ascent steps after which a start of `maximize_over_pi` stops regardless of
@@ -241,6 +241,30 @@ def _block_average(x: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
     return x.reshape(R, d)
 
 
+def _block_averages(x: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """`_block_average(x, F, k)` of every sender k, bit for bit: shape (R, n, d).
+
+    Block k sums out senders n-1, ..., k+1 by right-hand products, then
+    0, ..., k-1 by left-hand ones, as `_block_average` does; the
+    right-hand chain is formed once, each block branching off where its
+    own stops, so n senders take n(n+1)/2 - 1 products, not n(n-1)."""
+    R, n, d = F.shape
+    out = np.empty((R, n, d))
+    for k in range(n - 1, -1, -1):
+        y = x
+        for j in range(k):
+            y = np.matmul(F[:, j, None, :], y.reshape(R, d, -1))
+        out[:, k] = y.reshape(R, d)
+        if k:
+            x = np.matmul(x.reshape(R, -1, d), F[:, k, :, None])
+    return out
+
+
+# Factors 2^-j, j = 1..4, of alpha + 1 when an extrapolated point leaves the
+# simplex: at CHSH, mpp:3 and mpp:4 type-II η = 0.1 more j change no step.
+_STEP_BACK = 2.0 ** -np.arange(1, 5)
+
+
 def _kernel_mi_objective(kernels: np.ndarray, slots: np.ndarray | None = None) -> AscentObjective:
     """I(M;Y) for P(y|m) = kernel, with an extrapolated Blahut-Arimoto step.
 
@@ -253,8 +277,10 @@ def _kernel_mi_objective(kernels: np.ndarray, slots: np.ndarray | None = None) -
     The step is squared extrapolation (SQUAREM; Varadhan & Roland, 2008)
     of S, per row: F1 = S(F0), F2 = S(F1), r = F1 - F0, v = F2 - 2 F1 + F0,
     alpha = min(-|r|/|v|, -1) (-1 when v = 0), and F' = F0 - 2 alpha r +
-    alpha^2 v renormalised per factor, or F2 when some entry of F' is not
-    positive.  It returns S(F') if I(F') >= I(F1), else F2.  BA sweeps
+    alpha^2 v renormalised per factor.  When some entry of F' is not
+    positive, alpha steps back toward -1, alpha_j = -1 + (alpha + 1) 2^-j
+    for j = 1..4, and F' is the first point inside the simplex, or F2 when
+    there is none.  It returns S(F') if I(F') >= I(F1), else F2.  BA sweeps
     never lower I, so I(returned) >= I(F1) >= I(F0), and the values
     compared are those the second and third sweeps compute anyway.
 
@@ -303,8 +329,16 @@ def _kernel_mi_objective(kernels: np.ndarray, slots: np.ndarray | None = None) -
         alpha = -np.maximum(r_norm / np.where(v_norm > 0, v_norm, np.inf), 1.0)
         a = alpha[:, None, None]
         F_ext = F0 - 2.0 * a * r + a * a * v
-        # alpha = -1 gives F2 itself; so does a step off the open simplex
-        take = (alpha < -1.0) & (F_ext > 0).all(axis=(1, 2))
+        extrapolated, inside = alpha < -1.0, (F_ext > 0).all(axis=(1, 2))
+        off = extrapolated & ~inside
+        if off.any():  # step back: the first alpha_j = -1 + (alpha + 1) / 2^j inside
+            b = (-1.0 + (alpha[off, None] + 1.0) * _STEP_BACK)[..., None, None]  # (off, J, 1, 1)
+            trial = F0[off, None] - 2.0 * b * r[off, None] + b * b * v[off, None]
+            ok = (trial > 0).all(axis=(2, 3))
+            F_ext[off] = trial[np.arange(len(ok)), ok.argmax(axis=1)]
+            inside[off] = ok.any(axis=1)
+        # alpha = -1 gives F2 itself; so does a point off the open simplex at every alpha_j
+        take = extrapolated & inside
         F_ext[~take] = F2[~take]
         F_ext[take] /= F_ext[take].sum(axis=-1, keepdims=True)
         value_ext, _, F3 = sweep(F_ext)
@@ -525,6 +559,19 @@ def bruteforce_classical_game_value(game: NonlocalGame) -> tuple[float, tuple[tu
     return float(best[i]) / d**n, strategies + (tuple(int(a) for a in T[i].argmax(axis=1)),)
 
 
+def _classical_value(game: NonlocalGame) -> float:
+    """ω*_L of game.  The built-in Mermin-GHZ predicate (`games._mpp_wins`
+    with d = D = 2, whatever the game's name) wins every odd question
+    tuple, and its even half is Mermin's game, of classical value
+    1/2 + 2^-⌈n/2⌉ (Mermin, PRL 65, 3373, 1990; Brassard, Broadbent &
+    Tapp, QIC 5, 2005); so ω*_L = 3/4 + 2^-(⌈n/2⌉+1), a dyadic float equal
+    to the brute force's bit for bit, and no win table is built.  Every
+    other game takes `bruteforce_classical_game_value`."""
+    if game._wins is _mpp_wins and (game.d, game.D) == (2, 2):
+        return 0.75 + 2.0 ** -((game.n + 1) // 2 + 1)
+    return bruteforce_classical_game_value(game)[0]
+
+
 def resource_dependent_bound(ch: MacChannel, max_omega: float) -> float:
     """max_pi { H(M) + (f_l - f_w) * max_omega } - f_l, in bits.
 
@@ -561,13 +608,11 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
         mask, pm = top_set(F)
         h = entropy(F, axis=-1)  # (R, n)
         values = h.sum(axis=-1) + spread * (mask * pm).sum(axis=-1) - ch.f_l
-        averages = [_block_average(mask, F, k) for k in range(n)]
-        gaps = np.zeros(F.shape[0])
-        for k, a in enumerate(averages):
-            block = h[:, k] + spread * (F[:, k] * a).sum(axis=-1)
-            gaps = np.maximum(gaps, np.logaddexp2.reduce(spread * a, axis=-1) - block)
+        averages = _block_averages(mask, F)  # (R, n, d)
+        blocks = h + spread * (F * averages).sum(axis=-1)
+        gaps = np.maximum((np.logaddexp2.reduce(spread * averages, axis=-1) - blocks).max(axis=-1), 0.0)
         for k in range(n):
-            a = averages[0] if k == 0 else _block_average(top_set(F)[0], F, k)
+            a = averages[:, 0] if k == 0 else _block_average(top_set(F)[0], F, k)
             w = np.exp2(spread * a)
             F[:, k] = w / w.sum(axis=-1, keepdims=True)
         return values, gaps, F
@@ -579,7 +624,8 @@ def classical_upper_bound(ch: MacChannel, cfg: OptimizerConfig | None = None) ->
     """The paper's subset-partition expression for the classical sum-capacity.
 
     It takes r_max = round(ω*_L Δ) message tuples, with ω*_L the game's
-    classical value (diagnostic `omega_star`), as the most that land in
+    classical value (diagnostic `omega_star`; in closed form on Mermin-GHZ
+    games, see `_classical_value`), as the most that land in
     the winning set, bounds the win probability by the r_max largest
     message masses and H(Y) by H(M).  It is not a proven
     upper bound: on a noisy channel H(Y) can exceed H(M), and mpp:3
@@ -587,7 +633,7 @@ def classical_upper_bound(ch: MacChannel, cfg: OptimizerConfig | None = None) ->
     `paper-bound`.  The maximum over pi comes from block-coordinate
     ascent, a local search, not a certified global maximum.
     """
-    omega_star, _ = bruteforce_classical_game_value(ch.game)
+    omega_star = _classical_value(ch.game)
     r_max = round(omega_star * ch.delta)
     val, pi, diag = maximize_over_pi(
         _subset_bound_objective(ch, r_max), ch.game.n, ch.game.d, cfg

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from gamemac import capacity, games
 from gamemac.capacity import (
     _block_average,
+    _block_averages,
     _canonical_maps,
     _Draws,
     _echo_rate,
@@ -357,18 +358,43 @@ def test_bruteforce_matches_full_enumeration(n, d, D, density, seed):
 
 
 def test_mpp_game_value_formula():
-    # 3/4 + 2^-(ceil(n/2)+1), checked by brute force for small n
-    for n in (2, 3, 4):
-        omega, _ = bruteforce_classical_game_value(mpp_game(n))
-        assert omega == 0.75 + 2.0 ** -(-(-n // 2) + 1)
+    # 3/4 + 2^-(ceil(n/2)+1): the brute force's value bit for bit, and the
+    # one classical_upper_bound takes
+    for n in range(2, 10):
+        omega = 0.75 + 2.0 ** -(-(-n // 2) + 1)
+        assert bruteforce_classical_game_value(mpp_game(n))[0] == omega
+        bound = classical_upper_bound(type_ii(mpp_game(n), 0.5), OptimizerConfig(restarts=1))
+        assert bound.diagnostics["omega_star"] == omega
 
 
 def test_sweep_computes_the_game_value_once():
     bruteforce_classical_game_value.cache_clear()
-    rows = sweep(mpp_game(3), 2, [0.2, 0.6, 1.0], ["L-bound"], CFG)
-    assert [r.diagnostic for r in rows] == ["omega*=0.875"] * 3
+    rows = sweep(magic_square_game(), 2, [0.2, 0.6, 1.0], ["L-bound"], CFG)
+    assert [r.diagnostic for r in rows] == ["omega*=0.8888888889"] * 3
     info = bruteforce_classical_game_value.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+def _other_predicate(q, a):
+    return games._mpp_wins(q, a) | (q[0] == 0)  # wins more than Mermin's game
+
+
+@pytest.mark.parametrize(
+    "game, searches, omega",
+    [
+        (NonlocalGame("mpp:4", 4, 2, 2, _other_predicate), True, 0.9375),
+        (NonlocalGame("ghz", 4, 2, 2, games._mpp_wins), False, 0.875),
+    ],
+    ids=["another-predicate-named-mpp:4", "mermin-predicate-named-ghz"],
+)
+def test_l_bound_game_value_follows_the_predicate_not_the_name(monkeypatch, game, searches, omega):
+    searched = []
+    real = capacity.bruteforce_classical_game_value
+    monkeypatch.setattr(capacity, "bruteforce_classical_game_value", lambda g: searched.append(g) or real(g))
+    bound = classical_upper_bound(type_ii(game, 0.5), OptimizerConfig(restarts=1))
+    assert searched == ([game] if searches else [])
+    assert (game._table is None) != searches  # the closed form builds no win table
+    assert bound.diagnostics["omega_star"] == real(game)[0] == omega
 
 
 def test_bruteforce_cap():
@@ -556,7 +582,8 @@ def _einsum_block_average(x, F, k):
 def _frozen_kernel_mi_objective(kernels, slots=None):
     """`_kernel_mi_objective` as it stood before its matmul block averages:
     einsum block averages, H(q) by `entropy`, SQUAREM norms by
-    np.linalg.norm."""
+    np.linalg.norm; with the step-back off the simplex written as a loop
+    over rows and halvings."""
     if slots is None:
         slots = np.arange(kernels.size // kernels.shape[-1]).reshape(-1, kernels.shape[-2])
         kernels = kernels.reshape(-1, kernels.shape[-1])
@@ -594,6 +621,13 @@ def _frozen_kernel_mi_objective(kernels, slots=None):
         a = alpha[:, None, None]
         F_ext = F0 - 2.0 * a * r + a * a * v
         take = (alpha < -1.0) & (F_ext > 0).all(axis=(1, 2))
+        for i in np.flatnonzero((alpha < -1.0) & ~take):
+            for j in range(1, 5):  # halve alpha + 1 until the point is inside, at most 4 times
+                b = -1.0 + (alpha[i] + 1.0) / 2**j
+                point = F0[i] - 2.0 * b * r[i] + b * b * v[i]
+                if (point > 0).all():
+                    F_ext[i], take[i] = point, True
+                    break
         F_ext[~take] = F2[~take]
         F_ext[take] /= F_ext[take].sum(axis=-1, keepdims=True)
         value_ext, _, F3 = sweep(F_ext)
@@ -642,10 +676,12 @@ def test_block_average_matches_einsum_and_keeps_rows_independent(n, d, rows, see
     rng = np.random.default_rng(seed)
     F = rng.dirichlet(np.ones(d), size=(rows, n))
     x = rng.random((rows, d**n))
+    every = _block_averages(x, F)
     for k in range(n):
         batch = _block_average(x, F, k)
         assert batch.shape == (rows, d)
         assert np.abs(batch - _einsum_block_average(x, F, k)).max() <= 1e-15
+        assert np.array_equal(every[:, k], batch)  # the shared right-hand chain changes no bit
         for r in range(rows):
             assert np.array_equal(_block_average(x[r : r + 1], F[r : r + 1], k)[0], batch[r])
 
@@ -742,6 +778,16 @@ def test_ascent_matches_former_values(name, eta):
         q = quantum_lower_bound_chsh(ch)
         assert abs(q.value - q_value) <= 1e-10
         assert abs(q.diagnostics["direct_sum_rate"] - q.value) <= PT_CROSS_CHECK_TOL
+
+
+@pytest.mark.parametrize("name, steps", [("chsh", 300), ("mpp:3", 600)])
+def test_step_back_bounds_the_ascent_steps_at_low_eta(name, steps):
+    # at type-II η = 0.1 extrapolated points often leave the simplex; taking
+    # F2 there, the ascent ran 431 steps over 20 starts on chsh and 936 on
+    # mpp:3, and stepping alpha back toward -1 runs 205 and 425
+    result = classical_capacity_exact(type_ii(game_by_name(name), 0.1), CFG)
+    assert result.diagnostics["iterations"] <= steps
+    assert result.diagnostics["gap"] <= CFG.tolerance
 
 
 def _random_channel(name, seed):
