@@ -29,7 +29,8 @@ from .correlations import (
     tsirelson_box,
     uniform_over_wins,
 )
-from .games import NonlocalGame, _mpp_wins, game_by_name, local_map_indices, local_maps
+from . import games
+from .games import NonlocalGame, game_by_name, local_map_indices, local_maps
 from .infotheory import ProductDistribution, entropy, message_output_kernel, product_joint
 
 # Ascent steps after which a start of `maximize_over_pi` stops regardless of
@@ -567,7 +568,7 @@ def _classical_value(game: NonlocalGame) -> float:
     Tapp, QIC 5, 2005); so ω*_L = 3/4 + 2^-(⌈n/2⌉+1), a dyadic float equal
     to the brute force's bit for bit, and no win table is built.  Every
     other game takes `bruteforce_classical_game_value`."""
-    if game._wins is _mpp_wins and (game.d, game.D) == (2, 2):
+    if game._wins is games._mpp_wins and (game.d, game.D) == (2, 2):
         return 0.75 + 2.0 ** -((game.n + 1) // 2 + 1)
     return bruteforce_classical_game_value(game)[0]
 
@@ -657,13 +658,13 @@ PT_TOL = 1e-10
 PT_CROSS_CHECK_TOL = 1e-9
 
 
-def _box_resource(box: CorrelationBox) -> str:
-    """Q for the built-in quantum boxes, NS for every other box.  The
-    quantum strategies behind Q are in tests/test_correlations.py
+def _box_resource(name: str) -> str:
+    """Q for the built-in quantum boxes, by name, NS for every other box.
+    The quantum strategies behind Q are in tests/test_correlations.py
     (test_tsirelson_box_matches_bell_state_strategy,
     test_magic_square_box_matches_four_qubit_strategy and
     test_mpp_box_matches_per_row_construction)."""
-    return "Q" if box.name in ("tsirelson", "magic-square") or box.name.startswith("mpp:") else "NS"
+    return "Q" if name in ("tsirelson", "magic-square") or name.startswith("mpp:") else "NS"
 
 
 class PseudoTelepathyHypothesisError(ValueError):
@@ -690,11 +691,23 @@ def _echo_rate(ch: MacChannel, pm: np.ndarray, t: np.ndarray) -> float:
 
 
 def _prepare_symmetric_encoder(box: CorrelationBox, game: NonlocalGame, perfect: bool = False) -> Solve:
+    """`_symmetric_solve` of what box reads: t = box_win_probabilities(box,
+    game), its support-marginal error if perfect, and its and E*'s names
+    (E*(box) is built only for its name).  The built-in Mermin-GHZ games'
+    sweeps skip the box and this step (see `_builtin_perfect_box`)."""
+    t = box_win_probabilities(box, game)
+    marginal_error = support_marginal_uniformity_error(box) if perfect else None
+    return _symmetric_solve(game, t, marginal_error, box.name, e_star(box).name, perfect)
+
+
+def _symmetric_solve(
+    game: NonlocalGame, t: np.ndarray, marginal_error: float | None, name: str, encoder: str, perfect: bool
+) -> Solve:
     """Check that the kernel of E*(box) is a symmetric channel on every
     channel of game; return the Solve of its capacity in closed form.
 
-    Every win probability t_q = box_win_probabilities(box, game)[q] must lie
-    within PT_TOL of omega: t_0, or 1 if perfect; diagnostic `win_deviation`
+    Every win probability t_q of the box, named `name`, must lie within
+    PT_TOL of omega: t_0, or 1 if perfect; diagnostic `win_deviation`
     is the largest |t_q - omega|.  A perfect box must also have output
     marginals uniform over their support within PT_TOL.  Every kernel row is
     then a cyclic shift of r = omega P_w + (1 - omega) P_l, with P_b the
@@ -703,29 +716,26 @@ def _prepare_symmetric_encoder(box: CorrelationBox, game: NonlocalGame, perfect:
     Information Theory, Thm 7.2.1), a product distribution.  A perfect box's
     r is P_w, its value log2 Δ - f_w bit for bit and its row `exact`; any
     other box's row is a `lower-bound` on the capacity of its resource,
-    `_box_resource(box)`.  Each channel cross-checks the closed form against
+    `_box_resource(name)`.  Each channel cross-checks the closed form against
     `_echo_rate` at uniform messages (`direct_sum_rate`) within
     PT_CROSS_CHECK_TOL.  Failures raise PseudoTelepathyHypothesisError.
-    E*(box) itself is built only for the rows' `argmax_encoder` name, and
-    the Solve keeps neither it nor the box."""
-    encoder_name = e_star(box).name
-    t = box_win_probabilities(box, game)
+    The rows name E*(box) `encoder`; the Solve keeps t, not the box."""
     omega = 1.0 if perfect else float(t[0])
     win_deviation = float(np.abs(t - omega).max())
     if not win_deviation <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
-            f"box {box.name!r} does not win {game.name} on every question tuple "
+            f"box {name!r} does not win {game.name} on every question tuple "
             f"(max deviation {win_deviation})"
             if perfect
-            else f"box {box.name!r} wins {game.name} with probabilities up to "
+            else f"box {name!r} wins {game.name} with probabilities up to "
             f"{win_deviation} apart from {omega}"
         )
-    if perfect and not (uni_err := support_marginal_uniformity_error(box)) <= PT_TOL:
+    if perfect and not marginal_error <= PT_TOL:
         raise PseudoTelepathyHypothesisError(
-            f"box {box.name!r} output marginals deviate from uniform-over-support "
-            f"by {uni_err}"
+            f"box {name!r} output marginals deviate from uniform-over-support "
+            f"by {marginal_error}"
         )
-    kind, resource = "exact" if perfect else "lower-bound", _box_resource(box)
+    kind, resource = "exact" if perfect else "lower-bound", _box_resource(name)
     pi = ProductDistribution.uniform(game.n, game.d)
     pm = pi.joint()
 
@@ -742,7 +752,7 @@ def _prepare_symmetric_encoder(box: CorrelationBox, game: NonlocalGame, perfect:
             kind=kind,
             resource=resource,
             argmax_pi=pi,
-            argmax_encoder=encoder_name,
+            argmax_encoder=encoder,
             diagnostics=dict(win_deviation=win_deviation, direct_sum_rate=direct),
         ))
 
@@ -850,18 +860,41 @@ def vertex_file_bound(
 _ETA_CLAMP = 1e-6
 
 
-def pseudo_telepathy_box(game: NonlocalGame) -> CorrelationBox:
-    """The built-in perfect box for a game: uniform over the winning answers
-    of the built-in game of its name (game_by_name), named pr for CHSH.  A
-    game with that game's dimensions and predicate function lends the box
-    its own win table, so a sweep evaluates the game's predicate once."""
+def _builtin_game(game: NonlocalGame) -> NonlocalGame:
+    """The built-in game of game's name (game_by_name), or game itself when
+    it has that game's dimensions and predicate function; ValueError for
+    a name game_by_name refuses."""
     try:
         ref = game_by_name(game.name)
     except ValueError:
         raise ValueError(f"no built-in pseudo-telepathy box for {game.name}") from None
-    if (ref.n, ref.d, ref.D, ref._wins) == (game.n, game.d, game.D, game._wins):
-        ref = game
+    return game if (ref.n, ref.d, ref.D, ref._wins) == (game.n, game.d, game.D, game._wins) else ref
+
+
+def pseudo_telepathy_box(game: NonlocalGame) -> CorrelationBox:
+    """The built-in perfect box for a game: uniform over the winning answers
+    of the built-in game of its name (`_builtin_game`), named pr for CHSH.  A
+    game with that game's dimensions and predicate function lends the box
+    its own win table, so a sweep evaluates the game's predicate once."""
+    ref = _builtin_game(game)
     return uniform_over_wins(ref, "pr" if ref.name == "chsh" else ref.name)
+
+
+def _parity_hypotheses(game: NonlocalGame) -> tuple[np.ndarray, float]:
+    """t and the support-marginal error of pseudo_telepathy_box(game) for
+    a built-in Mermin-GHZ game, without the box.  `games._mpp_wins` reads
+    the answers only through their parity, so one call over every question
+    tuple and the answers 0...0 and 10...0 gives each question's winning
+    parities.  The box is uniform over the answers of those, so t_q is 1
+    wherever one wins, a sum of powers of two as exact as the box's.  With
+    n >= 2 each player's bit is 0 in half of a parity class: every marginal
+    is 1/2 on the support {0, 1}, and the error is 0."""
+    n = game.n
+    q = np.indices((2,) * n).reshape(n, -1, 1)
+    a = np.zeros((n, 1, 2), dtype=q.dtype)
+    a[0, 0, 1] = 1
+    wins = np.broadcast_to(game._wins(tuple(q), tuple(a)), (2**n, 2))
+    return wins.any(axis=1).astype(float), 0.0
 
 
 def channel_for(game: NonlocalGame, channel_type: int, eta: float) -> MacChannel:
@@ -894,9 +927,18 @@ class SweepRow:
 def _builtin_perfect_box(game: NonlocalGame) -> tuple[str, Solve]:
     """The resource label of the game's built-in perfect box and its
     checked closed form; kept for the last game, so a sweep's NS-exact and
-    Q-exact share one check.  The box itself is not kept."""
-    box = pseudo_telepathy_box(game)
-    return _box_resource(box), _prepare_symmetric_encoder(box, game, perfect=True)
+    Q-exact share one check.  A built-in Mermin-GHZ game (named mpp:n, on
+    `games._mpp_wins`) reads its hypotheses from `_parity_hypotheses`, in
+    O(2^n), with no box, win table or E*: they are the box's own, bit for
+    bit.  Every other game, and a game named mpp:n on another predicate,
+    reads them from pseudo_telepathy_box(game).  The box is not kept."""
+    if game._wins is games._mpp_wins and _builtin_game(game) is game:
+        name, (t, marginal_error) = game.name, _parity_hypotheses(game)
+        solve = _symmetric_solve(game, t, marginal_error, name, f"e*({name})", perfect=True)
+    else:
+        box = pseudo_telepathy_box(game)
+        name, solve = box.name, _prepare_symmetric_encoder(box, game, perfect=True)
+    return _box_resource(name), solve
 
 
 def _prepare_builtin_box(game: NonlocalGame, quantum: bool) -> Solve:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamemac import capacity, games
+from gamemac import capacity, correlations, games
 from gamemac.capacity import (
     _block_average,
     _block_averages,
@@ -53,6 +53,7 @@ from gamemac.correlations import (
     e_star,
     local_deterministic_boxes,
     pr_box,
+    support_marginal_uniformity_error,
     tsirelson_box,
 )
 from gamemac.games import (
@@ -1307,7 +1308,8 @@ def test_pseudo_telepathy_box_refuses_only_unknown_names():
 
 @pytest.mark.parametrize("name, predicate", [("mpp:5", "_mpp_wins"), ("magic-square", "_magic_square_wins")])
 def test_sweep_evaluates_the_game_predicate_once(monkeypatch, name, predicate):
-    # the built-in box is built from the sweep's own win table
+    # magic-square's built-in box is built from the sweep's own win table;
+    # mpp:5 reads its parity rule from one call and builds no table
     calls = []
     original = getattr(games, predicate)
     monkeypatch.setattr(games, predicate, lambda q, a: calls.append(name) or original(q, a))
@@ -1318,8 +1320,9 @@ def test_sweep_evaluates_the_game_predicate_once(monkeypatch, name, predicate):
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_perfect_box_sweep_peak_memory_stays_near_one_box_table(n):
-    # the box table holds Δ·D^n floats; E*'s support indices take as many
-    # again, and no Δ²-sized temporary or copy may come on top of the two
+    # the ceiling of the dense route (the box table's Δ·D^n floats and E*'s
+    # support indices, with no Δ²-sized copy on top); mpp:n now takes the
+    # parity route, held far lower by the test below
     capacity._builtin_perfect_box.cache_clear()
     tracemalloc.start()
     try:
@@ -1331,9 +1334,10 @@ def test_perfect_box_sweep_peak_memory_stays_near_one_box_table(n):
 
 
 def test_perfect_box_sweep_keeps_no_box_once_it_returns():
-    # the cache of the last game's closed form keeps its resource label and
-    # E*'s name, not the Δ x D^n box table (8 MB at mpp:10) or E*'s support;
-    # what stays is the game's own 1 MB bool win table, the cache's key
+    # the cache of the last game's closed form keeps its resource label,
+    # E*'s name, t and the uniform message law (Δ floats each), not the
+    # Δ x D^n box table (8 MB at mpp:10), E*'s support or the 1 MB bool win
+    # table: the parity route builds none of them
     capacity._builtin_perfect_box.cache_clear()
     tracemalloc.start()
     try:
@@ -1342,7 +1346,48 @@ def test_perfect_box_sweep_keeps_no_box_once_it_returns():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained <= 2 * 2**20
+    assert retained <= 4 * 2**10 * 8
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_parity_hypotheses_match_the_dense_box(n):
+    # the oracle: the built-in box, its win probabilities and its marginals
+    game = mpp_game(n)
+    t, marginal_error = capacity._parity_hypotheses(game)
+    box = pseudo_telepathy_box(game)
+    assert np.array_equal(t, box_win_probabilities(box, game))
+    assert marginal_error == support_marginal_uniformity_error(box)
+
+
+def test_mpp_sweep_builds_no_box_win_table_or_encoder(monkeypatch):
+    def refuse(name):
+        return lambda *args: pytest.fail(f"{name} ran")
+
+    monkeypatch.setattr(NonlocalGame, "win_table", refuse("win_table"))
+    for module in (correlations, capacity):
+        for name in ("uniform_over_wins", "e_star", "box_win_probabilities"):
+            monkeypatch.setattr(module, name, refuse(name))
+    monkeypatch.setattr(capacity, "support_marginal_uniformity_error", refuse("marginal check"))
+    monkeypatch.setattr(correlations, "answer_marginals", refuse("answer_marginals"))
+    capacity._builtin_perfect_box.cache_clear()
+    game, etas = mpp_game(12), (0.3, 0.8)
+    rows = sweep(game, 2, etas, ["NS-exact", "Q-exact"], CFG)
+    assert [r.value for r in rows] == [np.log2(2**12) - type_ii(game, eta).f_w for eta in etas for _ in "NQ"]
+    assert {(r.kind, r.diagnostic) for r in rows} == {("exact", "e*(mpp:12)")}
+
+
+def test_mpp_perfect_box_sweep_peak_memory_is_linear_in_delta():
+    # the dense route's float box table alone is 134 MB here;
+    # the parity route holds the n x Δ question digits and O(Δ) more
+    n = 12
+    capacity._builtin_perfect_box.cache_clear()
+    tracemalloc.start()
+    try:
+        sweep(mpp_game(n), 2, [0.5, 0.75, 1], ["NS-exact", "Q-exact"], CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * 2**n * 8
 
 
 @pytest.mark.parametrize(
@@ -1381,6 +1426,12 @@ def test_classical_sweeps_build_no_matrix(monkeypatch, name, resources, channel_
 def test_pseudo_telepathy_box_of_a_built_in_game_is_the_built_in_box(name):
     box, expected = pseudo_telepathy_box(game_by_name(name)), builtin_box("pr" if name == "chsh" else name)
     assert box.name == expected.name and box.table.tobytes() == expected.table.tobytes()
+
+
+def test_mermin_predicate_under_another_name_has_no_perfect_box():
+    game = NonlocalGame("ghz", 3, 2, 2, games._mpp_wins)
+    with pytest.raises(ValueError, match="^no built-in pseudo-telepathy box for ghz$"):
+        sweep(game, 2, [0.5], ["NS-exact"], CFG)
 
 
 def test_pseudo_telepathy_box_ignores_a_game_that_only_borrows_a_built_in_name():
@@ -1431,11 +1482,13 @@ def test_sweep_checks_the_box_once_and_cross_checks_every_row(monkeypatch):
 
     for name in ("box_win_probabilities", "support_marginal_uniformity_error", "_echo_rate"):
         counted(name)
-    game = mpp_game(3)
+    game = magic_square_game()
     etas = (0.4, 0.7, 1.0)
     rows = sweep(game, 2, etas, ["NS-exact", "Q-exact"], CFG)
-    assert [r.value for r in rows] == [np.log2(8) - type_ii(game, eta).f_w for eta in etas for _ in "NQ"]
-    assert [r.value for r in rows] == pytest.approx([3 - noise_f(8, eta) for eta in etas for _ in "NQ"], abs=1e-12)
+    assert [r.value for r in rows] == [np.log2(9) - type_ii(game, eta).f_w for eta in etas for _ in "NQ"]
+    assert [r.value for r in rows] == pytest.approx(
+        [np.log2(9) - noise_f(9, eta) for eta in etas for _ in "NQ"], abs=1e-12
+    )
     assert calls.count("box_win_probabilities") == 1
     assert calls.count("support_marginal_uniformity_error") == 1
     # one direct cross-check per (eta, prepared solve)
@@ -1444,6 +1497,22 @@ def test_sweep_checks_the_box_once_and_cross_checks_every_row(monkeypatch):
     calls.clear()
     pseudo_telepathy_capacity(type_ii(game, 0.7), pseudo_telepathy_box(game))
     assert sorted(calls) == ["_echo_rate", "box_win_probabilities", "support_marginal_uniformity_error"]
+
+
+def test_mpp_sweep_calls_the_predicate_once_and_cross_checks_every_row(monkeypatch):
+    # the parity route: one predicate call over the 8 question tuples and
+    # two answer tuples, then one direct cross-check per channel
+    shapes, echoes = [], []
+    real_wins, real_echo = games._mpp_wins, capacity._echo_rate
+    monkeypatch.setattr(games, "_mpp_wins", lambda q, a: shapes.append(np.broadcast(*q, *a).shape) or real_wins(q, a))
+    monkeypatch.setattr(capacity, "_echo_rate", lambda *a: echoes.append(a) or real_echo(*a))
+    capacity._builtin_perfect_box.cache_clear()
+    game, etas = mpp_game(3), (0.4, 0.7, 1.0)
+    rows = sweep(game, 2, etas, ["NS-exact", "Q-exact"], CFG)
+    assert [r.value for r in rows] == [np.log2(8) - type_ii(game, eta).f_w for eta in etas for _ in "NQ"]
+    assert [r.value for r in rows] == pytest.approx([3 - noise_f(8, eta) for eta in etas for _ in "NQ"], abs=1e-12)
+    assert shapes == [(8, 2)] and game._table is None
+    assert len(echoes) == 3
 
 
 @pytest.mark.parametrize(

@@ -535,6 +535,14 @@ def _assert_error_line(result, fragment=""):
     assert "Error:" in result.output and fragment in result.output
 
 
+def test_mpp60_perfect_box_row_is_refused_at_once():
+    # the parity route's 60 x 2^60 question digits are too big to allocate
+    result = run("sweep", "--game", "mpp:60", "--channel-type", "2", "--eta-grid", "0.5:1:2",
+                 "--resources", "NS-exact")
+    _assert_error_line(result, "too big")
+    assert result.output.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "args, fragment",
     [
