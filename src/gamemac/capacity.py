@@ -561,16 +561,24 @@ def bruteforce_classical_game_value(game: NonlocalGame) -> tuple[float, tuple[tu
 
 
 def _classical_value(game: NonlocalGame) -> float:
-    """ω*_L of game.  The built-in Mermin-GHZ predicate (`games._mpp_wins`
-    with d = D = 2, whatever the game's name) wins every odd question
-    tuple, and its even half is Mermin's game, of classical value
-    1/2 + 2^-⌈n/2⌉ (Mermin, PRL 65, 3373, 1990; Brassard, Broadbent &
-    Tapp, QIC 5, 2005); so ω*_L = 3/4 + 2^-(⌈n/2⌉+1), a dyadic float equal
-    to the brute force's bit for bit, and no win table is built.  Every
-    other game takes `bruteforce_classical_game_value`."""
+    """ω*_L of game, with no search or win table for the built-in
+    predicates, keyed on the predicate function and the dimensions, never
+    on the name:
+    - `games._chsh_wins` with (n, d, D) = (2, 2, 2): 3/4 (Clauser, Horne,
+      Shimony & Holt, PRL 23, 880, 1969);
+    - `games._magic_square_wins` with (2, 3, 8): 8/9, one of the nine
+      question pairs lost (Brassard, Broadbent & Tapp, QIC 5, 2005);
+    - `games._mpp_wins` with d = D = 2, any n: it wins every odd question
+      tuple, and its even half is Mermin's game, of classical value
+      1/2 + 2^-⌈n/2⌉ (Mermin, PRL 65, 3373, 1990; Brassard, Broadbent &
+      Tapp), so ω*_L = 3/4 + 2^-(⌈n/2⌉+1).
+    Each float equals the brute force's bit for bit.  Every other game
+    takes `bruteforce_classical_game_value`."""
     if game._wins is games._mpp_wins and (game.d, game.D) == (2, 2):
         return 0.75 + 2.0 ** -((game.n + 1) // 2 + 1)
-    return bruteforce_classical_game_value(game)[0]
+    closed_forms = {(games._chsh_wins, 2, 2, 2): 3 / 4, (games._magic_square_wins, 2, 3, 8): 8 / 9}
+    omega = closed_forms.get((game._wins, game.n, game.d, game.D))
+    return bruteforce_classical_game_value(game)[0] if omega is None else omega
 
 
 def resource_dependent_bound(ch: MacChannel, max_omega: float) -> float:
@@ -586,22 +594,45 @@ def resource_dependent_bound(ch: MacChannel, max_omega: float) -> float:
     return float(np.log2(ch.delta)) + (ch.f_l - ch.f_w) * max_omega - ch.f_l
 
 
+# Joint sizes Δ from which `_top_mask` finds its set by np.partition, not a
+# full sort: the measured break-even, 20 rows.
+_PARTITION_MIN_DELTA = 64
+
+
+def _top_mask(pm: np.ndarray, r: int) -> np.ndarray:
+    """The 0/1 float mask of the r largest entries of each row of pm (R, Δ),
+    ties to the lowest index: the first r of a stable argsort, which finds
+    them below Δ = _PARTITION_MIN_DELTA.  From there on np.partition finds
+    the r-th largest entry t in O(Δ); every entry above t is in, and the
+    entries equal to t fill the rest in index order: the same set."""
+    if pm.shape[-1] < _PARTITION_MIN_DELTA or not r:
+        mask = np.zeros(pm.shape)
+        mask[np.arange(len(pm))[:, None], np.argsort(-pm, axis=-1, kind="stable")[:, :r]] = 1.0
+        return mask
+    t = np.partition(pm, -r, axis=-1)[:, -r, None]
+    mask = pm >= t
+    over = mask.sum(axis=-1) > r  # rows with more ties at t than places left
+    if over.any():
+        p, t = pm[over], t[over]
+        above, tie = p > t, p == t
+        mask[over] = above | (tie & (np.cumsum(tie, axis=-1) <= r - above.sum(axis=-1, keepdims=True)))
+    return mask.astype(float)
+
+
 def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
     """H(M) + (f_l - f_w) * (mass of the r_max likeliest messages) - f_l.
 
-    Block k's step re-picks the top-r_max set S (stable argsort), takes
-    a_k(m_k) = sum of p_-k(m_-k) over m in S, and sets p_k to the block
-    maximiser p_k ∝ 2^{c a_k}, c = f_l - f_w.  With S held, the block gap
-    is log2 sum 2^{c a_k} - (H(p_k) + c sum p_k a_k).
+    Block k's step re-picks the top-r_max set S (ties to the lowest index),
+    takes a_k(m_k) = sum of p_-k(m_-k) over m in S, and sets p_k to the
+    block maximiser p_k ∝ 2^{c a_k}, c = f_l - f_w.  With S held, the block
+    gap is log2 sum 2^{c a_k} - (H(p_k) + c sum p_k a_k).
     """
     spread = ch.f_l - ch.f_w
 
     def top_set(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The 0/1 mask of the top-r_max set of F's joint, and the joint."""
+        """The 0/1 mask of the top-r_max set of F's joint (`_top_mask`), and the joint."""
         pm = product_joint(F)
-        mask = np.zeros(pm.shape)
-        mask[np.arange(len(pm))[:, None], np.argsort(-pm, axis=-1, kind="stable")[:, :r_max]] = 1.0
-        return mask, pm
+        return _top_mask(pm, r_max), pm
 
     def objective(batch: tuple[np.ndarray, np.ndarray]):
         F = batch[0].copy()  # one candidate: every row's group is 0
@@ -625,8 +656,9 @@ def classical_upper_bound(ch: MacChannel, cfg: OptimizerConfig | None = None) ->
     """The paper's subset-partition expression for the classical sum-capacity.
 
     It takes r_max = round(ω*_L Δ) message tuples, with ω*_L the game's
-    classical value (diagnostic `omega_star`; in closed form on Mermin-GHZ
-    games, see `_classical_value`), as the most that land in
+    classical value (diagnostic `omega_star`; in closed form, with no
+    search, on the CHSH, magic-square and Mermin-GHZ predicates, see
+    `_classical_value`), as the most that land in
     the winning set, bounds the win probability by the r_max largest
     message masses and H(Y) by H(M).  It is not a proven
     upper bound: on a noisy channel H(Y) can exceed H(M), and mpp:3
@@ -923,15 +955,27 @@ class SweepRow:
     diagnostic: str = ""
 
 
+# Circulant entries, Δ², that one perfect-box cross-check (`_echo_rate`)
+# reads per η: mpp:16's.  Its time grows 4x per player, from about 4 s
+# per η at mpp:16 to over 15 minutes at mpp:20.
+_CROSS_CHECK_CAP = 2**32
+
+
 @functools.lru_cache(maxsize=1)
 def _builtin_perfect_box(game: NonlocalGame) -> tuple[str, Solve]:
     """The resource label of the game's built-in perfect box and its
     checked closed form; kept for the last game, so a sweep's NS-exact and
-    Q-exact share one check.  A built-in Mermin-GHZ game (named mpp:n, on
-    `games._mpp_wins`) reads its hypotheses from `_parity_hypotheses`, in
-    O(2^n), with no box, win table or E*: they are the box's own, bit for
-    bit.  Every other game, and a game named mpp:n on another predicate,
-    reads them from pseudo_telepathy_box(game).  The box is not kept."""
+    Q-exact share one check.  A game whose Δ² is over _CROSS_CHECK_CAP is
+    refused (EnumerationCapExceeded) before anything is built.  A built-in
+    Mermin-GHZ game (named mpp:n, on `games._mpp_wins`) reads its
+    hypotheses from `_parity_hypotheses`, in O(2^n), with no box, win table
+    or E*: they are the box's own, bit for bit.  Every other game, and a
+    game named mpp:n on another predicate, reads them from
+    pseudo_telepathy_box(game).  The box is not kept."""
+    refuse_over_cap(
+        (game.d**game.n) ** 2, f"{game.name} perfect-box cross-check", "circulant entries per eta",
+        cap=_CROSS_CHECK_CAP,
+    )
     if game._wins is games._mpp_wins and _builtin_game(game) is game:
         name, (t, marginal_error) = game.name, _parity_hypotheses(game)
         solve = _symmetric_solve(game, t, marginal_error, name, f"e*({name})", perfect=True)

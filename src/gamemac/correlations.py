@@ -160,13 +160,13 @@ def local_deterministic_count(n: int, d: int, D: int) -> int:
     return (D**d) ** n
 
 
-def refuse_over_cap(count: int, subject: str, items: str, advice: str = "") -> None:
+def refuse_over_cap(count: int, subject: str, items: str, advice: str = "", cap: int | None = None) -> None:
     """Refuse, never truncate, an enumeration of count items: raise
-    EnumerationCapExceeded when count is over DEFAULT_ENUMERATION_CAP."""
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"{subject} has {count} {items}, over the cap of {DEFAULT_ENUMERATION_CAP}{advice}"
-        )
+    EnumerationCapExceeded when count is over cap, by default
+    DEFAULT_ENUMERATION_CAP."""
+    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if count > cap:
+        raise EnumerationCapExceeded(f"{subject} has {count} {items}, over the cap of {cap}{advice}")
 
 
 def local_deterministic_boxes(n: int, d: int, D: int):

@@ -369,8 +369,10 @@ def test_mpp_game_value_formula():
 
 
 def test_sweep_computes_the_game_value_once():
+    # the magic square's predicate behind another function: no closed form
+    game = NonlocalGame("square", 2, 3, 8, lambda q, a: games._magic_square_wins(q, a))
     bruteforce_classical_game_value.cache_clear()
-    rows = sweep(magic_square_game(), 2, [0.2, 0.6, 1.0], ["L-bound"], CFG)
+    rows = sweep(game, 2, [0.2, 0.6, 1.0], ["L-bound"], CFG)
     assert [r.diagnostic for r in rows] == ["omega*=0.8888888889"] * 3
     info = bruteforce_classical_game_value.cache_info()
     assert (info.misses, info.hits) == (1, 2)
@@ -380,13 +382,28 @@ def _other_predicate(q, a):
     return games._mpp_wins(q, a) | (q[0] == 0)  # wins more than Mermin's game
 
 
+def _chsh_or_first_question(q, a):
+    return games._chsh_wins(q, a) | (q[0] == 0)  # a player-2 map wins every question
+
+
 @pytest.mark.parametrize(
     "game, searches, omega",
     [
         (NonlocalGame("mpp:4", 4, 2, 2, _other_predicate), True, 0.9375),
         (NonlocalGame("ghz", 4, 2, 2, games._mpp_wins), False, 0.875),
+        (NonlocalGame("square", 2, 3, 8, games._magic_square_wins), False, 8 / 9),
+        (NonlocalGame("bell", 2, 2, 2, games._chsh_wins), False, 0.75),
+        (NonlocalGame("chsh", 2, 2, 2, _chsh_or_first_question), True, 1.0),
+        (NonlocalGame("magic-square", 2, 3, 8, lambda q, a: games._magic_square_wins(q, a)), True, 8 / 9),
     ],
-    ids=["another-predicate-named-mpp:4", "mermin-predicate-named-ghz"],
+    ids=[
+        "another-predicate-named-mpp:4",
+        "mermin-predicate-named-ghz",
+        "magic-square-predicate-named-square",
+        "chsh-predicate-named-bell",
+        "another-predicate-named-chsh",
+        "wrapped-predicate-named-magic-square",
+    ],
 )
 def test_l_bound_game_value_follows_the_predicate_not_the_name(monkeypatch, game, searches, omega):
     searched = []
@@ -396,6 +413,63 @@ def test_l_bound_game_value_follows_the_predicate_not_the_name(monkeypatch, game
     assert searched == ([game] if searches else [])
     assert (game._table is None) != searches  # the closed form builds no win table
     assert bound.diagnostics["omega_star"] == real(game)[0] == omega
+
+
+@pytest.mark.parametrize("name, omega", [("chsh", 0.75), ("magic-square", 8 / 9)])
+def test_closed_form_game_values_are_the_search_bit_for_bit(name, omega):
+    closed = capacity._classical_value(game_by_name(name))
+    assert closed.hex() == bruteforce_classical_game_value(game_by_name(name))[0].hex() == omega.hex()
+
+
+def _tied_rows(kinds: list[str], delta: int, rng) -> np.ndarray:
+    """One row (Δ,) per kind: a random law, the uniform law, a random law
+    times 10 rounded to two decimals (ties and zeros), or the product law of
+    one binary factor for every sender (ties within each weight class; a
+    random law unless Δ is a power of two)."""
+    rows = []
+    for kind in kinds:
+        if kind == "uniform":
+            rows.append(np.full(delta, 1.0 / delta))
+        elif kind == "rounded":
+            rows.append(np.round(rng.dirichlet(np.ones(delta)) * 10, 2))
+        elif kind == "product" and delta & (delta - 1) == 0:
+            n = delta.bit_length() - 1
+            rows.append(product_joint(np.tile(rng.dirichlet(np.ones(2)), (1, n, 1)))[0])
+        else:
+            rows.append(rng.dirichlet(np.ones(delta)))
+    return np.stack(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    # Δ on both sides of _PARTITION_MIN_DELTA = 64
+    delta=st.sampled_from([2, 4, 9, 16, 63, 64, 65, 128, 256]),
+    kinds=st.lists(st.sampled_from(["random", "uniform", "rounded", "product"]), min_size=1, max_size=6),
+    which=st.sampled_from(["0", "1", "Δ-1", "Δ", "any"]),
+    partition_from=st.sampled_from([1, 64]),  # 1: every Δ takes the partition
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_top_mask_is_the_stable_sort_set(delta, kinds, which, partition_from, seed):
+    rng = np.random.default_rng(seed)
+    pm = _tied_rows(kinds, delta, rng)
+    r = {"0": 0, "1": 1, "Δ-1": delta - 1, "Δ": delta, "any": int(rng.integers(1, delta + 1))}[which]
+    with patch.object(capacity, "_PARTITION_MIN_DELTA", partition_from):
+        mask = capacity._top_mask(pm, r)
+    expected = np.zeros(pm.shape)
+    np.put_along_axis(expected, np.argsort(-pm, axis=-1, kind="stable")[:, :r], 1.0, axis=-1)
+    assert mask.dtype == float and np.array_equal(mask, expected)
+
+
+def test_subset_step_at_the_partition_switch_matches_the_frozen_step():
+    # mpp:6, Δ = 64: the first game whose top sets come from the partition
+    ch = type_ii(mpp_game(6), 0.6)
+    assert ch.delta == capacity._PARTITION_MIN_DELTA
+    rng = np.random.default_rng(6)
+    for r_max in (1, round(capacity._classical_value(ch.game) * ch.delta), ch.delta):
+        F = rng.dirichlet(np.ones(2), size=(20, 6))
+        F[:4] = 0.5  # uniform rows: all 64 masses tie
+        args = (ch, r_max)
+        _assert_steps_match(_subset_bound_objective(*args), _frozen_subset_bound_objective(*args), F, np.zeros(20, int))
 
 
 def test_bruteforce_cap():

@@ -536,10 +536,18 @@ def _assert_error_line(result, fragment=""):
 
 
 def test_mpp60_perfect_box_row_is_refused_at_once():
-    # the parity route's 60 x 2^60 question digits are too big to allocate
+    # refused before the parity route's 60 x 2^60 question digits
     result = run("sweep", "--game", "mpp:60", "--channel-type", "2", "--eta-grid", "0.5:1:2",
                  "--resources", "NS-exact")
-    _assert_error_line(result, "too big")
+    _assert_error_line(result, f"mpp:60 perfect-box cross-check has {4**60} circulant entries")
+    assert result.output.count("\n") == 1
+
+
+def test_mpp20_perfect_box_row_is_refused_before_its_cross_check():
+    # 2^40 circulant entries per eta: hours of cross-check, refused at once
+    result = run("sweep", "--game", "mpp:20", "--channel-type", "2", "--eta-grid", "0.5:1:2",
+                 "--resources", "NS-exact")
+    _assert_error_line(result, f"mpp:20 perfect-box cross-check has {4**20} circulant entries")
     assert result.output.count("\n") == 1
 
 
@@ -575,7 +583,7 @@ def _out_of_memory(*args, **kwargs):
     "module, name, args",
     [
         (verify, "run_verification", ("verify", "--count", "3")),
-        (capacity, "bruteforce_classical_game_value", ("table",)),
+        (capacity, "sweep", ("table",)),
         (capacity, "bruteforce_classical_game_value", ("game-value", "chsh")),
     ],
     ids=lambda x: x[0] if isinstance(x, tuple) else None,
@@ -583,6 +591,13 @@ def _out_of_memory(*args, **kwargs):
 def test_error_boundary_covers_every_command(monkeypatch, module, name, args):
     monkeypatch.setattr(module, name, _out_of_memory)
     _assert_error_line(run(*args), "Unable to allocate 2.00 EiB")
+
+
+def test_table_runs_no_game_search(monkeypatch):
+    # every table game's omega*_L is a closed form
+    monkeypatch.setattr(capacity, "bruteforce_classical_game_value", _out_of_memory)
+    result = run("table", "--seed", "0")
+    assert result.exit_code == 0, result.output
 
 
 _SWEEP_CHSH = ("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "1:1:1")
