@@ -594,21 +594,13 @@ def resource_dependent_bound(ch: MacChannel, max_omega: float) -> float:
     return float(np.log2(ch.delta)) + (ch.f_l - ch.f_w) * max_omega - ch.f_l
 
 
-# Joint sizes Δ from which `_top_mask` finds its set by np.partition, not a
-# full sort: the measured break-even, 20 rows.
-_PARTITION_MIN_DELTA = 64
-
-
 def _top_mask(pm: np.ndarray, r: int) -> np.ndarray:
     """The 0/1 float mask of the r largest entries of each row of pm (R, Δ),
-    ties to the lowest index: the first r of a stable argsort, which finds
-    them below Δ = _PARTITION_MIN_DELTA.  From there on np.partition finds
-    the r-th largest entry t in O(Δ); every entry above t is in, and the
-    entries equal to t fill the rest in index order: the same set."""
-    if pm.shape[-1] < _PARTITION_MIN_DELTA or not r:
-        mask = np.zeros(pm.shape)
-        mask[np.arange(len(pm))[:, None], np.argsort(-pm, axis=-1, kind="stable")[:, :r]] = 1.0
-        return mask
+    ties to the lowest index: the first r of a stable argsort, found in O(Δ).
+    np.partition finds the r-th largest entry t; every entry above t is in,
+    and the entries equal to t fill the rest in index order."""
+    if not r:
+        return np.zeros(pm.shape)
     t = np.partition(pm, -r, axis=-1)[:, -r, None]
     mask = pm >= t
     over = mask.sum(axis=-1) > r  # rows with more ties at t than places left
@@ -956,9 +948,11 @@ class SweepRow:
 
 
 # Circulant entries, Δ², that one perfect-box cross-check (`_echo_rate`)
-# reads per η: mpp:16's.  Its time grows 4x per player, from about 4 s
-# per η at mpp:16 to over 15 minutes at mpp:20.
-_CROSS_CHECK_CAP = 2**32
+# reads per η: mpp:17's.  Its time grows about 4x per player: a two-η
+# NS-exact,Q-exact sweep took 6.3 s at mpp:16, 27 s at mpp:17 and 101 s
+# at mpp:18 (2-core Intel Xeon, one BLAS thread), so mpp:18 is the first
+# game refused.
+_CROSS_CHECK_CAP = 2**34
 
 
 @functools.lru_cache(maxsize=1)

@@ -442,28 +442,24 @@ def _tied_rows(kinds: list[str], delta: int, rng) -> np.ndarray:
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    # Δ on both sides of _PARTITION_MIN_DELTA = 64
     delta=st.sampled_from([2, 4, 9, 16, 63, 64, 65, 128, 256]),
     kinds=st.lists(st.sampled_from(["random", "uniform", "rounded", "product"]), min_size=1, max_size=6),
     which=st.sampled_from(["0", "1", "Δ-1", "Δ", "any"]),
-    partition_from=st.sampled_from([1, 64]),  # 1: every Δ takes the partition
     seed=st.integers(0, 2**32 - 1),
 )
-def test_top_mask_is_the_stable_sort_set(delta, kinds, which, partition_from, seed):
+def test_top_mask_is_the_stable_sort_set(delta, kinds, which, seed):
     rng = np.random.default_rng(seed)
     pm = _tied_rows(kinds, delta, rng)
     r = {"0": 0, "1": 1, "Δ-1": delta - 1, "Δ": delta, "any": int(rng.integers(1, delta + 1))}[which]
-    with patch.object(capacity, "_PARTITION_MIN_DELTA", partition_from):
-        mask = capacity._top_mask(pm, r)
+    mask = capacity._top_mask(pm, r)
     expected = np.zeros(pm.shape)
     np.put_along_axis(expected, np.argsort(-pm, axis=-1, kind="stable")[:, :r], 1.0, axis=-1)
     assert mask.dtype == float and np.array_equal(mask, expected)
 
 
-def test_subset_step_at_the_partition_switch_matches_the_frozen_step():
-    # mpp:6, Δ = 64: the first game whose top sets come from the partition
+def test_subset_step_on_tied_rows_matches_the_frozen_step():
+    # mpp:6, Δ = 64, with rows whose masses all tie
     ch = type_ii(mpp_game(6), 0.6)
-    assert ch.delta == capacity._PARTITION_MIN_DELTA
     rng = np.random.default_rng(6)
     for r_max in (1, round(capacity._classical_value(ch.game) * ch.delta), ch.delta):
         F = rng.dirichlet(np.ones(2), size=(20, 6))
@@ -1431,6 +1427,22 @@ def test_parity_hypotheses_match_the_dense_box(n):
     box = pseudo_telepathy_box(game)
     assert np.array_equal(t, box_win_probabilities(box, game))
     assert marginal_error == support_marginal_uniformity_error(box)
+
+
+def test_perfect_box_cross_check_cap_falls_between_mpp17_and_mpp18(monkeypatch):
+    # mpp:17 passes the size check and reaches the parity route; mpp:18 does not
+    class Reached(Exception):
+        pass
+
+    def reached(game):
+        raise Reached(game.name)
+
+    monkeypatch.setattr(capacity, "_parity_hypotheses", reached)
+    capacity._builtin_perfect_box.cache_clear()
+    with pytest.raises(Reached, match="mpp:17"):
+        capacity._builtin_perfect_box(mpp_game(17))
+    with pytest.raises(EnumerationCapExceeded, match=f"mpp:18 perfect-box cross-check has {4**18} circulant"):
+        capacity._builtin_perfect_box(mpp_game(18))
 
 
 def test_mpp_sweep_builds_no_box_win_table_or_encoder(monkeypatch):

@@ -544,7 +544,7 @@ def test_mpp60_perfect_box_row_is_refused_at_once():
 
 
 def test_mpp20_perfect_box_row_is_refused_before_its_cross_check():
-    # 2^40 circulant entries per eta: hours of cross-check, refused at once
+    # 2^40 circulant entries per eta, 64x mpp:17's: refused at once
     result = run("sweep", "--game", "mpp:20", "--channel-type", "2", "--eta-grid", "0.5:1:2",
                  "--resources", "NS-exact")
     _assert_error_line(result, f"mpp:20 perfect-box cross-check has {4**20} circulant entries")
