@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Callable
 
@@ -229,36 +229,23 @@ def maximize_over_pi(
     return tops[pick], ProductDistribution(tuple(best_F[pick * R + winner])), diagnostics
 
 
-def _block_average(x: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
-    """E over m_-k ~ p_-k of x(m), as a function of m_k: shape (R, d).
-
-    x has shape (R, d^n) over the joint message index; each sender j != k
-    is summed out by one stacked matmul, each row with its own p_j."""
+def _block_averages(x: np.ndarray, F: np.ndarray, blocks: list[int] | None = None) -> np.ndarray:
+    """E over m_-k ~ p_-k of x(m) (R, d^n), as a function of m_k, for each
+    sender k of blocks (ascending; all by default): shape (R, len(blocks), d).
+    Senders n-1, ..., k+1 are summed out by right-hand stacked matmuls, then
+    0, ..., k-1 by left-hand ones, each row with its own p_j.  The right-hand
+    chain is formed once, down to the lowest block: one block takes n - 1
+    products, all n blocks n(n+1)/2 - 1."""
     R, n, d = F.shape
-    for j in range(n - 1, k, -1):
-        x = np.matmul(x.reshape(R, -1, d), F[:, j, :, None])
-    for j in range(k):
-        x = np.matmul(F[:, j, None, :], x.reshape(R, d, -1))
-    return x.reshape(R, d)
-
-
-def _block_averages(x: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """`_block_average(x, F, k)` of every sender k, bit for bit: shape (R, n, d).
-
-    Block k sums out senders n-1, ..., k+1 by right-hand products, then
-    0, ..., k-1 by left-hand ones, as `_block_average` does; the
-    right-hand chain is formed once, each block branching off where its
-    own stops, so n senders take n(n+1)/2 - 1 products, not n(n-1)."""
-    R, n, d = F.shape
-    out = np.empty((R, n, d))
-    for k in range(n - 1, -1, -1):
-        y = x
+    outs, top = [], n - 1
+    for k in reversed(range(n) if blocks is None else blocks):
+        for j in range(top, k, -1):
+            x = np.matmul(x.reshape(R, -1, d), F[:, j, :, None])
+        top, y = k, x
         for j in range(k):
             y = np.matmul(F[:, j, None, :], y.reshape(R, d, -1))
-        out[:, k] = y.reshape(R, d)
-        if k:
-            x = np.matmul(x.reshape(R, -1, d), F[:, k, :, None])
-    return out
+        outs.append(y.reshape(R, 1, d))
+    return outs[0] if len(outs) == 1 else np.concatenate(outs[::-1], axis=1)
 
 
 # Factors 2^-j, j = 1..4, of alpha + 1 when an extrapolated point leaves the
@@ -300,7 +287,6 @@ def _kernel_mi_objective(kernels: np.ndarray, slots: np.ndarray | None = None) -
 
     def objective(batch: tuple[np.ndarray, np.ndarray]):
         F0, group = batch
-        n = F0.shape[1]
         rows = np.take(slots, group, axis=0)
         K, neg_h = np.take(kernels, rows, axis=0), -np.take(h_rows, rows)  # take: faster than [rows]
 
@@ -315,10 +301,12 @@ def _kernel_mi_objective(kernels: np.ndarray, slots: np.ndarray | None = None) -
             pm = product_joint(F)
             div, q, log_q = divergences(pm)
             values = (pm * neg_h).sum(-1) - (q * log_q).sum(-1)  # H(q) - H(Y | M)
-            scores = [_block_average(div, F, k) for k in range(n if certify else 1)]
-            gaps = np.max([g.max(axis=-1) for g in scores], axis=0) - values if certify else None
-            for k in range(n):
-                score = scores[0] if k == 0 else _block_average(divergences(product_joint(F))[0], F, k)
+            scores = _block_averages(div, F, None if certify else [0])
+            gaps = scores.max(axis=(1, 2)) - values if certify else None
+            for k in range(F.shape[1]):  # block 0 takes its column of scores
+                if k:
+                    scores = _block_averages(divergences(product_joint(F))[0], F, [k])
+                score = scores[:, 0]
                 w = F[:, k] * np.exp2(score - score.max(axis=-1, keepdims=True))
                 F[:, k] = w / w.sum(axis=-1, keepdims=True)
             return values, gaps, F
@@ -621,23 +609,19 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
     """
     spread = ch.f_l - ch.f_w
 
-    def top_set(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The 0/1 mask of the top-r_max set of F's joint (`_top_mask`), and the joint."""
-        pm = product_joint(F)
-        return _top_mask(pm, r_max), pm
-
     def objective(batch: tuple[np.ndarray, np.ndarray]):
         F = batch[0].copy()  # one candidate: every row's group is 0
-        n = F.shape[1]
-        mask, pm = top_set(F)
+        pm = product_joint(F)
+        mask = _top_mask(pm, r_max)
         h = entropy(F, axis=-1)  # (R, n)
         values = h.sum(axis=-1) + spread * (mask * pm).sum(axis=-1) - ch.f_l
         averages = _block_averages(mask, F)  # (R, n, d)
         blocks = h + spread * (F * averages).sum(axis=-1)
         gaps = np.maximum((np.logaddexp2.reduce(spread * averages, axis=-1) - blocks).max(axis=-1), 0.0)
-        for k in range(n):
-            a = averages[:, 0] if k == 0 else _block_average(top_set(F)[0], F, k)
-            w = np.exp2(spread * a)
+        for k in range(F.shape[1]):  # block 0 takes its column of averages
+            if k:
+                averages = _block_averages(_top_mask(product_joint(F), r_max), F, [k])
+            w = np.exp2(spread * averages[:, 0])
             F[:, k] = w / w.sum(axis=-1, keepdims=True)
         return values, gaps, F
 
@@ -683,12 +667,20 @@ PT_CROSS_CHECK_TOL = 1e-9
 
 
 def _box_resource(name: str) -> str:
-    """Q for the built-in quantum boxes, by name, NS for every other box.
+    """Q for the library's built-in quantum boxes, by name, NS for its other
+    boxes (`pseudo_telepathy_capacity` labels a caller's box by its table).
     The quantum strategies behind Q are in tests/test_correlations.py
     (test_tsirelson_box_matches_bell_state_strategy,
     test_magic_square_box_matches_four_qubit_strategy and
     test_mpp_box_matches_per_row_construction)."""
     return "Q" if name in ("tsirelson", "magic-square") or name.startswith("mpp:") else "NS"
+
+
+def _refuse_signaling(box: CorrelationBox, what: str, error: type[ValueError] = ValueError) -> None:
+    """Raise error, naming the box `what`, if it signals by more than NO_SIGNALING_TOL."""
+    signaling = box.no_signaling_error()
+    if not signaling <= NO_SIGNALING_TOL:
+        raise error(f"{what} signals: no-signaling error {signaling:.3g} exceeds {NO_SIGNALING_TOL:g}")
 
 
 class PseudoTelepathyHypothesisError(ValueError):
@@ -793,9 +785,18 @@ def pseudo_telepathy_capacity(ch: MacChannel, box: CorrelationBox) -> CapacityRe
     `_echo_rate`) in O(Δ^2) time and O(Δ) memory, with no Δ x Δ array.
     Both hypotheses and the win probabilities depend on the game only: a
     sweep derives them once, and cross-checks once per channel for the
-    rows that share a box.
+    rows that share a box.  A signaling box is refused.  The resource is
+    read from the box's table, not its name: Q only for the table of a
+    quantum pseudo_telepathy_box(game), NS for any other box or game.
     """
-    return _prepare_symmetric_encoder(box, ch.game, perfect=True)(ch)[0]
+    solve = _prepare_symmetric_encoder(box, ch.game, perfect=True)
+    _refuse_signaling(box, f"box {box.name!r}", PseudoTelepathyHypothesisError)
+    try:
+        builtin = pseudo_telepathy_box(ch.game)
+        quantum = _box_resource(builtin.name) == "Q" and np.array_equal(box.table, builtin.table)
+    except ValueError:  # a game with no built-in box
+        quantum = False
+    return replace(solve(ch)[0], resource="Q" if quantum else "NS")
 
 
 def _prepare_q_lower(game: NonlocalGame) -> Solve:
@@ -836,11 +837,7 @@ def _prepare_vertex_file(vertex_csv_path, game: NonlocalGame, cfg: OptimizerConf
                 f"vertex {i} has scenario ({box.n},{box.d},{box.D}), channel "
                 f"needs ({game.n},{game.d},{game.D})"
             )
-        signaling = box.no_signaling_error()
-        if not signaling <= NO_SIGNALING_TOL:
-            raise ValueError(
-                f"vertex {i} signals: no-signaling error {signaling:.3g} exceeds {NO_SIGNALING_TOL:g}"
-            )
+        _refuse_signaling(box, f"vertex {i}")
     t = np.stack([box_win_probabilities(box, game) for box in boxes])[..., None]
 
     def solve(ch: MacChannel) -> tuple[CapacityResult, str]:

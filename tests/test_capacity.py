@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from gamemac import capacity, correlations, games
 from gamemac.capacity import (
-    _block_average,
     _block_averages,
     _canonical_maps,
     _Draws,
@@ -46,6 +45,7 @@ from gamemac.channels import (
     MacChannel, circulant_view, depolarizing_mac, input_slots, noise_f, two_branch_mac, type_i, type_ii,
 )
 from gamemac.correlations import (
+    CorrelationBox,
     EnumerationCapExceeded,
     box_to_csv,
     box_win_probabilities,
@@ -641,7 +641,7 @@ def test_capped_counts_starts_that_ran_out_of_steps():
 
 
 def _einsum_block_average(x, F, k):
-    """The einsum form of `_block_average`, kept as its reference."""
+    """The einsum form of block k of `_block_averages`, kept as its reference."""
     R, n, d = F.shape
     operands = [x.reshape((R,) + (d,) * n), [n, *range(n)]]
     for j in range(n):
@@ -744,17 +744,22 @@ def _frozen_subset_bound_objective(ch, r_max):
 @given(n=st.integers(1, 5), d=st.integers(2, 3), rows=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_block_average_matches_einsum_and_keeps_rows_independent(n, d, rows, seed):
     # n = 1 is the pruning shape (one sender of Δ messages): nothing is summed out
+    # every block alone (the updates' calls), all blocks (the certificates')
+    # and a random ascending subset: the shared right-hand chain changes no bit
     rng = np.random.default_rng(seed)
     F = rng.dirichlet(np.ones(d), size=(rows, n))
     x = rng.random((rows, d**n))
     every = _block_averages(x, F)
-    for k in range(n):
-        batch = _block_average(x, F, k)
-        assert batch.shape == (rows, d)
-        assert np.abs(batch - _einsum_block_average(x, F, k)).max() <= 1e-15
-        assert np.array_equal(every[:, k], batch)  # the shared right-hand chain changes no bit
-        for r in range(rows):
-            assert np.array_equal(_block_average(x[r : r + 1], F[r : r + 1], k)[0], batch[r])
+    assert every.shape == (rows, n, d)
+    blocks = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist())
+    for requested in [[k] for k in range(n)] + [blocks]:
+        batch = _block_averages(x, F, requested)
+        assert batch.shape == (rows, len(requested), d)
+        one_row = np.stack([_block_averages(x[r : r + 1], F[r : r + 1], requested)[0] for r in range(rows)])
+        for i, k in enumerate(requested):
+            assert np.array_equal(batch[:, i], every[:, k])
+            assert np.array_equal(one_row[:, i], batch[:, i])
+            assert np.abs(batch[:, i] - _einsum_block_average(x, F, k)).max() <= 1e-15
 
 
 def _assert_steps_match(objective, frozen, F, group, steps=3):
@@ -1072,6 +1077,43 @@ def test_pseudo_telepathy_resources():
     assert pseudo_telepathy_capacity(ms, pseudo_telepathy_box(magic_square_game())).resource == "Q"
 
 
+def test_pseudo_telepathy_resource_reads_the_table_not_the_name():
+    # the PR box under the Tsirelson box's name: no quantum strategy reaches
+    # it (Tsirelson's bound), so it stays NS
+    renamed = CorrelationBox(2, 2, 2, pr_box().table, name="tsirelson")
+    result = pseudo_telepathy_capacity(type_ii(chsh_game(), 1.0), renamed)
+    assert (result.kind, result.resource, result.value) == ("exact", "NS", 2.0)
+    # a built-in quantum box's table is Q under any name
+    for game in (magic_square_game(), mpp_game(3)):
+        box = pseudo_telepathy_box(game)
+        mine = CorrelationBox(box.n, box.d, box.D, box.table, name="mine")
+        assert pseudo_telepathy_capacity(type_ii(game, 0.8), mine).resource == "Q"
+    # a game with no built-in box labels every box NS, whatever its name
+    custom = NonlocalGame("custom", 2, 2, 2, games._chsh_wins)
+    named = CorrelationBox(2, 2, 2, pr_box().table, name="mpp:2")
+    assert pseudo_telepathy_capacity(type_ii(custom, 0.8), named).resource == "NS"
+
+
+def test_pseudo_telepathy_refuses_a_signaling_box():
+    # wins CHSH on every question with uniform marginals on their support,
+    # but party 1's answer 0 is sure at q = 00 and a coin at q = 01
+    table = np.zeros((4, 4))  # [q1 q2, a1 a2]
+    table[0b00, 0b00] = 1.0
+    table[[0b01, 0b10], :] = 0.5 * np.isin(np.arange(4), [0b00, 0b11])
+    table[0b11, [0b01, 0b10]] = 0.5
+    box = CorrelationBox(2, 2, 2, table, name="signaling")
+    assert box.no_signaling_error() == 0.5
+    ch = type_ii(chsh_game(), 1.0)
+    with pytest.raises(
+        PseudoTelepathyHypothesisError, match=r"^box 'signaling' signals: no-signaling error 0\.5 exceeds 1e-10$"
+    ):
+        pseudo_telepathy_capacity(ch, box)
+    # the win check still comes first, with its own message
+    table[0b11] = np.eye(4)[0b00]
+    with pytest.raises(PseudoTelepathyHypothesisError, match="box 'losing' does not win chsh"):
+        pseudo_telepathy_capacity(ch, CorrelationBox(2, 2, 2, table, name="losing"))
+
+
 def test_pseudo_telepathy_rejects_imperfect_box():
     ch = type_ii(chsh_game(), 0.8)
     with pytest.raises(
@@ -1085,8 +1127,6 @@ def test_pseudo_telepathy_rejects_imperfect_box():
 
 def test_pseudo_telepathy_rejects_nonuniform_support():
     # a signal-free box that wins CHSH but skews its output marginal
-    from gamemac.correlations import CorrelationBox
-
     table = np.zeros((4, 4))
     for q1 in range(2):
         for q2 in range(2):
