@@ -409,16 +409,15 @@ def _patterns(slots: np.ndarray, delta: int) -> np.ndarray:
 def _orbit_firsts(ch: MacChannel, slots: np.ndarray) -> np.ndarray:
     """Index of the first row of slots (S, Δ) in each orbit, ascending.
 
-    On a depolarizing channel, each profile constant off offset 0, the row
-    of slot b Δ + q is c_b + e_b [y = q], so relabelling the outputs keeps
-    every rate, and a row's rates depend on it only through its pattern
+    On a depolarizing channel (see `MacChannel._peaks`), the row of slot
+    b Δ + q is c_b + e_b [y = q], so relabelling the outputs keeps every
+    rate, and a row's rates depend on it only through its pattern
     (see `_patterns`).  Relabelling messages within senders and permuting
     senders keeps every product law, so a row whose pattern is one of the
     d!^n n! relabelled patterns of an earlier first row has that row's
     maximum over product laws.  Any other channel keeps every row."""
     game, delta = ch.game, ch.delta
-    off_peak = np.stack([ch.lose_profile, ch.win_profile])[:, 1:]
-    if (off_peak != off_peak[:, :1]).any():
+    if any(offsets.any() for _, offsets, _ in ch._peaks):  # a peak off offset 0
         return np.arange(len(slots))
     grid = np.arange(delta).reshape((game.d,) * game.n)
     senders = np.stack([grid.transpose(order).ravel() for order in permutations(range(game.n))])
@@ -694,15 +693,12 @@ def _echo_rate(ch: MacChannel, pm: np.ndarray, t: np.ndarray) -> float:
     box_win_probabilities(box, game).  E* puts message m on the inputs
     (m, a), so kernel row m is t_m C_w[m] + (1 - t_m) C_l[m], with C_b the
     circulant rows of branch b: a box reaches a rate only through t.  I(M;Y)
-    is H(pm (1 - t) @ C_l + pm t @ C_w), minus sum_m pm_m H(t_m P_w +
-    (1 - t_m) P_l), with P_b the profiles; a kernel row is a cyclic shift of
-    its profile mix, so both have one entropy.  C_l and C_w are read through
-    `circulant_view`, so the products take O(Δ) memory, with no Δ x Δ copy."""
-    lose, win = circulant_view(np.stack([ch.lose_profile, ch.win_profile]))
+    is H(`MacChannel.output_law` of the slot weights pm (1 - t), pm t) minus
+    sum_m pm_m H(t_m P_w + (1 - t_m) P_l), with P_b the profiles: a kernel
+    row is a cyclic shift of its profile mix, so both have one entropy."""
     mixes, which = np.unique(t, return_inverse=True)
     h_rows = entropy(np.outer(mixes, ch.win_profile) + np.outer(1 - mixes, ch.lose_profile), axis=1)
-    # a branch of all-zero weight adds a zero vector: a perfect box reads only C_w
-    q = sum(w @ rows for w, rows in ((pm * (1 - t), lose), (pm * t, win)) if w.any())
+    q = ch.output_law(np.concatenate([pm * (1 - t), pm * t]))
     return entropy(q) - float(pm @ h_rows[which])
 
 
@@ -782,7 +778,7 @@ def pseudo_telepathy_capacity(ch: MacChannel, box: CorrelationBox) -> CapacityRe
     output marginals uniform over their support) and cross-checks the
     closed form against the E* encoder's sum rate at uniform messages
     (`direct_sum_rate`), computed from its win probabilities (see
-    `_echo_rate`) in O(Δ^2) time and O(Δ) memory, with no Δ x Δ array.
+    `_echo_rate`) in O(Δ) time and memory on a depolarizing channel.
     Both hypotheses and the win probabilities depend on the game only: a
     sweep derives them once, and cross-checks once per channel for the
     rows that share a box.  A signaling box is refused.  The resource is
@@ -911,7 +907,7 @@ def _parity_hypotheses(game: NonlocalGame) -> tuple[np.ndarray, float]:
     n >= 2 each player's bit is 0 in half of a parity class: every marginal
     is 1/2 on the support {0, 1}, and the error is 0."""
     n = game.n
-    q = np.indices((2,) * n).reshape(n, -1, 1)
+    q = np.indices((2,) * n, dtype=np.uint8).reshape(n, -1, 1)
     a = np.zeros((n, 1, 2), dtype=q.dtype)
     a[0, 0, 1] = 1
     wins = np.broadcast_to(game._wins(tuple(q), tuple(a)), (2**n, 2))
@@ -944,29 +940,24 @@ class SweepRow:
     diagnostic: str = ""
 
 
-# Circulant entries, Δ², that one perfect-box cross-check (`_echo_rate`)
-# reads per η: mpp:17's.  Its time grows about 4x per player: a two-η
-# NS-exact,Q-exact sweep took 6.3 s at mpp:16, 27 s at mpp:17 and 101 s
-# at mpp:18 (2-core Intel Xeon, one BLAS thread), so mpp:18 is the first
-# game refused.
-_CROSS_CHECK_CAP = 2**34
+# Outputs Δ of the largest game a perfect-box sweep takes: mpp:22's.  A
+# two-η NS-exact,Q-exact sweep took 1.4 s and 400 MB at mpp:22 and 3.3 s and
+# 768 MB at mpp:23 (2-core Intel Xeon), over 500 MB: mpp:23 is refused.
+_PERFECT_BOX_CAP = 2**22
 
 
 @functools.lru_cache(maxsize=1)
 def _builtin_perfect_box(game: NonlocalGame) -> tuple[str, Solve]:
     """The resource label of the game's built-in perfect box and its
     checked closed form; kept for the last game, so a sweep's NS-exact and
-    Q-exact share one check.  A game whose Δ² is over _CROSS_CHECK_CAP is
+    Q-exact share one check.  A game whose Δ is over _PERFECT_BOX_CAP is
     refused (EnumerationCapExceeded) before anything is built.  A built-in
     Mermin-GHZ game (named mpp:n, on `games._mpp_wins`) reads its
     hypotheses from `_parity_hypotheses`, in O(2^n), with no box, win table
     or E*: they are the box's own, bit for bit.  Every other game, and a
     game named mpp:n on another predicate, reads them from
     pseudo_telepathy_box(game).  The box is not kept."""
-    refuse_over_cap(
-        (game.d**game.n) ** 2, f"{game.name} perfect-box cross-check", "circulant entries per eta",
-        cap=_CROSS_CHECK_CAP,
-    )
+    refuse_over_cap(game.d**game.n, f"{game.name} perfect-box row", "outputs", cap=_PERFECT_BOX_CAP)
     if game._wins is games._mpp_wins and _builtin_game(game) is game:
         name, (t, marginal_error) = game.name, _parity_hypotheses(game)
         solve = _symmetric_solve(game, t, marginal_error, name, f"e*({name})", perfect=True)

@@ -90,12 +90,31 @@ class MacChannel:
         matrix.setflags(write=False)
         return matrix
 
+    @functools.cached_property
+    def _peaks(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
+        """(c, S, P[S]) of the losing, then the winning profile P: c = P[1] and
+        S the offsets where P differs from c, {0} or empty iff P is depolarizing."""
+        profiles = (self.lose_profile, self.win_profile)
+        return tuple((p[1], s := np.flatnonzero(p != p[1]), p[s]) for p in profiles)
+
+    def output_law(self, weights: np.ndarray) -> np.ndarray:
+        """Output law (..., Δ) of weights (..., 2Δ) on the slots (see input_slots):
+        the weighted sum of the 2Δ circulant rows, without them.  Branch b adds
+        c (sum(w) - sum_o roll(w, o)) + sum_o P[o] roll(w, o) over o in S (see
+        `_peaks`), O(Δ |S|); one slot of weight 1 gives its row bit for bit."""
+        delta, q = self.delta, 0.0
+        for (c, offsets, peaks), w in zip(self._peaks, (weights[..., :delta], weights[..., delta:])):
+            # roll(w, o): the last o weights, then the others
+            rolled = [np.concatenate([w[..., delta - o :], w[..., : delta - o]], axis=-1) for o in offsets]
+            q = q + c * (w.sum(axis=-1, keepdims=True) - sum(rolled)) + sum(map(np.multiply, peaks, rolled))
+        return q
+
     def kernel(self, cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """P(y | m) of the encoder with support (cols, probs) (see
         correlations.Encoder), without the dense matrix.  Row m is the mix
         of the 2Δ circulant rows with weight probs[m, j] on the slot of
-        cols[m, j], so the support is summed onto (row, slot) and multiplied
-        by `_circulants`."""
+        cols[m, j], so the support is summed onto (row, slot) and passed to
+        `output_law`."""
         slots = input_slots(self.game)
         if cols.shape != probs.shape or cols.ndim != 2:
             raise ValueError(f"support shapes {cols.shape} and {probs.shape} differ or are not 2-D")
@@ -104,7 +123,7 @@ class MacChannel:
         rows = cols.shape[0]
         flat = np.arange(rows)[:, None] * 2 * self.delta + slots[cols]
         sums = np.bincount(flat.ravel(), probs.ravel(), minlength=rows * 2 * self.delta)
-        return sums.reshape(rows, -1) @ self._circulants
+        return self.output_law(sums.reshape(rows, -1))
 
 
 @functools.lru_cache(maxsize=8)

@@ -42,7 +42,7 @@ from gamemac.capacity import (
     vertex_file_bound,
 )
 from gamemac.channels import (
-    MacChannel, circulant_view, depolarizing_mac, input_slots, noise_f, two_branch_mac, type_i, type_ii,
+    MacChannel, depolarizing_mac, input_slots, noise_f, two_branch_mac, type_i, type_ii,
 )
 from gamemac.correlations import (
     CorrelationBox,
@@ -1469,8 +1469,21 @@ def test_parity_hypotheses_match_the_dense_box(n):
     assert marginal_error == support_marginal_uniformity_error(box)
 
 
-def test_perfect_box_cross_check_cap_falls_between_mpp17_and_mpp18(monkeypatch):
-    # mpp:17 passes the size check and reaches the parity route; mpp:18 does not
+def test_parity_hypotheses_hold_one_byte_per_question_digit():
+    # n·2^n uint8 digits (1 MB at mpp:16) and t's 2^n floats; int64 digits
+    # alone would take 8·n·2^n bytes
+    n, game = 16, mpp_game(16)
+    tracemalloc.start()
+    try:
+        capacity._parity_hypotheses(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * 2**n
+
+
+def test_perfect_box_cap_falls_between_mpp22_and_mpp23(monkeypatch):
+    # mpp:22 passes the size check and reaches the parity route; mpp:23 does not
     class Reached(Exception):
         pass
 
@@ -1479,10 +1492,10 @@ def test_perfect_box_cross_check_cap_falls_between_mpp17_and_mpp18(monkeypatch):
 
     monkeypatch.setattr(capacity, "_parity_hypotheses", reached)
     capacity._builtin_perfect_box.cache_clear()
-    with pytest.raises(Reached, match="mpp:17"):
-        capacity._builtin_perfect_box(mpp_game(17))
-    with pytest.raises(EnumerationCapExceeded, match=f"mpp:18 perfect-box cross-check has {4**18} circulant"):
-        capacity._builtin_perfect_box(mpp_game(18))
+    with pytest.raises(Reached, match="mpp:22"):
+        capacity._builtin_perfect_box(mpp_game(22))
+    with pytest.raises(EnumerationCapExceeded, match=f"mpp:23 perfect-box row has {2**23} outputs"):
+        capacity._builtin_perfect_box(mpp_game(23))
 
 
 def test_mpp_sweep_builds_no_box_win_table_or_encoder(monkeypatch):
@@ -1686,12 +1699,6 @@ def test_echo_rate_matches_the_dense_sum_rate(box_name, channel):
     for pi in (ProductDistribution.uniform(game.n, game.d), random_pi):
         pm = pi.joint()
         assert abs(_echo_rate(ch, pm, t) - sum_rate(pi, enc, ch)) <= 1e-12
-        # reference: both branch products, also the one of all-zero weight
-        lose, win = circulant_view(np.stack([ch.lose_profile, ch.win_profile]))
-        mixes, which = np.unique(t, return_inverse=True)
-        h_rows = entropy(np.outer(mixes, ch.win_profile) + np.outer(1 - mixes, ch.lose_profile), axis=1)
-        two_products = entropy(pm * (1 - t) @ lose + pm * t @ win) - float(pm @ h_rows[which])
-        assert _echo_rate(ch, pm, t) == two_products
 
 
 @pytest.mark.parametrize("name", ["chsh", "mpp:3", "mpp:4", "random mpp:3"])

@@ -235,6 +235,31 @@ def test_kernel_matches_dense_product(scenario, seed):
         assert np.abs(ch.kernel(cols, table) - table @ ch.matrix).max() <= 1e-14
 
 
+@PROPERTY
+@given(
+    size=st.sampled_from([(2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (6, 2), (4, 3), (7, 2), (5, 3), (8, 2)]),
+    depolarizing=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_output_law_matches_the_circulant_product(size, depolarizing, seed):
+    # Δ from 4 to 256; the depolarizing profiles include a point mass
+    # (eta = 1) and a uniform one (eta = 0), whose sets of peak offsets are
+    # {0} and empty
+    (n, d), rng = size, np.random.default_rng(seed)
+    game = NonlocalGame("any", n, d, 2, lambda q, a: True)
+    if depolarizing:
+        eta_w = rng.choice([1.0, rng.random()])
+        ch = depolarizing_mac(game, eta_w, rng.choice([0.0, eta_w * rng.random()]))
+    else:
+        win_profile, lose_profile = sorted(rng.dirichlet(np.full(d**n, 0.5), size=2), key=entropy)
+        ch = MacChannel(game, win_profile, lose_profile)
+    weights = rng.dirichlet(np.full(2 * ch.delta, 0.3), size=4)
+    weights[0, : ch.delta] = 0.0  # a branch of all-zero weight, as a perfect box gives
+    weights[1:][rng.random(weights[1:].shape) < 0.3] = 0.0
+    assert np.abs(ch.output_law(weights) - weights @ ch._circulants).max() <= 1e-14
+    assert ch.output_law(np.eye(2 * ch.delta)).tobytes() == ch._circulants.tobytes()
+
+
 def _former_lift(box):
     """The dense E* table as it was built before encoders kept their support."""
     n, d, D = box.n, box.d, box.D
@@ -311,7 +336,7 @@ def test_large_channel_builds_without_dense_matrix():
     assert not ch.game.wins(q, a)
     kernel = ch.kernel(np.array([[x]]), np.ones((1, 1)))
     assert (kernel[0] == np.roll(ch.lose_profile, pack_tuple(q, 2))).all()
-    assert "matrix" not in ch.__dict__
+    assert "matrix" not in ch.__dict__ and "_circulants" not in ch.__dict__
 
 
 def test_e_star_sum_rate_at_mpp10_scale():

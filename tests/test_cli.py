@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from gamemac import capacity, verify
-from gamemac.channels import MacChannel, noise_f
+from gamemac.channels import MacChannel, noise_f, type_ii
 from gamemac.cli import main, parse_eta_grid
 from gamemac.games import mpp_game
 
@@ -539,15 +539,23 @@ def test_mpp60_perfect_box_row_is_refused_at_once():
     # refused before the parity route's 60 x 2^60 question digits
     result = run("sweep", "--game", "mpp:60", "--channel-type", "2", "--eta-grid", "0.5:1:2",
                  "--resources", "NS-exact")
-    _assert_error_line(result, f"mpp:60 perfect-box cross-check has {4**60} circulant entries")
+    _assert_error_line(result, f"mpp:60 perfect-box row has {2**60} outputs, over the cap of {2**22}")
     assert result.output.count("\n") == 1
 
 
-def test_mpp20_perfect_box_row_is_refused_before_its_cross_check():
-    # 2^40 circulant entries per eta, 64x mpp:17's: refused at once
+def test_mpp20_perfect_box_rows_print_the_closed_form_and_mpp23_is_refused():
+    # the O(Δ) cross-check passes at Δ = 2^20; mpp:23 is the first game over the cap
     result = run("sweep", "--game", "mpp:20", "--channel-type", "2", "--eta-grid", "0.5:1:2",
+                 "--resources", "NS-exact,Q-exact")
+    assert result.exit_code == 0, result.output
+    rows = [
+        f"{eta:.10g},{resource},exact,{20 - type_ii(mpp_game(20), eta).f_w:.10g},e*(mpp:20)"
+        for eta in (0.5, 1.0) for resource in ("NS-exact", "Q-exact")
+    ]
+    assert result.output.splitlines() == ["eta,resource,kind,value,diagnostic", *rows]
+    result = run("sweep", "--game", "mpp:23", "--channel-type", "2", "--eta-grid", "0.5:1:2",
                  "--resources", "NS-exact")
-    _assert_error_line(result, f"mpp:20 perfect-box cross-check has {4**20} circulant entries")
+    _assert_error_line(result, f"mpp:23 perfect-box row has {2**23} outputs")
     assert result.output.count("\n") == 1
 
 
