@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import MacChannel, circulant_view, input_slots, type_i, type_ii
+from .channels import MacChannel, input_slots, type_i, type_ii
 from .correlations import (
     NO_SIGNALING_TOL,
     CorrelationBox,
@@ -366,9 +366,9 @@ def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
     """One vertex per message-relabelling orbit and distinct kernel: their
     indices in `local_maps(n, d, dD)` order (R,), ascending, and the slot
     (see channels.input_slots) of each message's input (R, Δ), in the
-    smallest unsigned dtype that holds 2Δ - 1, so that
-    `ch._circulants[slots[r]]` is vertex r's kernel P(y|m).  Relabelling a
-    sender's messages changes no rate, and the vertex with non-decreasing
+    smallest unsigned dtype that holds 2Δ - 1, so that vertex r's kernel
+    P(y|m) is `ch._circulants[slots[r]]`, its slots' echo rows.  Relabelling
+    a sender's messages changes no rate, and the vertex with non-decreasing
     per-sender maps (see `_canonical_maps`) is its orbit's lowest index.
     A channel row depends on x only through its slot, so of vertices with
     the same slots the first is kept.  Raises EnumerationCapExceeded over
@@ -825,7 +825,8 @@ def quantum_lower_bound_chsh(ch: MacChannel) -> CapacityResult:
 def _prepare_vertex_file(vertex_csv_path, game: NonlocalGame, cfg: OptimizerConfig | None) -> Solve:
     """Read and check a vertex file's boxes against game and read their win
     probabilities; return the Solve of vertex_file_bound for a channel of
-    game, whose E* kernels are t C_w + (1 - t) C_l (see `_echo_rate`)."""
+    game: row m of a box's E* kernel is the `MacChannel.output_law` of
+    weight 1 - t_m on slot m and t_m on slot Δ + m (see `_echo_rate`)."""
     boxes = boxes_from_csv(vertex_csv_path)
     for i, box in enumerate(boxes):
         if (box.n, box.d, box.D) != (game.n, game.d, game.D):
@@ -835,10 +836,11 @@ def _prepare_vertex_file(vertex_csv_path, game: NonlocalGame, cfg: OptimizerConf
             )
         _refuse_signaling(box, f"vertex {i}")
     t = np.stack([box_win_probabilities(box, game) for box in boxes])[..., None]
+    eye = np.eye(t.shape[1])
+    weights = np.concatenate([(1 - t) * eye, t * eye], axis=-1)
 
     def solve(ch: MacChannel) -> tuple[CapacityResult, str]:
-        lose, win = circulant_view(np.stack([ch.lose_profile, ch.win_profile]))
-        kernels = t * win + (1 - t) * lose
+        kernels = ch.output_law(weights)
         val, pi, diag = maximize_over_pi(
             _kernel_mi_objective(kernels), game.n, game.d, cfg, groups=len(boxes)
         )

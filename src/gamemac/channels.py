@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .games import NonlocalGame, input_indices, input_win_mask
 from .infotheory import entropy
@@ -78,8 +77,9 @@ class MacChannel:
         """Shape (2Δ, Δ): row b*Δ + q is profile_b[(y - q) mod Δ], the row
         P(y | x) of every input x with win bit b (0 losing, 1 winning) and
         echoed question index q, that is of slot b*Δ + q (see input_slots).
-        C-contiguous (the reshape copies the view) and read-only."""
-        rows = circulant_view(np.stack([self.lose_profile, self.win_profile])).reshape(-1, self.delta)
+        The echo rows of both profiles, C-contiguous and read-only; only
+        `L-exact`, `best_vertex_rate_at_pi` and `matrix` build them."""
+        rows = echo_rows(np.stack([self.lose_profile, self.win_profile])).reshape(-1, self.delta)
         rows.setflags(write=False)
         return rows
 
@@ -129,9 +129,11 @@ class MacChannel:
 @functools.lru_cache(maxsize=8)
 def input_slots(game: NonlocalGame) -> np.ndarray:
     """Slot b*Δ + q of every channel input, with b its win bit and q its
-    question index: the row of `MacChannel._circulants` that is its row
-    P(y | x).  Read-only; kept for the last few games, so a game's channels
-    and their callers share it, also when a caller visits its games twice."""
+    question index: its row P(y | x) is echo row q of profile b (see
+    echo_rows), row b*Δ + q of `MacChannel._circulants`, and the slot is
+    its weight's index in `MacChannel.output_law`.  Read-only; kept for the
+    last few games, so a game's channels and their callers share it, also
+    when a caller visits its games twice."""
     slots = input_win_mask(game) * game.d**game.n
     slots[input_indices(game.n, game.d, game.D)] += np.arange(game.d**game.n)[:, None]
     slots.setflags(write=False)
@@ -166,19 +168,12 @@ def depolarizing_profiles(delta: int, eta_w, eta_l) -> np.ndarray:
     return profiles
 
 
-def circulant_view(profiles: np.ndarray) -> np.ndarray:
-    """Echo-offset rows of profiles (..., Δ) as a read-only view, shape
-    (..., Δ, Δ), with [..., q, y] = profiles[..., (y - q) mod Δ], the row
-    P(y | x) of an input x with echoed question index q.  Row q is the
-    window [Δ - q, 2Δ - q) of the doubled profile [p, p]: the view starts
-    at [p, p][Δ] and steps back one entry per row, so it costs O(Δ)
-    memory and index work."""
-    delta = profiles.shape[-1]
-    doubled = np.concatenate([profiles, profiles], axis=-1)[..., delta:]
-    step = doubled.strides[-1]
-    return as_strided(
-        doubled, profiles.shape + (delta,), doubled.strides[:-1] + (-step, step), writeable=False
-    )
+def echo_rows(profiles: np.ndarray) -> np.ndarray:
+    """Echo-offset rows of profiles (..., Δ), shape (..., Δ, Δ), with
+    [..., q, y] = profiles[..., (y - q) mod Δ]: the row P(y | x) of an
+    input x with echoed question index q.  A fresh array."""
+    steps = np.arange(profiles.shape[-1])
+    return profiles[..., (steps - steps[:, None]) % steps.size]
 
 
 def check_branch_order(f_w, f_l) -> None:

@@ -14,9 +14,9 @@ from .capacity import PT_TOL
 from .channels import (
     MacChannel,
     check_branch_order,
-    circulant_view,
     depolarizing_mac,
     depolarizing_profiles,
+    echo_rows,
     input_slots,
 )
 from .correlations import (
@@ -219,7 +219,7 @@ def _merged_support(triples: _Triples, chunk: range, box, inputs: int):
 def _chunk_quantities(triples: _Triples, chunk: range, box, messages, profiles):
     """Rows I(X;Y), I(M;Y), I(X;Y|M), H(Y) and the win probability omega
     for the triples in `chunk`, given their message laws (B, M) and their
-    channels' depolarizing profiles (2, B, Y).
+    channels' depolarizing profiles (2, B, Y), whose echo rows give P(y|x).
 
     The joint p(m) P(x|m) P(y|x) is held as one row over y per (triple,
     m, x) with mass, and every entropy is that of a marginal summed from
@@ -232,7 +232,7 @@ def _chunk_quantities(triples: _Triples, chunk: range, box, messages, profiles):
     t = tm // M
     win, question = np.divmod(slots[x], M)
     weight = messages.ravel()[tm] * p_x_given_m
-    joint = weight[:, None] * circulant_view(profiles)[win, t, question]
+    joint = weight[:, None] * echo_rows(profiles)[win, t, question]
 
     def summed(groups, size):
         """Rows of the joint added by group: one row over y per group."""

@@ -1536,7 +1536,7 @@ def test_mpp_perfect_box_sweep_peak_memory_is_linear_in_delta():
         ("magic-square", ["NS-exact", "Q-exact"]),
         ("mpp:3", ["NS-exact", "Q-exact"]),
         ("mpp:8", ["NS-exact", "Q-exact"]),
-        # E* kernels of a vertex file are read from the circulant view too
+        # E* kernels of a vertex file are output laws of their slot weights too
         ("chsh", [f"vertex-file:{DATA / 'pr_tsirelson_boxes.csv'}", "NS-exact"]),
     ],
 )

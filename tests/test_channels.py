@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gamemac.channels import (
     MacChannel,
-    circulant_view,
     depolarizing_mac,
+    echo_rows,
     input_slots,
     noise_f,
     two_branch_mac,
@@ -258,6 +258,17 @@ def test_output_law_matches_the_circulant_product(size, depolarizing, seed):
     weights[1:][rng.random(weights[1:].shape) < 0.3] = 0.0
     assert np.abs(ch.output_law(weights) - weights @ ch._circulants).max() <= 1e-14
     assert ch.output_law(np.eye(2 * ch.delta)).tobytes() == ch._circulants.tobytes()
+    # the E* slot weights of a vertex file's boxes, t constant at 0, 1, 0.75
+    # and a uniform draw, then a uniform draw and a mix of the four per message
+    delta = ch.delta
+    levels = np.array([0.0, 1.0, 0.75, rng.random()])
+    t = np.concatenate(
+        [np.repeat(levels, delta).reshape(4, delta), rng.random((1, delta)), rng.choice(levels, (1, delta))]
+    )[..., None]
+    eye = np.eye(delta)
+    lose, win = ch._circulants.reshape(2, delta, delta)
+    kernels = ch.output_law(np.concatenate([(1 - t) * eye, t * eye], axis=-1))
+    assert kernels.tobytes() == (t * win + (1 - t) * lose).tobytes()
 
 
 def _former_lift(box):
@@ -300,11 +311,9 @@ def test_circulants_match_the_index_definition(shape):
     profiles = np.random.default_rng(shape[-1]).random(shape)
     steps = np.arange(shape[-1])
     expected = profiles[..., (steps[None, :] - steps[:, None]) % shape[-1]]
-    view = circulant_view(profiles)
-    assert view.shape == expected.shape and view.tobytes() == expected.tobytes()
-    assert not view.flags.writeable and not np.shares_memory(view, profiles)
-    with pytest.raises(ValueError, match="read-only"):
-        view[..., 0, 0] = 0.0
+    rows = echo_rows(profiles)
+    assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+    assert not np.shares_memory(rows, profiles)
 
 
 def test_channel_circulants_are_contiguous_and_read_only():

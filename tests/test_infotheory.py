@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import warnings
 from itertools import product
 
-from gamemac.channels import circulant_view, depolarizing_mac, noise_f, type_ii
+from gamemac.channels import depolarizing_mac, noise_f, type_ii
 from gamemac.correlations import Encoder, deterministic_box, e_star, pr_box, tsirelson_box
 from gamemac.games import chsh_game, input_win_mask
 from gamemac.infotheory import (
@@ -81,7 +82,13 @@ def test_entropy_along_axes_matches_the_compacted_form(seed):
 def test_entropy_of_a_read_only_circulant_view_matches_the_compacted_form():
     profiles = np.random.default_rng(9).dirichlet(np.ones(8), size=(2, 5))
     profiles[1, :, 3] = 0.0
-    view = circulant_view(profiles)
+    # [..., q, y] = profiles[..., (y - q) mod 8]: row q starts at entry 8 of
+    # the doubled profile and steps back one entry per row
+    doubled = np.concatenate([profiles, profiles], axis=-1)[..., 8:]
+    step = doubled.strides[-1]
+    view = as_strided(doubled, (2, 5, 8, 8), doubled.strides[:-1] + (-step, step), writeable=False)
+    steps = np.arange(8)
+    assert view.tobytes() == profiles[..., (steps - steps[:, None]) % 8].tobytes()
     assert not view.flags.writeable
     for axis in (3, (2, 3), None):
         _assert_same_entropies(view, axis)
