@@ -801,15 +801,67 @@ def test_subset_step_matches_the_frozen_step(name):
         _assert_steps_match(_subset_bound_objective(ch, r_max), _frozen_subset_bound_objective(ch, r_max), F, group)
 
 
+def _exact_outcome(ch):
+    """Everything classical_capacity_exact reports, the factors as bytes."""
+    r = classical_capacity_exact(ch, CFG)
+    return r.value, r.argmax_encoder, r.diagnostics, [f.tobytes() for f in r.argmax_pi.factors]
+
+
 @pytest.mark.parametrize("name", ["chsh", "mpp:3", "mpp:4"])
 def test_pruning_chunks_change_no_result(monkeypatch, name):
     ch = type_ii(game_by_name(name), 0.5)
     results = []
     for budget in (1, 10**9):  # one row per objective call; every row in one call
         monkeypatch.setattr(capacity, "_PRUNE_CHUNK_ELEMENTS", budget)
-        r = classical_capacity_exact(ch, CFG)
-        results.append((r.value, r.argmax_encoder, r.diagnostics, [f.tobytes() for f in r.argmax_pi.factors]))
+        results.append(_exact_outcome(ch))
     assert results[0] == results[1]
+
+
+# (game, channel type, eta, seed): type-II and type-I channels, and random
+# two-branch channels whose pruning runs 73 (chsh) and 15 (mpp:3) steps with
+# no plain step, 52 and 18 with two
+PLAIN_STEP_CHANNELS = [
+    *((name, 2, eta, None) for name in ("chsh", "mpp:3", "mpp:4") for eta in (0.1, 0.5, 1.0)),
+    *((name, 1, 0.5, None) for name in ("chsh", "mpp:3", "mpp:4")),
+    ("chsh", None, None, 2),
+    ("mpp:3", None, None, 2),
+]
+
+
+@pytest.mark.parametrize("name, channel_type, eta, seed", PLAIN_STEP_CHANNELS)
+def test_plain_pruning_steps_change_no_result(monkeypatch, name, channel_type, eta, seed):
+    # every pruning step brackets a representative's capacity between its
+    # value and its Blahut-Arimoto bound, so plain sweeps and SQUAREM steps
+    # keep the same survivors, and so every reported number
+    if seed is None:
+        ch = channel_for(game_by_name(name), channel_type, eta)
+    else:
+        ch = _random_channel(name, seed)
+    default = _exact_outcome(ch)
+    for plain_steps in (0, capacity.MAX_ITERATIONS):  # every step SQUAREM; every step plain
+        monkeypatch.setattr(capacity, "_PLAIN_PRUNE_STEPS", plain_steps)
+        assert _exact_outcome(ch) == default
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    delta=st.integers(2, 32),
+    outputs=st.integers(2, 32),
+    sparse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plain_step_is_the_first_sweep_and_never_lowers_the_rate(delta, outputs, sparse, seed):
+    rng = np.random.default_rng(seed)
+    kernel = rng.dirichlet(np.ones(outputs), size=delta)
+    if sparse:  # zero about half of each row but its largest entry
+        kernel *= (rng.random(kernel.shape) < 0.5) | (kernel == kernel.max(axis=1, keepdims=True))
+        kernel /= kernel.sum(axis=1, keepdims=True)
+    F = np.concatenate([np.full((1, 1, delta), 1.0 / delta), rng.dirichlet(np.ones(delta), size=(7, 1))])
+    group = np.zeros(len(F), dtype=int)
+    values, gaps, stepped = _kernel_mi_objective(kernel, extrapolate=False)((F, group))
+    squarem = _kernel_mi_objective(kernel)((F, group))
+    assert values.tobytes() == squarem[0].tobytes() and gaps.tobytes() == squarem[1].tobytes()
+    assert (_kernel_mi_objective(kernel, extrapolate=False)((stepped, group))[0] >= values - 1e-15).all()
 
 
 def test_pruning_never_gathers_every_kernel_at_once():
@@ -1218,7 +1270,7 @@ def test_closed_form_refuses_a_direct_rate_that_disagrees(monkeypatch):
     # 1e-6 off the closed form, far past PT_CROSS_CHECK_TOL, is refused
     closed = []
 
-    def off_by_a_micro_bit(ch, pm, t):
+    def off_by_a_micro_bit(ch, pm, t, levels):
         row = t[0] * ch.win_profile + (1 - t[0]) * ch.lose_profile
         closed.append(float(np.log2(ch.delta)) - entropy(row))
         return closed[-1] + 1e-6
@@ -1698,7 +1750,7 @@ def test_echo_rate_matches_the_dense_sum_rate(box_name, channel):
     random_pi = ProductDistribution(tuple(rng.dirichlet(np.ones(game.d)) for _ in range(game.n)))
     for pi in (ProductDistribution.uniform(game.n, game.d), random_pi):
         pm = pi.joint()
-        assert abs(_echo_rate(ch, pm, t) - sum_rate(pi, enc, ch)) <= 1e-12
+        assert abs(_echo_rate(ch, pm, t, np.unique(t, return_inverse=True)) - sum_rate(pi, enc, ch)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["chsh", "mpp:3", "mpp:4", "random mpp:3"])
