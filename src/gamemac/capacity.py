@@ -368,32 +368,37 @@ def _canonical_maps(n: int, d: int, base: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ravel_multi_index(tuple(maps.reshape(len(maps), n * d).T), (base,) * (n * d)), maps
 
 
-def _representatives(ch: MacChannel) -> tuple[np.ndarray, np.ndarray]:
-    """One vertex per message-relabelling orbit and distinct kernel: their
-    indices in `local_maps(n, d, dD)` order (R,), ascending, and the slot
-    (see channels.input_slots) of each message's input (R, Δ), in the
-    smallest unsigned dtype that holds 2Δ - 1, so that vertex r's kernel
-    P(y|m) is `ch._circulants[slots[r]]`, its slots' echo rows.  Relabelling
-    a sender's messages changes no rate, and the vertex with non-decreasing
-    per-sender maps (see `_canonical_maps`) is its orbit's lowest index.
-    A channel row depends on x only through its slot, so of vertices with
-    the same slots the first is kept.  Raises EnumerationCapExceeded over
-    DEFAULT_ENUMERATION_CAP vertices."""
-    game = ch.game
+@functools.lru_cache(maxsize=1)
+def _representatives(game: NonlocalGame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """game's vertex table, kept for the last game: one vertex per
+    message-relabelling orbit and distinct kernel, their indices in
+    `local_maps(n, d, dD)` order (R,), ascending; the slot (see
+    channels.input_slots) of each message's input (R, Δ), in the smallest
+    unsigned dtype that holds 2Δ - 1, so vertex r's kernel P(y|m) is
+    `ch._circulants[slots[r]]`; and moves (see `_orbit_firsts`).
+    Relabelling a sender's messages changes no rate, and the vertex with
+    non-decreasing per-sender maps (see `_canonical_maps`) is its orbit's
+    lowest index.  A channel row depends on x only through its slot, so of
+    vertices with the same slots the first is kept.  Raises
+    EnumerationCapExceeded over DEFAULT_ENUMERATION_CAP vertices."""
     refuse_over_cap(
         vertex_count(game),
         f"{game.name} encoding scenario",
         "deterministic encoder vertices",
         "; use the L-bound resource (classical_upper_bound) instead",
     )
-    dD = game.d * game.D
+    delta, dD = game.d**game.n, game.d * game.D
     canonical, maps = _canonical_maps(game.n, game.d, dD)
-    slots = input_slots(game).astype(np.min_scalar_type(2 * ch.delta - 1))[local_map_indices(maps, dD)]
+    slots = input_slots(game).astype(np.min_scalar_type(2 * delta - 1))[local_map_indices(maps, dD)]
     # rows compared as raw bytes: np.unique(axis=0) compares them field by
     # field, about 15x slower at mpp:5
     rows = slots.view(np.dtype((np.void, slots.strides[0])))
     first = np.sort(np.unique(rows, return_index=True)[1])
-    return canonical[first], slots[first]
+    grid = np.arange(delta).reshape((game.d,) * game.n)
+    senders = np.stack([grid.transpose(order).ravel() for order in permutations(range(game.n))])
+    # moves[g, m]: the message that relabelling g sends in place of m
+    moves = senders[:, local_map_indices(_message_relabellings(game.n, game.d), game.d)].reshape(-1, delta)
+    return canonical[first], slots[first], moves
 
 
 def _message_relabellings(n: int, d: int) -> np.ndarray:
@@ -412,7 +417,7 @@ def _patterns(slots: np.ndarray, delta: int) -> np.ndarray:
     return (slots - question + np.take_along_axis(first, rows, -1).reshape(slots.shape)).astype(slots.dtype)
 
 
-def _orbit_firsts(ch: MacChannel, slots: np.ndarray) -> np.ndarray:
+def _orbit_firsts(ch: MacChannel, slots: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """Index of the first row of slots (S, Δ) in each orbit, ascending.
 
     On a depolarizing channel (see `MacChannel._peaks`), the row of slot
@@ -420,20 +425,15 @@ def _orbit_firsts(ch: MacChannel, slots: np.ndarray) -> np.ndarray:
     rate, and a row's rates depend on it only through its pattern
     (see `_patterns`).  Relabelling messages within senders and permuting
     senders keeps every product law, so a row whose pattern is one of the
-    d!^n n! relabelled patterns of an earlier first row has that row's
-    maximum over product laws.  Any other channel keeps every row."""
-    game, delta = ch.game, ch.delta
+    d!^n n! relabellings `moves` of an earlier first row's pattern has that
+    row's maximum over product laws.  Any other channel keeps every row."""
     if any(offsets.any() for _, offsets, _ in ch._peaks):  # a peak off offset 0
         return np.arange(len(slots))
-    grid = np.arange(delta).reshape((game.d,) * game.n)
-    senders = np.stack([grid.transpose(order).ravel() for order in permutations(range(game.n))])
-    # moves[g, m]: the message that relabelling g sends in place of m
-    moves = senders[:, local_map_indices(_message_relabellings(game.n, game.d), game.d)].reshape(-1, delta)
     seen, firsts = set(), []
-    for i, pattern in enumerate(_patterns(slots, delta)):
+    for i, pattern in enumerate(_patterns(slots, ch.delta)):
         if pattern.tobytes() not in seen:
             firsts.append(i)
-            seen.update(map(bytes, _patterns(slots[i][moves], delta)))
+            seen.update(map(bytes, _patterns(slots[i][moves], ch.delta)))
     return np.array(firsts)
 
 
@@ -484,7 +484,7 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     an orbit's members share one maximum, an ascent over every survivor
     gives the same value and label.
     """
-    vertices, slots = _representatives(ch)
+    vertices, slots, moves = _representatives(ch.game)
     basis = ch._circulants
     plain, squarem = (_kernel_mi_objective(basis, slots, extrapolate) for extrapolate in (False, True))
     F = np.full((len(slots), 1, ch.delta), 1.0 / ch.delta)  # one sender, Δ messages
@@ -503,7 +503,7 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
         if not active.size:
             break
     survivors = np.sort(np.concatenate([*kept, active]))
-    orbits = survivors[_orbit_firsts(ch, slots[survivors])]
+    orbits = survivors[_orbit_firsts(ch, slots[survivors], moves)]
     val, pi, diag = maximize_over_pi(
         _kernel_mi_objective(basis, slots[orbits]), ch.game.n, ch.game.d, cfg, groups=len(orbits)
     )
@@ -524,7 +524,7 @@ def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution) -> float:
     every representative at every per-sender relabelling of pi."""
     per_sender = _message_relabellings(pi.n, pi.d)
     relabelled = np.stack(pi.factors)[np.arange(pi.n)[:, None], per_sender]
-    slots = _representatives(ch)[1]
+    slots = _representatives(ch.game)[1]
     objective, everyone = _kernel_mi_objective(ch._circulants, slots), np.arange(len(slots))
     return max(
         float(objective((np.broadcast_to(F, (len(slots), *F.shape)), everyone))[0].max())
@@ -1009,15 +1009,38 @@ def _prepare_builtin_box(game: NonlocalGame, quantum: bool) -> Solve:
     return solve
 
 
+def _prepare_l_exact(game: NonlocalGame, cfg: OptimizerConfig) -> Solve:
+    """The Solve of classical_capacity_exact on game, its vertex table (and
+    so its vertex cap) built before any row: the rows read the kept table."""
+    _representatives(game)
+    return lambda ch: _row(classical_capacity_exact(ch, cfg))
+
+
+# Outputs Δ of the largest game an L-bound sweep takes: mpp:17's.  Its
+# ascent holds (restarts, Δ) joints per block and step; a two-η type-II
+# L-bound sweep as a CLI command took 20 s and 93 MB at mpp:16, 49 s and
+# 155 MB at mpp:17 and 183 s and 276 MB at mpp:18 (2-core Intel Xeon, one
+# BLAS thread), over 90 s: mpp:18 is refused.
+_L_BOUND_CAP = 2**17
+
+
+def _prepare_l_bound(game: NonlocalGame, cfg: OptimizerConfig) -> Solve:
+    """The Solve of classical_upper_bound on game, with its checks done
+    once: Δ at most _L_BOUND_CAP (EnumerationCapExceeded), and ω*_L, whose
+    search for a game with no closed form has its own cap and is kept for
+    the rows (see `bruteforce_classical_game_value`)."""
+    refuse_over_cap(game.d**game.n, f"{game.name} L-bound row", "outputs", cap=_L_BOUND_CAP)
+    _classical_value(game)
+    return lambda ch: _row(classical_upper_bound(ch, cfg), "omega*={omega_star:.10g}")
+
+
 # The sweep resources but vertex-file:<path>: name -> prepare(game, cfg),
 # which does the game-level work and checks once and returns the Solve.
 # Entries call the capacity functions by their module-global names when
 # they run, so a rebound function is the one a sweep calls.
 _RESOURCES: dict[str, Callable[[NonlocalGame, OptimizerConfig], Solve]] = {
-    "L-exact": lambda game, cfg: lambda ch: _row(classical_capacity_exact(ch, cfg)),
-    "L-bound": lambda game, cfg: lambda ch: _row(
-        classical_upper_bound(ch, cfg), "omega*={omega_star:.10g}"
-    ),
+    "L-exact": _prepare_l_exact,
+    "L-bound": _prepare_l_bound,
     "Q-lower": lambda game, cfg: _prepare_q_lower(game),
     "Q-exact": lambda game, cfg: _prepare_builtin_box(game, quantum=True),
     "NS-exact": lambda game, cfg: _prepare_builtin_box(game, quantum=False),

@@ -160,13 +160,27 @@ def local_deterministic_count(n: int, d: int, D: int) -> int:
     return (D**d) ** n
 
 
+def _count_text(count: int) -> str:
+    """count in full up to 15 digits, past that its order of magnitude, as
+    "about 6.9e69" (two leading digits, truncated): found in integer
+    arithmetic, as float(count) overflows past 1e308 and str(count) is
+    refused past 4,300 digits."""
+    if count < 10**15:
+        return str(count)
+    e = int((count.bit_length() - 1) * math.log10(2))  # floor(log10 count), or one below
+    e += 10 ** (e + 1) <= count
+    return f"about {count // 10 ** (e - 1) / 10:.1f}e{e}"
+
+
 def refuse_over_cap(count: int, subject: str, items: str, advice: str = "", cap: int | None = None) -> None:
     """Refuse, never truncate, an enumeration of count items: raise
     EnumerationCapExceeded when count is over cap, by default
-    DEFAULT_ENUMERATION_CAP."""
+    DEFAULT_ENUMERATION_CAP.  The error is one line (see `_count_text`)."""
     cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if count > cap:
-        raise EnumerationCapExceeded(f"{subject} has {count} {items}, over the cap of {cap}{advice}")
+        raise EnumerationCapExceeded(
+            f"{subject} has {_count_text(count)} {items}, over the cap of {cap}{advice}"
+        )
 
 
 def local_deterministic_boxes(n: int, d: int, D: int):

@@ -213,7 +213,7 @@ def _vertex_rows(name):
 def test_representatives_one_per_orbit(name, count):
     game = game_by_name(name)
     ch = type_ii(game, 0.6)
-    vertices, slots = _representatives(ch)
+    vertices, slots, _ = _representatives(game)
     assert len(vertices) == count
     assert (np.diff(vertices) > 0).all()
     if name != "mpp:4":
@@ -240,7 +240,7 @@ def test_representatives_form_no_intp_map_index():
     input_slots(ch.game)
     tracemalloc.start()
     try:
-        vertices, slots = _representatives(ch)
+        vertices, slots, _ = _representatives(ch.game)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -257,7 +257,7 @@ def test_representatives_match_the_filtered_local_maps(name):
     canonical = np.flatnonzero((np.diff(maps, axis=-1) >= 0).all(axis=(1, 2)))
     slots = input_slots(game)[local_map_indices(maps[canonical], dD)]
     first = np.sort(np.unique(slots, axis=0, return_index=True)[1])
-    vertices, got = _representatives(ch)
+    vertices, got, _ = _representatives(game)
     assert np.array_equal(vertices, canonical[first])
     assert np.array_equal(got, slots[first])
 
@@ -375,7 +375,7 @@ def test_sweep_computes_the_game_value_once():
     rows = sweep(game, 2, [0.2, 0.6, 1.0], ["L-bound"], CFG)
     assert [r.diagnostic for r in rows] == ["omega*=0.8888888889"] * 3
     info = bruteforce_classical_game_value.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 3)  # searched in the prepare; each row reads it
 
 
 def _other_predicate(q, a):
@@ -843,6 +843,34 @@ def test_plain_pruning_steps_change_no_result(monkeypatch, name, channel_type, e
         assert _exact_outcome(ch) == default
 
 
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    etas=st.lists(st.floats(0.05, 0.95), min_size=2, max_size=3),
+    channel_type=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@pytest.mark.parametrize("name", ["chsh", "mpp:3"])
+def test_kept_vertex_table_changes_no_row(name, etas, channel_type, seed):
+    # warm: every channel on one game, whose vertex table is built once and
+    # kept; cold: each channel on a fresh game, its table built anew.  The
+    # random two-branch channel takes the keep-every-row orbit path.
+    game, random_ch = game_by_name(name), _random_channel(name, seed)
+    capacity._representatives.cache_clear()
+    warm = [_exact_outcome(channel_for(game, channel_type, eta)) for eta in etas]
+    warm.append(_exact_outcome(two_branch_mac(game, random_ch.win_profile, random_ch.lose_profile)))
+    assert capacity._representatives.cache_info().misses == 1
+    cold = [_exact_outcome(channel_for(game_by_name(name), channel_type, eta)) for eta in etas]
+    assert warm == [*cold, _exact_outcome(random_ch)]
+
+
+def test_l_exact_sweep_builds_the_vertex_table_once(monkeypatch):
+    calls = []
+    real = capacity._canonical_maps
+    monkeypatch.setattr(capacity, "_canonical_maps", lambda *args: calls.append(args) or real(*args))
+    rows = sweep(chsh_game(), 2, [0.2, 0.6, 1.0], ["L-exact"], CFG)
+    assert len(rows) == 3 and len(calls) == 1
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     delta=st.integers(2, 32),
@@ -941,7 +969,7 @@ SOUNDNESS_CHANNELS = [
 def test_pruning_keeps_the_unpruned_maximum(name, eta, seed):
     # reference: one grouped ascent over every representative, none pruned
     ch = type_ii(game_by_name(name), eta) if seed is None else _random_channel(name, seed)
-    vertices, slots = _representatives(ch)
+    vertices, slots, _ = _representatives(ch.game)
     value, _, diag = maximize_over_pi(
         _kernel_mi_objective(ch._circulants, slots), ch.game.n, ch.game.d, CFG, groups=len(vertices)
     )
@@ -980,13 +1008,15 @@ def _survivor_reference(monkeypatch, ch):
     one grouped ascent over every survivor of its pruning, none deduped."""
     seen = []
     real = capacity._orbit_firsts
-    monkeypatch.setattr(capacity, "_orbit_firsts", lambda ch, slots: seen.append(slots) or real(ch, slots))
+    monkeypatch.setattr(
+        capacity, "_orbit_firsts", lambda ch, slots, moves: seen.append(slots) or real(ch, slots, moves)
+    )
     result = classical_capacity_exact(ch, CFG)
     [slots] = seen
     value, _, diag = maximize_over_pi(
         _kernel_mi_objective(ch._circulants, slots), ch.game.n, ch.game.d, CFG, groups=len(slots)
     )
-    vertex_of = {row.tobytes(): v for v, row in zip(*_representatives(ch))}
+    vertex_of = {row.tobytes(): v for v, row in zip(*_representatives(ch.game)[:2])}
     return result, value, f"vertex:{vertex_of[slots[diag['group']].tobytes()]}"
 
 
@@ -1056,8 +1086,9 @@ def test_orbit_firsts_ignore_relabellings(name, data):
     orders = [data.draw(st.permutations(range(d))) for _ in range(n)]
     outputs = data.draw(st.permutations(range(delta)))
     other = _relabelled(slots, game, senders, orders, outputs)
-    assert np.array_equal(capacity._orbit_firsts(ch, np.stack([slots, other])), [0])
-    assert np.array_equal(capacity._orbit_firsts(ch, np.stack([other, slots])), [0])
+    moves = _representatives(game)[2]
+    assert np.array_equal(capacity._orbit_firsts(ch, np.stack([slots, other]), moves), [0])
+    assert np.array_equal(capacity._orbit_firsts(ch, np.stack([other, slots]), moves), [0])
 
 
 @pytest.mark.parametrize("name", ["chsh", "mpp:3"])
@@ -1067,7 +1098,7 @@ def test_orbit_firsts_match_the_least_relabelled_pattern(name):
     game = game_by_name(name)
     delta = game.d**game.n
     ch = type_ii(game, 0.6)
-    slots = _representatives(ch)[1]
+    _, slots, moves = _representatives(game)
 
     def pattern(row):
         first = {}
@@ -1081,7 +1112,7 @@ def test_orbit_firsts_match_the_least_relabelled_pattern(name):
     identity = tuple(range(delta))
     keys = [min(pattern(_relabelled(row, game, s, o, identity)) for s, o in relabellings) for row in slots]
     firsts = [i for i, key in enumerate(keys) if keys.index(key) == i]
-    assert np.array_equal(capacity._orbit_firsts(ch, slots), firsts)
+    assert np.array_equal(capacity._orbit_firsts(ch, slots, moves), firsts)
     assert len(firsts) < len(slots)
 
 
@@ -1550,6 +1581,41 @@ def test_perfect_box_cap_falls_between_mpp22_and_mpp23(monkeypatch):
         capacity._builtin_perfect_box(mpp_game(23))
 
 
+@pytest.mark.parametrize(
+    "game, resources, refusal",
+    [
+        # the magic square's 191,102,976 vertices, refused in L-exact's
+        # prepare before the Q-exact row listed first is solved
+        (magic_square_game(), ["Q-exact", "L-exact"], "magic-square encoding scenario has 191102976 "),
+        # a game with no closed-form omega*_L whose 16^6 strategy tuples
+        # are over the game-value search's cap, refused in L-bound's prepare
+        (NonlocalGame("square-16", 2, 3, 16, lambda q, a: a[0] == a[1]), ["L-bound"],
+         "square-16 has 16777216 deterministic strategy tuples"),
+    ],
+    ids=["L-exact", "L-bound"],
+)
+def test_classical_caps_refuse_before_any_row(monkeypatch, game, resources, refusal):
+    # every row starts by building its channel
+    monkeypatch.setattr(capacity, "channel_for", lambda *args: pytest.fail("a row was computed"))
+    with pytest.raises(EnumerationCapExceeded, match=refusal):
+        sweep(game, 2, [0.5], resources, CFG)
+
+
+def test_l_bound_cap_falls_between_mpp17_and_mpp18(monkeypatch):
+    # mpp:17 passes the size check and reaches the ascent; mpp:18 does not
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(capacity, "maximize_over_pi", reached)
+    with pytest.raises(Reached):
+        sweep(mpp_game(17), 2, [0.5], ["L-bound"], CFG)
+    with pytest.raises(EnumerationCapExceeded, match=f"mpp:18 L-bound row has {2**18} outputs"):
+        sweep(mpp_game(18), 2, [0.5], ["L-bound"], CFG)
+
+
 def test_mpp_sweep_builds_no_box_win_table_or_encoder(monkeypatch):
     def refuse(name):
         return lambda *args: pytest.fail(f"{name} ran")
@@ -1757,7 +1823,7 @@ def test_echo_rate_matches_the_dense_sum_rate(box_name, channel):
 def test_circulant_rows_are_the_vertex_kernels(name):
     ch = _random_channel("mpp:3", 7) if name.startswith("random") else type_ii(game_by_name(name), 0.6)
     game, dD = ch.game, ch.game.d * ch.game.D
-    vertices, slots = _representatives(ch)
+    vertices, slots, _ = _representatives(game)
     cols = local_map_indices(local_maps(game.n, game.d, dD)[vertices], dD).reshape(-1, 1)
     kernels = ch.kernel(cols, np.ones(cols.shape)).reshape(len(vertices), ch.delta, ch.delta)
     assert np.array_equal(ch._circulants[slots], kernels)

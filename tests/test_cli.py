@@ -539,7 +539,8 @@ def test_mpp60_perfect_box_row_is_refused_at_once():
     # refused before the parity route's 60 x 2^60 question digits
     result = run("sweep", "--game", "mpp:60", "--channel-type", "2", "--eta-grid", "0.5:1:2",
                  "--resources", "NS-exact")
-    _assert_error_line(result, f"mpp:60 perfect-box row has {2**60} outputs, over the cap of {2**22}")
+    # 2^60 has 19 digits, so it prints as its order of magnitude
+    _assert_error_line(result, f"mpp:60 perfect-box row has about 1.1e18 outputs, over the cap of {2**22}")
     assert result.output.count("\n") == 1
 
 
@@ -562,14 +563,14 @@ def test_mpp20_perfect_box_rows_print_the_closed_form_and_mpp23_is_refused():
 @pytest.mark.parametrize(
     "args, fragment",
     [
-        # a 2 EiB noise profile: larger than any address space, refused
-        # before any memory is touched
+        # L-exact's vertex cap refuses in its prepare, before the channel's
+        # 2 EiB noise profile (mpp:58) or its float overflow (mpp:5000)
         (("sweep", "--game", "mpp:58", "--channel-type", "2", "--eta-grid", "0.5:1:1",
-          "--resources", "L-exact"), "Unable to allocate"),
+          "--resources", "L-exact"), "mpp:58 encoding scenario has about 6.9e69"),
+        # a box larger than any address space, refused before any memory is touched
         (("box-export", "mpp:58", "--out", "mpp58.csv"), "too big"),
-        # 2^5000 outputs: the noise function overflows a float
         (("sweep", "--game", "mpp:5000", "--channel-type", "2", "--eta-grid", "0.5:1:1",
-          "--resources", "L-exact"), "too large"),
+          "--resources", "L-exact"), "mpp:5000 encoding scenario has about 3.9e6020"),
         # the file's boxes are checked against the game before any channel
         (("sweep", "--game", "mpp:5000", "--channel-type", "2", "--eta-grid", "0.5:1:1",
           "--resources", "vertex-file:pr.csv"), "needs (5000,2,2)"),
@@ -581,6 +582,22 @@ def test_error_boundary_catches_memory_and_overflow(tmp_path, monkeypatch, args,
     run("box-export", "pr", "--out", "pr.csv")
     _assert_error_line(run(*args), fragment)
     assert not (tmp_path / "mpp58.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, fragment",
+    [
+        (("game-value", "mpp:5000"), "mpp:5000 has about 1.9e3010 deterministic strategy tuples"),
+        (("sweep", "--game", "mpp:5000", "--channel-type", "2", "--eta-grid", "0.5:1:1",
+          "--resources", "L-exact"), "has about 3.9e6020 deterministic encoder vertices"),
+    ],
+    ids=["game-value", "L-exact"],
+)
+def test_over_cap_counts_print_as_one_short_line(args, fragment):
+    # the exact counts have 3,011 and 6,021 digits
+    result = run(*args)
+    _assert_error_line(result, fragment)
+    assert result.output.count("\n") == 1 and len(result.output) < 200
 
 
 def _out_of_memory(*args, **kwargs):
