@@ -93,13 +93,13 @@ def _row(r: CapacityResult, diagnostic: str = "") -> tuple[CapacityResult, str]:
     return r, diagnostic.format(**r.diagnostics) or r.argmax_encoder or ""
 
 
-# An ascent objective maps one batch (F, group), the factors F of shape
-# (B, n, d) and the candidate of each row, group (B,), to the values (B,)
-# and certified block gaps (B,) at F, and F after one ascent step, at which
-# the value is no lower.
-AscentObjective = Callable[
-    [tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray, np.ndarray]
-]
+# An ascent objective maps one batch (F, group, go), the factors F of shape
+# (B, n, d), the candidate of each row, group (B,), and the continue rule
+# go(values, gaps) -> (B,) bool, to the values (B,) and certified block
+# gaps (B,) at F, and, for the rows go selects, in order, F after one
+# ascent step, at which the value is no lower.  No ascent step is taken
+# when go selects no row; a batch (F, group) steps every row.
+AscentObjective = Callable[[tuple], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 # Values closer than this are equal up to rounding.
 _VALUE_ROUNDING = 1e-12
@@ -179,6 +179,11 @@ def maximize_over_pi(
     A small gap certifies a block-wise optimum, not the global maximum:
     the value is a local-search result, a lower bound on the true maximum.
     Deterministic under a fixed cfg.seed.
+
+    The live starts form one compact batch whose continue rule is gap >
+    cfg.tolerance, so the objective steps only the starts that go on; a
+    start's best value, gap and factors are written back once, when it
+    stops.
     """
     cfg = cfg or OptimizerConfig()
     R = cfg.restarts
@@ -187,26 +192,34 @@ def maximize_over_pi(
     draws = _Draws.seeded(random.Random(cfg.seed), (R - 1) * n * d)
     starts[1:] = draws.dirichlet((R - 1, n, d))
     F = np.tile(starts, (groups, 1, 1))
-    best = np.full(groups * R, -np.inf)
-    best_F = F.copy()
-    best_gap = np.full(groups * R, np.inf)
-    active = np.arange(groups * R)
-    group = active // R
+    # each start's best value, gap and factors, written once, when it stops
+    value, gap, best_factors = np.empty(groups * R), np.empty(groups * R), np.empty_like(F)
+    # the live starts, ascending; row i of the batch F is start live[i], of
+    # candidate group[i], whose best so far is best[i], best_gap[i], best_F[i]
+    live = np.arange(groups * R)
+    group, best_F = live // R, F.copy()
+    best, best_gap = np.full(live.size, -np.inf), np.full(live.size, np.inf)
+
+    def go(values, gaps):
+        return gaps > cfg.tolerance
+
     iterations = 0
     for _ in range(MAX_ITERATIONS):
-        iterations += active.size
-        values, gaps, stepped = objective((F[active], group))
-        better = values >= best[active]
-        idx = active[better]
-        best[idx] = values[better]
-        best_F[idx] = F[idx]
-        best_gap[idx] = gaps[better]
-        F[active] = stepped
-        keep = gaps > cfg.tolerance
-        active, group = active[keep], group[keep]
-        if not active.size:
-            break
-    value, gap = best.reshape(groups, R), best_gap.reshape(groups, R)
+        iterations += live.size
+        values, gaps, stepped = objective((F, group, go))
+        better = values >= best
+        np.copyto(best, values, where=better)
+        np.copyto(best_gap, gaps, where=better)
+        np.copyto(best_F, F, where=better[:, None, None])
+        F, keep = stepped, go(values, gaps)
+        if np.count_nonzero(keep) < live.size:
+            stop = live[~keep]
+            value[stop], gap[stop], best_factors[stop] = best[~keep], best_gap[~keep], best_F[~keep]
+            live, group, best, best_gap, best_F = live[keep], group[keep], best[keep], best_gap[keep], best_F[keep]
+            if not live.size:
+                break
+    value[live], gap[live], best_factors[live] = best, best_gap, best_F
+    value, gap = value.reshape(groups, R), gap.reshape(groups, R)
     # converged starts differ by rounding: of those, report the best-certified one
     close = value >= value.max(axis=1, keepdims=True) - _VALUE_ROUNDING
     winners = np.where(close, gap, np.inf).argmin(axis=1)
@@ -220,13 +233,13 @@ def maximize_over_pi(
         "grid_points": 0,
         "restarts": R,
         "iterations": iterations,
-        # starts still active ran out of steps with their last gap above tolerance
-        "capped": active.size,
+        # starts still live ran out of steps with their last gap above tolerance
+        "capped": live.size,
         "winner": winner,
         "gap": float(gap[pick, winner]),
         "group": pick,
     }
-    return tops[pick], ProductDistribution(tuple(best_F[pick * R + winner])), diagnostics
+    return tops[pick], ProductDistribution(tuple(best_factors[pick * R + winner])), diagnostics
 
 
 def _block_averages(x: np.ndarray, F: np.ndarray, blocks: list[int] | None = None) -> np.ndarray:
@@ -246,6 +259,13 @@ def _block_averages(x: np.ndarray, F: np.ndarray, blocks: list[int] | None = Non
             y = np.matmul(F[:, j, None, :], y.reshape(R, d, -1))
         outs.append(y.reshape(R, 1, d))
     return outs[0] if len(outs) == 1 else np.concatenate(outs[::-1], axis=1)
+
+
+def _rows_stepping(rule: list, values: np.ndarray, gaps: np.ndarray) -> np.ndarray | None:
+    """The mask of the rows a batch's continue rule (none or one) selects,
+    or None when every row steps on."""
+    step = rule[0](values, gaps) if rule else None
+    return None if step is None or np.count_nonzero(step) == len(step) else step
 
 
 # Factors 2^-j, j = 1..4, of alpha + 1 when an extrapolated point leaves the
@@ -274,7 +294,9 @@ def _kernel_mi_objective(
     never lower I, so I(returned) >= I(F1) >= I(F0), and the values
     compared are those the second and third sweeps compute anyway.  With
     extrapolate False the step is the plain sweep S alone: the same values
-    and gaps at F0, bit for bit, and F1.
+    and gaps at F0, bit for bit, and F1.  Only the rows the batch's rule
+    selects step (see AscentObjective); with none selected, the objective
+    returns right after the values and gaps.
 
     kernels is a basis of rows (B, Y) and group g's kernel is
     kernels[slots[g]], with slots (G, Δ): the vertex kernels of
@@ -289,54 +311,64 @@ def _kernel_mi_objective(
         kernels = kernels.reshape(-1, kernels.shape[-1])
     h_rows = entropy(kernels, axis=-1)  # H(Y | M = m) of each basis row
 
-    def objective(batch: tuple[np.ndarray, np.ndarray]):
-        F0, group = batch
-        rows = np.take(slots, group, axis=0)
-        K, neg_h = np.take(kernels, rows, axis=0), -np.take(h_rows, rows)  # take: faster than [rows]
+    def objective(batch: tuple):
+        F0, group, *rule = batch
+        rows = slots.take(group, axis=0)
+        K, neg_h = kernels.take(rows, axis=0), -h_rows.take(rows)  # take: faster than [rows]
 
         def divergences(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             q = np.matmul(pm[:, None, :], K)[:, 0]
             log_q = np.log2(np.where(q > 0, q, 1.0))
             return neg_h - np.matmul(K, log_q[..., None])[..., 0], q, log_q
 
-        def sweep(F: np.ndarray, certify: bool = False):
-            """I at F, its block gap if certify, and S(F)."""
-            F = F.copy()
+        def evaluate(F: np.ndarray, blocks: list[int] | None) -> tuple[np.ndarray, np.ndarray]:
+            """I at F and the block averages of its divergences for blocks."""
             pm = product_joint(F)
             div, q, log_q = divergences(pm)
-            values = (pm * neg_h).sum(-1) - (q * log_q).sum(-1)  # H(q) - H(Y | M)
-            scores = _block_averages(div, F, None if certify else [0])
-            gaps = scores.max(axis=(1, 2)) - values if certify else None
-            for k in range(F.shape[1]):  # block 0 takes its column of scores
+            values = np.add.reduce(pm * neg_h, -1) - np.add.reduce(q * log_q, -1)  # H(q) - H(Y | M)
+            return values, _block_averages(div, F, blocks)
+
+        def sweep(F: np.ndarray, scores: np.ndarray) -> np.ndarray:
+            """S(F), in place; block 0 takes its column of scores."""
+            for k in range(F.shape[1]):
                 if k:
                     scores = _block_averages(divergences(product_joint(F))[0], F, [k])
                 score = scores[:, 0]
-                w = F[:, k] * np.exp2(score - score.max(axis=-1, keepdims=True))
-                F[:, k] = w / w.sum(axis=-1, keepdims=True)
-            return values, gaps, F
+                w = F[:, k] * np.exp2(score - np.maximum.reduce(score, -1, keepdims=True))
+                F[:, k] = w / np.add.reduce(w, -1, keepdims=True)
+            return F
 
-        values, gaps, F1 = sweep(F0, certify=True)
+        values, scores = evaluate(F0, None)
+        gaps = np.maximum.reduce(scores, (1, 2)) - values
+        step = _rows_stepping(rule, values, gaps)
+        if step is not None:
+            if not step.any():
+                return values, gaps, F0[step]
+            F0, scores, K, neg_h = F0[step], scores[step], K[step], neg_h[step]
+        F1 = sweep(F0.copy(), scores)
         if not extrapolate:
             return values, gaps, F1
-        value1, _, F2 = sweep(F1)
+        value1, scores = evaluate(F1, [0])
+        F2 = sweep(F1.copy(), scores)
         r, v = F1 - F0, F2 - 2.0 * F1 + F0
-        r_norm, v_norm = (np.sqrt((x * x).sum(axis=(1, 2))) for x in (r, v))
+        r_norm, v_norm = (np.sqrt(np.add.reduce(x * x, (1, 2))) for x in (r, v))
         alpha = -np.maximum(r_norm / np.where(v_norm > 0, v_norm, np.inf), 1.0)
         a = alpha[:, None, None]
         F_ext = F0 - 2.0 * a * r + a * a * v
-        extrapolated, inside = alpha < -1.0, (F_ext > 0).all(axis=(1, 2))
+        extrapolated, inside = alpha < -1.0, np.logical_and.reduce(F_ext > 0, (1, 2))
         off = extrapolated & ~inside
-        if off.any():  # step back: the first alpha_j = -1 + (alpha + 1) / 2^j inside
+        if np.count_nonzero(off):  # step back: the first alpha_j = -1 + (alpha + 1) / 2^j inside
             b = (-1.0 + (alpha[off, None] + 1.0) * _STEP_BACK)[..., None, None]  # (off, J, 1, 1)
             trial = F0[off, None] - 2.0 * b * r[off, None] + b * b * v[off, None]
             ok = (trial > 0).all(axis=(2, 3))
             F_ext[off] = trial[np.arange(len(ok)), ok.argmax(axis=1)]
             inside[off] = ok.any(axis=1)
         # alpha = -1 gives F2 itself; so does a point off the open simplex at every alpha_j
-        take = extrapolated & inside
-        F_ext[~take] = F2[~take]
-        F_ext[take] /= F_ext[take].sum(axis=-1, keepdims=True)
-        value_ext, _, F3 = sweep(F_ext)
+        take = (extrapolated & inside)[:, None, None]
+        np.copyto(F_ext, F2, where=~take)
+        np.divide(F_ext, np.add.reduce(F_ext, -1, keepdims=True), out=F_ext, where=take)
+        value_ext, scores = evaluate(F_ext, [0])
+        F3 = sweep(F_ext, scores)  # F_ext is built here: swept in place
         return values, gaps, np.where((value_ext >= value1)[:, None, None], F3, F2)
 
     return objective
@@ -470,8 +502,10 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     its BA value reaches the floor, or after MAX_ITERATIONS steps.  The
     first _PLAIN_PRUNE_STEPS steps are plain BA sweeps, the later ones
     SQUAREM steps (see `_kernel_mi_objective`); step 0 computes the same
-    values either way, so the floor is the same.  Neither rule moves the
-    survivors: every step's value I(F_t) and bound bracket the capacity
+    values either way, so the floor is the same.  Every representative
+    takes step 0, which sets the floor; later steps step only the ones
+    still undecided (the batch's continue rule).  Neither kind of step
+    moves the survivors: every step's value I(F_t) and bound bracket the capacity
     C_r, I(F_t) <= C_r <= max_m D(K_m || q_t), so both keep exactly the
     representatives with C_r at or above the floor, but for one still
     undecided after MAX_ITERATIONS steps or within rounding of the floor.
@@ -487,19 +521,25 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     vertices, slots, moves = _representatives(ch.game)
     basis = ch._circulants
     plain, squarem = (_kernel_mi_objective(basis, slots, extrapolate) for extrapolate in (False, True))
-    F = np.full((len(slots), 1, ch.delta), 1.0 / ch.delta)  # one sender, Δ messages
+    F = np.full((len(slots), 1, ch.delta), 1.0 / ch.delta)  # one sender, Δ messages; row i is active[i]'s
     active, kept = np.arange(len(slots)), []
     chunk = max(1, _PRUNE_CHUNK_ELEMENTS // (ch.delta * basis.shape[-1]))  # rows per call
+
+    def undecided(values: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        return (values < floor) & (values + gaps >= floor)
+
     for step in range(MAX_ITERATIONS):
         objective = plain if step < _PLAIN_PRUNE_STEPS else squarem
-        values, gaps = np.empty(len(active)), np.empty(len(active))
-        for lo in range(0, len(active), chunk):
-            rows = active[lo : lo + chunk]
-            values[lo : lo + chunk], gaps[lo : lo + chunk], F[rows] = objective((F[rows], rows))
+        rule = (undecided,) if step else ()  # step 0 sets the floor: every row steps
+        calls = [objective((F[lo : lo + chunk], active[lo : lo + chunk], *rule)) for lo in range(0, len(F), chunk)]
+        values, gaps, F = (np.concatenate(parts) for parts in zip(*calls))
         if not step:  # every representative at uniform messages
             floor = values.max() - _VALUE_ROUNDING
         kept.append(active[values >= floor])
-        active = active[(values < floor) & (values + gaps >= floor)]
+        go_on = undecided(values, gaps)
+        active = active[go_on]
+        if not step:  # step 0 stepped every row; later steps return the undecided ones only
+            F = F[go_on]
         if not active.size:
             break
     survivors = np.sort(np.concatenate([*kept, active]))
@@ -519,6 +559,11 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     )
 
 
+def _no_row(values: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """The continue rule of a batch that is only evaluated."""
+    return np.zeros(len(values), dtype=bool)
+
+
 def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution) -> float:
     """Best deterministic-encoder sum rate at a fixed message distribution:
     every representative at every per-sender relabelling of pi."""
@@ -527,7 +572,7 @@ def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution) -> float:
     slots = _representatives(ch.game)[1]
     objective, everyone = _kernel_mi_objective(ch._circulants, slots), np.arange(len(slots))
     return max(
-        float(objective((np.broadcast_to(F, (len(slots), *F.shape)), everyone))[0].max())
+        float(objective((np.broadcast_to(F, (len(slots), *F.shape)), everyone, _no_row))[0].max())
         for F in relabelled
     )
 
@@ -618,8 +663,8 @@ def _top_mask(pm: np.ndarray, r: int) -> np.ndarray:
         return np.zeros(pm.shape)
     t = np.partition(pm, -r, axis=-1)[:, -r, None]
     mask = pm >= t
-    over = mask.sum(axis=-1) > r  # rows with more ties at t than places left
-    if over.any():
+    over = np.add.reduce(mask, -1) > r  # rows with more ties at t than places left
+    if np.count_nonzero(over):
         p, t = pm[over], t[over]
         above, tie = p > t, p == t
         mask[over] = above | (tie & (np.cumsum(tie, axis=-1) <= r - above.sum(axis=-1, keepdims=True)))
@@ -632,27 +677,52 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
     Block k's step re-picks the top-r_max set S (ties to the lowest index),
     takes a_k(m_k) = sum of p_-k(m_-k) over m in S, and sets p_k to the
     block maximiser p_k ∝ 2^{c a_k}, c = f_l - f_w.  With S held, the block
-    gap is log2 sum 2^{c a_k} - (H(p_k) + c sum p_k a_k).
+    gap is log2 sum 2^{c a_k} - (H(p_k) + c sum p_k a_k).  Only the rows
+    the batch's rule selects step, as in `_kernel_mi_objective`.
     """
     spread = ch.f_l - ch.f_w
 
-    def objective(batch: tuple[np.ndarray, np.ndarray]):
-        F = batch[0].copy()  # one candidate: every row's group is 0
+    def objective(batch: tuple):
+        F, _, *rule = batch  # one candidate: every row's group is 0
         pm = product_joint(F)
         mask = _top_mask(pm, r_max)
         h = entropy(F, axis=-1)  # (R, n)
-        values = h.sum(axis=-1) + spread * (mask * pm).sum(axis=-1) - ch.f_l
+        values = np.add.reduce(h, -1) + spread * np.add.reduce(mask * pm, -1) - ch.f_l
         averages = _block_averages(mask, F)  # (R, n, d)
-        blocks = h + spread * (F * averages).sum(axis=-1)
-        gaps = np.maximum((np.logaddexp2.reduce(spread * averages, axis=-1) - blocks).max(axis=-1), 0.0)
+        blocks = h + spread * np.add.reduce(F * averages, -1)
+        gaps = np.maximum(np.maximum.reduce(np.logaddexp2.reduce(spread * averages, -1) - blocks, -1), 0.0)
+        step = _rows_stepping(rule, values, gaps)
+        if step is not None:
+            if not step.any():
+                return values, gaps, F[step]
+            F, averages = F[step], averages[step]
+        else:
+            F = F.copy()
         for k in range(F.shape[1]):  # block 0 takes its column of averages
             if k:
                 averages = _block_averages(_top_mask(product_joint(F), r_max), F, [k])
             w = np.exp2(spread * averages[:, 0])
-            F[:, k] = w / w.sum(axis=-1, keepdims=True)
+            F[:, k] = w / np.add.reduce(w, -1, keepdims=True)
         return values, gaps, F
 
     return objective
+
+
+# Outputs Δ of the largest game an L-bound sweep takes: mpp:17's.  Its
+# ascent holds (restarts, Δ) joints per block and step; a two-η type-II
+# L-bound sweep as a CLI command took 20 s and 93 MB at mpp:16, 49 s and
+# 155 MB at mpp:17 and 183 s and 276 MB at mpp:18 (2-core Intel Xeon, one
+# BLAS thread), over 90 s: mpp:18 is refused.
+_L_BOUND_CAP = 2**17
+
+
+def _l_bound_omega(game: NonlocalGame) -> float:
+    """ω*_L of game's L-bound row, after its checks: Δ at most _L_BOUND_CAP
+    (EnumerationCapExceeded), and ω*_L, whose search for a game with no
+    closed form has its own cap and is kept for the next row (see
+    `bruteforce_classical_game_value`)."""
+    refuse_over_cap(game.d**game.n, f"{game.name} L-bound row", "outputs", cap=_L_BOUND_CAP)
+    return _classical_value(game)
 
 
 def classical_upper_bound(ch: MacChannel, cfg: OptimizerConfig | None = None) -> CapacityResult:
@@ -667,9 +737,11 @@ def classical_upper_bound(ch: MacChannel, cfg: OptimizerConfig | None = None) ->
     upper bound: on a noisy channel H(Y) can exceed H(M), and mpp:3
     type-II at η = 0.3 has an encoder above it.  So the kind is
     `paper-bound`.  The maximum over pi comes from block-coordinate
-    ascent, a local search, not a certified global maximum.
+    ascent, a local search, not a certified global maximum.  A game with
+    more than _L_BOUND_CAP outputs is refused (EnumerationCapExceeded)
+    before the ascent, as in a sweep's prepare (`_l_bound_omega`).
     """
-    omega_star = _classical_value(ch.game)
+    omega_star = _l_bound_omega(ch.game)
     r_max = round(omega_star * ch.delta)
     val, pi, diag = maximize_over_pi(
         _subset_bound_objective(ch, r_max), ch.game.n, ch.game.d, cfg
@@ -1016,21 +1088,10 @@ def _prepare_l_exact(game: NonlocalGame, cfg: OptimizerConfig) -> Solve:
     return lambda ch: _row(classical_capacity_exact(ch, cfg))
 
 
-# Outputs Δ of the largest game an L-bound sweep takes: mpp:17's.  Its
-# ascent holds (restarts, Δ) joints per block and step; a two-η type-II
-# L-bound sweep as a CLI command took 20 s and 93 MB at mpp:16, 49 s and
-# 155 MB at mpp:17 and 183 s and 276 MB at mpp:18 (2-core Intel Xeon, one
-# BLAS thread), over 90 s: mpp:18 is refused.
-_L_BOUND_CAP = 2**17
-
-
 def _prepare_l_bound(game: NonlocalGame, cfg: OptimizerConfig) -> Solve:
-    """The Solve of classical_upper_bound on game, with its checks done
-    once: Δ at most _L_BOUND_CAP (EnumerationCapExceeded), and ω*_L, whose
-    search for a game with no closed form has its own cap and is kept for
-    the rows (see `bruteforce_classical_game_value`)."""
-    refuse_over_cap(game.d**game.n, f"{game.name} L-bound row", "outputs", cap=_L_BOUND_CAP)
-    _classical_value(game)
+    """The Solve of classical_upper_bound on game, with its checks
+    (`_l_bound_omega`) done once, before any row."""
+    _l_bound_omega(game)
     return lambda ch: _row(classical_upper_bound(ch, cfg), "omega*={omega_star:.10g}")
 
 

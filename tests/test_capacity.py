@@ -138,10 +138,10 @@ def _ascent_starts(n, d, cfg):
     seen = []
 
     def objective(batch):
-        F, _ = batch
+        F, _, go = batch
         seen.append(F.copy())
         zeros = np.zeros(len(F))
-        return zeros, zeros, F
+        return zeros, zeros, F[go(zeros, zeros)]
 
     maximize_over_pi(objective, n, d, cfg)
     return seen[0]
@@ -869,6 +869,77 @@ def test_l_exact_sweep_builds_the_vertex_table_once(monkeypatch):
     monkeypatch.setattr(capacity, "_canonical_maps", lambda *args: calls.append(args) or real(*args))
     rows = sweep(chsh_game(), 2, [0.2, 0.6, 1.0], ["L-exact"], CFG)
     assert len(rows) == 3 and len(calls) == 1
+
+
+def _every_row(values, gaps):
+    return np.ones(len(values), dtype=bool)
+
+
+def _stepping_every_row(objective):
+    """objective with every row stepped, the rows its caller's rule selects
+    picked from the result afterwards."""
+
+    def wrapped(batch):
+        F, group, *rule = batch
+        values, gaps, stepped = objective((F, group, _every_row))
+        return values, gaps, stepped[rule[0](values, gaps)] if rule else stepped
+
+    return wrapped
+
+
+def _ascent_outcome(result):
+    value, pi, diag = result
+    return value.hex(), [f.tobytes() for f in pi.factors], diag
+
+
+@PROPERTY
+@given(
+    shape=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+    groups=st.integers(1, 4),
+    name=st.sampled_from(["chsh", "mpp:3", "magic-square"]),
+    eta=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_continue_rule_changes_no_ascent(shape, groups, name, eta, seed):
+    # rows stop at different steps, so the objectives see rules that select
+    # every row, some rows and none
+    n, d = shape
+    rng = np.random.default_rng(seed)
+    basis = rng.dirichlet(np.full(5, 0.5), size=2 * d**n)
+    kernel = _kernel_mi_objective(basis, rng.integers(0, len(basis), size=(groups, d**n)))
+    ch = type_ii(game_by_name(name), eta)
+    subset = _subset_bound_objective(ch, round(capacity._classical_value(ch.game) * ch.delta))
+    cfg = OptimizerConfig(restarts=6, seed=seed % 1000)
+    for objective, args in ((kernel, (n, d, cfg, groups)), (subset, (ch.game.n, ch.game.d, cfg))):
+        as_is = _ascent_outcome(maximize_over_pi(objective, *args))
+        assert as_is == _ascent_outcome(maximize_over_pi(_stepping_every_row(objective), *args))
+        # a rule that selects no row: the same values and gaps, and no block update
+        F = rng.dirichlet(np.ones(args[1]), size=(5, args[0]))
+        group = rng.integers(0, args[3], size=len(F)) if len(args) > 3 else np.zeros(len(F), dtype=int)
+        values, gaps, _ = objective((F, group))
+        with patch.object(capacity, "_block_averages", wraps=capacity._block_averages) as averages:
+            evaluated, certified, stepped = objective((F, group, capacity._no_row))
+        assert averages.call_count == 1  # the certificate's
+        assert evaluated.tobytes() == values.tobytes() and certified.tobytes() == gaps.tobytes()
+        assert stepped.shape == (0, args[0], args[1])
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(["chsh", "mpp:3"]),
+    channel_type=st.sampled_from([1, 2]),
+    eta=st.floats(0.05, 0.95),
+)
+def test_continue_rule_changes_no_exact_capacity(name, channel_type, eta):
+    # the pruning's rule (every row at step 0, the undecided ones after)
+    # and the grouped ascent's, against every row stepped
+    ch = channel_for(game_by_name(name), channel_type, eta)
+    as_is = _exact_outcome(ch)
+    original = capacity._kernel_mi_objective
+    with patch.object(
+        capacity, "_kernel_mi_objective", lambda *args: _stepping_every_row(original(*args))
+    ):
+        assert _exact_outcome(ch) == as_is
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1614,6 +1685,14 @@ def test_l_bound_cap_falls_between_mpp17_and_mpp18(monkeypatch):
         sweep(mpp_game(17), 2, [0.5], ["L-bound"], CFG)
     with pytest.raises(EnumerationCapExceeded, match=f"mpp:18 L-bound row has {2**18} outputs"):
         sweep(mpp_game(18), 2, [0.5], ["L-bound"], CFG)
+
+
+def test_classical_upper_bound_refuses_over_cap_before_the_ascent(monkeypatch):
+    # a direct call takes the check of L-bound's prepare: a two-η mpp:18
+    # sweep's ascent took 183 s
+    monkeypatch.setattr(capacity, "maximize_over_pi", lambda *args, **kwargs: pytest.fail("the ascent ran"))
+    with pytest.raises(EnumerationCapExceeded, match=f"mpp:18 L-bound row has {2**18} outputs"):
+        classical_upper_bound(type_ii(mpp_game(18), 0.5), CFG)
 
 
 def test_mpp_sweep_builds_no_box_win_table_or_encoder(monkeypatch):
