@@ -98,7 +98,10 @@ def _row(r: CapacityResult, diagnostic: str = "") -> tuple[CapacityResult, str]:
 # go(values, gaps) -> (B,) bool, to the values (B,) and certified block
 # gaps (B,) at F, and, for the rows go selects, in order, F after one
 # ascent step, at which the value is no lower.  No ascent step is taken
-# when go selects no row; a batch (F, group) steps every row.
+# when go selects no row; a batch (F, group) steps every row.  An objective
+# never writes to F and returns fresh arrays, which are the caller's:
+# `maximize_over_pi` keeps F, the values and the gaps as its best so far by
+# reference, and writes the fallen rows' best into the F it passed.
 AscentObjective = Callable[[tuple], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 # Values closer than this are equal up to rounding.
@@ -181,9 +184,12 @@ def maximize_over_pi(
     Deterministic under a fixed cfg.seed.
 
     The live starts form one compact batch whose continue rule is gap >
-    cfg.tolerance, so the objective steps only the starts that go on; a
-    start's best value, gap and factors are written back once, when it
-    stops.
+    cfg.tolerance, so the objective steps only the starts that go on.  The
+    best so far is kept by reference while every live start improves (an
+    objective never writes to its F); only the rows whose value fell are
+    copied.  Each time a start stops, the best value, gap and factors of
+    every live start are written back, so a start's last write is its
+    own stop.
     """
     cfg = cfg or OptimizerConfig()
     R = cfg.restarts
@@ -192,12 +198,12 @@ def maximize_over_pi(
     draws = _Draws.seeded(random.Random(cfg.seed), (R - 1) * n * d)
     starts[1:] = draws.dirichlet((R - 1, n, d))
     F = np.tile(starts, (groups, 1, 1))
-    # each start's best value, gap and factors, written once, when it stops
+    # each start's best value, gap and factors, last written when it stops
     value, gap, best_factors = np.empty(groups * R), np.empty(groups * R), np.empty_like(F)
     # the live starts, ascending; row i of the batch F is start live[i], of
     # candidate group[i], whose best so far is best[i], best_gap[i], best_F[i]
     live = np.arange(groups * R)
-    group, best_F = live // R, F.copy()
+    group, best_F = live // R, F
     best, best_gap = np.full(live.size, -np.inf), np.full(live.size, np.inf)
 
     def go(values, gaps):
@@ -207,15 +213,18 @@ def maximize_over_pi(
     for _ in range(MAX_ITERATIONS):
         iterations += live.size
         values, gaps, stepped = objective((F, group, go))
-        better = values >= best
-        np.copyto(best, values, where=better)
-        np.copyto(best_gap, gaps, where=better)
-        np.copyto(best_F, F, where=better[:, None, None])
-        F, keep = stepped, go(values, gaps)
+        better, keep = values >= best, go(values, gaps)
+        if np.count_nonzero(better) < live.size:  # F is no longer read: it takes the fallen rows' best
+            fell = ~better
+            values, gaps = np.where(better, values, best), np.where(better, gaps, best_gap)
+            F[fell] = best_F[fell]
+        best, best_gap, best_F, F = values, gaps, F, stepped
         if np.count_nonzero(keep) < live.size:
-            stop = live[~keep]
-            value[stop], gap[stop], best_factors[stop] = best[~keep], best_gap[~keep], best_F[~keep]
-            live, group, best, best_gap, best_F = live[keep], group[keep], best[keep], best_gap[keep], best_F[keep]
+            # every live start's best so far; one that goes on is written again later
+            value[live], gap[live], best_factors[live] = best, best_gap, best_F
+            on = np.flatnonzero(keep)
+            live, group, best, best_gap = live.take(on), group.take(on), best.take(on), best_gap.take(on)
+            best_F = best_F.take(on, 0)
             if not live.size:
                 break
     value[live], gap[live], best_factors[live] = best, best_gap, best_F
@@ -242,30 +251,32 @@ def maximize_over_pi(
     return tops[pick], ProductDistribution(tuple(best_factors[pick * R + winner])), diagnostics
 
 
-def _block_averages(x: np.ndarray, F: np.ndarray, blocks: list[int] | None = None) -> np.ndarray:
-    """E over m_-k ~ p_-k of x(m) (R, d^n), as a function of m_k, for each
-    sender k of blocks (ascending; all by default): shape (R, len(blocks), d).
-    Senders n-1, ..., k+1 are summed out by right-hand stacked matmuls, then
-    0, ..., k-1 by left-hand ones, each row with its own p_j.  The right-hand
-    chain is formed once, down to the lowest block: one block takes n - 1
-    products, all n blocks n(n+1)/2 - 1."""
+def _block_averages(x: np.ndarray, F: np.ndarray, block: int | None = None) -> np.ndarray:
+    """E over m_-k ~ p_-k of x(m) (R, d^n), as a function of m_k: of sender
+    k = block alone, shape (R, d), or by default of every sender, shape
+    (R, n, d).  Senders n-1, ..., k+1 are summed out by right-hand stacked
+    matmuls, then 0, ..., k-1 by left-hand ones, each row with its own p_j.
+    The right-hand chain is formed once, from the last sender down: one
+    block takes n - 1 products, all n blocks n(n+1)/2 - 1."""
     R, n, d = F.shape
     outs, top = [], n - 1
-    for k in reversed(range(n) if blocks is None else blocks):
+    for k in reversed(range(n)) if block is None else (block,):
         for j in range(top, k, -1):
             x = np.matmul(x.reshape(R, -1, d), F[:, j, :, None])
         top, y = k, x
         for j in range(k):
             y = np.matmul(F[:, j, None, :], y.reshape(R, d, -1))
+        if block is not None:
+            return y.reshape(R, d)
         outs.append(y.reshape(R, 1, d))
-    return outs[0] if len(outs) == 1 else np.concatenate(outs[::-1], axis=1)
+    return outs[0] if n == 1 else np.concatenate(outs[::-1], axis=1)
 
 
 def _rows_stepping(rule: list, values: np.ndarray, gaps: np.ndarray) -> np.ndarray | None:
-    """The mask of the rows a batch's continue rule (none or one) selects,
-    or None when every row steps on."""
+    """The indices of the rows a batch's continue rule (none or one)
+    selects, ascending, or None when every row steps on."""
     step = rule[0](values, gaps) if rule else None
-    return None if step is None or np.count_nonzero(step) == len(step) else step
+    return None if step is None or np.count_nonzero(step) == len(step) else np.flatnonzero(step)
 
 
 # Factors 2^-j, j = 1..4, of alpha + 1 when an extrapolated point leaves the
@@ -309,47 +320,48 @@ def _kernel_mi_objective(
     if slots is None:
         slots = np.arange(kernels.size // kernels.shape[-1]).reshape(-1, kernels.shape[-2])
         kernels = kernels.reshape(-1, kernels.shape[-1])
-    h_rows = entropy(kernels, axis=-1)  # H(Y | M = m) of each basis row
+    neg_h_rows = -entropy(kernels, axis=-1)  # -H(Y | M = m) of each basis row
 
     def objective(batch: tuple):
         F0, group, *rule = batch
         rows = slots.take(group, axis=0)
-        K, neg_h = kernels.take(rows, axis=0), -h_rows.take(rows)  # take: faster than [rows]
+        K, neg_h = kernels.take(rows, axis=0), neg_h_rows.take(rows)  # take: faster than [rows]
 
         def divergences(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             q = np.matmul(pm[:, None, :], K)[:, 0]
             log_q = np.log2(np.where(q > 0, q, 1.0))
             return neg_h - np.matmul(K, log_q[..., None])[..., 0], q, log_q
 
-        def evaluate(F: np.ndarray, blocks: list[int] | None) -> tuple[np.ndarray, np.ndarray]:
-            """I at F and the block averages of its divergences for blocks."""
+        def evaluate(F: np.ndarray, block: int | None) -> tuple[np.ndarray, np.ndarray]:
+            """I at F and the block averages of its divergences (see `_block_averages`)."""
             pm = product_joint(F)
             div, q, log_q = divergences(pm)
             values = np.add.reduce(pm * neg_h, -1) - np.add.reduce(q * log_q, -1)  # H(q) - H(Y | M)
-            return values, _block_averages(div, F, blocks)
+            return values, _block_averages(div, F, block)
 
-        def sweep(F: np.ndarray, scores: np.ndarray) -> np.ndarray:
-            """S(F), in place; block 0 takes its column of scores."""
+        def sweep(F: np.ndarray, score: np.ndarray) -> np.ndarray:
+            """S(F), in place, from block 0's score (R, d); each later block
+            takes one joint, one divergence pass and one block average."""
             for k in range(F.shape[1]):
                 if k:
-                    scores = _block_averages(divergences(product_joint(F))[0], F, [k])
-                score = scores[:, 0]
+                    score = _block_averages(divergences(product_joint(F))[0], F, k)
                 w = F[:, k] * np.exp2(score - np.maximum.reduce(score, -1, keepdims=True))
                 F[:, k] = w / np.add.reduce(w, -1, keepdims=True)
             return F
 
         values, scores = evaluate(F0, None)
         gaps = np.maximum.reduce(scores, (1, 2)) - values
+        score = scores[:, 0]
         step = _rows_stepping(rule, values, gaps)
-        if step is not None:
-            if not step.any():
-                return values, gaps, F0[step]
-            F0, scores, K, neg_h = F0[step], scores[step], K[step], neg_h[step]
-        F1 = sweep(F0.copy(), scores)
+        if step is not None:  # take: faster than a mask on these small batches
+            if not step.size:
+                return values, gaps, F0.take(step, 0)
+            F0, score, K, neg_h = F0.take(step, 0), score.take(step, 0), K.take(step, 0), neg_h.take(step, 0)
+        F1 = sweep(F0.copy(), score)
         if not extrapolate:
             return values, gaps, F1
-        value1, scores = evaluate(F1, [0])
-        F2 = sweep(F1.copy(), scores)
+        value1, score = evaluate(F1, 0)
+        F2 = sweep(F1.copy(), score)
         r, v = F1 - F0, F2 - 2.0 * F1 + F0
         r_norm, v_norm = (np.sqrt(np.add.reduce(x * x, (1, 2))) for x in (r, v))
         alpha = -np.maximum(r_norm / np.where(v_norm > 0, v_norm, np.inf), 1.0)
@@ -367,8 +379,8 @@ def _kernel_mi_objective(
         take = (extrapolated & inside)[:, None, None]
         np.copyto(F_ext, F2, where=~take)
         np.divide(F_ext, np.add.reduce(F_ext, -1, keepdims=True), out=F_ext, where=take)
-        value_ext, scores = evaluate(F_ext, [0])
-        F3 = sweep(F_ext, scores)  # F_ext is built here: swept in place
+        value_ext, score = evaluate(F_ext, 0)
+        F3 = sweep(F_ext, score)  # F_ext is built here: swept in place
         return values, gaps, np.where((value_ext >= value1)[:, None, None], F3, F2)
 
     return objective
@@ -531,8 +543,11 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     for step in range(MAX_ITERATIONS):
         objective = plain if step < _PLAIN_PRUNE_STEPS else squarem
         rule = (undecided,) if step else ()  # step 0 sets the floor: every row steps
-        calls = [objective((F[lo : lo + chunk], active[lo : lo + chunk], *rule)) for lo in range(0, len(F), chunk)]
-        values, gaps, F = (np.concatenate(parts) for parts in zip(*calls))
+        if len(F) <= chunk:  # one call, with no list or concatenation
+            values, gaps, F = objective((F, active, *rule))
+        else:
+            calls = [objective((F[lo : lo + chunk], active[lo : lo + chunk], *rule)) for lo in range(0, len(F), chunk)]
+            values, gaps, F = (np.concatenate(parts) for parts in zip(*calls))
         if not step:  # every representative at uniform messages
             floor = values.max() - _VALUE_ROUNDING
         kept.append(active[values >= floor])
@@ -691,17 +706,18 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
         averages = _block_averages(mask, F)  # (R, n, d)
         blocks = h + spread * np.add.reduce(F * averages, -1)
         gaps = np.maximum(np.maximum.reduce(np.logaddexp2.reduce(spread * averages, -1) - blocks, -1), 0.0)
+        average = averages[:, 0]  # block 0's; each later block takes one joint and one average
         step = _rows_stepping(rule, values, gaps)
         if step is not None:
-            if not step.any():
-                return values, gaps, F[step]
-            F, averages = F[step], averages[step]
+            if not step.size:
+                return values, gaps, F.take(step, 0)
+            F, average = F.take(step, 0), average.take(step, 0)
         else:
             F = F.copy()
-        for k in range(F.shape[1]):  # block 0 takes its column of averages
+        for k in range(F.shape[1]):
             if k:
-                averages = _block_averages(_top_mask(product_joint(F), r_max), F, [k])
-            w = np.exp2(spread * averages[:, 0])
+                average = _block_averages(_top_mask(product_joint(F), r_max), F, k)
+            w = np.exp2(spread * average)
             F[:, k] = w / np.add.reduce(w, -1, keepdims=True)
         return values, gaps, F
 
@@ -1023,15 +1039,23 @@ def _parity_hypotheses(game: NonlocalGame) -> tuple[np.ndarray, float]:
 
 def channel_for(game: NonlocalGame, channel_type: int, eta: float) -> MacChannel:
     """Type-I/II constructor with the degenerate endpoint clamped: type-I
-    eta = 1 and type-II eta = 0 (f_w = f_l).  type_i and type_ii refuse
-    every other eta outside their range."""
+    eta = 1 and type-II eta = 0 (f_w = f_l).  A type-II eta in (0,
+    _ETA_CLAMP) whose branch entropies both round to log2 Δ, so that
+    type_ii refuses it as f_w >= f_l, is clamped as eta = 0 is; every
+    other such eta builds as it is.  type_i and type_ii refuse every other
+    eta outside their range."""
     if channel_type == 1:
         if eta == 1.0:
             warnings.warn(f"type-I eta={eta} clamped below 1 (degenerate f_w = f_l)")
             eta = 1.0 - _ETA_CLAMP
         return type_i(game, eta)
     if channel_type == 2:
-        if eta == 0.0:
+        if 0.0 < eta < _ETA_CLAMP:
+            try:
+                return type_ii(game, eta)
+            except ValueError:  # in range, so only the branch order can fail: f_w rounds to f_l
+                pass
+        if 0.0 <= eta < _ETA_CLAMP:  # eta = 0, or one type_ii refused above
             warnings.warn(f"type-II eta={eta} clamped above 0 (degenerate f_w = f_l)")
             eta = _ETA_CLAMP
         return type_ii(game, eta)

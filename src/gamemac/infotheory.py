@@ -47,7 +47,7 @@ class ProductDistribution:
 
     def joint(self) -> np.ndarray:
         """Flattened joint message distribution of length d^n."""
-        return product_joint(np.array(self.factors))
+        return product_joint(np.array(self.factors)[None])[0]
 
     @staticmethod
     def uniform(n: int, d: int) -> "ProductDistribution":
@@ -55,11 +55,13 @@ class ProductDistribution:
 
 
 def product_joint(factors: np.ndarray) -> np.ndarray:
-    """Joint message distributions (..., d^n) of product factors (..., n, d),
-    flattened big-endian with player 1 as the high-order digit."""
-    out = factors[..., 0, :]
-    for k in range(1, factors.shape[-2]):
-        out = (out[..., :, None] * factors[..., k, None, :]).reshape(*out.shape[:-1], -1)
+    """Joint message distributions (R, d^n) of a batch of product factors
+    (R, n, d), flattened big-endian with player 1 as the high-order digit.
+    The batch length is read once, so each sender costs one product."""
+    R, n, _ = factors.shape
+    out = factors[:, 0]
+    for k in range(1, n):
+        out = (out[:, :, None] * factors[:, k, None, :]).reshape(R, -1)
     return out
 
 

@@ -91,6 +91,33 @@ def test_maximize_over_pi_recovers_entropy_max():
     assert diag["grid_points"] == 0
 
 
+def test_maximize_over_pi_keeps_the_best_of_a_row_whose_value_fell():
+    # row 0 peaks at call 3 and falls at call 4, row 1 peaks at call 1 and
+    # falls at once; call c steps every row to factors (c/10, 1 - c/10), so
+    # row 0's best factors are call 2's output, which call 4's input has
+    # moved past
+    values = {1: [1.0, 5.0], 2: [2.0, 1.0], 3: [9.0, 1.0], 4: [2.5, 1.0]}
+    inputs = []
+
+    def objective(batch):
+        F, _, go = batch
+        inputs.append(F.copy())
+        c = len(inputs)
+        v, g = np.array(values[c]), np.full(len(F), 1.0 if c < 4 else 0.0)
+        return v, g, np.tile([c / 10, 1 - c / 10], (np.count_nonzero(go(v, g)), 1, 1))
+
+    value, pi, diag = maximize_over_pi(objective, 1, 2, OptimizerConfig(restarts=2))
+    assert value == 9.0 and np.array_equal(pi.factors[0], [0.2, 0.8])
+    assert (diag["winner"], diag["gap"], diag["iterations"], diag["capped"]) == (0, 1.0, 8, 0)
+    assert np.array_equal(inputs[3][0], [[0.3, 0.7]])  # what the objective saw, before the write-back
+    # row 1 alone: its best is its start, restored over call 2's output
+    values.update({1: [1.0, 5.0], 2: [2.0, 1.0], 3: [3.0, 1.0], 4: [2.5, 1.0]})
+    inputs.clear()
+    value, pi, diag = maximize_over_pi(objective, 1, 2, OptimizerConfig(restarts=2))
+    assert value == 5.0 and np.array_equal(pi.factors[0], _ascent_starts(1, 2, OptimizerConfig(restarts=2))[1, 0])
+    assert diag["winner"] == 1
+
+
 def test_maximize_over_pi_deterministic_across_runs():
     kernel = np.random.default_rng(3).dirichlet(np.ones(4), size=4)
     a = maximize_over_pi(_kernel_mi_objective(kernel), 2, 2, CFG)
@@ -744,22 +771,22 @@ def _frozen_subset_bound_objective(ch, r_max):
 @given(n=st.integers(1, 5), d=st.integers(2, 3), rows=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_block_average_matches_einsum_and_keeps_rows_independent(n, d, rows, seed):
     # n = 1 is the pruning shape (one sender of Δ messages): nothing is summed out
-    # every block alone (the updates' calls), all blocks (the certificates')
-    # and a random ascending subset: the shared right-hand chain changes no bit
+    # every block alone (the updates' calls) against all blocks (the
+    # certificates'): the shared right-hand chain changes no bit
     rng = np.random.default_rng(seed)
     F = rng.dirichlet(np.ones(d), size=(rows, n))
     x = rng.random((rows, d**n))
+    x_bytes, F_bytes = x.tobytes(), F.tobytes()
     every = _block_averages(x, F)
     assert every.shape == (rows, n, d)
-    blocks = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist())
-    for requested in [[k] for k in range(n)] + [blocks]:
-        batch = _block_averages(x, F, requested)
-        assert batch.shape == (rows, len(requested), d)
-        one_row = np.stack([_block_averages(x[r : r + 1], F[r : r + 1], requested)[0] for r in range(rows)])
-        for i, k in enumerate(requested):
-            assert np.array_equal(batch[:, i], every[:, k])
-            assert np.array_equal(one_row[:, i], batch[:, i])
-            assert np.abs(batch[:, i] - _einsum_block_average(x, F, k)).max() <= 1e-15
+    for k in range(n):
+        block = _block_averages(x, F, k)
+        assert block.shape == (rows, d)
+        one_row = np.stack([_block_averages(x[r : r + 1], F[r : r + 1], k)[0] for r in range(rows)])
+        assert np.array_equal(block, every[:, k])
+        assert np.array_equal(one_row, block)
+        assert np.abs(block - _einsum_block_average(x, F, k)).max() <= 1e-15
+    assert x.tobytes() == x_bytes and F.tobytes() == F_bytes
 
 
 def _assert_steps_match(objective, frozen, F, group, steps=3):
@@ -890,6 +917,40 @@ def _stepping_every_row(objective):
 def _ascent_outcome(result):
     value, pi, diag = result
     return value.hex(), [f.tobytes() for f in pi.factors], diag
+
+
+def _some_rows(values, gaps):
+    return np.arange(len(values)) % 3 == 1
+
+
+@PROPERTY
+@given(
+    shape=st.sampled_from([(1, 4), (2, 2), (2, 3), (3, 2)]),
+    groups=st.integers(1, 4),
+    name=st.sampled_from(["chsh", "mpp:3", "magic-square"]),
+    eta=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_objectives_never_write_to_their_factors(shape, groups, name, eta, seed):
+    # maximize_over_pi keeps F as its best so far by reference, so no call,
+    # whichever rows its rule selects, may write to F or return a view of it;
+    # (1, 4) is the pruning's shape, one sender of Δ messages
+    n, d = shape
+    rng = np.random.default_rng(seed)
+    basis = rng.dirichlet(np.full(5, 0.5), size=2 * d**n)
+    slots = rng.integers(0, len(basis), size=(groups, d**n))
+    ch = type_ii(game_by_name(name), eta)
+    subset = _subset_bound_objective(ch, round(capacity._classical_value(ch.game) * ch.delta))
+    cases = [(_kernel_mi_objective(basis, slots, extrapolate), n, d, groups) for extrapolate in (True, False)]
+    cases.append((subset, ch.game.n, ch.game.d, 1))
+    for objective, n_k, d_k, g in cases:
+        F = rng.dirichlet(np.ones(d_k), size=(7, n_k))
+        group = rng.integers(0, g, size=len(F))
+        before = F.tobytes()
+        for batch in ((F, group), (F, group, _every_row), (F, group, _some_rows), (F, group, capacity._no_row)):
+            values, gaps, stepped = objective(batch)
+            assert F.tobytes() == before
+            assert not any(np.shares_memory(out, F) for out in (values, gaps, stepped))
 
 
 @PROPERTY
@@ -1508,6 +1569,40 @@ def test_channel_for_clamps_degenerate_eta():
                 channel_for(chsh_game(), channel_type, eta)
     with pytest.raises(ValueError):
         channel_for(chsh_game(), 3, 0.5)
+
+
+def _row_fields(row):
+    return row.resource, row.kind, row.value.hex(), row.diagnostic
+
+
+def test_channel_for_clamps_a_type_ii_eta_whose_branches_round_together():
+    # near 0 both branch entropies can round to log2 Δ: such an eta is
+    # clamped as eta = 0 is, and an eta that type_ii builds is left as it is
+    clamped = set()
+    for name, eta in product(("chsh", "mpp:3", "magic-square"), (1e-300, 1e-12, 1e-8)):
+        game = game_by_name(name)
+        with pytest.warns(UserWarning, match=r"^type-II eta=0\.0 clamped above 0 \(degenerate f_w = f_l\)$"):
+            at_zero = sweep(game, 2, [0.0], ["NS-exact", "L-bound"], CFG)
+        try:
+            direct = type_ii(game, eta)
+        except ValueError:
+            clamped.add((name, eta))
+            with pytest.warns(UserWarning) as caught:
+                ch = channel_for(game, 2, eta)
+            assert [str(w.message) for w in caught] == [f"type-II eta={eta} clamped above 0 (degenerate f_w = f_l)"]
+            assert np.array_equal(ch.win_profile, type_ii(game, capacity._ETA_CLAMP).win_profile)
+            with pytest.warns(UserWarning, match="clamped above 0"):
+                rows = sweep(game, 2, [eta], ["NS-exact", "L-bound"], CFG)
+            assert [row.eta for row in rows] == [eta, eta]
+            assert list(map(_row_fields, rows)) == list(map(_row_fields, at_zero))
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ch = channel_for(game, 2, eta)
+            assert ch.win_profile.tobytes() == direct.win_profile.tobytes()
+    # the etas the refusal once hit on every game, and chsh's 1e-8
+    assert {(name, eta) for name in ("chsh", "mpp:3", "magic-square") for eta in (1e-300, 1e-12)} < clamped
+    assert ("chsh", 1e-8) in clamped
 
 
 def test_sweep_rows_and_errors():
