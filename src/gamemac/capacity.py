@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import random
 import warnings
-from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Callable
 
@@ -30,7 +29,7 @@ from .correlations import (
     uniform_over_wins,
 )
 from . import games
-from .games import NonlocalGame, game_by_name, local_map_indices, local_maps
+from .games import NonlocalGame, ReadOnly, game_by_name, local_map_indices, local_maps
 from .infotheory import ProductDistribution, entropy, message_output_kernel, product_joint
 
 # Ascent steps after which a start of `maximize_over_pi` stops regardless of
@@ -38,8 +37,7 @@ from .infotheory import ProductDistribution, entropy, message_output_kernel, pro
 MAX_ITERATIONS = 4000
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(ReadOnly):
     """Settings of `maximize_over_pi`.
 
     restarts: starts of the ascent, the uniform distribution plus
@@ -55,32 +53,36 @@ class OptimizerConfig:
     sweep.
     """
 
-    restarts: int = 20
-    tolerance: float = 1e-10
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("restarts", "seed"):
-            value = getattr(self, name)
+    def __init__(self, restarts: int = 20, tolerance: float = 1e-10, seed: int = 0):
+        for name, value in (("restarts", restarts), ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # random.Random refuses numpy integers
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        restarts, seed = int(restarts), int(seed)  # random.Random refuses numpy integers
+        if not tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {tolerance}")
+        if restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {restarts}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        vars(self).update(restarts=restarts, tolerance=tolerance, seed=seed)
 
 
-@dataclass
 class CapacityResult:
-    value: float
-    kind: str  # exact | lower-bound | paper-bound
-    resource: str  # L | Q | NS | file
-    argmax_pi: ProductDistribution | None = None
-    argmax_encoder: str | None = None
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        value: float,
+        kind: str,  # exact | lower-bound | paper-bound
+        resource: str,  # L | Q | NS | file
+        argmax_pi: ProductDistribution | None = None,
+        argmax_encoder: str | None = None,
+        diagnostics: dict | None = None,
+    ):
+        self.value = value
+        self.kind = kind
+        self.resource = resource
+        self.argmax_pi = argmax_pi
+        self.argmax_encoder = argmax_encoder
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 # A sweep row of one channel: its result and its CSV diagnostic.
@@ -913,7 +915,9 @@ def pseudo_telepathy_capacity(ch: MacChannel, box: CorrelationBox) -> CapacityRe
         quantum = _box_resource(builtin.name) == "Q" and np.array_equal(box.table, builtin.table)
     except ValueError:  # a game with no built-in box
         quantum = False
-    return replace(solve(ch)[0], resource="Q" if quantum else "NS")
+    r = solve(ch)[0]
+    resource = "Q" if quantum else "NS"
+    return CapacityResult(r.value, r.kind, resource, r.argmax_pi, r.argmax_encoder, r.diagnostics)
 
 
 def _prepare_q_lower(game: NonlocalGame) -> Solve:
@@ -1062,13 +1066,13 @@ def channel_for(game: NonlocalGame, channel_type: int, eta: float) -> MacChannel
     raise ValueError(f"channel type must be 1 or 2, got {channel_type}")
 
 
-@dataclass
 class SweepRow:
-    eta: float
-    resource: str
-    kind: str
-    value: float
-    diagnostic: str = ""
+    def __init__(self, eta: float, resource: str, kind: str, value: float, diagnostic: str = ""):
+        self.eta = eta
+        self.resource = resource
+        self.kind = kind
+        self.value = value
+        self.diagnostic = diagnostic
 
 
 # Outputs Δ of the largest game a perfect-box sweep takes: mpp:22's.  A

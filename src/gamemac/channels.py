@@ -10,11 +10,10 @@ All entropies are in bits.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import NonlocalGame, input_indices, input_win_mask
+from .games import NonlocalGame, ReadOnly, input_indices, input_win_mask
 from .infotheory import entropy
 
 _ROW_TOL = 1e-12
@@ -40,8 +39,7 @@ def noise_f(delta: int, eta: float) -> float:
     return float(out)
 
 
-@dataclass(frozen=True, eq=False)
-class MacChannel:
+class MacChannel(ReadOnly):
     """P(y | x) = profile_{win(x)}[(y - q(x)) mod Δ], with Δ = d^n.
 
     A profile is a distribution over the cyclic offset of y from the
@@ -50,23 +48,20 @@ class MacChannel:
     entropies f_w, f_l are the entropies of the two profiles.
     """
 
-    game: NonlocalGame
-    win_profile: np.ndarray  # shape (Δ,)
-    lose_profile: np.ndarray  # shape (Δ,)
-    f_w: float = field(init=False)
-    f_l: float = field(init=False)
-
-    def __post_init__(self):
-        for label, f in (("win", "f_w"), ("lose", "f_l")):
-            prof = np.array(getattr(self, f"{label}_profile"), dtype=float)
-            if prof.shape != (self.delta,):
-                raise ValueError(f"{label} profile must have length {self.delta}")
+    def __init__(self, game: NonlocalGame, win_profile: np.ndarray, lose_profile: np.ndarray):
+        delta, profiles = game.d**game.n, []
+        for label, prof in (("win", win_profile), ("lose", lose_profile)):
+            prof = np.array(prof, dtype=float)
+            if prof.shape != (delta,):
+                raise ValueError(f"{label} profile must have length {delta}")
             if not (abs(prof.sum() - 1.0) <= _ROW_TOL and prof.min() >= 0):
                 raise ValueError(f"{label} profile is not a distribution")
             prof.setflags(write=False)
-            object.__setattr__(self, f"{label}_profile", prof)
-            object.__setattr__(self, f, entropy(prof))
-        check_branch_order(self.f_w, self.f_l)
+            profiles.append(prof)
+        win_profile, lose_profile = profiles  # each of shape (Δ,)
+        f_w, f_l = entropy(win_profile), entropy(lose_profile)
+        check_branch_order(f_w, f_l)
+        vars(self).update(game=game, win_profile=win_profile, lose_profile=lose_profile, f_w=f_w, f_l=f_l)
 
     @property
     def delta(self) -> int:
@@ -104,9 +99,15 @@ class MacChannel:
         `_peaks`), O(Δ |S|); one slot of weight 1 gives its row bit for bit."""
         delta, q = self.delta, 0.0
         for (c, offsets, peaks), w in zip(self._peaks, (weights[..., :delta], weights[..., delta:])):
-            # roll(w, o): the last o weights, then the others
-            rolled = [np.concatenate([w[..., delta - o :], w[..., : delta - o]], axis=-1) for o in offsets]
-            q = q + c * (w.sum(axis=-1, keepdims=True) - sum(rolled)) + sum(map(np.multiply, peaks, rolled))
+            # the two sums over o, offset by offset in the order sum() adds them:
+            # `+=` on the int 0 makes a fresh array, then adds in place
+            rolled = mixed = 0
+            for o, p in zip(offsets, peaks):
+                r = np.concatenate([w[..., delta - o :], w[..., : delta - o]], axis=-1)  # roll(w, o)
+                rolled += r
+                r *= p
+                mixed += r
+            q = q + c * (w.sum(axis=-1, keepdims=True) - rolled) + mixed
         return q
 
     def kernel(self, cols: np.ndarray, probs: np.ndarray) -> np.ndarray:

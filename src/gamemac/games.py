@@ -23,6 +23,20 @@ def pack_tuple(values: Sequence[int], base: int) -> int:
     return idx
 
 
+class ReadOnly:
+    """Base of the package's read-only records.  A record's `__init__` fills
+    its instance dict (`vars(self).update(...)`); after that, assigning or
+    deleting an attribute raises AttributeError.  functools.cached_property
+    writes the instance dict directly, so it still caches.  Records compare
+    and hash by identity."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class NonlocalGame:
     """An (n, d, D) nonlocal game with a total winning predicate.
 

@@ -7,12 +7,11 @@ with the flattened tuple indices used throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .games import NonlocalGame, input_win_mask
+from .games import NonlocalGame, ReadOnly, input_win_mask
 
 if TYPE_CHECKING:  # channels imports entropy from here
     from .channels import MacChannel
@@ -21,21 +20,18 @@ if TYPE_CHECKING:  # channels imports entropy from here
 _SIMPLEX_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ProductDistribution:
+class ProductDistribution(ReadOnly):
     """Per-sender message distributions; the joint is their outer product."""
 
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
+    def __init__(self, factors: tuple[np.ndarray, ...]):
         cleaned = []
-        for f in self.factors:
+        for f in factors:
             f = np.asarray(f, dtype=float)
             if not (f.min() >= -_SIMPLEX_TOL and abs(f.sum() - 1.0) <= _SIMPLEX_TOL):
                 raise ValueError(f"factor {f} is not on the simplex")
             f.setflags(write=False)
             cleaned.append(f)
-        object.__setattr__(self, "factors", tuple(cleaned))
+        vars(self).update(factors=tuple(cleaned))
 
     @property
     def n(self) -> int:

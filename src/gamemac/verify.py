@@ -5,7 +5,6 @@ acceptance tests."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .correlations import (
 )
 from .games import (
     NonlocalGame,
+    ReadOnly,
     chsh_game,
     local_map_indices,
     magic_square_game,
@@ -105,18 +105,24 @@ def random_channel(game: NonlocalGame, rng: np.random.Generator) -> MacChannel:
     return depolarizing_mac(game, eta_w, eta_l)
 
 
-@dataclass(frozen=True)
-class _Triples:
+class _Triples(ReadOnly):
     """Seeded (pi, encoder, channel) triples of one game, held as arrays;
     box_encoder is the E* encoder a mixture may hold as its last part."""
 
-    game: NonlocalGame
-    box_encoder: Encoder
-    factors: np.ndarray  # (count, n, d): pi's factors
-    vertex_cols: np.ndarray  # (count, 4, d^n): each vertex part's channel input per message
-    weights: np.ndarray  # (count, 5): part weights, the box part last; 0 past `parts`
-    parts: np.ndarray  # (count,): 1 (one vertex), 4 (mixture) or 5 (mixture with the box)
-    etas: np.ndarray  # (count, 2): (eta_w, eta_l)
+    def __init__(
+        self,
+        game: NonlocalGame,
+        box_encoder: Encoder,
+        factors: np.ndarray,  # (count, n, d): pi's factors
+        vertex_cols: np.ndarray,  # (count, 4, d^n): each vertex part's channel input per message
+        weights: np.ndarray,  # (count, 5): part weights, the box part last; 0 past `parts`
+        parts: np.ndarray,  # (count,): 1 (one vertex), 4 (mixture) or 5 (mixture with the box)
+        etas: np.ndarray,  # (count, 2): (eta_w, eta_l)
+    ):
+        vars(self).update(
+            game=game, box_encoder=box_encoder, factors=factors, vertex_cols=vertex_cols,
+            weights=weights, parts=parts, etas=etas,
+        )
 
 
 def _draw_triples(
@@ -255,11 +261,11 @@ def _chunk_quantities(triples: _Triples, chunk: range, box, messages, profiles):
     return h_x + h_y - h_xy, h_m + h_y - h_my, h_mx + h_my - h_mxy - h_m, h_y, omega
 
 
-@dataclass
 class Check:
-    name: str
-    residual: float
-    tolerance: float
+    def __init__(self, name: str, residual: float, tolerance: float):
+        self.name = name
+        self.residual = residual
+        self.tolerance = tolerance
 
     @property
     def passed(self) -> bool:

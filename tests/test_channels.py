@@ -163,10 +163,52 @@ def test_data_types_compare_and_hash_by_identity():
     assert len({ch, ch, box, enc}) == 3
 
 
+def test_records_are_read_only_and_still_cache():
+    from gamemac.capacity import OptimizerConfig
+    from gamemac.verify import _Triples
+
+    ch, box, enc = type_ii(chsh_game(), 0.5), pr_box(), e_star(pr_box())
+    triples = _Triples(chsh_game(), enc, *np.zeros((5, 1)))
+    records = [
+        (ch, "f_w"), (box, "table"), (enc, "cols"), (ProductDistribution.uniform(2, 2), "factors"),
+        (OptimizerConfig(), "seed"), (triples, "etas"),
+    ]
+    for record, name in records:
+        kept = getattr(record, name)
+        for attempt in (lambda: setattr(record, name, 0), lambda: setattr(record, "new", 0)):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                attempt()
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(record, name)
+        assert getattr(record, name) is kept and not hasattr(record, "new")
+    # functools.cached_property writes the instance dict, past __setattr__
+    assert ch.matrix is ch.matrix and ch._peaks is ch._peaks and enc.table is enc.table
+
+
+def test_output_law_adds_its_offsets_in_place():
+    # Δ = 256 with 255 peak offsets per profile: a list of every rolled
+    # copy would hold 2 x 255 arrays of 1 MiB
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    win_profile, lose_profile = sorted(rng.dirichlet(np.full(256, 0.5), size=2), key=entropy)
+    ch = MacChannel(mpp_game(8), win_profile, lose_profile)
+    assert all(offsets.size == 255 for _, offsets, _ in ch._peaks)
+    weights = np.eye(2 * ch.delta)
+    tracemalloc.start()
+    try:
+        law = ch.output_law(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    assert law.tobytes() == ch._circulants.tobytes()
+
+
 def test_depolarizing_mac_validates_each_channel_once(monkeypatch):
     calls = []
-    check = MacChannel.__post_init__
-    monkeypatch.setattr(MacChannel, "__post_init__", lambda self: calls.append(self) or check(self))
+    check = MacChannel.__init__
+    monkeypatch.setattr(MacChannel, "__init__", lambda self, *args: calls.append(self) or check(self, *args))
     channels = [depolarizing_mac(chsh_game(), 0.9, 0.2), type_i(chsh_game(), 0.4), type_ii(chsh_game(), 0.4)]
     assert len(calls) == len(channels) and all(a is b for a, b in zip(calls, channels))
 

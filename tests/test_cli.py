@@ -303,6 +303,29 @@ def test_box_export_writes_only_winning_rows(tmp_path):
         assert p == ("0.125" if sum(digits[:3]) % 2 else "0.25")
 
 
+def test_box_export_refuses_a_table_over_the_cap_before_building_it(tmp_path, monkeypatch):
+    from gamemac import correlations
+
+    def unbuilt(*args):
+        raise AssertionError("the box table was built")
+
+    monkeypatch.setattr(correlations, "uniform_over_wins", unbuilt)
+    out = tmp_path / "mpp11.csv"
+    result = run("box-export", "mpp:11", "--out", str(out))
+    assert (result.exit_code, result.output) == (
+        1, f"Error: mpp:11 box has {4**11} table entries, over the cap of {2**20}\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # generating dataclass methods through exec cost every command about 7 ms of start-up
+    code = "import sys, gamemac.cli; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 @pytest.mark.parametrize("name", ["mpp:x", "mpp:", "mpp:1"])
 def test_box_export_bad_mpp_name(tmp_path, name):
     result = run("box-export", name, "--out", str(tmp_path / "x.csv"))
@@ -567,8 +590,9 @@ def test_mpp20_perfect_box_rows_print_the_closed_form_and_mpp23_is_refused():
         # 2 EiB noise profile (mpp:58) or its float overflow (mpp:5000)
         (("sweep", "--game", "mpp:58", "--channel-type", "2", "--eta-grid", "0.5:1:1",
           "--resources", "L-exact"), "mpp:58 encoding scenario has about 6.9e69"),
-        # a box larger than any address space, refused before any memory is touched
-        (("box-export", "mpp:58", "--out", "mpp58.csv"), "too big"),
+        # a box larger than any address space, refused at the box cap before any memory is touched
+        pytest.param(("box-export", "mpp:58", "--out", "mpp58.csv"),
+                     "mpp:58 box has about 8.3e34 table entries", id="box-export-too big"),
         (("sweep", "--game", "mpp:5000", "--channel-type", "2", "--eta-grid", "0.5:1:1",
           "--resources", "L-exact"), "mpp:5000 encoding scenario has about 3.9e6020"),
         # the file's boxes are checked against the game before any channel

@@ -212,9 +212,9 @@ def test_uniform_over_wins_keeps_the_divided_table(monkeypatch):
     passed = []
 
     class RecordingBox(CorrelationBox):
-        def __post_init__(self):
-            passed.append(self.table)
-            super().__post_init__()
+        def __init__(self, n, d, D, table, name="box"):
+            passed.append(table)
+            super().__init__(n, d, D, table, name)
 
     monkeypatch.setattr(correlations, "CorrelationBox", RecordingBox)
     box = correlations.uniform_over_wins(mpp_game(3), "mpp:3")

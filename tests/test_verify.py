@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import numpy as np
@@ -114,6 +113,11 @@ GAMES = [chsh_game(), magic_square_game(), mpp_game(3)]
 def _triples(game, seed, count):
     box_encoder = e_star(capacity.pseudo_telepathy_box(game))
     return verify._draw_triples(game, random.Random(seed), count, box_encoder)
+
+
+def _replaced(triples, **fields):
+    """triples with the given fields replaced; the others are shared."""
+    return verify._Triples(**{**vars(triples), **fields})
 
 
 def _encoder(triples, i):
@@ -291,11 +295,11 @@ def test_chunks_give_equal_residuals_and_check_the_last_triple(game, monkeypatch
         etas = triples.etas.copy()
         etas[-1] = (0.5, 0.5)
         with pytest.raises(ValueError, match="eta_l < eta_w"):
-            verify._triple_quantities(dataclasses.replace(triples, etas=etas))
+            verify._triple_quantities(_replaced(triples, etas=etas))
         weights = triples.weights.copy()
         weights[-1, 0] += 0.01  # every row of the last triple sums to 1.01
         with pytest.raises(ValueError, match="not stochastic"):
-            verify._triple_quantities(dataclasses.replace(triples, weights=weights))
+            verify._triple_quantities(_replaced(triples, weights=weights))
     assert residuals[0] == residuals[1] == residuals[2]
 
 
