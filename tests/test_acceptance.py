@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_run import invoke
 
 from gamemac import verify
 from gamemac.capacity import (
@@ -26,7 +26,6 @@ from gamemac.capacity import (
     quantum_lower_bound_chsh,
 )
 from gamemac.channels import noise_f, type_i, type_ii
-from gamemac.cli import main as cli_main
 from gamemac.correlations import box_win_probabilities, support_marginal_uniformity_error, validate_box
 from gamemac.games import chsh_game, magic_square_game, mpp_game
 from gamemac.infotheory import ProductDistribution, sum_rate
@@ -203,11 +202,10 @@ def test_criterion_7_sweep_determinism(capsys, tmp_path):
         "resources = NS-exact,Q-lower,L-bound\n"
         "seed = 42\n"
     )
-    runner = CliRunner()
     outputs = []
     for name in ("first.csv", "second.csv"):
         path = tmp_path / name
-        result = runner.invoke(cli_main, ["sweep", "--config", str(cfg), "--out", str(path)])
+        result = invoke("sweep", "--config", str(cfg), "--out", str(path))
         assert result.exit_code == 0, result.output
         outputs.append(path.read_bytes())
     passed = outputs[0] == outputs[1]

@@ -7,17 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_run import invoke as run
 
 from gamemac import capacity, verify
 from gamemac.channels import MacChannel, noise_f, type_ii
-from gamemac.cli import main, parse_eta_grid
+from gamemac.cli import SUBCOMMANDS, CliError, main, parse_eta_grid
 from gamemac.games import mpp_game
-
-
-def run(*args, **kwargs):
-    result = CliRunner().invoke(main, list(args), **kwargs)
-    return result
 
 
 BOXES = str(Path(__file__).parent / "data" / "pr_tsirelson_boxes.csv")
@@ -214,12 +209,96 @@ def test_negative_seed_is_refused_by_name(args):
 def test_a_seed_that_is_not_an_integer_is_a_usage_error(args):
     result = run(*args)
     assert result.exit_code == 2, result.output
-    assert f"Invalid value for '--seed': {args[-1]!r} is not a valid integer" in result.output
+    assert f"Error: argument --seed: invalid int value: {args[-1]!r}" in result.output
     assert "--seed INTEGER" in run(args[0], "--help").output
 
 
+_SWEEP_OPTIONS = ["--game", "--channel-type", "--eta-grid", "--resources", "--seed", "--out", "--config"]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("sweep", _SWEEP_OPTIONS),
+        ("verify", ["--seed", "--count"]),
+        ("table", ["--seed"]),
+        ("game-value", ["GAME"]),
+        ("box-export", ["BOX", "--out"]),
+    ],
+)
+def test_every_subcommand_help_lists_its_options(command, options):
+    assert sorted(SUBCOMMANDS.choices) == ["box-export", "game-value", "sweep", "table", "verify"]
+    result = run(command, "--help")
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(f"usage: gamemac {command} ")
+    for option in options:
+        assert f" {option}" in result.output, option
+
+
+def _assert_usage_error(result, fragment):
+    """Refused by the parser: exit code 2, the usage line, one `Error:` line."""
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("usage: gamemac"), result.output
+    assert result.output.splitlines()[-1].startswith("Error: ")
+    assert fragment in result.output, result.output
+
+
+def test_sweep_config_that_does_not_exist_is_a_usage_error(tmp_path):
+    missing = tmp_path / "missing.cfg"
+    _assert_usage_error(run("sweep", "--config", str(missing)),
+                        f"Error: argument --config: path {str(missing)!r} does not exist")
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [(("sweep", "--see", "1"), "--see"), (("verify", "--cou", "3"), "--cou"),
+     (("table", "--seed=1", "--s", "2"), "--s")],
+)
+def test_an_option_prefix_is_a_usage_error(args, option):
+    _assert_usage_error(run(*args), f"unrecognized arguments: {option}")
+
+
+@pytest.mark.parametrize(
+    "option, first, second",
+    [("--seed", "1", "2"), ("--resources", "L-exact", "NS-exact")],
+)
+def test_a_flag_given_twice_is_a_usage_error(tmp_path, monkeypatch, option, first, second):
+    # last-wins would run the second value; neither runs
+    calls = []
+    monkeypatch.setattr(capacity, "sweep", lambda *args: calls.append(args))
+    args = ["sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "1:1:1",
+            "--resources", "NS-exact", "--seed", "0", "--out", str(tmp_path / "rows.csv")]
+    given = args.index(option)
+    args[given + 1] = first
+    _assert_usage_error(run(*args, option, second), f"Error: argument {option}: given twice")
+    _assert_usage_error(run(*args, f"{option}={second}"), f"Error: argument {option}: given twice")
+    # a flag over a config key stays allowed: test_sweep_setting_as_flag_or_config_key
+    assert calls == [] and not (tmp_path / "rows.csv").exists()
+
+
+def test_a_value_that_starts_with_a_dash_is_refused():
+    # a dash-led value that is not a plain negative number reads as an option
+    args = ("sweep", "--game", "chsh", "--channel-type", "2", "--resources", "NS-exact")
+    _assert_usage_error(run(*args, "--eta-grid", "-0.5:1:2"),
+                        "Error: argument --eta-grid: expected one argument")
+    # attached with `=`, it is a value, and the grid refuses it
+    result = run(*args, "--eta-grid=-0.5:1:2")
+    assert (result.exit_code, result.output) == (
+        1, "Error: eta-grid '-0.5:1:2' must stay within [0, 1] with n >= 1\n")
+
+
+def test_without_standalone_mode_the_boundary_raises():
+    # the benchmark's child process runs commands this way and reports the raised error
+    with pytest.raises(CliError, match="^seed must be >= 0, got -1$") as caught:
+        main(["table", "--seed", "-1"], standalone_mode=False)
+    assert (caught.value.exit_code, caught.value.usage) == (1, "")
+    with pytest.raises(CliError, match="^argument --seed: invalid int value: 'x'$") as caught:
+        main(["table", "--seed", "x"], standalone_mode=False)
+    assert caught.value.exit_code == 2 and caught.value.usage.startswith("usage: gamemac table")
+
+
 def test_a_seed_in_a_config_file_that_is_not_an_integer_is_refused_by_its_key(tmp_path):
-    # a config value is read after click's parsing: an error line, not a usage error
+    # a config value is read after the command line's parsing: an error line, not a usage error
     result = _sweep_with_config(tmp_path, "seed = x\n")
     assert (result.exit_code, result.output) == (1, "Error: seed must be an integer, got 'x'\n")
 
@@ -324,6 +403,14 @@ def test_cli_import_leaves_dataclasses_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_cli_import_leaves_click_and_uuid_unloaded():
+    # click's import, which also loaded uuid, cost every command 7-9 ms of start-up
+    code = "import sys, gamemac.cli; print([m for m in ('click', 'uuid') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("name", ["mpp:x", "mpp:", "mpp:1"])
@@ -455,7 +542,7 @@ def test_sweep_config_rejects_unknown_key(tmp_path, line):
 
 
 def test_sweep_config_refuses_channel_type_3(tmp_path):
-    # the --channel-type flag is a click Choice: only a config value reaches this check
+    # the --channel-type flag has the choices 1 and 2: only a config value reaches this check
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("game = chsh\nchannel-type = 3\neta-grid = 1:1:1\nresources = NS-exact\n")
     result = run("sweep", "--config", str(cfg))
@@ -690,7 +777,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         "resources = NS-exact,Q-lower,L-bound\nseed = 0\nout = sweep.csv\n"
     )
     commands = _readme_cli_commands()
-    assert {args[0] for args in commands} == set(main.commands)
+    assert {args[0] for args in commands} == set(SUBCOMMANDS.choices)
     for args in commands:
         result = run(*args)
         assert result.exit_code == 0, (args, result.output)

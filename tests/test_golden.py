@@ -16,9 +16,7 @@ import io
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from gamemac.cli import main
+from cli_run import invoke
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data"
@@ -47,7 +45,7 @@ def _rows(text):
 @pytest.mark.parametrize("golden", list(GOLDENS))
 def test_sweep_matches_golden(golden, monkeypatch):
     monkeypatch.chdir(ROOT)
-    result = CliRunner().invoke(main, ["sweep", *GOLDENS[golden]])
+    result = invoke("sweep", *GOLDENS[golden])
     assert result.exit_code == 0, result.output
     got, want = _rows(result.output), _rows((DATA / golden).read_text())
     assert len(got) == len(want)
