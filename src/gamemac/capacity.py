@@ -58,8 +58,9 @@ class OptimizerConfig(ReadOnly):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         restarts, seed = int(restarts), int(seed)  # random.Random refuses numpy integers
-        if not tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
+        real = isinstance(tolerance, (int, float, np.integer, np.floating)) and not isinstance(tolerance, bool)
+        if not (real and 0 < tolerance < np.inf):
+            raise ValueError(f"tolerance must be a finite positive number, got {tolerance!r}")
         if restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {restarts}")
         if seed < 0:
@@ -95,16 +96,17 @@ def _row(r: CapacityResult, diagnostic: str = "") -> tuple[CapacityResult, str]:
     return r, diagnostic.format(**r.diagnostics) or r.argmax_encoder or ""
 
 
-# An ascent objective maps one batch (F, group, go), the factors F of shape
-# (B, n, d), the candidate of each row, group (B,), and the continue rule
-# go(values, gaps) -> (B,) bool, to the values (B,) and certified block
-# gaps (B,) at F, and, for the rows go selects, in order, F after one
-# ascent step, at which the value is no lower.  No ascent step is taken
-# when go selects no row; a batch (F, group) steps every row.  An objective
-# never writes to F and returns fresh arrays, which are the caller's:
-# `maximize_over_pi` keeps F, the values and the gaps as its best so far by
-# reference, and writes the fallen rows' best into the F it passed.
-AscentObjective = Callable[[tuple], tuple[np.ndarray, np.ndarray, np.ndarray]]
+# An ascent objective maps one batch (F, group), the factors F of shape
+# (B, n, d) and the candidate of each row, group (B,), to the values (B,)
+# and certified block gaps (B,) at F and a function step: step(rows), with
+# rows the ascending indices of the rows that go on (never empty), returns
+# F[rows] after one ascent step, at which the value is no lower.  The
+# caller decides which rows go on, and calls step at most once, before it
+# changes F, or not at all.  An objective never writes to F and returns
+# fresh arrays, which are the caller's: `maximize_over_pi` keeps F, the
+# values and the gaps as its best so far by reference, and writes the
+# fallen rows' best into the F it passed once step has read it.
+AscentObjective = Callable[[tuple], tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]]
 
 # Values closer than this are equal up to rounding.
 _VALUE_ROUNDING = 1e-12
@@ -185,13 +187,12 @@ def maximize_over_pi(
     the value is a local-search result, a lower bound on the true maximum.
     Deterministic under a fixed cfg.seed.
 
-    The live starts form one compact batch whose continue rule is gap >
-    cfg.tolerance, so the objective steps only the starts that go on.  The
-    best so far is kept by reference while every live start improves (an
-    objective never writes to its F); only the rows whose value fell are
-    copied.  Each time a start stops, the best value, gap and factors of
-    every live start are written back, so a start's last write is its
-    own stop.
+    The live starts form one compact batch, of which only the starts with
+    a gap above cfg.tolerance step.  The best so far is kept by reference
+    while every live start improves (an objective never writes to its F);
+    only the rows whose value fell are copied, into F after its step.
+    Each time a start stops, the best value, gap and factors of every live
+    start are written back, so a start's last write is its own stop.
     """
     cfg = cfg or OptimizerConfig()
     R = cfg.restarts
@@ -207,24 +208,22 @@ def maximize_over_pi(
     live = np.arange(groups * R)
     group, best_F = live // R, F
     best, best_gap = np.full(live.size, -np.inf), np.full(live.size, np.inf)
-
-    def go(values, gaps):
-        return gaps > cfg.tolerance
-
     iterations = 0
     for _ in range(MAX_ITERATIONS):
         iterations += live.size
-        values, gaps, stepped = objective((F, group, go))
-        better, keep = values >= best, go(values, gaps)
-        if np.count_nonzero(better) < live.size:  # F is no longer read: it takes the fallen rows' best
+        values, gaps, step = objective((F, group))
+        on = np.flatnonzero(gaps > cfg.tolerance)  # the starts that go on
+        stepped = step(on) if on.size else None
+        del step  # its gathered kernels go before the next batch gathers its own
+        better = values >= best
+        if np.count_nonzero(better) < live.size:  # step has read F: it takes the fallen rows' best
             fell = ~better
             values, gaps = np.where(better, values, best), np.where(better, gaps, best_gap)
             F[fell] = best_F[fell]
         best, best_gap, best_F, F = values, gaps, F, stepped
-        if np.count_nonzero(keep) < live.size:
+        if on.size < live.size:
             # every live start's best so far; one that goes on is written again later
             value[live], gap[live], best_factors[live] = best, best_gap, best_F
-            on = np.flatnonzero(keep)
             live, group, best, best_gap = live.take(on), group.take(on), best.take(on), best_gap.take(on)
             best_F = best_F.take(on, 0)
             if not live.size:
@@ -274,13 +273,6 @@ def _block_averages(x: np.ndarray, F: np.ndarray, block: int | None = None) -> n
     return outs[0] if n == 1 else np.concatenate(outs[::-1], axis=1)
 
 
-def _rows_stepping(rule: list, values: np.ndarray, gaps: np.ndarray) -> np.ndarray | None:
-    """The indices of the rows a batch's continue rule (none or one)
-    selects, ascending, or None when every row steps on."""
-    step = rule[0](values, gaps) if rule else None
-    return None if step is None or np.count_nonzero(step) == len(step) else np.flatnonzero(step)
-
-
 # Factors 2^-j, j = 1..4, of alpha + 1 when an extrapolated point leaves the
 # simplex: at CHSH, mpp:3 and mpp:4 type-II η = 0.1 more j change no step.
 _STEP_BACK = 2.0 ** -np.arange(1, 5)
@@ -307,9 +299,9 @@ def _kernel_mi_objective(
     never lower I, so I(returned) >= I(F1) >= I(F0), and the values
     compared are those the second and third sweeps compute anyway.  With
     extrapolate False the step is the plain sweep S alone: the same values
-    and gaps at F0, bit for bit, and F1.  Only the rows the batch's rule
-    selects step (see AscentObjective); with none selected, the objective
-    returns right after the values and gaps.
+    and gaps at F0, bit for bit, and F1.  The objective computes the
+    values and gaps; its step (see AscentObjective) gathers the kernels of
+    the rows that go on, unless they are every row, and steps them.
 
     kernels is a basis of rows (B, Y) and group g's kernel is
     kernels[slots[g]], with slots (G, Δ): the vertex kernels of
@@ -325,7 +317,7 @@ def _kernel_mi_objective(
     neg_h_rows = -entropy(kernels, axis=-1)  # -H(Y | M = m) of each basis row
 
     def objective(batch: tuple):
-        F0, group, *rule = batch
+        F0, group = batch
         rows = slots.take(group, axis=0)
         K, neg_h = kernels.take(rows, axis=0), neg_h_rows.take(rows)  # take: faster than [rows]
 
@@ -353,37 +345,39 @@ def _kernel_mi_objective(
 
         values, scores = evaluate(F0, None)
         gaps = np.maximum.reduce(scores, (1, 2)) - values
-        score = scores[:, 0]
-        step = _rows_stepping(rule, values, gaps)
-        if step is not None:  # take: faster than a mask on these small batches
-            if not step.size:
-                return values, gaps, F0.take(step, 0)
-            F0, score, K, neg_h = F0.take(step, 0), score.take(step, 0), K.take(step, 0), neg_h.take(step, 0)
-        F1 = sweep(F0.copy(), score)
-        if not extrapolate:
-            return values, gaps, F1
-        value1, score = evaluate(F1, 0)
-        F2 = sweep(F1.copy(), score)
-        r, v = F1 - F0, F2 - 2.0 * F1 + F0
-        r_norm, v_norm = (np.sqrt(np.add.reduce(x * x, (1, 2))) for x in (r, v))
-        alpha = -np.maximum(r_norm / np.where(v_norm > 0, v_norm, np.inf), 1.0)
-        a = alpha[:, None, None]
-        F_ext = F0 - 2.0 * a * r + a * a * v
-        extrapolated, inside = alpha < -1.0, np.logical_and.reduce(F_ext > 0, (1, 2))
-        off = extrapolated & ~inside
-        if np.count_nonzero(off):  # step back: the first alpha_j = -1 + (alpha + 1) / 2^j inside
-            b = (-1.0 + (alpha[off, None] + 1.0) * _STEP_BACK)[..., None, None]  # (off, J, 1, 1)
-            trial = F0[off, None] - 2.0 * b * r[off, None] + b * b * v[off, None]
-            ok = (trial > 0).all(axis=(2, 3))
-            F_ext[off] = trial[np.arange(len(ok)), ok.argmax(axis=1)]
-            inside[off] = ok.any(axis=1)
-        # alpha = -1 gives F2 itself; so does a point off the open simplex at every alpha_j
-        take = (extrapolated & inside)[:, None, None]
-        np.copyto(F_ext, F2, where=~take)
-        np.divide(F_ext, np.add.reduce(F_ext, -1, keepdims=True), out=F_ext, where=take)
-        value_ext, score = evaluate(F_ext, 0)
-        F3 = sweep(F_ext, score)  # F_ext is built here: swept in place
-        return values, gaps, np.where((value_ext >= value1)[:, None, None], F3, F2)
+
+        def step(on: np.ndarray) -> np.ndarray:
+            nonlocal K, neg_h  # the rows' own, which the sweeps read
+            F, score = F0, scores[:, 0]
+            if on.size < len(F):  # take: faster than a mask on these small batches
+                F, score, K, neg_h = F.take(on, 0), score.take(on, 0), K.take(on, 0), neg_h.take(on, 0)
+            F1 = sweep(F.copy(), score)
+            if not extrapolate:
+                return F1
+            value1, score = evaluate(F1, 0)
+            F2 = sweep(F1.copy(), score)
+            r, v = F1 - F, F2 - 2.0 * F1 + F
+            r_norm, v_norm = (np.sqrt(np.add.reduce(x * x, (1, 2))) for x in (r, v))
+            alpha = -np.maximum(r_norm / np.where(v_norm > 0, v_norm, np.inf), 1.0)
+            a = alpha[:, None, None]
+            F_ext = F - 2.0 * a * r + a * a * v
+            extrapolated, inside = alpha < -1.0, np.logical_and.reduce(F_ext > 0, (1, 2))
+            off = extrapolated & ~inside
+            if np.count_nonzero(off):  # step back: the first alpha_j = -1 + (alpha + 1) / 2^j inside
+                b = (-1.0 + (alpha[off, None] + 1.0) * _STEP_BACK)[..., None, None]  # (off, J, 1, 1)
+                trial = F[off, None] - 2.0 * b * r[off, None] + b * b * v[off, None]
+                ok = (trial > 0).all(axis=(2, 3))
+                F_ext[off] = trial[np.arange(len(ok)), ok.argmax(axis=1)]
+                inside[off] = ok.any(axis=1)
+            # alpha = -1 gives F2 itself; so does a point off the open simplex at every alpha_j
+            take = (extrapolated & inside)[:, None, None]
+            np.copyto(F_ext, F2, where=~take)
+            np.divide(F_ext, np.add.reduce(F_ext, -1, keepdims=True), out=F_ext, where=take)
+            value_ext, score = evaluate(F_ext, 0)
+            F3 = sweep(F_ext, score)  # F_ext is built here: swept in place
+            return np.where((value_ext >= value1)[:, None, None], F3, F2)
+
+        return values, gaps, step
 
     return objective
 
@@ -518,7 +512,7 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     SQUAREM steps (see `_kernel_mi_objective`); step 0 computes the same
     values either way, so the floor is the same.  Every representative
     takes step 0, which sets the floor; later steps step only the ones
-    still undecided (the batch's continue rule).  Neither kind of step
+    still undecided, chunk by chunk (`_PRUNE_CHUNK_ELEMENTS`).  Neither kind of step
     moves the survivors: every step's value I(F_t) and bound bracket the capacity
     C_r, I(F_t) <= C_r <= max_m D(K_m || q_t), so both keep exactly the
     representatives with C_r at or above the floor, but for one still
@@ -540,23 +534,29 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     chunk = max(1, _PRUNE_CHUNK_ELEMENTS // (ch.delta * basis.shape[-1]))  # rows per call
 
     def undecided(values: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-        return (values < floor) & (values + gaps >= floor)
+        return np.flatnonzero((values < floor) & (values + gaps >= floor))
 
-    for step in range(MAX_ITERATIONS):
-        objective = plain if step < _PLAIN_PRUNE_STEPS else squarem
-        rule = (undecided,) if step else ()  # step 0 sets the floor: every row steps
-        if len(F) <= chunk:  # one call, with no list or concatenation
-            values, gaps, F = objective((F, active, *rule))
+    def prune(objective: AscentObjective, lo: int, first: bool) -> tuple:
+        """Values and gaps of the chunk of F at lo, and the offsets and new
+        factors of its rows that step: all at the first step, which sets the
+        floor, the undecided ones after.  The chunk's kernels go on return."""
+        values, gaps, step = objective((F[lo : lo + chunk], active[lo : lo + chunk]))
+        on = np.arange(len(values)) if first else undecided(values, gaps)
+        return values, gaps, on + lo, step(on) if on.size else F[:0]
+
+    for t in range(MAX_ITERATIONS):
+        objective = plain if t < _PLAIN_PRUNE_STEPS else squarem
+        if len(F) <= chunk:  # one chunk, with no list or concatenation
+            values, gaps, on, F = prune(objective, 0, not t)
         else:
-            calls = [objective((F[lo : lo + chunk], active[lo : lo + chunk], *rule)) for lo in range(0, len(F), chunk)]
-            values, gaps, F = (np.concatenate(parts) for parts in zip(*calls))
-        if not step:  # every representative at uniform messages
+            parts = [prune(objective, lo, not t) for lo in range(0, len(F), chunk)]
+            values, gaps, on, F = (np.concatenate(part) for part in zip(*parts))
+        if not t:  # step 0: every representative at uniform messages, all stepped
             floor = values.max() - _VALUE_ROUNDING
+            on = undecided(values, gaps)
+            F = F.take(on, 0)
         kept.append(active[values >= floor])
-        go_on = undecided(values, gaps)
-        active = active[go_on]
-        if not step:  # step 0 stepped every row; later steps return the undecided ones only
-            F = F[go_on]
+        active = active.take(on)
         if not active.size:
             break
     survivors = np.sort(np.concatenate([*kept, active]))
@@ -576,20 +576,16 @@ def classical_capacity_exact(ch: MacChannel, cfg: OptimizerConfig | None = None)
     )
 
 
-def _no_row(values: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """The continue rule of a batch that is only evaluated."""
-    return np.zeros(len(values), dtype=bool)
-
-
 def best_vertex_rate_at_pi(ch: MacChannel, pi: ProductDistribution) -> float:
     """Best deterministic-encoder sum rate at a fixed message distribution:
-    every representative at every per-sender relabelling of pi."""
+    every representative at every per-sender relabelling of pi, evaluated
+    with no step."""
     per_sender = _message_relabellings(pi.n, pi.d)
     relabelled = np.stack(pi.factors)[np.arange(pi.n)[:, None], per_sender]
     slots = _representatives(ch.game)[1]
     objective, everyone = _kernel_mi_objective(ch._circulants, slots), np.arange(len(slots))
     return max(
-        float(objective((np.broadcast_to(F, (len(slots), *F.shape)), everyone, _no_row))[0].max())
+        float(objective((np.broadcast_to(F, (len(slots), *F.shape)), everyone))[0].max())
         for F in relabelled
     )
 
@@ -694,13 +690,13 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
     Block k's step re-picks the top-r_max set S (ties to the lowest index),
     takes a_k(m_k) = sum of p_-k(m_-k) over m in S, and sets p_k to the
     block maximiser p_k ∝ 2^{c a_k}, c = f_l - f_w.  With S held, the block
-    gap is log2 sum 2^{c a_k} - (H(p_k) + c sum p_k a_k).  Only the rows
-    the batch's rule selects step, as in `_kernel_mi_objective`.
+    gap is log2 sum 2^{c a_k} - (H(p_k) + c sum p_k a_k).  The step (see
+    AscentObjective) updates a fresh copy of the rows that go on.
     """
     spread = ch.f_l - ch.f_w
 
     def objective(batch: tuple):
-        F, _, *rule = batch  # one candidate: every row's group is 0
+        F, _ = batch  # one candidate: every row's group is 0
         pm = product_joint(F)
         mask = _top_mask(pm, r_max)
         h = entropy(F, axis=-1)  # (R, n)
@@ -708,20 +704,18 @@ def _subset_bound_objective(ch: MacChannel, r_max: int) -> AscentObjective:
         averages = _block_averages(mask, F)  # (R, n, d)
         blocks = h + spread * np.add.reduce(F * averages, -1)
         gaps = np.maximum(np.maximum.reduce(np.logaddexp2.reduce(spread * averages, -1) - blocks, -1), 0.0)
-        average = averages[:, 0]  # block 0's; each later block takes one joint and one average
-        step = _rows_stepping(rule, values, gaps)
-        if step is not None:
-            if not step.size:
-                return values, gaps, F.take(step, 0)
-            F, average = F.take(step, 0), average.take(step, 0)
-        else:
-            F = F.copy()
-        for k in range(F.shape[1]):
-            if k:
-                average = _block_averages(_top_mask(product_joint(F), r_max), F, k)
-            w = np.exp2(spread * average)
-            F[:, k] = w / np.add.reduce(w, -1, keepdims=True)
-        return values, gaps, F
+
+        def step(on: np.ndarray) -> np.ndarray:
+            # fresh rows for the updates; block 0 reuses the certificate's average
+            F1, average = F.take(on, 0), averages.take(on, 0)[:, 0]
+            for k in range(F1.shape[1]):
+                if k:
+                    average = _block_averages(_top_mask(product_joint(F1), r_max), F1, k)
+                w = np.exp2(spread * average)
+                F1[:, k] = w / np.add.reduce(w, -1, keepdims=True)
+            return F1
+
+        return values, gaps, step
 
     return objective
 

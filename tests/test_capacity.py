@@ -100,11 +100,11 @@ def test_maximize_over_pi_keeps_the_best_of_a_row_whose_value_fell():
     inputs = []
 
     def objective(batch):
-        F, _, go = batch
+        F, _ = batch
         inputs.append(F.copy())
         c = len(inputs)
         v, g = np.array(values[c]), np.full(len(F), 1.0 if c < 4 else 0.0)
-        return v, g, np.tile([c / 10, 1 - c / 10], (np.count_nonzero(go(v, g)), 1, 1))
+        return v, g, lambda on: np.tile([c / 10, 1 - c / 10], (len(on), 1, 1))
 
     value, pi, diag = maximize_over_pi(objective, 1, 2, OptimizerConfig(restarts=2))
     assert value == 9.0 and np.array_equal(pi.factors[0], [0.2, 0.8])
@@ -116,6 +116,38 @@ def test_maximize_over_pi_keeps_the_best_of_a_row_whose_value_fell():
     value, pi, diag = maximize_over_pi(objective, 1, 2, OptimizerConfig(restarts=2))
     assert value == 5.0 and np.array_equal(pi.factors[0], _ascent_starts(1, 2, OptimizerConfig(restarts=2))[1, 0])
     assert diag["winner"] == 1
+
+
+def test_maximize_over_pi_steps_the_rows_that_go_on_before_it_writes_into_f():
+    # call c stops row c % B of its B live rows, and every row's value falls
+    # at even calls, so the fallen rows' best is written into that call's F
+    calls, cfg = [], OptimizerConfig(restarts=3)  # per call: its F, a copy taken at the call, the rows stepped
+
+    def objective(batch):
+        F, _ = batch
+        c = len(calls) + 1
+        gaps = np.ones(len(F))
+        gaps[c % len(F)] = 0.0
+        call = {"F": F, "copy": F.copy(), "stepped": None}
+        calls.append(call)
+
+        def step(on):
+            assert call["stepped"] is None  # at most once
+            assert on.size and (np.diff(on) > 0).all()
+            assert np.array_equal(on, np.flatnonzero(gaps > cfg.tolerance))
+            assert np.array_equal(F, call["copy"])  # nothing written into F yet
+            call["stepped"] = on
+            return np.tile([c / 10, 1 - c / 10], (len(on), 1, 1))
+
+        return np.full(len(F), -1.0 if c % 2 == 0 else float(c)), gaps, step
+
+    value, _, diag = maximize_over_pi(objective, 1, 2, cfg)
+    assert [len(call["F"]) for call in calls] == [3, 2, 1]  # no call after the last start stops
+    assert [call["stepped"] if call["stepped"] is None else list(call["stepped"]) for call in calls] == [
+        [0, 2], [1], None
+    ]
+    assert not np.array_equal(calls[1]["F"], calls[1]["copy"])  # written after its step
+    assert (value, diag["iterations"], diag["capped"]) == (3.0, 6, 0)
 
 
 def test_maximize_over_pi_deterministic_across_runs():
@@ -165,10 +197,10 @@ def _ascent_starts(n, d, cfg):
     seen = []
 
     def objective(batch):
-        F, _, go = batch
+        F, _ = batch
         seen.append(F.copy())
         zeros = np.zeros(len(F))
-        return zeros, zeros, F[go(zeros, zeros)]
+        return zeros, zeros, lambda on: F.take(on, 0)
 
     maximize_over_pi(objective, n, d, cfg)
     return seen[0]
@@ -197,8 +229,10 @@ def test_ascent_starts_follow_the_dirichlet_law():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=0.0)
+    for tolerance in (0.0, -1e-9, float("inf"), float("nan"), True, "1e-9", None):
+        refusal = f"^tolerance must be a finite positive number, got {re.escape(repr(tolerance))}$"
+        with pytest.raises(ValueError, match=refusal):
+            OptimizerConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
@@ -570,7 +604,7 @@ def test_one_sweep_never_lowers_the_value(name, eta, seed):
     r_max = int(rng.integers(1, ch.delta + 1))
     group = np.zeros(len(F), dtype=int)
     for objective in (_kernel_mi_objective(kernel), _subset_bound_objective(ch, r_max)):
-        before, gaps, swept = objective((F, group))
+        before, gaps, swept = _step_every_row(objective, F, group)
         after = objective((swept, group))[0]
         assert (after >= before - 1e-12).all()
         assert (gaps >= -1e-12).all()
@@ -646,7 +680,7 @@ def test_extrapolated_step_never_lowers_the_value_and_converges(shape, seed):
     objective = _kernel_mi_objective(rng.dirichlet(np.ones(d**n), size=d**n))
     F = rng.dirichlet(np.ones(d), size=(8, n))
     group = np.zeros(len(F), dtype=int)
-    before, _, stepped = objective((F, group))
+    before, _, stepped = _step_every_row(objective, F, group)
     assert (objective((stepped, group))[0] >= before - 1e-12).all()
     _, _, diag = maximize_over_pi(objective, n, d, CFG)
     assert diag["capped"] == 0
@@ -729,7 +763,8 @@ def _frozen_kernel_mi_objective(kernels, slots=None):
         F_ext[~take] = F2[~take]
         F_ext[take] /= F_ext[take].sum(axis=-1, keepdims=True)
         value_ext, _, F3 = sweep(F_ext)
-        return values, gaps, np.where((value_ext >= value1)[:, None, None], F3, F2)
+        stepped = np.where((value_ext >= value1)[:, None, None], F3, F2)
+        return values, gaps, lambda on: stepped[on]
 
     return objective
 
@@ -762,7 +797,7 @@ def _frozen_subset_bound_objective(ch, r_max):
                 mask = top_set(F)
             w = np.exp2(spread * _einsum_block_average(mask, F, k))
             F[:, k] = w / w.sum(axis=-1, keepdims=True)
-        return values, gaps, F
+        return values, gaps, lambda on: F[on]
 
     return objective
 
@@ -789,10 +824,16 @@ def test_block_average_matches_einsum_and_keeps_rows_independent(n, d, rows, see
     assert x.tobytes() == x_bytes and F.tobytes() == F_bytes
 
 
+def _step_every_row(objective, F, group):
+    """objective's values and gaps at F, and F after one step of every row."""
+    values, gaps, step = objective((F, group))
+    return values, gaps, step(np.arange(len(F)))
+
+
 def _assert_steps_match(objective, frozen, F, group, steps=3):
     """Both objectives from the same F, `steps` times, each from the new F."""
     for _ in range(steps):
-        new, old = objective((F, group)), frozen((F, group))
+        new, old = _step_every_row(objective, F, group), _step_every_row(frozen, F, group)
         for a, b in zip(new, old):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
         F = new[2]
@@ -898,91 +939,89 @@ def test_l_exact_sweep_builds_the_vertex_table_once(monkeypatch):
     assert len(rows) == 3 and len(calls) == 1
 
 
-def _every_row(values, gaps):
-    return np.ones(len(values), dtype=bool)
+def _objective_cases(shape, groups, name, eta, rng):
+    """Both I(M;Y) objectives over grouped slots of a random basis, of
+    shape (n, d), and the subset bound of a channel of game `name`: each
+    with its (n, d) and group count."""
+    n, d = shape
+    basis = rng.dirichlet(np.full(5, 0.5), size=2 * d**n)
+    slots = rng.integers(0, len(basis), size=(groups, d**n))
+    ch = type_ii(game_by_name(name), eta)
+    subset = _subset_bound_objective(ch, round(capacity._classical_value(ch.game) * ch.delta))
+    cases = [(_kernel_mi_objective(basis, slots, extrapolate), n, d, groups) for extrapolate in (True, False)]
+    return cases + [(subset, ch.game.n, ch.game.d, 1)]
 
 
-def _stepping_every_row(objective):
-    """objective with every row stepped, the rows its caller's rule selects
-    picked from the result afterwards."""
-
-    def wrapped(batch):
-        F, group, *rule = batch
-        values, gaps, stepped = objective((F, group, _every_row))
-        return values, gaps, stepped[rule[0](values, gaps)] if rule else stepped
-
-    return wrapped
-
-
-def _ascent_outcome(result):
-    value, pi, diag = result
-    return value.hex(), [f.tobytes() for f in pi.factors], diag
-
-
-def _some_rows(values, gaps):
-    return np.arange(len(values)) % 3 == 1
-
-
-@PROPERTY
-@given(
+OBJECTIVE_CASES = dict(
     shape=st.sampled_from([(1, 4), (2, 2), (2, 3), (3, 2)]),
     groups=st.integers(1, 4),
     name=st.sampled_from(["chsh", "mpp:3", "magic-square"]),
     eta=st.floats(0.05, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_objectives_never_write_to_their_factors(shape, groups, name, eta, seed):
-    # maximize_over_pi keeps F as its best so far by reference, so no call,
-    # whichever rows its rule selects, may write to F or return a view of it;
-    # (1, 4) is the pruning's shape, one sender of Δ messages
-    n, d = shape
-    rng = np.random.default_rng(seed)
-    basis = rng.dirichlet(np.full(5, 0.5), size=2 * d**n)
-    slots = rng.integers(0, len(basis), size=(groups, d**n))
-    ch = type_ii(game_by_name(name), eta)
-    subset = _subset_bound_objective(ch, round(capacity._classical_value(ch.game) * ch.delta))
-    cases = [(_kernel_mi_objective(basis, slots, extrapolate), n, d, groups) for extrapolate in (True, False)]
-    cases.append((subset, ch.game.n, ch.game.d, 1))
-    for objective, n_k, d_k, g in cases:
-        F = rng.dirichlet(np.ones(d_k), size=(7, n_k))
-        group = rng.integers(0, g, size=len(F))
-        before = F.tobytes()
-        for batch in ((F, group), (F, group, _every_row), (F, group, _some_rows), (F, group, capacity._no_row)):
-            values, gaps, stepped = objective(batch)
-            assert F.tobytes() == before
-            assert not any(np.shares_memory(out, F) for out in (values, gaps, stepped))
 
 
 @PROPERTY
-@given(
-    shape=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
-    groups=st.integers(1, 4),
-    name=st.sampled_from(["chsh", "mpp:3", "magic-square"]),
-    eta=st.floats(0.05, 1.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_continue_rule_changes_no_ascent(shape, groups, name, eta, seed):
-    # rows stop at different steps, so the objectives see rules that select
-    # every row, some rows and none
-    n, d = shape
+@given(**OBJECTIVE_CASES)
+def test_objectives_never_write_to_their_factors(shape, groups, name, eta, seed):
+    # maximize_over_pi keeps F as its best so far by reference, so no call,
+    # whether its step is never called or steps every row or some rows, may
+    # write to F or return a view of it; (1, 4) is the pruning's shape, one
+    # sender of Δ messages
     rng = np.random.default_rng(seed)
-    basis = rng.dirichlet(np.full(5, 0.5), size=2 * d**n)
-    kernel = _kernel_mi_objective(basis, rng.integers(0, len(basis), size=(groups, d**n)))
-    ch = type_ii(game_by_name(name), eta)
-    subset = _subset_bound_objective(ch, round(capacity._classical_value(ch.game) * ch.delta))
-    cfg = OptimizerConfig(restarts=6, seed=seed % 1000)
-    for objective, args in ((kernel, (n, d, cfg, groups)), (subset, (ch.game.n, ch.game.d, cfg))):
-        as_is = _ascent_outcome(maximize_over_pi(objective, *args))
-        assert as_is == _ascent_outcome(maximize_over_pi(_stepping_every_row(objective), *args))
-        # a rule that selects no row: the same values and gaps, and no block update
-        F = rng.dirichlet(np.ones(args[1]), size=(5, args[0]))
-        group = rng.integers(0, args[3], size=len(F)) if len(args) > 3 else np.zeros(len(F), dtype=int)
-        values, gaps, _ = objective((F, group))
+    for objective, n, d, g in _objective_cases(shape, groups, name, eta, rng):
+        F = rng.dirichlet(np.ones(d), size=(7, n))
+        group = rng.integers(0, g, size=len(F))
+        before = F.tobytes()
+        for on in (None, np.arange(len(F)), np.array([1, 4, 5])):
+            values, gaps, step = objective((F, group))
+            outs = (values, gaps) if on is None else (values, gaps, step(on))
+            assert F.tobytes() == before
+            assert not any(np.shares_memory(out, F) for out in outs)
+
+
+@PROPERTY
+@given(**OBJECTIVE_CASES)
+def test_a_step_of_some_rows_is_those_rows_of_a_step_of_every_row(shape, groups, name, eta, seed):
+    # the ascent steps its live starts, fewer as they stop, and the pruning
+    # every row, then the undecided ones; rows are independent bit for bit
+    rng = np.random.default_rng(seed)
+    for objective, n, d, g in _objective_cases(shape, groups, name, eta, rng):
+        F = rng.dirichlet(np.ones(d), size=(7, n))
+        group = rng.integers(0, g, size=len(F))
+        values, gaps, every = _step_every_row(objective, F, group)
+        some = np.sort(rng.choice(len(F), size=int(rng.integers(1, len(F))), replace=False))
+        for on in (some, np.array([len(F) - 1]), np.arange(len(F))):
+            assert objective((F, group))[2](on).tobytes() == every[on].tobytes()
+        # a step never called: the same values and gaps, and one block average, the certificate's
         with patch.object(capacity, "_block_averages", wraps=capacity._block_averages) as averages:
-            evaluated, certified, stepped = objective((F, group, capacity._no_row))
-        assert averages.call_count == 1  # the certificate's
+            evaluated, certified, _ = objective((F, group))
+        assert averages.call_count == 1
         assert evaluated.tobytes() == values.tobytes() and certified.tobytes() == gaps.tobytes()
-        assert stepped.shape == (0, args[0], args[1])
+
+
+def _stepping_every_row(objective):
+    """objective whose step steps every row, then picks the rows asked for."""
+
+    def wrapped(batch):
+        values, gaps, step = objective(batch)
+        return values, gaps, lambda rows: step(np.arange(len(batch[0])))[rows]
+
+    return wrapped
+
+
+@PROPERTY
+@given(**OBJECTIVE_CASES)
+def test_continue_rule_changes_no_ascent(shape, groups, name, eta, seed):
+    # the starts stop at different steps, so the ascent steps every row, some
+    # rows and, once all have stopped, none
+    rng = np.random.default_rng(seed)
+    cfg = OptimizerConfig(restarts=6, seed=seed % 1000)
+    for objective, n, d, g in _objective_cases(shape, groups, name, eta, rng):
+        as_is = maximize_over_pi(objective, n, d, cfg, g)
+        every = maximize_over_pi(_stepping_every_row(objective), n, d, cfg, g)
+        assert as_is[0].hex() == every[0].hex() and as_is[2] == every[2]
+        assert [f.tobytes() for f in as_is[1].factors] == [f.tobytes() for f in every[1].factors]
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
@@ -992,7 +1031,7 @@ def test_continue_rule_changes_no_ascent(shape, groups, name, eta, seed):
     eta=st.floats(0.05, 0.95),
 )
 def test_continue_rule_changes_no_exact_capacity(name, channel_type, eta):
-    # the pruning's rule (every row at step 0, the undecided ones after)
+    # the pruning's rows (every row at step 0, the undecided ones after)
     # and the grouped ascent's, against every row stepped
     ch = channel_for(game_by_name(name), channel_type, eta)
     as_is = _exact_outcome(ch)
@@ -1018,7 +1057,7 @@ def test_plain_step_is_the_first_sweep_and_never_lowers_the_rate(delta, outputs,
         kernel /= kernel.sum(axis=1, keepdims=True)
     F = np.concatenate([np.full((1, 1, delta), 1.0 / delta), rng.dirichlet(np.ones(delta), size=(7, 1))])
     group = np.zeros(len(F), dtype=int)
-    values, gaps, stepped = _kernel_mi_objective(kernel, extrapolate=False)((F, group))
+    values, gaps, stepped = _step_every_row(_kernel_mi_objective(kernel, extrapolate=False), F, group)
     squarem = _kernel_mi_objective(kernel)((F, group))
     assert values.tobytes() == squarem[0].tobytes() and gaps.tobytes() == squarem[1].tobytes()
     assert (_kernel_mi_objective(kernel, extrapolate=False)((stepped, group))[0] >= values - 1e-15).all()

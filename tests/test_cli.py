@@ -523,6 +523,11 @@ def _sweep_with_config(tmp_path, extra):
         ("restarts = 0", "restarts"),
         ("tolerance = x", "tolerance"),
         ("tolerance = 0", "tolerance"),
+        # an infinite tolerance once stopped every start at its first
+        # evaluation: CHSH's L-exact row at eta = 1 read 1.424605067,
+        # labelled exact, for 1.435280943
+        ("tolerance = inf", "tolerance"),
+        ("tolerance = nan", "tolerance"),
         ("seed = s", "seed"),
     ],
 )
@@ -530,6 +535,7 @@ def test_sweep_bad_config_value_names_its_key(tmp_path, line, key):
     result = _sweep_with_config(tmp_path, line + "\n")
     assert result.exit_code == 1, result.output
     assert not isinstance(result.exception, ValueError)
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1, result.output
     assert key in result.output
 
 
