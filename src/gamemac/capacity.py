@@ -19,17 +19,19 @@ from .correlations import (
     NO_SIGNALING_TOL,
     CorrelationBox,
     Encoder,
+    _box_resource,
+    _builtin_game,
     box_win_probabilities,
     boxes_from_csv,
     e_star,
     local_deterministic_count,
+    pseudo_telepathy_box,
     refuse_over_cap,
     support_marginal_uniformity_error,
     tsirelson_box,
-    uniform_over_wins,
 )
 from . import games
-from .games import NonlocalGame, ReadOnly, game_by_name, local_map_indices, local_maps
+from .games import NonlocalGame, ReadOnly, local_map_indices, local_maps
 from .infotheory import ProductDistribution, entropy, message_output_kernel, product_joint
 
 # Ascent steps after which a start of `maximize_over_pi` stops regardless of
@@ -451,10 +453,9 @@ def _patterns(slots: np.ndarray, delta: int) -> np.ndarray:
     """Each row of slots (..., Δ) with its question replaced by the first
     message with that question: b(m) Δ + f(m), same shape and dtype."""
     question = slots % delta
-    rows = question.reshape(-1, delta)
-    first = np.full(rows.shape, delta)  # [r, q]: the first message of row r with question q
-    np.minimum.at(first, (np.arange(len(rows))[:, None], rows), np.arange(delta))
-    return (slots - question + np.take_along_axis(first, rows, -1).reshape(slots.shape)).astype(slots.dtype)
+    # the comparison holds Δ² booleans a row: 3.9 MB for mpp:5's 3,840 relabellings, 4 KB a row at Δ = 64
+    first = (question[..., :, None] == question[..., None, :]).argmax(-1)
+    return (slots - question + first).astype(slots.dtype)
 
 
 def _orbit_firsts(ch: MacChannel, slots: np.ndarray, moves: np.ndarray) -> np.ndarray:
@@ -469,12 +470,18 @@ def _orbit_firsts(ch: MacChannel, slots: np.ndarray, moves: np.ndarray) -> np.nd
     row's maximum over product laws.  Any other channel keeps every row."""
     if any(offsets.any() for _, offsets, _ in ch._peaks):  # a peak off offset 0
         return np.arange(len(slots))
-    seen, firsts = set(), []
-    for i, pattern in enumerate(_patterns(slots, ch.delta)):
-        if pattern.tobytes() not in seen:
-            firsts.append(i)
-            seen.update(map(bytes, _patterns(slots[i][moves], ch.delta)))
-    return np.array(firsts)
+    orbit_of, firsts = _orbit_of(ch.game), {}
+    for i, pattern in enumerate(map(bytes, _patterns(slots, ch.delta))):
+        if pattern not in orbit_of:  # an orbit new to this game: form its relabelled patterns
+            orbit_of.update(dict.fromkeys(map(bytes, _patterns(slots[i][moves], ch.delta)), pattern))
+        firsts.setdefault(orbit_of[pattern], i)
+    return np.array(list(firsts.values()))
+
+
+@functools.lru_cache(maxsize=1)
+def _orbit_of(game: NonlocalGame) -> dict[bytes, bytes]:
+    """Pattern -> orbit of each relabelled pattern `_orbit_firsts` met on game, kept for the last game."""
+    return {}
 
 
 # Kernel entries (rows x Δ x outputs) one objective call of the L-exact
@@ -777,16 +784,6 @@ PT_TOL = 1e-10
 PT_CROSS_CHECK_TOL = 1e-9
 
 
-def _box_resource(name: str) -> str:
-    """Q for the library's built-in quantum boxes, by name, NS for its other
-    boxes (`pseudo_telepathy_capacity` labels a caller's box by its table).
-    The quantum strategies behind Q are in tests/test_correlations.py
-    (test_tsirelson_box_matches_bell_state_strategy,
-    test_magic_square_box_matches_four_qubit_strategy and
-    test_mpp_box_matches_per_row_construction)."""
-    return "Q" if name in ("tsirelson", "magic-square") or name.startswith("mpp:") else "NS"
-
-
 def _refuse_signaling(box: CorrelationBox, what: str, error: type[ValueError] = ValueError) -> None:
     """Raise error, naming the box `what`, if it signals by more than NO_SIGNALING_TOL."""
     signaling = box.no_signaling_error()
@@ -818,37 +815,38 @@ def _echo_rate(
     return entropy(q) - float(pm @ h_rows[which])
 
 
-def _prepare_symmetric_encoder(box: CorrelationBox, game: NonlocalGame, perfect: bool = False) -> Solve:
+def _prepare_symmetric_encoder(box: CorrelationBox, game: NonlocalGame, resource: str, perfect: bool) -> Solve:
     """`_symmetric_solve` of what box reads: t = box_win_probabilities(box,
     game), its support-marginal error if perfect, and its and E*'s names
     (E*(box) is built only for its name).  The built-in Mermin-GHZ games'
     sweeps skip the box and this step (see `_builtin_perfect_box`)."""
     t = box_win_probabilities(box, game)
     marginal_error = support_marginal_uniformity_error(box) if perfect else None
-    return _symmetric_solve(game, t, marginal_error, box.name, e_star(box).name, perfect)
+    return _symmetric_solve(game, t, marginal_error, box.name, e_star(box).name, resource)
 
 
 def _symmetric_solve(
-    game: NonlocalGame, t: np.ndarray, marginal_error: float | None, name: str, encoder: str, perfect: bool
+    game: NonlocalGame, t: np.ndarray, marginal_error: float | None, name: str, encoder: str, resource: str
 ) -> Solve:
     """Check that the kernel of E*(box) is a symmetric channel on every
     channel of game; return the Solve of its capacity in closed form.
 
-    Every win probability t_q of the box, named `name`, must lie within
-    PT_TOL of omega: t_0, or 1 if perfect; diagnostic `win_deviation`
-    is the largest |t_q - omega|.  A perfect box must also have output
-    marginals uniform over their support within PT_TOL.  Every kernel row is
-    then a cyclic shift of r = omega P_w + (1 - omega) P_l, with P_b the
-    branch profiles, so the capacity over all message distributions is
-    log2 Δ - H(r), reached at uniform messages (Cover & Thomas, Elements of
-    Information Theory, Thm 7.2.1), a product distribution.  A perfect box's
-    r is P_w, its value log2 Δ - f_w bit for bit and its row `exact`; any
-    other box's row is a `lower-bound` on the capacity of its resource,
-    `_box_resource(name)`.  Each channel cross-checks the closed form against
-    `_echo_rate` at uniform messages (`direct_sum_rate`) within
-    PT_CROSS_CHECK_TOL.  Failures raise PseudoTelepathyHypothesisError.
+    Every win probability t_q of the box, named `name`, must lie within PT_TOL
+    of omega: 1 if perfect, that is when marginal_error (of its output marginals
+    from uniform over their support) is given and within PT_TOL too, else t_0;
+    `win_deviation` is the largest |t_q - omega|.  Every kernel row is then a
+    cyclic shift of r = omega P_w + (1 - omega) P_l, with P_b the branch
+    profiles, so the capacity over all message distributions is log2 Δ - H(r),
+    reached at uniform messages (Cover & Thomas, Elements of Information Theory,
+    Thm 7.2.1), a product distribution.  A perfect box's r is P_w, its value
+    log2 Δ - f_w bit for bit and its row `exact`; any other box's row is a
+    `lower-bound`.  Rows carry `resource`, which the caller that chose the box
+    passes.  Each channel cross-checks the closed form against `_echo_rate` at
+    uniform messages (`direct_sum_rate`) within PT_CROSS_CHECK_TOL.  Failures
+    raise PseudoTelepathyHypothesisError.
     The rows name E*(box) `encoder`; the Solve keeps t and its distinct
     values (`_echo_rate`'s levels, sorted once per box), not the box."""
+    perfect = marginal_error is not None
     omega = 1.0 if perfect else float(t[0])
     win_deviation = float(np.abs(t - omega).max())
     if not win_deviation <= PT_TOL:
@@ -864,7 +862,6 @@ def _symmetric_solve(
             f"box {name!r} output marginals deviate from uniform-over-support "
             f"by {marginal_error}"
         )
-    kind, resource = "exact" if perfect else "lower-bound", _box_resource(name)
     pi = ProductDistribution.uniform(game.n, game.d)
     pm, levels = pi.joint(), np.unique(t, return_inverse=True)
 
@@ -878,7 +875,7 @@ def _symmetric_solve(
             )
         return _row(CapacityResult(
             value=value,
-            kind=kind,
+            kind="exact" if perfect else "lower-bound",
             resource=resource,
             argmax_pi=pi,
             argmax_encoder=encoder,
@@ -902,16 +899,14 @@ def pseudo_telepathy_capacity(ch: MacChannel, box: CorrelationBox) -> CapacityRe
     read from the box's table, not its name: Q only for the table of a
     quantum pseudo_telepathy_box(game), NS for any other box or game.
     """
-    solve = _prepare_symmetric_encoder(box, ch.game, perfect=True)
-    _refuse_signaling(box, f"box {box.name!r}", PseudoTelepathyHypothesisError)
     try:
         builtin = pseudo_telepathy_box(ch.game)
         quantum = _box_resource(builtin.name) == "Q" and np.array_equal(box.table, builtin.table)
     except ValueError:  # a game with no built-in box
         quantum = False
-    r = solve(ch)[0]
-    resource = "Q" if quantum else "NS"
-    return CapacityResult(r.value, r.kind, resource, r.argmax_pi, r.argmax_encoder, r.diagnostics)
+    solve = _prepare_symmetric_encoder(box, ch.game, "Q" if quantum else "NS", perfect=True)
+    _refuse_signaling(box, f"box {box.name!r}", PseudoTelepathyHypothesisError)
+    return solve(ch)[0]
 
 
 def _prepare_q_lower(game: NonlocalGame) -> Solve:
@@ -919,7 +914,7 @@ def _prepare_q_lower(game: NonlocalGame) -> Solve:
     once."""
     if game.name != "chsh":
         raise ValueError(f"quantum lower bound is defined for CHSH channels, got {game.name}")
-    return _prepare_symmetric_encoder(tsirelson_box(), game)
+    return _prepare_symmetric_encoder(tsirelson_box(), game, "Q", perfect=False)
 
 
 def quantum_lower_bound_chsh(ch: MacChannel) -> CapacityResult:
@@ -998,26 +993,6 @@ def vertex_file_bound(
 _ETA_CLAMP = 1e-6
 
 
-def _builtin_game(game: NonlocalGame) -> NonlocalGame:
-    """The built-in game of game's name (game_by_name), or game itself when
-    it has that game's dimensions and predicate function; ValueError for
-    a name game_by_name refuses."""
-    try:
-        ref = game_by_name(game.name)
-    except ValueError:
-        raise ValueError(f"no built-in pseudo-telepathy box for {game.name}") from None
-    return game if (ref.n, ref.d, ref.D, ref._wins) == (game.n, game.d, game.D, game._wins) else ref
-
-
-def pseudo_telepathy_box(game: NonlocalGame) -> CorrelationBox:
-    """The built-in perfect box for a game: uniform over the winning answers
-    of the built-in game of its name (`_builtin_game`), named pr for CHSH.  A
-    game with that game's dimensions and predicate function lends the box
-    its own win table, so a sweep evaluates the game's predicate once."""
-    ref = _builtin_game(game)
-    return uniform_over_wins(ref, "pr" if ref.name == "chsh" else ref.name)
-
-
 def _parity_hypotheses(game: NonlocalGame) -> tuple[np.ndarray, float]:
     """t and the support-marginal error of pseudo_telepathy_box(game) for
     a built-in Mermin-GHZ game, without the box.  `games._mpp_wins` reads
@@ -1089,11 +1064,11 @@ def _builtin_perfect_box(game: NonlocalGame) -> tuple[str, Solve]:
     refuse_over_cap(game.d**game.n, f"{game.name} perfect-box row", "outputs", cap=_PERFECT_BOX_CAP)
     if game._wins is games._mpp_wins and _builtin_game(game) is game:
         name, (t, marginal_error) = game.name, _parity_hypotheses(game)
-        solve = _symmetric_solve(game, t, marginal_error, name, f"e*({name})", perfect=True)
-    else:
-        box = pseudo_telepathy_box(game)
-        name, solve = box.name, _prepare_symmetric_encoder(box, game, perfect=True)
-    return _box_resource(name), solve
+        resource = _box_resource(name)
+        return resource, _symmetric_solve(game, t, marginal_error, name, f"e*({name})", resource)
+    box = pseudo_telepathy_box(game)
+    resource = _box_resource(box.name)
+    return resource, _prepare_symmetric_encoder(box, game, resource, perfect=True)
 
 
 def _prepare_builtin_box(game: NonlocalGame, quantum: bool) -> Solve:

@@ -188,10 +188,36 @@ def uniform_over_wins(game: NonlocalGame, name: str) -> CorrelationBox:
     return CorrelationBox(game.n, game.d, game.D, table, name=name)
 
 
+def _builtin_game(game: NonlocalGame) -> NonlocalGame:
+    """game_by_name(game.name), or game itself when it has that game's
+    dimensions and predicate function; ValueError for a name it refuses."""
+    try:
+        ref = game_by_name(game.name)
+    except ValueError:
+        raise ValueError(f"no built-in pseudo-telepathy box for {game.name}") from None
+    return game if (ref.n, ref.d, ref.D, ref._wins) == (game.n, game.d, game.D, game._wins) else ref
+
+
+def pseudo_telepathy_box(game: NonlocalGame) -> CorrelationBox:
+    """The built-in perfect box for a game, the one rule of pr_box,
+    magic_square_box and mpp_box: uniform over the winning answers of the
+    built-in game of its name (`_builtin_game`, which lends game's own win
+    table when it can), named pr for CHSH and after the game otherwise."""
+    ref = _builtin_game(game)
+    return uniform_over_wins(ref, "pr" if ref.name == "chsh" else ref.name)
+
+
+def _box_resource(name: str) -> str:
+    """The resource a built-in box needs, by its name: NS for pr, Q for the
+    quantum boxes, whose strategies tests/test_correlations.py checks
+    (test_{tsirelson,magic_square,mpp}_box_matches_*)."""
+    return "Q" if name in ("tsirelson", "magic-square") or name.startswith("mpp:") else "NS"
+
+
 def pr_box() -> CorrelationBox:
     """The extremal no-signaling (2,2,2) box: uniform over the answers that
     win CHSH, a1 XOR a2 = q1 AND q2."""
-    return uniform_over_wins(chsh_game(), "pr")
+    return pseudo_telepathy_box(chsh_game())
 
 
 def tsirelson_box() -> CorrelationBox:
@@ -211,17 +237,15 @@ def magic_square_box() -> CorrelationBox:
     uniform over the 8 winning answer pairs of each question, the
     statistics of the Mermin-Peres strategy on two shared Bell pairs
     (Brassard, Broadbent & Tapp, "Quantum pseudo-telepathy", 2005)."""
-    return uniform_over_wins(magic_square_game(), "magic-square")
+    return pseudo_telepathy_box(magic_square_game())
 
 
 def mpp_box(n: int) -> CorrelationBox:
     """Quantum (n,2,2) box winning the MPP game with certainty: uniform over
     the winning answers of each question, the statistics of the GHZ
     strategy (each player phases |1> by e^{iπ q_k/2}, applies Hadamard and
-    measures; Brassard, Broadbent & Tapp 2005)."""
-    if n < 2:
-        raise ValueError(f"mpp box needs n >= 2, got {n}")
-    return uniform_over_wins(mpp_game(n), f"mpp:{n}")
+    measures; Brassard, Broadbent & Tapp 2005).  mpp_game refuses n < 2."""
+    return pseudo_telepathy_box(mpp_game(n))
 
 
 # Table entries of the largest box `builtin_box` builds: mpp:10's 2^20.

@@ -913,21 +913,23 @@ def test_plain_pruning_steps_change_no_result(monkeypatch, name, channel_type, e
 
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(
-    etas=st.lists(st.floats(0.05, 0.95), min_size=2, max_size=3),
-    channel_type=st.sampled_from([1, 2]),
+    channels=st.lists(st.tuples(st.sampled_from([1, 2]), st.floats(0.05, 0.95)), min_size=2, max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
 @pytest.mark.parametrize("name", ["chsh", "mpp:3"])
-def test_kept_vertex_table_changes_no_row(name, etas, channel_type, seed):
-    # warm: every channel on one game, whose vertex table is built once and
-    # kept; cold: each channel on a fresh game, its table built anew.  The
-    # random two-branch channel takes the keep-every-row orbit path.
+def test_kept_vertex_table_changes_no_row(name, channels, seed):
+    # warm: every channel on one game, type-I and type-II η in any order,
+    # whose vertex table and orbit map are built once and kept, the map
+    # growing from channel to channel; cold: each channel on a fresh game,
+    # its table and map built anew.  The random two-branch channel takes
+    # the keep-every-row orbit path.
     game, random_ch = game_by_name(name), _random_channel(name, seed)
     capacity._representatives.cache_clear()
-    warm = [_exact_outcome(channel_for(game, channel_type, eta)) for eta in etas]
+    capacity._orbit_of.cache_clear()
+    warm = [_exact_outcome(channel_for(game, channel_type, eta)) for channel_type, eta in channels]
     warm.append(_exact_outcome(two_branch_mac(game, random_ch.win_profile, random_ch.lose_profile)))
-    assert capacity._representatives.cache_info().misses == 1
-    cold = [_exact_outcome(channel_for(game_by_name(name), channel_type, eta)) for eta in etas]
+    assert capacity._representatives.cache_info().misses == capacity._orbit_of.cache_info().misses == 1
+    cold = [_exact_outcome(channel_for(game_by_name(name), channel_type, eta)) for channel_type, eta in channels]
     assert warm == [*cold, _exact_outcome(random_ch)]
 
 
@@ -1464,7 +1466,7 @@ def test_symmetric_encoder_refuses_unequal_wins():
     with pytest.raises(
         PseudoTelepathyHypothesisError, match="box 'deterministic' wins chsh with probabilities up to"
     ):
-        _prepare_symmetric_encoder(local, chsh_game())
+        _prepare_symmetric_encoder(local, chsh_game(), "NS", perfect=False)
 
 
 def test_closed_form_refuses_a_direct_rate_that_disagrees(monkeypatch):
@@ -1834,8 +1836,10 @@ def test_mpp_sweep_builds_no_box_win_table_or_encoder(monkeypatch):
         return lambda *args: pytest.fail(f"{name} ran")
 
     monkeypatch.setattr(NonlocalGame, "win_table", refuse("win_table"))
+    # pseudo_telepathy_box reads uniform_over_wins in correlations
+    monkeypatch.setattr(correlations, "uniform_over_wins", refuse("uniform_over_wins"))
     for module in (correlations, capacity):
-        for name in ("uniform_over_wins", "e_star", "box_win_probabilities"):
+        for name in ("e_star", "box_win_probabilities"):
             monkeypatch.setattr(module, name, refuse(name))
     monkeypatch.setattr(capacity, "support_marginal_uniformity_error", refuse("marginal check"))
     monkeypatch.setattr(correlations, "answer_marginals", refuse("answer_marginals"))
@@ -1896,6 +1900,18 @@ def test_classical_sweeps_build_no_matrix(monkeypatch, name, resources, channel_
 def test_pseudo_telepathy_box_of_a_built_in_game_is_the_built_in_box(name):
     box, expected = pseudo_telepathy_box(game_by_name(name)), builtin_box("pr" if name == "chsh" else name)
     assert box.name == expected.name and box.table.tobytes() == expected.table.tobytes()
+
+
+@pytest.mark.parametrize("name, label", [("chsh", "NS"), ("magic-square", "Q"), ("mpp:3", "Q"), ("mpp:12", "Q")])
+def test_builtin_perfect_box_rows_carry_its_label(name, label):
+    # the label is the built-in box's: NS for the PR box, Q for the quantum
+    # boxes; mpp:12 takes the parity route, with no box
+    capacity._builtin_perfect_box.cache_clear()
+    game = game_by_name(name)
+    resource, solve = capacity._builtin_perfect_box(game)
+    rows = [solve(channel_for(game, channel_type, 0.5))[0] for channel_type in (1, 2)]
+    assert resource == label
+    assert [(r.kind, r.resource) for r in rows] == [("exact", label)] * 2
 
 
 def test_mermin_predicate_under_another_name_has_no_perfect_box():
