@@ -424,7 +424,8 @@ def _representatives(game: NonlocalGame) -> tuple[np.ndarray, np.ndarray, np.nda
     vertices with the same slots the first is kept.  Raises
     EnumerationCapExceeded over DEFAULT_ENUMERATION_CAP vertices."""
     refuse_over_cap(
-        vertex_count(game),
+        (game.d * game.D) ** game.d,
+        game.n,
         f"{game.name} encoding scenario",
         "deterministic encoder vertices",
         "; use the L-bound resource (classical_upper_bound) instead",
@@ -625,7 +626,7 @@ def bruteforce_classical_game_value(game: NonlocalGame) -> tuple[float, tuple[tu
     The last game's answer is kept, so a sweep's bounds share one search.
     """
     n, d, D = game.n, game.d, game.D
-    refuse_over_cap(local_deterministic_count(n, d, D), game.name, "deterministic strategy tuples")
+    refuse_over_cap(D**d, n, game.name, "deterministic strategy tuples")
     # axes (q_1..q_{n-1}, a_1..a_{n-1}, q_n, a_n)
     w = np.moveaxis(game.win_table().reshape((d,) * n + (D,) * n), n - 1, 2 * n - 2)
     per = local_maps(1, d, D)[:, 0]  # (S, d): one player's answer maps
@@ -740,7 +741,7 @@ def _l_bound_omega(game: NonlocalGame) -> float:
     (EnumerationCapExceeded), and ω*_L, whose search for a game with no
     closed form has its own cap and is kept for the next row (see
     `bruteforce_classical_game_value`)."""
-    refuse_over_cap(game.d**game.n, f"{game.name} L-bound row", "outputs", cap=_L_BOUND_CAP)
+    refuse_over_cap(game.d, game.n, f"{game.name} L-bound row", "outputs", cap=_L_BOUND_CAP)
     return _classical_value(game)
 
 
@@ -1061,7 +1062,7 @@ def _builtin_perfect_box(game: NonlocalGame) -> tuple[str, Solve]:
     or E*: they are the box's own, bit for bit.  Every other game, and a
     game named mpp:n on another predicate, reads them from
     pseudo_telepathy_box(game).  The box is not kept."""
-    refuse_over_cap(game.d**game.n, f"{game.name} perfect-box row", "outputs", cap=_PERFECT_BOX_CAP)
+    refuse_over_cap(game.d, game.n, f"{game.name} perfect-box row", "outputs", cap=_PERFECT_BOX_CAP)
     if game._wins is games._mpp_wins and _builtin_game(game) is game:
         name, (t, marginal_error) = game.name, _parity_hypotheses(game)
         resource = _box_resource(name)

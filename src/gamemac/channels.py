@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from .games import NonlocalGame, ReadOnly, input_indices, input_win_mask
+from .games import NonlocalGame, ReadOnly, frozen_array, input_indices, input_win_mask
 from .infotheory import entropy
 
 _ROW_TOL = 1e-12
@@ -45,18 +45,18 @@ class MacChannel(ReadOnly):
     A profile is a distribution over the cyclic offset of y from the
     echoed question tuple q(x).  Every row is a cyclic shift of one
     profile, so checking the profiles checks the rows, and the branch
-    entropies f_w, f_l are the entropies of the two profiles.
+    entropies f_w, f_l are the entropies of the two profiles.  A profile
+    is kept read-only, uncopied when it already is (see games.frozen_array).
     """
 
     def __init__(self, game: NonlocalGame, win_profile: np.ndarray, lose_profile: np.ndarray):
         delta, profiles = game.d**game.n, []
         for label, prof in (("win", win_profile), ("lose", lose_profile)):
-            prof = np.array(prof, dtype=float)
+            prof = frozen_array(prof, float)
             if prof.shape != (delta,):
                 raise ValueError(f"{label} profile must have length {delta}")
             if not (abs(prof.sum() - 1.0) <= _ROW_TOL and prof.min() >= 0):
                 raise ValueError(f"{label} profile is not a distribution")
-            prof.setflags(write=False)
             profiles.append(prof)
         win_profile, lose_profile = profiles  # each of shape (Δ,)
         f_w, f_l = entropy(win_profile), entropy(lose_profile)
@@ -149,7 +149,9 @@ def two_branch_mac(game: NonlocalGame, win_profile, lose_profile) -> MacChannel:
 
 def depolarizing_mac(game: NonlocalGame, eta_w: float, eta_l: float) -> MacChannel:
     """Depolarizing two-branch channel: echo with probability eta, else uniform."""
-    lose, win = depolarizing_profiles(game.d**game.n, eta_w, eta_l)
+    profiles = depolarizing_profiles(game.d**game.n, eta_w, eta_l)
+    profiles.setflags(write=False)  # owned and frozen, so the channel keeps its rows uncopied
+    lose, win = profiles
     return two_branch_mac(game, win, lose)
 
 

@@ -162,9 +162,22 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
     from outside, ends any command as a CliError, and a library warning is
     printed to stderr as one `Warning: ...` line.  In standalone mode a
     CliError prints its usage line, if any, and `Error: ...` to stderr and
-    exits with its code; otherwise it is raised."""
+    exits with its code; otherwise it is raised.
+
+    A command line that starts with a command's name is parsed by that
+    command's own parser alone, as PARSER's subparsers action would
+    parse it, and an argument it leaves over is PARSER's usage error;
+    any other line (`--help`, an unknown command, none) goes to PARSER."""
+    args = sys.argv[1:] if args is None else list(args)
     try:
-        options = vars(PARSER.parse_args(args))
+        sub = SUBCOMMANDS.choices.get(args[0]) if args else None
+        if sub is None:
+            options = vars(PARSER.parse_args(args))
+        else:
+            namespace, extras = sub.parse_known_args(args[1:])
+            if extras:
+                PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+            options = vars(namespace)
         run = options.pop("run")
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

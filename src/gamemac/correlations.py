@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .games import (
-    NonlocalGame, ReadOnly, chsh_game, game_by_name, input_indices, local_map_indices, local_maps,
-    magic_square_game, mpp_game, pack_tuple,
+    NonlocalGame, ReadOnly, chsh_game, frozen_array, game_by_name, input_indices, local_map_indices,
+    local_maps, magic_square_game, mpp_game, pack_tuple,
 )
 
 NORMALIZATION_TOL = 1e-12
@@ -33,7 +33,7 @@ class CorrelationBox(ReadOnly):
 
     def __init__(self, n: int, d: int, D: int, table: np.ndarray, name: str = "box"):
         expected = (d**n, D**n)
-        table = _frozen(table, float)
+        table = frozen_array(table, float)
         if table.shape != expected:
             raise ValueError(f"box table shape {table.shape}, expected {expected}")
         vars(self).update(n=n, d=d, D=D, table=table, name=name)
@@ -66,7 +66,7 @@ class Encoder(ReadOnly):
     probabilities P(x = cols[m, j] | m)."""
 
     def __init__(self, n: int, d: int, D: int, cols: np.ndarray, probs: np.ndarray, name: str = "encoder"):
-        cols, probs = _frozen(cols, np.intp), _frozen(probs, float)
+        cols, probs = frozen_array(cols, np.intp), frozen_array(probs, float)
         if cols.ndim != 2 or cols.shape[0] != d**n or probs.shape != cols.shape:
             raise ValueError(
                 f"encoder support shapes {cols.shape} and {probs.shape}, "
@@ -90,22 +90,6 @@ class Encoder(ReadOnly):
         table = table.reshape(rows, self.inputs)
         table.setflags(write=False)
         return table
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    """values as a read-only array of dtype: values itself when it is one
-    already and owns its data, else a read-only copy.  A writable array, a
-    view and an array of another dtype are copied, so a later write to the
-    caller's array never reaches the result; a writable view the caller took
-    before freezing its own array is the one handle numpy cannot see."""
-    if (
-        type(values) is np.ndarray and values.dtype == dtype
-        and values.flags.owndata and not values.flags.writeable
-    ):
-        return values
-    values = np.array(values, dtype=dtype)
-    values.setflags(write=False)
-    return values
 
 
 def check_encoder_support(cols: np.ndarray, probs: np.ndarray, inputs: int) -> None:
@@ -147,34 +131,53 @@ def local_deterministic_count(n: int, d: int, D: int) -> int:
     return (D**d) ** n
 
 
-def _count_text(count: int) -> str:
-    """count in full up to 15 digits, past that its order of magnitude, as
-    "about 6.9e69" (two leading digits, truncated): found in integer
-    arithmetic, as float(count) overflows past 1e308 and str(count) is
-    refused past 4,300 digits."""
-    if count < 10**15:
-        return str(count)
-    e = int((count.bit_length() - 1) * math.log10(2))  # floor(log10 count), or one below
-    e += 10 ** (e + 1) <= count
-    return f"about {count // 10 ** (e - 1) / 10:.1f}e{e}"
+# Bits of the largest count `_power_text` forms and reads in integer arithmetic.
+_EXACT_COUNT_BITS = 1 << 16
 
 
-def refuse_over_cap(count: int, subject: str, items: str, advice: str = "", cap: int | None = None) -> None:
-    """Refuse, never truncate, an enumeration of count items: raise
-    EnumerationCapExceeded when count is over cap, by default
-    DEFAULT_ENUMERATION_CAP.  The error is one line (see `_count_text`)."""
+def _power_text(base: int, exponent: int) -> str:
+    """base**exponent in full up to 15 digits, past that its order of
+    magnitude, as "about 6.9e69" (two leading digits, truncated), since
+    float(count) overflows past 1e308 and str(count) is refused past 4,300
+    digits.  A count of up to _EXACT_COUNT_BITS bits is formed and read in
+    integer arithmetic; a larger one never is: exponent * log10(base),
+    in decimal arithmetic 20 digits past its point, gives its digits."""
+    if exponent * base.bit_length() <= _EXACT_COUNT_BITS:
+        count = base**exponent
+        if count < 10**15:
+            return str(count)
+        e = int((count.bit_length() - 1) * math.log10(2))  # floor(log10 count), or one below
+        e += 10 ** (e + 1) <= count
+        lead = count // 10 ** (e - 1)
+    else:
+        from decimal import Context  # only an over-cap error line needs it
+
+        ctx = Context(prec=len(str(exponent * base.bit_length())) + 20)
+        log10 = ctx.multiply(exponent, ctx.log10(base))
+        e = int(log10)
+        lead = int(ctx.power(10, ctx.subtract(log10, e - 1)))
+    return f"about {lead / 10:.1f}e{e}"
+
+
+def refuse_over_cap(
+    base: int, exponent: int, subject: str, items: str, advice: str = "", cap: int | None = None
+) -> None:
+    """Refuse, never truncate, an enumeration of base**exponent items
+    (base, exponent >= 0): raise EnumerationCapExceeded when that count is
+    over cap, by default DEFAULT_ENUMERATION_CAP.  The count is never
+    formed, so a huge exponent is refused at once: a base of 2 or more is
+    over any cap after cap.bit_length() factors, and the error line (see
+    `_power_text`) reads the count from its exponent."""
     cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if count > cap:
+    if base ** min(exponent, cap.bit_length()) > cap:
         raise EnumerationCapExceeded(
-            f"{subject} has {_count_text(count)} {items}, over the cap of {cap}{advice}"
+            f"{subject} has {_power_text(base, exponent)} {items}, over the cap of {cap}{advice}"
         )
 
 
 def local_deterministic_boxes(n: int, d: int, D: int):
     """Yield all (D^d)^n local deterministic boxes, or refuse loudly."""
-    refuse_over_cap(
-        local_deterministic_count(n, d, D), f"({n},{d},{D}) scenario", "local deterministic boxes"
-    )
+    refuse_over_cap(D**d, n, f"({n},{d},{D}) scenario", "local deterministic boxes")
     for strategies in local_maps(n, d, D):
         yield deterministic_box(n, d, D, strategies)
 
@@ -263,8 +266,7 @@ def builtin_box(name: str) -> CorrelationBox:
         return builders[name]()
     if name.startswith("mpp:"):
         game = game_by_name(name)
-        entries = (game.d * game.D) ** game.n
-        refuse_over_cap(entries, f"{name} box", "table entries", cap=_BUILTIN_BOX_CAP)
+        refuse_over_cap(game.d * game.D, game.n, f"{name} box", "table entries", cap=_BUILTIN_BOX_CAP)
         return mpp_box(game.n)
     raise ValueError(f"unknown box {name!r}")
 

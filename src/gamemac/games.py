@@ -37,6 +37,22 @@ class ReadOnly:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def frozen_array(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype: values itself when it is one
+    already and its data's owner (values, or the base of a view) is a
+    read-only array too, else a read-only copy.  A writable array, a view
+    of one and an array of another dtype are copied, so a later write to the
+    caller's array never reaches the result; a writable view the caller took
+    before freezing its own array is the one handle numpy cannot see."""
+    if type(values) is np.ndarray and values.dtype == dtype and not values.flags.writeable:
+        owner = values if values.base is None else values.base
+        if type(owner) is np.ndarray and owner.flags.owndata and not owner.flags.writeable:
+            return values
+    values = np.array(values, dtype=dtype)
+    values.setflags(write=False)
+    return values
+
+
 class NonlocalGame:
     """An (n, d, D) nonlocal game with a total winning predicate.
 

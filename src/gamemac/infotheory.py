@@ -18,6 +18,8 @@ if TYPE_CHECKING:  # channels imports entropy from here
     from .correlations import Encoder
 
 _SIMPLEX_TOL = 1e-12
+# Entries of one log2 temporary in `entropy`: 512 KiB of float64.
+_ENTROPY_CHUNK = 1 << 16
 
 
 class ProductDistribution(ReadOnly):
@@ -72,12 +74,17 @@ def entropy(dist: np.ndarray, axis=None):
     p log p is formed in place, without compacting the support: entries
     off it are read as 1 (1 log 1 is exactly 0), and the products land in a
     C-ordered array, so each sum adds the same values in the same order as
-    a zero array holding the support's products.
+    a zero array holding the support's products.  That array is the one
+    p-sized temporary: its log2 is taken _ENTROPY_CHUNK entries at a time.
     """
     p = np.asarray(dist, dtype=float)
-    q = np.where(p > 0, p, 1.0)
-    plogp = np.log2(q, out=np.empty(p.shape))
-    plogp *= q
+    plogp = np.where(p > 0, p, 1.0)
+    if not plogp.flags.c_contiguous:  # np.where keeps the order of p
+        plogp = np.ascontiguousarray(plogp)
+    flat = plogp.reshape(-1)
+    for start in range(0, flat.size, _ENTROPY_CHUNK):
+        part = flat[start : start + _ENTROPY_CHUNK]
+        part *= np.log2(part)
     h = -plogp.sum(axis=axis)
     return float(h) if axis is None else h
 

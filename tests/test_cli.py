@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import shlex
@@ -11,7 +12,7 @@ from cli_run import invoke as run
 
 from gamemac import capacity, verify
 from gamemac.channels import MacChannel, noise_f, type_ii
-from gamemac.cli import SUBCOMMANDS, CliError, main, parse_eta_grid
+from gamemac.cli import PARSER, SUBCOMMANDS, CliError, main, parse_eta_grid
 from gamemac.games import mpp_game
 
 
@@ -295,6 +296,48 @@ def test_without_standalone_mode_the_boundary_raises():
     with pytest.raises(CliError, match="^argument --seed: invalid int value: 'x'$") as caught:
         main(["table", "--seed", "x"], standalone_mode=False)
     assert caught.value.exit_code == 2 and caught.value.usage.startswith("usage: gamemac table")
+
+
+def _no_top_level_parse(args=None, namespace=None):
+    raise AssertionError("parsed by the top-level parser")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sweep", "--game", "chsh", "--channel-type", "2", "--eta-grid", "1:1:1", "--resources", "NS-exact"),
+        ("verify", "--count", "3"),
+        ("table",),
+        ("game-value", "chsh"),
+        ("box-export", "pr", "--out", "pr.csv"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_command_is_parsed_by_its_own_parser_alone(tmp_path, monkeypatch, args):
+    # the top-level parser's subparsers action cost each command 40-130 µs
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(PARSER, "parse_args", _no_top_level_parse)
+    result = run(*args)
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("sweep", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+        (("game-value", "chsh", "extra"), "unrecognized arguments: extra"),
+        (("table", "--", "--seed", "1"), "unrecognized arguments: -- --seed 1"),
+        (("nope",), "argument COMMAND: invalid choice: 'nope'"),
+    ],
+)
+def test_a_leftover_argument_or_an_unknown_command_is_the_top_level_usage_error(args, error):
+    result = run(*args)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"usage: gamemac [--help] COMMAND ...\nError: {error}")
+    # exactly as the top-level parser refuses the whole line
+    with pytest.raises(CliError) as refused:
+        PARSER.parse_args(list(args))
+    assert result.output == f"{refused.value.usage}Error: {refused.value}\n"
 
 
 def test_a_seed_in_a_config_file_that_is_not_an_integer_is_refused_by_its_key(tmp_path):
@@ -715,6 +758,36 @@ def test_over_cap_counts_print_as_one_short_line(args, fragment):
     result = run(*args)
     _assert_error_line(result, fragment)
     assert result.output.count("\n") == 1 and len(result.output) < 200
+
+
+@pytest.mark.parametrize("n", [10**9, 10**20])
+def test_a_huge_game_is_refused_at_once(tmp_path, n):
+    # the counts 2^n, 4^n and 16^n are never formed: at n = 10^7 forming and
+    # printing them took 2-6 s, and at n = 10^9 they ran for over 17 s
+    sweep = ("sweep", "--game", f"mpp:{n}", "--channel-type", "2", "--eta-grid", "0.5:0.5:1")
+    commands = [
+        *((*sweep, "--resources", resource) for resource in ("NS-exact", "Q-exact", "L-bound", "L-exact")),
+        ("box-export", f"mpp:{n}", "--out", "box.csv"),
+        ("game-value", f"mpp:{n}"),
+    ]
+    # each command runs in process in one child, timed, so a hang ends at the timeout
+    code = (
+        "import json, sys, time\n"
+        "from cli_run import invoke\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    start = time.perf_counter()\n"
+        "    result = invoke(*args)\n"
+        "    print(json.dumps([result.exit_code, result.output, time.perf_counter() - start]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=2 * len(commands) + 5)
+    assert out.returncode == 0, out.stderr
+    for args, line in zip(commands, out.stdout.splitlines(), strict=True):
+        exit_code, output, seconds = json.loads(line)
+        assert exit_code == 1 and seconds < 2, (args, exit_code, seconds)
+        assert output.startswith(f"Error: mpp:{n} ") and output.count("\n") == 1, (args, output)
+    assert not (tmp_path / "box.csv").exists()
 
 
 def _out_of_memory(*args, **kwargs):

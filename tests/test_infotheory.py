@@ -9,6 +9,7 @@ from itertools import product
 
 from gamemac.channels import depolarizing_mac, noise_f, type_ii
 from gamemac.correlations import Encoder, deterministic_box, e_star, pr_box, tsirelson_box
+from gamemac import infotheory
 from gamemac.games import chsh_game, input_win_mask
 from gamemac.infotheory import (
     ProductDistribution,
@@ -76,6 +77,18 @@ def test_entropy_along_axes_matches_the_compacted_form(seed):
     # C-ordered, permuted (not C-ordered) and strided layouts
     for arr in (p, p.transpose(2, 1, 0), p[:, ::-3]):
         for axis in (0, 1, 2, -1, (1, 2), (0, 2), None):
+            _assert_same_entropies(arr, axis)
+
+
+def test_entropy_across_its_log_chunks_matches_the_compacted_form():
+    # p log p is formed _ENTROPY_CHUNK entries at a time; these cross its boundaries
+    rng = np.random.default_rng(5)
+    chunk = infotheory._ENTROPY_CHUNK
+    p = rng.random((3, chunk + 7))
+    p[rng.random(p.shape) < 0.2] = 0.0
+    p[0, -1] = np.nan
+    for arr in (p, p.T, p[:, ::2], p[0, : chunk + 1], p[0, :chunk]):
+        for axis in (*range(arr.ndim), None):
             _assert_same_entropies(arr, axis)
 
 
