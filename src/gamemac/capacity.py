@@ -24,7 +24,7 @@ from .correlations import (
     box_win_probabilities,
     boxes_from_csv,
     e_star,
-    local_deterministic_count,
+    local_deterministic_power,
     pseudo_telepathy_box,
     refuse_over_cap,
     support_marginal_uniformity_error,
@@ -394,8 +394,15 @@ def sum_rate_objective(enc: Encoder, ch: MacChannel) -> AscentObjective:
 # ---------------------------------------------------------------------------
 
 
+def vertex_power(game: NonlocalGame) -> tuple[int, int]:
+    """(base, exponent) of game's deterministic encoder vertices: each of
+    the n senders maps its d messages to one of its d D inputs."""
+    return local_deterministic_power(game.n, game.d, game.d * game.D)
+
+
 def vertex_count(game: NonlocalGame) -> int:
-    return local_deterministic_count(game.n, game.d, game.d * game.D)
+    base, exponent = vertex_power(game)
+    return base**exponent
 
 
 def _canonical_maps(n: int, d: int, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -424,8 +431,7 @@ def _representatives(game: NonlocalGame) -> tuple[np.ndarray, np.ndarray, np.nda
     vertices with the same slots the first is kept.  Raises
     EnumerationCapExceeded over DEFAULT_ENUMERATION_CAP vertices."""
     refuse_over_cap(
-        (game.d * game.D) ** game.d,
-        game.n,
+        *vertex_power(game),
         f"{game.name} encoding scenario",
         "deterministic encoder vertices",
         "; use the L-bound resource (classical_upper_bound) instead",
@@ -626,7 +632,7 @@ def bruteforce_classical_game_value(game: NonlocalGame) -> tuple[float, tuple[tu
     The last game's answer is kept, so a sweep's bounds share one search.
     """
     n, d, D = game.n, game.d, game.D
-    refuse_over_cap(D**d, n, game.name, "deterministic strategy tuples")
+    refuse_over_cap(*local_deterministic_power(n, d, D), game.name, "deterministic strategy tuples")
     # axes (q_1..q_{n-1}, a_1..a_{n-1}, q_n, a_n)
     w = np.moveaxis(game.win_table().reshape((d,) * n + (D,) * n), n - 1, 2 * n - 2)
     per = local_maps(1, d, D)[:, 0]  # (S, d): one player's answer maps

@@ -127,35 +127,35 @@ def deterministic_box(n: int, d: int, D: int, strategies) -> CorrelationBox:
     return CorrelationBox(n, d, D, table, name="deterministic")
 
 
+def local_deterministic_power(n: int, d: int, D: int) -> tuple[int, int]:
+    """(base, exponent) of the (D^d)^n local deterministic boxes, so a cap
+    check (see `refuse_over_cap`) never forms the count."""
+    return D**d, n
+
+
 def local_deterministic_count(n: int, d: int, D: int) -> int:
-    return (D**d) ** n
-
-
-# Bits of the largest count `_power_text` forms and reads in integer arithmetic.
-_EXACT_COUNT_BITS = 1 << 16
+    base, exponent = local_deterministic_power(n, d, D)
+    return base**exponent
 
 
 def _power_text(base: int, exponent: int) -> str:
-    """base**exponent in full up to 15 digits, past that its order of
-    magnitude, as "about 6.9e69" (two leading digits, truncated), since
-    float(count) overflows past 1e308 and str(count) is refused past 4,300
-    digits.  A count of up to _EXACT_COUNT_BITS bits is formed and read in
-    integer arithmetic; a larger one never is: exponent * log10(base),
-    in decimal arithmetic 20 digits past its point, gives its digits."""
-    if exponent * base.bit_length() <= _EXACT_COUNT_BITS:
-        count = base**exponent
-        if count < 10**15:
-            return str(count)
-        e = int((count.bit_length() - 1) * math.log10(2))  # floor(log10 count), or one below
-        e += 10 ** (e + 1) <= count
-        lead = count // 10 ** (e - 1)
-    else:
-        from decimal import Context  # only an over-cap error line needs it
+    """base**exponent (base >= 2) in full up to 15 digits, past that its
+    order of magnitude, as "about 6.9e69" (two leading digits, truncated),
+    since float(count) overflows past 1e308 and str(count) is refused past
+    4,300 digits.  A count past 15 digits is never formed: exponent *
+    log10(base), in decimal arithmetic 20 digits past its point, gives its
+    digits.  The two-digit lead is rounded to 12 places before it is
+    truncated, so an exact one, as the 16 of 16 * 10**14, is not read as
+    15.99..., and kept under 100: one that rounds to 100 is 99.99..., as
+    the logarithm of a power of 10 is exact."""
+    from decimal import Context  # only an over-cap error line needs it
 
-        ctx = Context(prec=len(str(exponent * base.bit_length())) + 20)
-        log10 = ctx.multiply(exponent, ctx.log10(base))
-        e = int(log10)
-        lead = int(ctx.power(10, ctx.subtract(log10, e - 1)))
+    ctx = Context(prec=len(str(exponent * base.bit_length())) + 20)
+    log10 = ctx.multiply(exponent, ctx.log10(base))
+    if log10 < 15:
+        return str(base**exponent)
+    e = int(log10)
+    lead = min(int(round(ctx.power(10, ctx.subtract(log10, e - 1)), 12)), 99)
     return f"about {lead / 10:.1f}e{e}"
 
 
@@ -177,7 +177,9 @@ def refuse_over_cap(
 
 def local_deterministic_boxes(n: int, d: int, D: int):
     """Yield all (D^d)^n local deterministic boxes, or refuse loudly."""
-    refuse_over_cap(D**d, n, f"({n},{d},{D}) scenario", "local deterministic boxes")
+    refuse_over_cap(
+        *local_deterministic_power(n, d, D), f"({n},{d},{D}) scenario", "local deterministic boxes"
+    )
     for strategies in local_maps(n, d, D):
         yield deterministic_box(n, d, D, strategies)
 

@@ -62,6 +62,17 @@ def test_local_enumeration_counts():
     assert local_deterministic_count(2, 3, 8) == 512**2
 
 
+@pytest.mark.parametrize("base", [2, 3, 10, 256, 999, 16 * 10**14, 25 * 10**14, 10**15 - 1])
+def test_power_text_reads_the_digits_of_the_count(base):
+    # the text is read from exponent * log10(base), never from the count;
+    # it must agree with the count's own digits, exact leads such as the
+    # 16 of 16 * 10**14 and powers of 10 included
+    for exponent in range(1, 60):
+        digits = str(base**exponent)
+        expected = digits if len(digits) <= 15 else f"about {digits[0]}.{digits[1]}e{len(digits) - 1}"
+        assert correlations._power_text(base, exponent) == expected, exponent
+
+
 def test_local_enumeration_cap_refusal():
     with pytest.raises(EnumerationCapExceeded):
         next(local_deterministic_boxes(3, 3, 8))  # 512^3 boxes
